@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .kernel import (
     group_kernel,
     szego_density,
     szego_eval,
+    szego_nu,
 )
 from .suites import SUITE_NAMES, run_suite
 
@@ -48,7 +50,24 @@ def _parse_point(text, n):
     return SiegelPoint(horizontal, vertical)
 
 
-def _load_config(path):
+def _positive_int(text):
+    """argparse type of ``--n``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _config_defaults(path, sub):
+    """The ``key=value`` pairs of a config file that name options of ``sub``.
+
+    They become the subcommand's defaults, so argparse converts them through
+    each option's type and explicit flags still win.
+    """
+    dests = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
     values = {}
     try:
         with open(path) as fh:
@@ -59,70 +78,30 @@ def _load_config(path):
                 if "=" not in line:
                     raise UsageError(f"bad config line {line!r}")
                 key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
+                if key.strip() in dests:
+                    values[key.strip()] = val.strip()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from None
     return values
 
 
-_FLAG_DEFAULTS = {
-    "n": 1,
-    "m": 4,
-    "nu": "",
-    "q": "",
-    "omega": "",
-    "t": "",
-    "eps": 0.0,
-    "tol": 1e-3,
-    "budget": 2.0e7,
-    "seed": 0,
-    "output": "",
-    "format": "json",
-    "points": 50,
-    "table": "K-decay",
-}
-
-
-def _apply_config(args, parser):
-    """Fill unset flags from the config file, then from builtin defaults.
-
-    Flags given on the command line are parsed with SUPPRESS defaults, so a
-    missing attribute means the user did not pass it; explicit flags always
-    win over the config file.
-    """
-    config = _load_config(args.config) if getattr(args, "config", "") else {}
-    for dest, default in _FLAG_DEFAULTS.items():
-        if hasattr(args, dest):
-            continue
-        raw = config.get(dest.replace("_", "-"), config.get(dest))
-        if raw is None:
-            setattr(args, dest, default)
-            continue
-        if isinstance(default, bool):
-            value = raw.lower() in ("1", "true", "yes")
-        elif isinstance(default, int):
-            value = int(raw)
-        elif isinstance(default, float):
-            value = float(raw)
-        else:
-            value = raw
-        setattr(args, dest, value)
-    return args
+def _emit(path, text):
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _emit_value(args, payload):
-    text = json.dumps(payload, sort_keys=True)
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc}") from None
-    else:
-        print(text)
+    _emit(args.output, json.dumps(payload, sort_keys=True) + "\n")
 
 
-def cmd_eval(args, parser):
+def cmd_eval(args):
     kind = args.kind
     if kind in ("s", "density"):
         nu = _parse_components(args.nu, expected=4 if args.m == 4 else 2)
@@ -155,8 +134,6 @@ def cmd_eval(args, parser):
         except ZeroDivisionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        from .kernel import szego_nu
-
         nu = szego_nu(q, omega)
         _emit_value(
             args,
@@ -196,41 +173,25 @@ def cmd_eval(args, parser):
     raise UsageError(f"unknown eval kind {args.kind!r}")
 
 
-def cmd_verify(args, parser):
+def cmd_verify(args):
     reports = run_suite(
         args.suite, n=args.n, tol=args.tol, budget=args.budget, seed=args.seed
     )
-    lines = [r.to_json_line() for r in reports]
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc}") from None
-    else:
-        for line in lines:
-            print(line)
+    _emit(args.output, "".join(r.to_json_line() + "\n" for r in reports))
     n_pass = sum(r.passed for r in reports)
     print(f"{args.suite}: {n_pass}/{len(reports)} checks passed", file=sys.stderr)
     return 0 if n_pass == len(reports) else 1
 
 
-def cmd_export(args, parser):
+def cmd_export(args):
     if args.what == "kernel":
         kernel = szego_density(KernelOrder(args.n, m=args.m))
-        payload = kernel.to_json()
         out = args.output or f"szego-density-n{args.n}-m{args.m}.json"
-        try:
-            with open(out, "w") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=1)
-                fh.write("\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc}") from None
+        _emit(out, json.dumps(kernel.to_json(), sort_keys=True, indent=1) + "\n")
         print(f"wrote {out}", file=sys.stderr)
         return 0
     if args.what == "table":
         if args.table == "K-decay":
-            density = szego_density(KernelOrder(args.n))
             d = homogeneous_dim(args.n)
             rows = [("rho", "absK", "absK_times_rho_d")]
             for i in range(args.points):
@@ -256,76 +217,67 @@ def cmd_export(args, parser):
         else:
             raise UsageError(f"unknown table {args.table!r}")
         out = args.output or f"{args.table}-n{args.n}.csv"
-        try:
-            with open(out, "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc}") from None
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        _emit(out, buf.getvalue())
         print(f"wrote {out}", file=sys.stderr)
         return 0
     raise UsageError(f"unknown export target {args.what!r}")
 
 
 def build_parser():
+    """The ``qszego`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="qszego",
         description="Cauchy-Szego kernel construction and verification on the Siegel half space",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sup = argparse.SUPPRESS
-
     p_eval = sub.add_parser("eval", help="evaluate a kernel at a point")
     p_eval.add_argument("kind", choices=["s", "S", "E", "K", "density", "kernel", "cauchy", "group"])
-    p_eval.add_argument("--n", type=int, default=sup)
-    p_eval.add_argument("--m", type=int, default=sup)
-    p_eval.add_argument("--nu", type=str, default=sup)
-    p_eval.add_argument("--q", type=str, default=sup)
-    p_eval.add_argument("--omega", type=str, default=sup)
-    p_eval.add_argument("--t", type=str, default=sup)
-    p_eval.add_argument("--eps", type=float, default=sup)
-    p_eval.add_argument("--config", type=str, default="")
-    p_eval.add_argument("-o", "--output", type=str, default=sup)
-    p_eval.add_argument("--format", choices=["json", "csv"], default=sup)
+    p_eval.add_argument("--n", type=_positive_int, default=1)
+    p_eval.add_argument("--m", type=int, default=4)
+    p_eval.add_argument("--nu", type=str, default="")
+    p_eval.add_argument("--q", type=str, default="")
+    p_eval.add_argument("--omega", type=str, default="")
+    p_eval.add_argument("--t", type=str, default="")
+    p_eval.add_argument("--eps", type=float, default=0.0)
+    p_eval.set_defaults(run=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=list(SUITE_NAMES))
-    p_verify.add_argument("--n", type=int, default=sup)
-    p_verify.add_argument("--tol", type=float, default=sup)
-    p_verify.add_argument("--budget", type=float, default=sup)
-    p_verify.add_argument("--seed", type=int, default=sup)
-    p_verify.add_argument("--config", type=str, default="")
-    p_verify.add_argument("-o", "--output", type=str, default=sup)
-    p_verify.add_argument("--format", choices=["json", "csv"], default=sup)
+    p_verify.add_argument("--n", type=_positive_int, default=1)
+    p_verify.add_argument("--tol", type=float, default=1e-3)
+    p_verify.add_argument("--budget", type=float, default=2.0e7)
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.set_defaults(run=cmd_verify)
 
     p_export = sub.add_parser("export", help="export kernels or tables")
     p_export.add_argument("what", choices=["kernel", "table"])
-    p_export.add_argument("--what", dest="table", choices=["K-decay", "s-ray"], default=sup)
-    p_export.add_argument("--n", type=int, default=sup)
-    p_export.add_argument("--m", type=int, default=sup)
-    p_export.add_argument("--points", type=int, default=sup)
-    p_export.add_argument("--config", type=str, default="")
-    p_export.add_argument("-o", "--output", type=str, default=sup)
-    p_export.add_argument("--format", choices=["json", "csv"], default=sup)
+    p_export.add_argument("--what", dest="table", choices=["K-decay", "s-ray"], default="K-decay")
+    p_export.add_argument("--n", type=_positive_int, default=1)
+    p_export.add_argument("--m", type=int, default=4)
+    p_export.add_argument("--points", type=int, default=50)
+    p_export.set_defaults(run=cmd_export)
 
-    return parser
+    for p in sub.choices.values():
+        p.add_argument("--config", type=str, default="")
+        p.add_argument("-o", "--output", type=str, default="")
+    return parser, sub.choices
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run the CLI; flags win over ``--config`` values, which win over defaults."""
+    parser, subcommands = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            sub = subcommands[args.command]
+            sub.set_defaults(**_config_defaults(args.config, sub))
+            args = parser.parse_args(argv)
+        return args.run(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        args = _apply_config(args, parser)
-        if args.command == "eval":
-            return cmd_eval(args, parser)
-        if args.command == "verify":
-            return cmd_verify(args, parser)
-        if args.command == "export":
-            return cmd_export(args, parser)
-        raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,12 +60,6 @@ class SiegelPoint:
     def height(self):
         return self.vertical.re - sum(h.norm_sq() for h in self.horizontal)
 
-    def in_domain(self):
-        return self.height() > 0
-
-    def on_boundary(self, tol=0.0):
-        return abs(float(self.height())) <= tol
-
     def to_float(self):
         return SiegelPoint(tuple(h.to_float() for h in self.horizontal), self.vertical.to_float())
 

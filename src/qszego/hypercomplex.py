@@ -361,10 +361,6 @@ def associator(x, y, z):
     return (x * y) * z - x * (y * z)
 
 
-def commutator(x, y):
-    return x * y - y * x
-
-
 def left_mult_matrix(a):
     """Matrix M with (a*x)_k = sum_j M[k][j] x_j, entries in a's scalar mode."""
     dim = a.dim
@@ -394,10 +390,4 @@ def mul_arrays(a, b, dim):
                 out[..., k] += ai * b[..., j]
             else:
                 out[..., k] -= ai * b[..., j]
-    return out
-
-
-def conj_arrays(a):
-    out = np.array(a, dtype=float, copy=True)
-    out[..., 1:] *= -1.0
     return out

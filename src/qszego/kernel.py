@@ -72,10 +72,6 @@ class PiScaledKernel:
     def eval_array(self, x):
         return self.body.eval_array(x) * self.prefactor()
 
-    def eval_body_exact(self, point):
-        """Exact body value at a rational point (pi factor excluded)."""
-        return self.body.eval(point)
-
     def scaled_equal(self, other):
         """True when both describe the same function (coeff folded into body)."""
         if self.pi_pow != other.pi_pow or self.alg_dim != other.alg_dim:

@@ -174,9 +174,6 @@ class RatPoly:
     def is_zero(self):
         return not self.terms
 
-    def total_degree(self):
-        return max((sum(k) for k in self.terms), default=0)
-
     def homogeneous_degree(self):
         """Common total degree of all monomials, or None if inhomogeneous."""
         degs = {sum(k) for k in self.terms}

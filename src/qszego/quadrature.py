@@ -1,10 +1,10 @@
 """Numerical integration engines and exact half-integer Gamma arithmetic.
 
-Three integration paths cover the verification needs: an adaptive product
-rule in spherical coordinates for integrals over R^3, a tensor rule over the
-Siegel boundary (with a radial reduction when the integrand declares
-rotational symmetry in the horizontal variables), and a seeded
-importance-sampling Monte Carlo fallback for non-symmetric integrands.
+Two integration paths cover the verification needs: an adaptive product
+rule in spherical coordinates for integrals over R^3, and a tensor rule over
+the Siegel boundary (with a radial reduction when the integrand declares
+rotational symmetry in the horizontal variables).  Both place their Gauss
+nodes through the same coordinate maps, :func:`coordinate_map`.
 
 Gamma values at positive half integers are exact: they are rational
 multiples of sqrt(pi)^k, carried by :class:`SqrtPiRational` so that moment
@@ -161,7 +161,6 @@ class QuadratureResult:
     error_estimate: float
     n_evals: int
     converged: bool = True
-    seed: int | None = None
 
     def to_json(self):
         v = self.value
@@ -171,7 +170,6 @@ class QuadratureResult:
             "value": v,
             "error_estimate": self.error_estimate,
             "n_evals": self.n_evals,
-            "seed": self.seed,
         }
 
 
@@ -183,39 +181,45 @@ class QuadratureConvergenceError(RuntimeError):
         self.result = result
 
 
+def coordinate_map(kind, scale, x):
+    """Map Gauss nodes ``x`` to the radius; returns (r, dr/dx).
+
+    "power" is r = scale * tan(pi x / 2): rational integrands become
+    trigonometric rational functions of x, which the Gauss rule resolves
+    geometrically.  "cut" is r = scale * x, a plain truncation at ``scale``
+    for integrands whose tail beyond it is negligible.
+    """
+    if kind == "power":
+        theta = x * (math.pi / 2.0)
+        return scale * np.tan(theta), scale * (math.pi / 2.0) / np.cos(theta) ** 2
+    if kind == "cut":
+        return scale * x, np.full_like(x, scale)
+    raise ValueError(f"unknown decay kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class ExpDecay:
     """Radial integrand decays like exp(-rate * r).
 
-    The half line is truncated where the exponential tail falls below 1e-30
-    even against polynomial growth; the integrand is entire there, so the
-    Gauss rule converges geometrically.
+    The half line is cut at 80 / rate, where the exponential tail falls below
+    1e-30 even against polynomial growth; the integrand is entire there, so
+    the Gauss rule converges geometrically.
     """
 
     rate: float = 1.0
 
     def map(self, u):
-        cutoff = 80.0 / self.rate
-        r = cutoff * u
-        jac = np.full_like(u, cutoff)
-        return r, jac
+        return coordinate_map("cut", 80.0 / self.rate, u)
 
 
 @dataclass(frozen=True)
 class PowerDecay:
-    """Radial integrand decays like a negative power; scale sets the knee.
-
-    Uses r = scale * tan(pi u / 2): rational integrands become trigonometric
-    rational functions of u, which the Gauss rule resolves geometrically.
-    """
+    """Radial integrand decays like a negative power; scale sets the knee."""
 
     scale: float = 1.0
 
     def map(self, u):
-        theta = u * (math.pi / 2.0)
-        r = self.scale * np.tan(theta)
-        jac = self.scale * (math.pi / 2.0) / np.cos(theta) ** 2
-        return r, jac
+        return coordinate_map("power", self.scale, u)
 
 
 @lru_cache(maxsize=64)
@@ -251,11 +255,6 @@ def _sphere_level(f, decay, nr, nc, nphi):
         angular = float(np.sum(vals * wc[:, None]) * wphi)
         total += wu[i] * jac[i] * ri * ri * angular
     return total, nr * nc * nphi
-
-
-def spherical_tensor_level(f, decay_hint, n_r, n_cos, n_phi):
-    """One deterministic spherical product level; returns (value, evals)."""
-    return _sphere_level(f, decay_hint, n_r, n_cos, n_phi)
 
 
 def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0, start=(16, 12, 12), max_refinements=4):
@@ -377,13 +376,8 @@ def parseval_identity_check(p_orders, q_orders, x0, tol=1e-6, zero_tol=1e-10):
 # boundary integration
 
 
-SPHERE_SURFACE = {1: 2.0, 2: 2 * math.pi, 3: 4 * math.pi, 4: 2 * math.pi**2}
-
-
 def sphere_surface(dim):
     """Surface measure of the unit sphere in R^dim."""
-    if dim in SPHERE_SURFACE:
-        return SPHERE_SURFACE[dim]
     return 2 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
@@ -400,7 +394,7 @@ class BoundaryIntegrand:
 
     ``omega_decay`` / ``t_decay`` pick the coordinate maps: "power" uses a
     rational compactification (right for rational integrands), "gaussian"
-    truncates where the declared Gaussian tail is negligible.  With
+    cuts at 5.5 * scale, where the declared Gaussian tail is negligible.  With
     ``t_scale_with_r`` the vertical window grows like 1 + r^2, matching the
     parabolic geometry of kernel integrands.
     """
@@ -429,44 +423,27 @@ class BoundaryIntegrand:
 _GAUSS_CUT = 5.5  # exp(-5.5^2) ~ 7e-14, below every tolerance requested here
 
 
-def _halfline_rule(kind, scale, n):
-    u, wu = _gauss01(n)
-    if kind == "power":
-        theta = u * (math.pi / 2.0)
-        r = scale * np.tan(theta)
-        jac = scale * (math.pi / 2.0) / np.cos(theta) ** 2
-    elif kind == "gaussian":
-        cut = _GAUSS_CUT * scale
-        r = cut * u
-        jac = np.full_like(u, cut)
-    else:
-        raise ValueError(f"unknown decay kind {kind!r}")
-    return r, wu * jac
+def _axis_rule(kind, scale, n, half_line=False):
+    """Gauss nodes and weights on the half line or the line for one axis."""
+    x, w = _gauss01(n) if half_line else _leggauss(n)
+    if kind == "gaussian":
+        kind, scale = "cut", _GAUSS_CUT * scale
+    r, jac = coordinate_map(kind, scale, x)
+    return r, w * jac
 
 
-def _line_rule(kind, scale, n):
-    v, wv = _leggauss(n)
-    if kind == "power":
-        theta = v * (math.pi / 2.0)
-        t = scale * np.tan(theta)
-        jac = scale * (math.pi / 2.0) / np.cos(theta) ** 2
-    elif kind == "gaussian":
-        cut = _GAUSS_CUT * scale
-        t = cut * v
-        jac = np.full_like(v, cut)
-    else:
-        raise ValueError(f"unknown decay kind {kind!r}")
-    return t, wv * jac
+def _t_grid(integrand, n_t):
+    """The vertical tensor grid on R^3: points (n_t^3, 3) and weights."""
+    t1, wt1 = _axis_rule(integrand.t_decay, integrand.t_scale, n_t)
+    tt = np.stack(np.meshgrid(t1, t1, t1, indexing="ij"), axis=-1).reshape(-1, 3)
+    wt = wt1[:, None, None] * wt1[None, :, None] * wt1[None, None, :]
+    return tt, wt.reshape(-1)
 
 
 def _boundary_level_radial(integrand, n_r, n_t):
     n = integrand.n
-    r, wr = _halfline_rule(integrand.omega_decay, integrand.omega_scale, n_r)
-    t1, wt1 = _line_rule(integrand.t_decay, integrand.t_scale, n_t)
-
-    tt = np.stack(np.meshgrid(t1, t1, t1, indexing="ij"), axis=-1).reshape(-1, 3)
-    wt = wt1[:, None, None] * wt1[None, :, None] * wt1[None, None, :]
-    wt = wt.reshape(-1)
+    r, wr = _axis_rule(integrand.omega_decay, integrand.omega_scale, n_r, half_line=True)
+    tt, wt = _t_grid(integrand, n_t)
 
     area = sphere_surface(4 * n)
     out = np.zeros(integrand.values, dtype=float)
@@ -486,18 +463,12 @@ def _boundary_level_radial(integrand, n_r, n_t):
 
 
 def _boundary_level_full(integrand, n_w, n_t, chunk=4096):
-    n = integrand.n
-    w1, ww1 = _line_rule(integrand.omega_decay, integrand.omega_scale, n_w)
-    t1, wt1 = _line_rule(integrand.t_decay, integrand.t_scale, n_t)
+    dim = 4 * integrand.n
+    w1, ww1 = _axis_rule(integrand.omega_decay, integrand.omega_scale, n_w)
+    tt, wt = _t_grid(integrand, n_t)
 
-    w_axes = [w1] * (4 * n)
-    ww_axes = [ww1] * (4 * n)
-    tt = np.stack(np.meshgrid(t1, t1, t1, indexing="ij"), axis=-1).reshape(-1, 3)
-    wt = wt1[:, None, None] * wt1[None, :, None] * wt1[None, None, :]
-    wt = wt.reshape(-1)
-
-    w_grid = np.stack(np.meshgrid(*w_axes, indexing="ij"), axis=-1).reshape(-1, 4 * n)
-    w_weights = np.stack(np.meshgrid(*ww_axes, indexing="ij"), axis=-1).reshape(-1, 4 * n).prod(axis=1)
+    w_grid = np.stack(np.meshgrid(*[w1] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    w_weights = np.stack(np.meshgrid(*[ww1] * dim, indexing="ij"), axis=-1).reshape(-1, dim).prod(axis=1)
 
     out = np.zeros(integrand.values, dtype=float)
     evals = 0
@@ -515,6 +486,18 @@ def _boundary_level_full(integrand, n_w, n_t, chunk=4096):
     return out, evals
 
 
+def _boundary_level(integrand, n_omega, n_t):
+    """One tensor level, radially reduced when the integrand allows it."""
+    if integrand.radial:
+        return _boundary_level_radial(integrand, n_omega, n_t)
+    return _boundary_level_full(integrand, n_omega, n_t)
+
+
+def _unwrap(integrand, value):
+    """A scalar integrand's value as a float; component arrays as they are."""
+    return value if integrand.values > 1 else float(value[0])
+
+
 def boundary_tensor_level(integrand, n_omega, n_t):
     """One deterministic tensor level (no refinement); returns (value, evals).
 
@@ -522,12 +505,8 @@ def boundary_tensor_level(integrand, n_omega, n_t):
     reduction against the full tensor product on a symmetric integrand.
     """
     integrand.check_integrable()
-    if integrand.radial:
-        value, used = _boundary_level_radial(integrand, n_omega, n_t)
-    else:
-        value, used = _boundary_level_full(integrand, n_omega, n_t)
-    out = value if integrand.values > 1 else float(value[0])
-    return out, used
+    value, used = _boundary_level(integrand, n_omega, n_t)
+    return _unwrap(integrand, value), used
 
 
 def integrate_boundary(n, integrand, tol=1e-6, budget=2.0e7, start=None):
@@ -548,111 +527,27 @@ def integrate_boundary(n, integrand, tol=1e-6, budget=2.0e7, start=None):
     prev = None
     err = math.inf
     n_evals = 0
-    value = None
     levels = 0
-    while True:
+    converged = False
+    while not converged:
         cost = a * b**3 if integrand.radial else a ** (4 * n) * b**3
         if n_evals + cost > budget:
             break
-        if integrand.radial:
-            value, used = _boundary_level_radial(integrand, a, b)
-        else:
-            value, used = _boundary_level_full(integrand, a, b)
+        value, used = _boundary_level(integrand, a, b)
         n_evals += used
         levels += 1
         if prev is not None:
             err = float(np.max(np.abs(value - prev)))
             scale = float(np.max(np.abs(value)))
-            if err <= max(tol * scale, 1e-300):
-                out = value if integrand.values > 1 else float(value[0])
-                return QuadratureResult(out, err, n_evals)
+            converged = err <= max(tol * scale, 1e-300)
         prev = value
         a = max(a + 1, int(a * 1.5))
         b = max(b + 1, int(b * 1.5))
-    if value is None or levels < 2:
+    if levels < 2:
         raise ValueError("budget too small for two refinement levels")
-    out = value if integrand.values > 1 else float(value[0])
-    result = QuadratureResult(out, err, n_evals, converged=False)
+    result = QuadratureResult(_unwrap(integrand, value), err, n_evals, converged)
+    if converged:
+        return result
     raise QuadratureConvergenceError(
         f"budget {budget:g} exhausted before reaching tol={tol:g} (error {err:g})", result
     )
-
-
-# ----------------------------------------------------------------------
-# Monte Carlo fallback
-
-
-class BallPowerLawSampler:
-    """Density proportional to (1 + |w/scale|^2)^(-power) on R^dim."""
-
-    def __init__(self, dim, power, scale=1.0):
-        if 2 * power <= dim:
-            raise ValueError("power too small for a normalizable density")
-        self.dim = dim
-        self.power = float(power)
-        self.scale = float(scale)
-        self._norm = math.gamma(power) / (
-            math.pi ** (dim / 2.0) * math.gamma(power - dim / 2.0)
-        )
-
-    def sample(self, rng, n):
-        s = rng.beta(self.dim / 2.0, self.power - self.dim / 2.0, size=n)
-        radius = self.scale * np.sqrt(s / (1.0 - s))
-        dirs = rng.standard_normal((n, self.dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = radius[:, None] * dirs
-        return pts, self.pdf(pts)
-
-    def pdf(self, pts):
-        r2 = np.sum((pts / self.scale) ** 2, axis=-1)
-        return self._norm / self.scale**self.dim * (1.0 + r2) ** (-self.power)
-
-
-class CauchyProductSampler:
-    """Independent Cauchy coordinates with a common scale."""
-
-    def __init__(self, dims, scale=1.0):
-        self.dims = dims
-        self.scale = float(scale)
-
-    def sample(self, rng, n):
-        pts = self.scale * rng.standard_cauchy((n, self.dims))
-        return pts, self.pdf(pts)
-
-    def pdf(self, pts):
-        dens = self.scale / (math.pi * (self.scale**2 + pts**2))
-        return np.prod(dens, axis=-1)
-
-
-class ProductSampler:
-    """Joint sampler over (w', t) built from two independent samplers."""
-
-    def __init__(self, omega_sampler, t_sampler):
-        self.omega_sampler = omega_sampler
-        self.t_sampler = t_sampler
-
-    def sample(self, rng, n):
-        w, pw = self.omega_sampler.sample(rng, n)
-        t, pt = self.t_sampler.sample(rng, n)
-        return (w, t), pw * pt
-
-
-def mc_integrate(f, sampler, n_samples, seed=0):
-    """Importance-sampled mean with a standard-error estimate; seeded."""
-    rng = np.random.default_rng(seed)
-    pts, pdf = sampler.sample(rng, int(n_samples))
-    pdf = np.asarray(pdf, dtype=float)
-    if np.any(pdf <= 0.0) or np.any(~np.isfinite(pdf)):
-        raise ValueError("sampler produced zero or invalid densities")
-    vals = np.asarray(f(pts), dtype=float)
-    if np.any(~np.isfinite(vals)):
-        raise ValueError("integrand produced non-finite values")
-    weights = vals / (pdf[:, None] if vals.ndim > 1 else pdf)
-    value = weights.mean(axis=0)
-    stderr = weights.std(axis=0, ddof=1) / math.sqrt(len(pdf))
-    if vals.ndim == 1:
-        value = float(value)
-        err = float(stderr)
-    else:
-        err = float(np.max(stderr))
-    return QuadratureResult(value, err, int(n_samples), seed=seed)

@@ -39,6 +39,7 @@ from .hypercomplex import (
 )
 from .kernel import (
     KernelOrder,
+    PiScaledKernel,
     cauchy_kernel,
     complex_szego_closed_form,
     szego_density,
@@ -49,6 +50,7 @@ from .quadrature import (
     ExpDecay,
     SqrtPiRational,
     exponential_moment_closed_form,
+    fourier_newton,
     gamma_half,
     integrate_r3,
     parseval_identity_check,
@@ -207,8 +209,6 @@ def kernel_suite(n_max=3, seed=0, decay_samples=100_000):
         re_p, im_p = RatPoly.const(2, 1), RatPoly.zero(2)
         for _ in range(n + 1):
             re_p, im_p = re_p * x0 - im_p * (-x1), re_p * (-x1) + im_p * x0
-        from .kernel import PiScaledKernel
-
         closed = PiScaledKernel(
             Fraction(2 ** (n - 1) * math.factorial(n)),
             -(n + 1),
@@ -533,17 +533,13 @@ def props_suite(seed=0, max_order=2, moment_budget=4):
 
     reports.append(verify.closed_form_agreement_check(6))
 
-    import math as _m
-
-    from .quadrature import fourier_newton
-
-    dev = abs(fourier_newton(1.0, 1.0) - _m.pi * _m.exp(-2 * _m.pi))
+    dev = abs(fourier_newton(1.0, 1.0) - math.pi * math.exp(-2 * math.pi))
     reports.append(
         CheckReport.from_deviation(
             "fourier-profile-value",
             {"x0": 1, "rho": 1},
             fourier_newton(1.0, 1.0),
-            _m.pi * _m.exp(-2 * _m.pi),
+            math.pi * math.exp(-2 * math.pi),
             dev,
             1e-14,
         )

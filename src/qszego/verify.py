@@ -30,6 +30,7 @@ from .kernel import KernelOrder, group_kernel_array, newton_derivative, szego_de
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
 from .quadrature import (
     BoundaryIntegrand,
+    QuadratureConvergenceError,
     SqrtPiRational,
     gamma_half,
     integrate_boundary,
@@ -170,7 +171,8 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     The boundary integral of S((0,1), w) F(w) is taken over the Heisenberg
     parameterization with the quaternion product in exactly that order; the
     integrand is rotation invariant in w', so the horizontal factor reduces
-    to a radial one.
+    to a radial one.  A boundary rule that runs out of budget before it
+    converges yields a failing report carrying its best value.
     """
     if not spec.in_hardy_range():
         raise ValueError("spec outside the Hardy membership range")
@@ -195,7 +197,10 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     integrand = BoundaryIntegrand(
         n=n, fn=fn, radial=True, decay_power=decay, values=4, t_scale_with_r=True
     )
-    res = integrate_boundary(n, integrand, tol=tol / 3.0, budget=budget)
+    try:
+        res = integrate_boundary(n, integrand, tol=tol / 3.0, budget=budget)
+    except QuadratureConvergenceError as exc:
+        res = exc.result
     integral = np.asarray(res.value)
     deviation = float(np.max(np.abs(integral - direct_f)))
     scale = float(np.max(np.abs(direct_f)))
@@ -207,7 +212,7 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
         abs_deviation=deviation,
         rel_deviation=deviation / scale,
         tolerance=tol,
-        passed=deviation <= tol * scale,
+        passed=res.converged and deviation <= tol * scale,
         n_evals=res.n_evals,
     )
 
@@ -627,12 +632,6 @@ def hardy_norm_profile(func, p, eps_grid, budget=5.0e6, tol=1e-6):
         res = integrate_boundary(func.spec.n, integrand, tol=tol, budget=budget)
         profile[float(eps)] = float(res.value) ** (1.0 / p)
     return profile
-
-
-def hardy_norm_estimate(func, p, eps_grid, budget=5.0e6):
-    """Max of the translated boundary p-norms; an estimate, not a proof."""
-    profile = hardy_norm_profile(func, p, eps_grid, budget=budget)
-    return max(profile.values())
 
 
 # ----------------------------------------------------------------------

@@ -29,13 +29,12 @@ from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
 from qszego.quadrature import (
     ExpDecay,
     SqrtPiRational,
+    _sphere_level,
     exponential_moment_closed_form,
     integrate_r3,
     parseval_identity_check,
-    spherical_tensor_level,
 )
 from qszego.verify import (
-    HardyTestFunction,
     TestFunctionSpec,
     action_compatibility_check,
     closed_form_agreement_check,
@@ -144,8 +143,8 @@ def test_criterion_03_exponential_moments():
                             return np.abs(v) if sign < 0 else v
 
                         if exact.is_zero():
-                            val, _ = spherical_tensor_level(f, ExpDecay(a), 48, 16, 16)
-                            scale, _ = spherical_tensor_level(lambda p: f(p, -1.0), ExpDecay(a), 48, 16, 16)
+                            val, _ = _sphere_level(f, ExpDecay(a), 48, 16, 16)
+                            scale, _ = _sphere_level(lambda p: f(p, -1.0), ExpDecay(a), 48, 16, 16)
                             worst_odd = max(worst_odd, abs(val) / max(scale, 1e-300))
                         else:
                             want = exact.to_float()

@@ -93,6 +93,33 @@ def test_verify_reproducing_suite(capsys):
     assert all(l["rel_deviation"] <= 1e-3 for l in lines)
 
 
+def test_verify_reproducing_out_of_budget_reports_failure(capsys):
+    # the boundary rule stops before it converges: a failing report with
+    # the best value, not a traceback
+    code, out, err = run_cli(["verify", "reproducing", "--budget", "6e4"], capsys)
+    assert code == 1
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert len(lines) == 2 and not any(l["passed"] for l in lines)
+    for l in lines:
+        assert l["inputs"]["budget"] == 6e4 and len(l["lhs"]) == 4
+        assert l["abs_deviation"] == max(abs(a - b) for a, b in zip(l["lhs"], l["rhs"]))
+    assert "0/2 checks passed" in err
+
+
+def test_eval_nonpositive_n_is_usage_error(capsys):
+    code, out, err = run_cli(["eval", "s", "--n", "0", "--nu", "1,0,0,0"], capsys)
+    assert code == 2
+    assert "positive integer" in err and out == ""
+
+
+def test_config_bad_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "conf"
+    cfg.write_text("n=abc\nnu=1,0,0,0\n")
+    code, out, err = run_cli(["eval", "s", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "--n" in err and out == ""
+
+
 def test_export_kernel_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "s2.json"
     code, out, err = run_cli(["export", "kernel", "--n", "2", "-o", str(out_path)], capsys)

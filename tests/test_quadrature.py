@@ -8,21 +8,19 @@ import numpy as np
 import pytest
 
 from qszego.quadrature import (
-    BallPowerLawSampler,
     BoundaryIntegrand,
-    CauchyProductSampler,
     ExpDecay,
     PowerDecay,
-    ProductSampler,
     QuadratureConvergenceError,
     SqrtPiRational,
+    _boundary_level_radial,
+    _sphere_level,
     boundary_tensor_level,
     exponential_moment_closed_form,
     fourier_newton,
     gamma_half,
     integrate_boundary,
     integrate_r3,
-    mc_integrate,
     parseval_identity_check,
 )
 
@@ -216,51 +214,43 @@ def test_boundary_budget_determinism():
     assert a.value == b.value and a.n_evals == b.n_evals
 
 
-def test_mc_against_closed_form():
-    samp = BallPowerLawSampler(4, 5.0)
-    f = lambda w: (1 + np.sum(w * w, axis=-1)) ** -6.0
-    res = mc_integrate(f, samp, 200_000, seed=0)
-    exact = PI**2 / 20
-    assert abs(res.value - exact) <= 3 * res.error_estimate
-    again = mc_integrate(f, samp, 200_000, seed=0)
-    assert again.value == res.value and again.error_estimate == res.error_estimate
-
-
-def test_mc_half_space_indicator():
-    samp = BallPowerLawSampler(4, 5.0)
-    g = lambda w: (w[:, 0] > 0).astype(float) * samp.pdf(w)
-    res = mc_integrate(g, samp, 100_000, seed=1)
-    assert abs(res.value - 0.5) <= 3 * res.error_estimate
-
-
-def test_mc_agrees_with_boundary_quadrature():
-    def fn(r, t):
-        return (1 + r * r) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
-
-    bi = BoundaryIntegrand(n=1, fn=fn, radial=True, decay_power=6)
-    quad = integrate_boundary(1, bi, tol=1e-9, budget=5e7)
-
-    sampler = ProductSampler(BallPowerLawSampler(4, 5.0), CauchyProductSampler(3))
-
-    def f(points):
-        w, t = points
-        return (1 + np.sum(w * w, axis=-1)) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
-
-    mc = mc_integrate(f, sampler, 400_000, seed=3)
-    assert abs(mc.value - quad.value) <= 3 * (mc.error_estimate + quad.error_estimate)
-
-
-def test_mc_rejects_bad_weights():
-    class BadSampler:
-        def sample(self, rng, n):
-            return np.zeros((n, 2)), np.zeros(n)
-
-    with pytest.raises(ValueError):
-        mc_integrate(lambda p: np.ones(len(p)), BadSampler(), 100)
-
-
 def test_result_json_shape():
     f = lambda pts: np.exp(-np.linalg.norm(pts, axis=1))
     res = integrate_r3(f, ExpDecay(1.0), tol=1e-7)
     data = res.to_json()
-    assert set(data) == {"value", "error_estimate", "n_evals", "seed"}
+    assert set(data) == {"value", "error_estimate", "n_evals"}
+
+
+def test_coordinate_maps_pinned_bit_for_bit():
+    # exact float.hex values of one rule per coordinate map ("cut" through
+    # ExpDecay and "gaussian", "power" through PowerDecay and the boundary
+    # kinds, radial and full); a change to node placement, weights or
+    # summation order shows here before it shows in a tolerance
+    res = integrate_r3(lambda p: np.exp(-np.linalg.norm(p, axis=1)), ExpDecay(1.0), tol=1e-9)
+    assert (res.value.hex(), res.n_evals) == ("0x1.921fb54442cd7p+4", 168192)
+
+    value, used = _sphere_level(
+        lambda p: (1.0 + np.sum(p * p, axis=1)) ** -2.0, PowerDecay(2.0), 16, 12, 12
+    )
+    assert (value.hex(), used) == ("0x1.3bd3cc9be4e6fp+3", 2304)
+
+    def power(r, t):
+        return (1 + r * r) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
+
+    value, used = _boundary_level_radial(BoundaryIntegrand(n=1, fn=power, decay_power=6), 12, 8)
+    assert (float(value[0]).hex(), used) == ("0x1.e9a1a9b120c6dp+0", 6144)
+
+    def gaussian(r, t):
+        return np.exp(-r * r - np.sum(t * t, axis=-1))
+
+    bi = BoundaryIntegrand(
+        n=2, fn=gaussian, omega_decay="gaussian", t_decay="gaussian", omega_scale=0.5, t_scale_with_r=True
+    )
+    value, used = _boundary_level_radial(bi, 12, 8)
+    assert (float(value[0]).hex(), used) == ("0x1.26c5023e995bbp-3", 6144)
+
+    def full(w, t):
+        return (1 + np.sum(w * w, axis=-1)) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
+
+    value, used = boundary_tensor_level(BoundaryIntegrand(n=1, fn=full, radial=False, decay_power=6), 6, 6)
+    assert (value.hex(), used) == ("0x1.d94f0e6641a78p+0", 279936)
