@@ -2,7 +2,8 @@
 
 Output is machine-first: values and check reports go to stdout as JSON (one
 line per check for suites), human summaries go to stderr.  Exit codes:
-0 success, 1 check or evaluation failure, 2 usage or I/O error.
+0 success, 1 check or evaluation failure (a singular point, or a float
+evaluation that overflows or divides by zero), 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -103,37 +104,25 @@ def _emit_value(args, payload):
 
 def cmd_eval(args):
     kind = args.kind
-    if kind in ("s", "density"):
-        nu = _parse_components(args.nu, expected=4 if args.m == 4 else 2)
+    if kind in ("s", "density", "E", "cauchy"):
+        nu = _parse_components(args.nu, expected=args.m)
         if not any(nu):
-            print("error: singular point nu = 0", file=sys.stderr)
-            return 1
-        value = szego_density(KernelOrder(args.n, m=args.m)).eval(nu)
-        _emit_value(
-            args,
-            {"kind": "szego-density", "n": args.n, "m": args.m, "nu": nu, "value": list(value.comps)},
-        )
-        return 0
-    if kind in ("E", "cauchy"):
-        nu = _parse_components(args.nu, expected=4 if args.m == 4 else 2)
-        if not any(nu):
-            print("error: singular point nu = 0", file=sys.stderr)
-            return 1
-        value = cauchy_kernel(args.m).eval(nu)
-        _emit_value(
-            args, {"kind": "cauchy-kernel", "m": args.m, "nu": nu, "value": list(value.comps)}
-        )
+            raise ZeroDivisionError("singular point nu = 0")
+        if kind in ("s", "density"):
+            kernel = szego_density(KernelOrder(args.n, m=args.m))
+            payload = {"kind": "szego-density", "n": args.n}
+        else:
+            kernel = cauchy_kernel(args.m)
+            payload = {"kind": "cauchy-kernel"}
+        payload.update(m=args.m, nu=nu, value=list(kernel.eval(nu).comps))
+        _emit_value(args, payload)
         return 0
     if kind in ("S", "kernel"):
         if not args.q or not args.omega:
             raise UsageError("S needs --q and --omega")
         q = _parse_point(args.q, args.n)
         omega = _parse_point(args.omega, args.n)
-        try:
-            value = szego_eval(KernelOrder(args.n), q, omega)
-        except ZeroDivisionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        value = szego_eval(KernelOrder(args.n), q, omega)
         nu = szego_nu(q, omega)
         _emit_value(
             args,
@@ -154,11 +143,7 @@ def cmd_eval(args):
             tuple(Hypercomplex(w[4 * i : 4 * i + 4], exact=False) for i in range(args.n)),
             tuple(t),
         )
-        try:
-            value = group_kernel(KernelOrder(args.n), h, args.eps)
-        except ZeroDivisionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        value = group_kernel(KernelOrder(args.n), h, args.eps)
         _emit_value(
             args,
             {
@@ -236,7 +221,7 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="evaluate a kernel at a point")
     p_eval.add_argument("kind", choices=["s", "S", "E", "K", "density", "kernel", "cauchy", "group"])
     p_eval.add_argument("--n", type=_positive_int, default=1)
-    p_eval.add_argument("--m", type=int, default=4)
+    p_eval.add_argument("--m", type=int, choices=(2, 4), default=4)
     p_eval.add_argument("--nu", type=str, default="")
     p_eval.add_argument("--q", type=str, default="")
     p_eval.add_argument("--omega", type=str, default="")
@@ -256,7 +241,7 @@ def build_parser():
     p_export.add_argument("what", choices=["kernel", "table"])
     p_export.add_argument("--what", dest="table", choices=["K-decay", "s-ray"], default="K-decay")
     p_export.add_argument("--n", type=_positive_int, default=1)
-    p_export.add_argument("--m", type=int, default=4)
+    p_export.add_argument("--m", type=int, choices=(2, 4), default=4)
     p_export.add_argument("--points", type=int, default=50)
     p_export.set_defaults(run=cmd_export)
 
@@ -281,7 +266,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

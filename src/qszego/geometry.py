@@ -285,36 +285,26 @@ def boundary_unparam(p, tol=1e-12):
     return GroupElement(p.horizontal, t)
 
 
+def _cayley_map(a, b, pole):
+    """(a (1 + conj b), (1 + conj b)(1 - b)) / |1 + b|^2, shared by both directions."""
+    one = Hypercomplex.from_real(8, 1 if b.exact else 1.0, exact=b.exact)
+    denom = (one + b).norm_sq()
+    if not denom:
+        raise ZeroDivisionError(f"Cayley pole: {pole} = -1")
+    factor = one + b.conj()
+    return (a * factor) / denom, (factor * (one - b)) / denom
+
+
 def cayley(p):
     """Octonionic Siegel half space (n=1) to the unit ball."""
     if p.alg_dim != 8 or p.n != 1:
         raise ValueError("Cayley transform expects an octonionic point with n=1")
-    tau1, tau2 = p.horizontal[0], p.vertical
-    one = Hypercomplex.from_real(8, 1 if p.exact else 1.0, exact=p.exact)
-    denom = (one + tau2).norm_sq()
-    if not denom:
-        raise ZeroDivisionError("Cayley pole: tau2 = -1")
-    inv = (Fraction(1) / Fraction(denom)) if p.exact else 1.0 / denom
-    if p.exact:
-        inv = _norm_rat(inv)
-    sigma1 = (tau1 * 2) * (one + tau2.conj()) * inv
-    sigma2 = (one + tau2.conj()) * (one - tau2) * inv
-    return BallPoint(sigma1, sigma2)
+    return BallPoint(*_cayley_map(p.horizontal[0] * 2, p.vertical, "tau2"))
 
 
 def cayley_inv(b):
     """Unit ball back to the Siegel half space."""
-    sigma1, sigma2 = b.sigma1, b.sigma2
-    exact = sigma1.exact
-    one = Hypercomplex.from_real(8, 1 if exact else 1.0, exact=exact)
-    denom = (one + sigma2).norm_sq()
-    if not denom:
-        raise ZeroDivisionError("Cayley pole: sigma2 = -1")
-    inv = (Fraction(1) / Fraction(denom)) if exact else 1.0 / denom
-    if exact:
-        inv = _norm_rat(inv)
-    tau1 = sigma1 * (one + sigma2.conj()) * inv
-    tau2 = (one + sigma2.conj()) * (one - sigma2) * inv
+    tau1, tau2 = _cayley_map(b.sigma1, b.sigma2, "sigma2")
     return SiegelPoint((tau1,), tau2)
 
 

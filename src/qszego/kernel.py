@@ -5,7 +5,8 @@ Cauchy kernel is a constant times its conjugate Dirac derivative, and the
 Szego density for n horizontal variables is a power of ``-2/pi`` times the
 (mn/2)-th vertical derivative of the Cauchy kernel.  All symbolic content is
 exact; powers of pi are kept as a separate integer exponent so that identity
-tests never touch floating point.
+tests never touch floating point.  Every float value comes from
+``eval_array``; a one-point evaluation is a one-row call of it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .hypercomplex import Hypercomplex
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
 
 
@@ -65,9 +67,14 @@ class PiScaledKernel:
         return float(self.coeff) * math.pi**self.pi_pow
 
     def eval(self, point):
-        """Floating evaluation coeff * pi^pi_pow * body(point)."""
-        body_val = self.body.eval(point).to_float()
-        return body_val * self.prefactor()
+        """Float value at one point, as a one-row call of :meth:`eval_array`.
+
+        Raises ``FloatingPointError`` when the evaluation overflows or
+        divides by zero.
+        """
+        if len(point) != self.body.dim:
+            raise ValueError("point dimension mismatch")
+        return _at_one_point(self.eval_array, [point])
 
     def eval_array(self, x):
         return self.body.eval_array(x) * self.prefactor()
@@ -92,6 +99,13 @@ class PiScaledKernel:
         return cls(Fraction(data["coeff"]), int(data["pi_pow"]), HyperFrac.from_json(data["body"]))
 
 
+def _at_one_point(evaluate, *args):
+    """Row 0 of ``evaluate(*args)`` as a float value; float faults raise."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        row = evaluate(*args)[0]
+    return Hypercomplex(row.tolist(), exact=False)
+
+
 def newton_potential():
     """1 / |x|^2 in four variables."""
     return RadialFraction(RatPoly.const(4, 1), 1)
@@ -112,25 +126,12 @@ def newton_derivative(orders):
 
 def cauchy_kernel(m=4):
     """conj(x)/|x|^m normalized by the surface measure constant."""
-    if m == 4:
-        body = HyperFrac(
-            (
-                RadialFraction(RatPoly.variable(4, 0), 2),
-                RadialFraction(RatPoly.variable(4, 1).scale(-1), 2),
-                RadialFraction(RatPoly.variable(4, 2).scale(-1), 2),
-                RadialFraction(RatPoly.variable(4, 3).scale(-1), 2),
-            )
-        )
-        return PiScaledKernel(Fraction(1, 2), -2, body)
-    if m == 2:
-        body = HyperFrac(
-            (
-                RadialFraction(RatPoly.variable(2, 0), 1),
-                RadialFraction(RatPoly.variable(2, 1).scale(-1), 1),
-            )
-        )
-        return PiScaledKernel(Fraction(1, 2), -1, body)
-    raise ValueError(f"unsupported algebra dimension m={m}")
+    if m not in (2, 4):
+        raise ValueError(f"unsupported algebra dimension m={m}")
+    body = HyperFrac(
+        tuple(RadialFraction(RatPoly.variable(m, i).scale(-1 if i else 1), m // 2) for i in range(m))
+    )
+    return PiScaledKernel(Fraction(1, 2), -(m // 2), body)
 
 
 _DENSITY_CACHE: dict[tuple[int, int], PiScaledKernel] = {}
@@ -141,7 +142,9 @@ def szego_density(order):
     """The Szego density s for the given order, built once and cached.
 
     s = (-2/pi)^(mn/2) * d^(mn/2)/dx0^(mn/2) of the Cauchy kernel; for m=4
-    the exponent is even so the sign is (2/pi)^(2n).
+    the exponent is even so the sign is (2/pi)^(2n).  Only x0/|x|^m and
+    1/|x|^m are differentiated: x_i (i >= 1) does not depend on x0, so
+    component i is -x_i times the derivative of 1/|x|^m.
     """
     if isinstance(order, int):
         order = KernelOrder(order)
@@ -152,9 +155,10 @@ def szego_density(order):
             return cached
         e = cauchy_kernel(order.m)
         d = order.deriv_order
-        comps = e.body.comps
+        head, radial = e.body.comps[0], RadialFraction(RatPoly.const(order.m, 1), order.m // 2)
         for _ in range(d):
-            comps = tuple(c.deriv(0) for c in comps)
+            head, radial = head.deriv(0), radial.deriv(0)
+        comps = (head,) + tuple(RadialFraction(c.num * radial.num, radial.k) for c in e.body.comps[1:])
         density = PiScaledKernel(
             e.coeff * Fraction(-2) ** d, e.pi_pow - d, HyperFrac(comps)
         )
@@ -201,10 +205,10 @@ def group_kernel(order, h, eps=0.0):
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     w2 = sum(float(wi.norm_sq()) for wi in h.omega)
-    nu = (w2 + float(eps),) + tuple(float(ti) for ti in h.t)
-    if not any(nu):
+    t = [float(ti) for ti in h.t]
+    if not w2 + eps and not any(t):
         raise ZeroDivisionError("singular point: identity element with eps = 0")
-    return szego_density(order).eval(nu)
+    return _at_one_point(group_kernel_array, order, [w2], [t], eps)
 
 
 def group_kernel_array(order, w_norm_sq, t, eps=0.0):

@@ -9,6 +9,9 @@ reduce to exact zero tests.  ``HyperFrac`` is a vector of radial fractions
 acting as hypercomplex components; the Dirac operators and linear variable
 substitutions act on it.
 
+``eval`` is exact and rejects floats: it is the oracle that the one float
+evaluator, ``eval_array``, is checked against.
+
 All values are immutable, all operations are pure.
 """
 
@@ -202,7 +205,8 @@ class RatPoly:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, point):
-        point = tuple(point)
+        """Exact value at a point of exact rationals; a float raises TypeError."""
+        point = tuple(_norm_rat(x) for x in point)
         if len(point) != self.dim:
             raise ValueError("point dimension mismatch")
         total = 0
@@ -400,15 +404,13 @@ class RadialFraction:
         return f"RadialFraction({self.num!r} / |x|^{2 * self.k})"
 
     def eval(self, point):
-        point = tuple(point)
+        """Exact value at a point of exact rationals; a float raises TypeError."""
+        point = tuple(_norm_rat(x) for x in point)
         if self.k:
             r2 = sum(x * x for x in point)
             if not r2:
                 raise ZeroDivisionError("evaluation at the singular origin")
-            val = self.num.eval(point)
-            if isinstance(val, float) or isinstance(r2, float):
-                return val / r2**self.k
-            return _norm_rat(Fraction(val) / Fraction(r2) ** self.k)
+            return _norm_rat(Fraction(self.num.eval(point)) / Fraction(r2) ** self.k)
         return self.num.eval(point)
 
     def eval_array(self, x):
@@ -493,6 +495,7 @@ class HyperFrac:
         return f"HyperFrac({list(self.comps)!r})"
 
     def eval(self, point):
+        """Exact component values at a point of exact rationals."""
         return Hypercomplex(tuple(c.eval(point) for c in self.comps))
 
     def eval_array(self, x):

@@ -90,13 +90,12 @@ def hardy_test_function_components(t):
 def hardy_test_function(spec, point):
     """Evaluate the test function at a Siegel point; depends only on q_{n+1}.
 
-    The value is the component vector of the derivative combination taken at
-    nu = 1 + q_{n+1}; exact for exact points.
+    The value is the exact component vector of the derivative combination
+    taken at nu = 1 + q_{n+1}; the point must be exact.
     """
     if point.alg_dim != 4:
         raise ValueError("test functions are quaternionic")
-    one = Hypercomplex.from_real(4, 1 if point.exact else 1.0, exact=point.exact)
-    nu = one + point.vertical
+    nu = Hypercomplex.from_real(4, 1) + point.vertical
     if nu.is_zero():
         raise ZeroDivisionError("singular point: nu = 1 + q_{n+1} vanished")
     return hardy_test_function_components(spec.t).eval(nu.comps)
@@ -344,7 +343,8 @@ def composed_analyticity_check(f, n_random=20, seed=0):
 
     The first verdict substitutes every basis element and ``n_random``
     random rational octonions for a and tests Dirac annihilation exactly;
-    the second verdict checks the generalized Cauchy-Riemann system.  The
+    the second verdict checks the generalized Cauchy-Riemann system, which
+    is the Stein-Weiss system of conj(f) (:func:`stein_weiss_check`).  The
     two must agree.
     """
     if not f.is_polynomial():
@@ -365,31 +365,7 @@ def composed_analyticity_check(f, n_random=20, seed=0):
             witness = a.to_text()
             break
 
-    cr = True
-    cr_witness = None
-    lhs = f.comps[0].deriv(0)
-    rhs = RadialFraction.zero(8)
-    for i in range(1, 8):
-        rhs = rhs + f.comps[i].deriv(i)
-    if lhs != rhs:
-        cr = False
-        cr_witness = "divergence pairing"
-    if cr:
-        for i in range(1, 8):
-            if f.comps[0].deriv(i) != -f.comps[i].deriv(0):
-                cr = False
-                cr_witness = f"vertical pairing({i})"
-                break
-    if cr:
-        for j in range(1, 8):
-            for k in range(j + 1, 8):
-                if f.comps[j].deriv(k) != f.comps[k].deriv(j):
-                    cr = False
-                    cr_witness = f"symmetry({j},{k})"
-                    break
-            if not cr:
-                break
-
+    cr, violations = stein_weiss_check(f)
     return CheckReport.from_flag(
         name="composed-analyticity",
         inputs={
@@ -397,7 +373,7 @@ def composed_analyticity_check(f, n_random=20, seed=0):
             "universal_alpha": universal,
             "cr_system": cr,
             "alpha_witness": witness,
-            "cr_witness": cr_witness,
+            "cr_witness": violations,
         },
         passed=universal == cr,
         lhs=universal,

@@ -37,6 +37,21 @@ def test_eval_singular_point(capsys):
     assert "singular" in err
 
 
+@pytest.mark.parametrize("nu", ["1e-60,0,0,0", "1e60,0,0,0"])
+def test_eval_float_fault_is_one_error_line(nu, capsys):
+    # the float evaluation over- or underflows: exit 1 and one error line
+    code, out, err = run_cli(["eval", "s", "--nu", nu], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["eval", "s", "--nu", "1,0,0"], ["export", "kernel"]])
+def test_m_outside_2_and_4_is_usage_error(command, capsys):
+    code, out, err = run_cli(command + ["--m", "3"], capsys)
+    assert code == 2 and out == ""
+    assert "--m" in err
+
+
 def test_eval_full_kernel(capsys):
     code, out, err = run_cli(
         ["eval", "S", "--n", "1", "--q", "0,0,0,0,1,0,0,0", "--omega", "0,0,0,0,1,0,0,0"],

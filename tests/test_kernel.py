@@ -83,6 +83,32 @@ def test_density_construction_thread_safe():
     assert all(r is results[0] for r in results)
 
 
+@pytest.mark.parametrize("m", (2, 4))
+def test_density_matches_componentwise_derivatives(m):
+    # the density taken the long way: d x0-derivatives of every Cauchy component
+    e = cauchy_kernel(m)
+    for n in range(1, 5):
+        order = KernelOrder(n, m=m)
+        comps = e.body.comps
+        for _ in range(order.deriv_order):
+            comps = tuple(c.deriv(0) for c in comps)
+        d = order.deriv_order
+        assert szego_density(order) == PiScaledKernel(
+            e.coeff * (-2) ** d, e.pi_pow - d, HyperFrac(comps)
+        )
+
+
+@pytest.mark.parametrize("m", (2, 4))
+def test_one_point_eval_is_an_eval_array_row(m):
+    rng = np.random.default_rng(m)
+    pts = rng.uniform(-3, 3, (50, m))
+    for kernel in (cauchy_kernel(m), szego_density(KernelOrder(2, m=m))):
+        rows = kernel.eval_array(pts)
+        for p, row in zip(pts, rows):
+            v = kernel.eval(tuple(p))
+            assert not v.exact and v.comps == tuple(row)
+
+
 def test_szego_density_base_value():
     # two quotient-rule passes on x0/|x|^4 give 12 at e0; times (4/pi^2)/(2 pi^2)
     s = szego_density(KernelOrder(1))

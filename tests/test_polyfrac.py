@@ -198,8 +198,10 @@ def test_hyperfrac_eval_modes():
     f = identity_map()
     v = f.eval((1, 2, 3, 4))
     assert v.exact and v.comps == (1, 2, 3, 4)
-    w = f.eval((1.0, 2.0, 3.0, 4.0))
-    assert not w.exact
+    # eval is the exact oracle; float points belong to eval_array
+    for exact_eval in (f.eval, f.comps[0].eval, f.comps[0].num.eval, newton().eval):
+        with pytest.raises(TypeError):
+            exact_eval((1.0, 2.0, 3.0, 4.0))
 
 
 def test_json_roundtrip():
