@@ -2,9 +2,10 @@
 
 Two integration paths cover the verification needs: an adaptive product
 rule in spherical coordinates for integrals over R^3, and a tensor rule over
-the Siegel boundary (with a radial reduction when the integrand declares
-rotational symmetry in the horizontal variables).  Both place their Gauss
-nodes through the same coordinate maps, :func:`coordinate_map`.
+the Siegel boundary, reduced to one radial horizontal dimension for
+integrands that are rotation invariant in the horizontal variables.  Both
+place their Gauss nodes through the same coordinate maps,
+:func:`coordinate_map`.
 
 Gamma values at positive half integers are exact: they are rational
 multiples of sqrt(pi)^k, carried by :class:`SqrtPiRational` so that moment
@@ -20,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .kernel import newton_derivative
 from .report import CheckReport
 
 
@@ -257,16 +259,17 @@ def _sphere_level(f, decay, nr, nc, nphi):
     return total, nr * nc * nphi
 
 
-def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0, start=(16, 12, 12), max_refinements=4):
+def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0, max_refinements=4):
     """Adaptive spherical product rule over R^3.
 
     ``f`` is vectorized over points of shape (N, 3) and must be absolutely
-    integrable with the declared radial decay.  Refinement doubles the radial
-    rule and grows the angular rules until successive levels agree to the
-    requested tolerance.  Raises :class:`QuadratureConvergenceError` (carrying
-    the best value) when the budget of refinements is exhausted.
+    integrable with the declared radial decay.  Starting from 16 x 12 x 12
+    nodes, refinement doubles the radial rule and grows the angular rules
+    until successive levels agree to the requested tolerance.  Raises
+    :class:`QuadratureConvergenceError` (carrying the best value) when the
+    budget of refinements is exhausted.
     """
-    nr, nc, nphi = start
+    nr, nc, nphi = 16, 12, 12
     prev = None
     err = math.inf
     n_evals = 0
@@ -292,17 +295,17 @@ def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0, start=(16, 12, 12), max_r
 # verification of the derivative-product / exponential-moment identity
 
 
-def parseval_identity_check(p_orders, q_orders, x0, tol=1e-6, zero_tol=1e-10):
+def parseval_identity_check(p_orders, q_orders, x0):
     """Check the Parseval identity between two Newton-derivative products.
 
     The left side integrates the product of two mixed partials of the Newton
     potential over R^3 at fixed x0 > 0 by quadrature; the right side is the
-    exact exponential-moment value the Fourier transform produces.  When any
-    paired axis order is odd both sides vanish; the left side is then tested
-    against ``zero_tol`` times the integral of the absolute product.
+    exact exponential-moment value the Fourier transform produces, matched to
+    relative 1e-6.  When any paired axis order is odd both sides vanish; the
+    left side is then tested against 1e-10 times the integral of the
+    absolute product.
     """
-    from .kernel import newton_derivative
-
+    tol, zero_tol = 1e-6, 1e-10
     p_orders = tuple(int(v) for v in p_orders)
     q_orders = tuple(int(v) for v in q_orders)
     if len(p_orders) != 4 or len(q_orders) != 4:
@@ -383,36 +386,24 @@ def sphere_surface(dim):
 
 @dataclass
 class BoundaryIntegrand:
-    """An integrand over the Siegel boundary parameterized by (w', t).
+    """A rotation-invariant integrand over the Siegel boundary.
 
+    The boundary is parameterized by (w', t) in R^(4n) x R^3.  ``fn(r, t)``
+    receives the horizontal radius r = |w'| and returns one value per point,
+    or one row of components per point for a hypercomplex integrand.
     ``decay_power`` declares |F| <= C (1 + |w'|^2 + |t|)^(-decay_power); the
     engine refuses integrands whose declared decay cannot be absolutely
-    integrable.  ``radial`` means F depends on w' through |w'| only, in which
-    case ``fn(r, t)`` receives the radius; otherwise ``fn(w, t)`` receives the
-    full horizontal vector.  ``values`` is 1 for scalar integrands or the
-    component count for hypercomplex ones.
-
-    ``omega_decay`` / ``t_decay`` pick the coordinate maps: "power" uses a
-    rational compactification (right for rational integrands), "gaussian"
-    cuts at 5.5 * scale, where the declared Gaussian tail is negligible.  With
-    ``t_scale_with_r`` the vertical window grows like 1 + r^2, matching the
-    parabolic geometry of kernel integrands.
+    integrable.  Every axis uses the rational compactification of
+    :func:`coordinate_map`; with ``t_scale_with_r`` the vertical window grows
+    like 1 + r^2, matching the parabolic geometry of kernel integrands.
     """
 
     n: int
     fn: object
-    radial: bool = True
     decay_power: float = 0.0
-    values: int = 1
-    omega_scale: float = 1.0
-    t_scale: float = 1.0
-    omega_decay: str = "power"
-    t_decay: str = "power"
     t_scale_with_r: bool = False
 
     def check_integrable(self):
-        if self.omega_decay == "gaussian" and self.t_decay == "gaussian":
-            return
         if 2.0 * self.decay_power <= 4 * self.n + 6:
             raise ValueError(
                 "declared decay power {:g} cannot be absolutely integrable over "
@@ -420,33 +411,39 @@ class BoundaryIntegrand:
             )
 
 
-_GAUSS_CUT = 5.5  # exp(-5.5^2) ~ 7e-14, below every tolerance requested here
+class BudgetTooSmallError(ValueError):
+    """The evaluation budget cannot pay for the two levels a convergence test needs."""
 
 
-def _axis_rule(kind, scale, n, half_line=False):
+def _axis_rule(n, half_line=False):
     """Gauss nodes and weights on the half line or the line for one axis."""
     x, w = _gauss01(n) if half_line else _leggauss(n)
-    if kind == "gaussian":
-        kind, scale = "cut", _GAUSS_CUT * scale
-    r, jac = coordinate_map(kind, scale, x)
+    r, jac = coordinate_map("power", 1.0, x)
     return r, w * jac
 
 
-def _t_grid(integrand, n_t):
+def _t_grid(n_t):
     """The vertical tensor grid on R^3: points (n_t^3, 3) and weights."""
-    t1, wt1 = _axis_rule(integrand.t_decay, integrand.t_scale, n_t)
+    t1, wt1 = _axis_rule(n_t)
     tt = np.stack(np.meshgrid(t1, t1, t1, indexing="ij"), axis=-1).reshape(-1, 3)
     wt = wt1[:, None, None] * wt1[None, :, None] * wt1[None, None, :]
     return tt, wt.reshape(-1)
 
 
+def _columns(vals):
+    """Integrand output as a (points, components) float array."""
+    vals = np.asarray(vals, dtype=float)
+    return vals[:, None] if vals.ndim == 1 else vals
+
+
 def _boundary_level_radial(integrand, n_r, n_t):
+    """One tensor level with the horizontal factor reduced to the radius."""
     n = integrand.n
-    r, wr = _axis_rule(integrand.omega_decay, integrand.omega_scale, n_r, half_line=True)
-    tt, wt = _t_grid(integrand, n_t)
+    r, wr = _axis_rule(n_r, half_line=True)
+    tt, wt = _t_grid(n_t)
 
     area = sphere_surface(4 * n)
-    out = np.zeros(integrand.values, dtype=float)
+    out = 0.0
     for i in range(n_r):
         if integrand.t_scale_with_r:
             grow = 1.0 + r[i] ** 2
@@ -454,86 +451,64 @@ def _boundary_level_radial(integrand, n_r, n_t):
             wti = wt * grow**3
         else:
             tti, wti = tt, wt
-        vals = np.asarray(integrand.fn(np.full(len(tt), r[i]), tti), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
+        vals = _columns(integrand.fn(np.full(len(tt), r[i]), tti))
         weight = area * wr[i] * r[i] ** (4 * n - 1)
-        out += weight * (wti @ vals)
+        out = out + weight * (wti @ vals)
     return out, n_r * len(tt)
 
 
-def _boundary_level_full(integrand, n_w, n_t, chunk=4096):
+def _boundary_level_full(integrand, n_w, n_t):
+    """One full tensor level over R^(4n) x R^3, with ``fn(w, t)``.
+
+    The reference the radial reduction is checked against: ``fn`` receives
+    the whole horizontal vector w' instead of its length.
+    """
+    chunk = 4096
     dim = 4 * integrand.n
-    w1, ww1 = _axis_rule(integrand.omega_decay, integrand.omega_scale, n_w)
-    tt, wt = _t_grid(integrand, n_t)
+    w1, ww1 = _axis_rule(n_w)
+    tt, wt = _t_grid(n_t)
 
     w_grid = np.stack(np.meshgrid(*[w1] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
     w_weights = np.stack(np.meshgrid(*[ww1] * dim, indexing="ij"), axis=-1).reshape(-1, dim).prod(axis=1)
 
-    out = np.zeros(integrand.values, dtype=float)
+    out = 0.0
     evals = 0
     for s in range(0, len(w_grid), chunk):
         wg = w_grid[s : s + chunk]
         wwg = w_weights[s : s + chunk]
         big_w = np.repeat(wg, len(tt), axis=0)
         big_t = np.tile(tt, (len(wg), 1))
-        vals = np.asarray(integrand.fn(big_w, big_t), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        vals = vals.reshape(len(wg), len(tt), integrand.values)
-        out += np.einsum("i,j,ijk->k", wwg, wt, vals)
+        vals = _columns(integrand.fn(big_w, big_t))
+        vals = vals.reshape(len(wg), len(tt), vals.shape[-1])
+        out = out + np.einsum("i,j,ijk->k", wwg, wt, vals)
         evals += len(wg) * len(tt)
     return out, evals
 
 
-def _boundary_level(integrand, n_omega, n_t):
-    """One tensor level, radially reduced when the integrand allows it."""
-    if integrand.radial:
-        return _boundary_level_radial(integrand, n_omega, n_t)
-    return _boundary_level_full(integrand, n_omega, n_t)
+def integrate_boundary(integrand, tol=1e-6, budget=2.0e7):
+    """Radially reduced tensor-product integration over the Siegel boundary.
 
-
-def _unwrap(integrand, value):
-    """A scalar integrand's value as a float; component arrays as they are."""
-    return value if integrand.values > 1 else float(value[0])
-
-
-def boundary_tensor_level(integrand, n_omega, n_t):
-    """One deterministic tensor level (no refinement); returns (value, evals).
-
-    Intended for fixed-budget cross checks such as comparing the radial
-    reduction against the full tensor product on a symmetric integrand.
+    The boundary is identified with R^(4n) x R^3 carrying Lebesgue measure;
+    the integrand's rotational symmetry in w' collapses the horizontal factor
+    to one radial dimension.  Starting from 12 radial and 8^3 vertical nodes,
+    refinement grows every axis by half while the cumulative evaluation count
+    fits the budget; the result is deterministic for a fixed budget.  A
+    scalar integrand yields a float, a hypercomplex one its component array.
+    Raises :class:`BudgetTooSmallError` when the budget cannot pay for two
+    levels.
     """
     integrand.check_integrable()
-    value, used = _boundary_level(integrand, n_omega, n_t)
-    return _unwrap(integrand, value), used
-
-
-def integrate_boundary(n, integrand, tol=1e-6, budget=2.0e7, start=None):
-    """Tensor-product integration over the boundary of the Siegel half space.
-
-    The boundary is identified with R^(4n) x R^3 carrying Lebesgue measure.
-    When the integrand declares rotational symmetry in w' the horizontal
-    factor collapses to one radial dimension.  Refinement doubles every axis
-    while the cumulative evaluation count fits the budget; the result is
-    deterministic for a fixed budget.
-    """
-    if integrand.n != n:
-        raise ValueError("integrand was declared for a different n")
-    integrand.check_integrable()
-    if start is None:
-        start = (12, 8) if integrand.radial else (6, 6)
-    a, b = start
+    a, b = 12, 8
     prev = None
     err = math.inf
     n_evals = 0
     levels = 0
     converged = False
     while not converged:
-        cost = a * b**3 if integrand.radial else a ** (4 * n) * b**3
+        cost = a * b**3
         if n_evals + cost > budget:
             break
-        value, used = _boundary_level(integrand, a, b)
+        value, used = _boundary_level_radial(integrand, a, b)
         n_evals += used
         levels += 1
         if prev is not None:
@@ -544,8 +519,10 @@ def integrate_boundary(n, integrand, tol=1e-6, budget=2.0e7, start=None):
         a = max(a + 1, int(a * 1.5))
         b = max(b + 1, int(b * 1.5))
     if levels < 2:
-        raise ValueError("budget too small for two refinement levels")
-    result = QuadratureResult(_unwrap(integrand, value), err, n_evals, converged)
+        raise BudgetTooSmallError(f"budget {budget:g} too small for two refinement levels")
+    if len(value) == 1:
+        value = float(value[0])
+    result = QuadratureResult(value, err, n_evals, converged)
     if converged:
         return result
     raise QuadratureConvergenceError(

@@ -41,24 +41,6 @@ class CheckReport:
     n_evals: int = 0
 
     @classmethod
-    def from_deviation(cls, name, inputs, lhs, rhs, deviation, tolerance, n_evals=0, scale=None):
-        deviation = float(deviation)
-        if scale is None:
-            scale = max(_magnitude(lhs), _magnitude(rhs))
-        rel = deviation / scale if scale else deviation
-        return cls(
-            name=name,
-            inputs=inputs,
-            lhs=lhs,
-            rhs=rhs,
-            abs_deviation=deviation,
-            rel_deviation=rel,
-            tolerance=tolerance,
-            passed=rel <= tolerance,
-            n_evals=n_evals,
-        )
-
-    @classmethod
     def from_flag(cls, name, inputs, passed, lhs=None, rhs=None, n_evals=0):
         return cls(
             name=name,
@@ -88,20 +70,3 @@ class CheckReport:
     def to_json_line(self):
         return json.dumps(self.to_json(), sort_keys=True)
 
-
-def _magnitude(v):
-    if v is None or isinstance(v, (str, bool)):
-        return 0.0
-    if isinstance(v, complex):
-        return abs(v)
-    if isinstance(v, (int, float)):
-        return abs(float(v))
-    if hasattr(v, "comps"):
-        return max(abs(float(c)) for c in v.comps)
-    if hasattr(v, "__iter__"):
-        vals = [_magnitude(x) for x in v]
-        return max(vals) if vals else 0.0
-    try:
-        return abs(float(v))
-    except (TypeError, ValueError):
-        return 0.0

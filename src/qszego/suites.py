@@ -64,8 +64,8 @@ def _rand_exact(rng, dim, span=9):
     return Hypercomplex([rng.randint(-span, span) for _ in range(dim)])
 
 
-def _rand_float(rng, dim, scale=1.0):
-    return Hypercomplex([rng.uniform(-scale, scale) for _ in range(dim)], exact=False)
+def _rand_float(rng, dim):
+    return Hypercomplex([rng.uniform(-1.0, 1.0) for _ in range(dim)], exact=False)
 
 
 def _report_counterexamples(name, inputs, bad, count):
@@ -151,11 +151,11 @@ def algebra_suite(seed=0):
 # ----------------------------------------------------------------------
 
 
-def kernel_suite(n_max=3, seed=0, decay_samples=100_000):
+def kernel_suite(seed=0):
     rng = random.Random(seed)
     reports = []
 
-    for n in range(1, n_max + 1):
+    for n in range(1, 4):
         density = szego_density(KernelOrder(n))
         ok = density.body.dirac("left").is_zero()
         reports.append(
@@ -256,36 +256,25 @@ def kernel_suite(n_max=3, seed=0, decay_samples=100_000):
         return SiegelPoint((q1,), vert)
 
     worst = {"hermitian": 0.0, "dilation": 0.0, "rotation": 0.0, "translation": 0.0}
+
+    def record(key, s, s_qw):
+        dev = max(abs(a - b) for a, b in zip(s_qw.comps, s.comps)) / max(abs(s_qw), 1e-300)
+        worst[key] = max(worst[key], dev)
+
     for _ in range(40):
         q, w = rand_interior(), rand_interior()
         s_qw = szego_eval(1, q, w)
-        s_wq = szego_eval(1, w, q)
-        worst["hermitian"] = max(
-            worst["hermitian"],
-            max(abs(a - b) for a, b in zip(s_qw.comps, s_wq.conj().comps)) / max(abs(s_qw), 1e-300),
-        )
+        record("hermitian", szego_eval(1, w, q).conj(), s_qw)
         delta = rng.uniform(0.5, 2.0)
-        s_d = szego_eval(1, dilate(delta, q), dilate(delta, w)) * delta**10
-        worst["dilation"] = max(
-            worst["dilation"],
-            max(abs(a - b) for a, b in zip(s_d.comps, s_qw.comps)) / max(abs(s_qw), 1e-300),
-        )
+        record("dilation", szego_eval(1, dilate(delta, q), dilate(delta, w)) * delta**10, s_qw)
         u = _rand_float(rng, 4)
         u = u * (1.0 / abs(u))
-        s_r = szego_eval(1, rotate((u,), q), rotate((u,), w))
-        worst["rotation"] = max(
-            worst["rotation"],
-            max(abs(a - b) for a, b in zip(s_r.comps, s_qw.comps)) / max(abs(s_qw), 1e-300),
-        )
+        record("rotation", szego_eval(1, rotate((u,), q), rotate((u,), w)), s_qw)
         h = GroupElement(
             (_rand_float(rng, 4),),
             tuple(rng.uniform(-1, 1) for _ in range(3)),
         )
-        s_t = szego_eval(1, translate(h, q), translate(h, w))
-        worst["translation"] = max(
-            worst["translation"],
-            max(abs(a - b) for a, b in zip(s_t.comps, s_qw.comps)) / max(abs(s_qw), 1e-300),
-        )
+        record("translation", szego_eval(1, translate(h, q), translate(h, w)), s_qw)
     for key, tol in (("hermitian", 1e-12), ("dilation", 1e-10), ("rotation", 1e-10), ("translation", 1e-10)):
         reports.append(
             CheckReport(
@@ -301,14 +290,14 @@ def kernel_suite(n_max=3, seed=0, decay_samples=100_000):
             )
         )
 
-    reports.append(verify.kernel_decay_check(1, samples=decay_samples, seed=seed))
+    reports.append(verify.kernel_decay_check(1, seed=seed))
     return reports
 
 
 # ----------------------------------------------------------------------
 
 
-def geometry_suite(seed=0, cayley_samples=10_000):
+def geometry_suite(seed=0):
     rng = random.Random(seed)
     reports = []
 
@@ -377,7 +366,7 @@ def geometry_suite(seed=0, cayley_samples=10_000):
     nrng = np.random.default_rng(seed)
     worst_round = 0.0
     inside = True
-    for _ in range(cayley_samples):
+    for _ in range(10_000):
         tau1 = Hypercomplex(nrng.uniform(-1, 1, 8), exact=False)
         height = float(nrng.uniform(0.05, 3.0))
         vert = np.concatenate([[float(tau1.norm_sq()) + height], nrng.uniform(-2, 2, 7)])
@@ -395,14 +384,14 @@ def geometry_suite(seed=0, cayley_samples=10_000):
     reports.append(
         CheckReport(
             name="cayley-roundtrip",
-            inputs={"samples": cayley_samples},
+            inputs={"samples": 10_000},
             lhs="cayley_inv(cayley(tau))",
             rhs="tau",
             abs_deviation=worst_round,
             rel_deviation=worst_round,
             tolerance=1e-12,
             passed=inside and worst_round <= 1e-12,
-            n_evals=cayley_samples,
+            n_evals=10_000,
         )
     )
 
@@ -446,7 +435,7 @@ def geometry_suite(seed=0, cayley_samples=10_000):
 # ----------------------------------------------------------------------
 
 
-def props_suite(seed=0, max_order=2, moment_budget=4):
+def props_suite(seed=0):
     rng = random.Random(seed)
     reports = []
 
@@ -461,10 +450,10 @@ def props_suite(seed=0, max_order=2, moment_budget=4):
     worst = 0.0
     count = 0
     tuples = []
-    for l0 in range(moment_budget):
-        for l1 in range(0, moment_budget - l0, 2):
-            for l2 in range(0, moment_budget - l0 - l1, 2):
-                for l3 in range(0, moment_budget - l0 - l1 - l2, 2):
+    for l0 in range(4):
+        for l1 in range(0, 4 - l0, 2):
+            for l2 in range(0, 4 - l0 - l1, 2):
+                for l3 in range(0, 4 - l0 - l1 - l2, 2):
                     tuples.append((l0, l1, l2, l3))
     for _ in range(5):
         tuples.append(
@@ -508,10 +497,10 @@ def props_suite(seed=0, max_order=2, moment_budget=4):
 
     multi = [
         (p0, p1, p2, p3)
-        for p0 in range(max_order + 1)
-        for p1 in range(max_order + 1 - p0)
-        for p2 in range(max_order + 1 - p0 - p1)
-        for p3 in range(max_order + 1 - p0 - p1 - p2)
+        for p0 in range(3)
+        for p1 in range(3 - p0)
+        for p2 in range(3 - p0 - p1)
+        for p3 in range(3 - p0 - p1 - p2)
     ]
     failures = []
     count = 0
@@ -524,7 +513,7 @@ def props_suite(seed=0, max_order=2, moment_budget=4):
                     failures.append({"p": p, "q": q, "x0": x0, "rel": rep.rel_deviation})
     reports.append(
         _report_counterexamples(
-            "parseval-identity-grid", {"max_order": max_order}, failures, count
+            "parseval-identity-grid", {"max_order": 2}, failures, count
         )
     )
 
@@ -533,15 +522,18 @@ def props_suite(seed=0, max_order=2, moment_budget=4):
 
     reports.append(verify.closed_form_agreement_check(6))
 
-    dev = abs(fourier_newton(1.0, 1.0) - math.pi * math.exp(-2 * math.pi))
+    lhs, rhs = fourier_newton(1.0, 1.0), math.pi * math.exp(-2 * math.pi)
+    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     reports.append(
-        CheckReport.from_deviation(
-            "fourier-profile-value",
-            {"x0": 1, "rho": 1},
-            fourier_newton(1.0, 1.0),
-            math.pi * math.exp(-2 * math.pi),
-            dev,
-            1e-14,
+        CheckReport(
+            name="fourier-profile-value",
+            inputs={"x0": 1, "rho": 1},
+            lhs=lhs,
+            rhs=rhs,
+            abs_deviation=abs(lhs - rhs),
+            rel_deviation=rel,
+            tolerance=1e-14,
+            passed=rel <= 1e-14,
         )
     )
     return reports
@@ -550,7 +542,7 @@ def props_suite(seed=0, max_order=2, moment_budget=4):
 # ----------------------------------------------------------------------
 
 
-def octonion_suite(seed=0, subharmonic_points=500):
+def octonion_suite(seed=0):
     reports = []
     corpus = verify.cr_corpus(seed=seed + 11)
 
@@ -591,12 +583,12 @@ def octonion_suite(seed=0, subharmonic_points=500):
     for p in (6.0 / 7.0, 1.0, 2.0):
         bad = []
         for name, f in verify.o_analytic_corpus():
-            rep = verify.subharmonicity_check(f, p, n_points=subharmonic_points, seed=seed)
+            rep = verify.subharmonicity_check(f, p, n_points=500, seed=seed)
             if not rep.passed:
                 bad.append(name)
         reports.append(
             _report_counterexamples(
-                "subharmonicity", {"p": p, "points": subharmonic_points}, bad, 5
+                "subharmonicity", {"p": p, "points": 500}, bad, 5
             )
         )
     return reports

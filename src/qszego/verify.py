@@ -193,11 +193,9 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
         return mul_arrays(s_vals, f_vals, 4)
 
     decay = (2 * n + 3) + (spec.order + 3)
-    integrand = BoundaryIntegrand(
-        n=n, fn=fn, radial=True, decay_power=decay, values=4, t_scale_with_r=True
-    )
+    integrand = BoundaryIntegrand(n=n, fn=fn, decay_power=decay, t_scale_with_r=True)
     try:
-        res = integrate_boundary(n, integrand, tol=tol / 3.0, budget=budget)
+        res = integrate_boundary(integrand, tol=tol / 3.0, budget=budget)
     except QuadratureConvergenceError as exc:
         res = exc.result
     integral = np.asarray(res.value)
@@ -229,14 +227,15 @@ def _solved_coefficient(n, s0, s1, s2):
     return (zero, zero, zero, zero)
 
 
-def coefficient_system_check(n, q_range=3):
+def coefficient_system_check(n):
     """Substitute the solved coefficients into the five equation families.
 
     Every family is evaluated with exact Gamma arithmetic over the grid
-    (q1, q2, q3) in {0..q_range-1}^3: the even-index family must reproduce
-    the Gamma ratio on the right-hand side and all other families must
-    vanish identically.
+    (q1, q2, q3) in {0, 1, 2}^3: the even-index family must reproduce the
+    Gamma ratio on the right-hand side and all other families must vanish
+    identically.
     """
+    q_range = 3
     if n > 6:
         raise ValueError("grid check supported for n <= 6")
     failures = []
@@ -333,8 +332,8 @@ def stein_weiss_check(f):
     return (not violations, violations)
 
 
-def _random_rational_hypercomplex(rng, dim, span=3):
-    comps = [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(dim)]
+def _random_rational_hypercomplex(rng, dim):
+    comps = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
     return Hypercomplex(comps)
 
 
@@ -413,13 +412,17 @@ def slice_regularity_check(big_f, alpha):
 # subharmonicity of |f|^p
 
 
-def subharmonicity_check(f, p, n_points=1000, h=1e-3, seed=0, box=1.5, tol_factor=1e-4):
+def subharmonicity_check(f, p, n_points=1000, seed=0):
     """Discrete-Laplacian subharmonicity of |f|^p away from zeros of f.
 
-    Points whose |f| falls below a small fraction of the sample median are
-    skipped (and counted): |f|^p is not twice differentiable at zeros for
-    small p, and the finite-difference error blows up there.
+    The central-difference Laplacian with step 1e-3 is taken at
+    ``n_points`` centres drawn uniformly from [-1.5, 1.5]^d and must exceed
+    -1e-4 times the local size of |f|^p.  Points whose |f| falls below a
+    small fraction of the sample median are skipped (and counted): |f|^p is
+    not twice differentiable at zeros for small p, and the finite-difference
+    error blows up there.
     """
+    h, box, tol_factor = 1e-3, 1.5, 1e-4
     if p < 6.0 / 7.0:
         raise ValueError("exponent below the subharmonicity threshold")
     if not f.is_polynomial():
@@ -483,26 +486,25 @@ def _sample_shell(rng, n, rho_lo, rho_hi, samples):
     return y * scale[:, None], tau * scale[:, None] ** 2, target
 
 
-def _kernel_abs(order, y, tau, eps=0.0):
+def _kernel_abs(order, y, tau):
     w2 = np.sum(y * y, axis=1)
-    vals = group_kernel_array(order, w2, tau, eps)
+    vals = group_kernel_array(order, w2, tau)
     return np.sqrt(np.sum(vals * vals, axis=1))
 
 
-def kernel_decay_check(n=1, samples=100_000, seed=0, eps_list=(1e-4,), shells=((1.0, 10.0), (10.0, 100.0))):
+def kernel_decay_check(n=1, samples=100_000, seed=0):
     """Scale invariance and empirical size estimates of the group kernel.
 
     Checks |K(delta o h)| = delta^-d |K(h)| to 1e-12, then compares the
-    suprema of |K| rho^d, |dK/dy| rho^(d+1) and |dK/dt| rho^(d+2) over two
-    sample shells; stability (ratio < 2) is the verdict.  ``eps_list`` gives
-    the relative finite-difference steps (scaled by rho for y and rho^2 for
-    t); the suprema are taken over all steps.
+    suprema of |K| rho^d, |dK/dy| rho^(d+1) and |dK/dt| rho^(d+2) over the
+    sample shells 1 <= rho <= 10 and 10 <= rho <= 100; stability (ratio < 2)
+    is the verdict.  The derivatives are central differences with relative
+    step 1e-4, scaled by rho for y and rho^2 for t.
     """
     order = KernelOrder(n)
     d = homogeneous_dim(n)
     rng = np.random.default_rng(seed)
-    if isinstance(eps_list, float):
-        eps_list = (eps_list,)
+    eps = 1e-4
 
     # exact dilation invariance on a modest sample
     y, tau, rho = _sample_shell(rng, n, 0.5, 5.0, 200)
@@ -516,31 +518,30 @@ def kernel_decay_check(n=1, samples=100_000, seed=0, eps_list=(1e-4,), shells=((
         inv_ok = inv_ok and dev <= 1e-12
 
     sups = []
-    for rho_lo, rho_hi in shells:
+    for rho_lo, rho_hi in ((1.0, 10.0), (10.0, 100.0)):
         y, tau, rho = _sample_shell(rng, n, rho_lo, rho_hi, samples)
         k_sup = float(np.max(_kernel_abs(order, y, tau) * rho**d))
 
         dy_sup = 0.0
         dt_sup = 0.0
         base_w2 = np.sum(y * y, axis=1)
-        for eps in eps_list:
-            step_y = eps * rho
-            for i in range(4 * n):
-                w2_plus = base_w2 + 2 * step_y * y[:, i] + step_y**2
-                w2_minus = base_w2 - 2 * step_y * y[:, i] + step_y**2
-                kp = group_kernel_array(order, w2_plus, tau)
-                km = group_kernel_array(order, w2_minus, tau)
-                grad = np.sqrt(np.sum((kp - km) ** 2, axis=1)) / (2 * step_y)
-                dy_sup = max(dy_sup, float(np.max(grad * rho ** (d + 1))))
+        step_y = eps * rho
+        for i in range(4 * n):
+            w2_plus = base_w2 + 2 * step_y * y[:, i] + step_y**2
+            w2_minus = base_w2 - 2 * step_y * y[:, i] + step_y**2
+            kp = group_kernel_array(order, w2_plus, tau)
+            km = group_kernel_array(order, w2_minus, tau)
+            grad = np.sqrt(np.sum((kp - km) ** 2, axis=1)) / (2 * step_y)
+            dy_sup = max(dy_sup, float(np.max(grad * rho ** (d + 1))))
 
-            step_t = eps * rho**2
-            for j in range(3):
-                shift = np.zeros((len(tau), 3))
-                shift[:, j] = step_t
-                kp = group_kernel_array(order, base_w2, tau + shift)
-                km = group_kernel_array(order, base_w2, tau - shift)
-                grad = np.sqrt(np.sum((kp - km) ** 2, axis=1)) / (2 * step_t)
-                dt_sup = max(dt_sup, float(np.max(grad * rho ** (d + 2))))
+        step_t = eps * rho**2
+        for j in range(3):
+            shift = np.zeros((len(tau), 3))
+            shift[:, j] = step_t
+            kp = group_kernel_array(order, base_w2, tau + shift)
+            km = group_kernel_array(order, base_w2, tau - shift)
+            grad = np.sqrt(np.sum((kp - km) ** 2, axis=1)) / (2 * step_t)
+            dt_sup = max(dt_sup, float(np.max(grad * rho ** (d + 2))))
         sups.append({"shell": [rho_lo, rho_hi], "K": k_sup, "dK_dy": dy_sup, "dK_dt": dt_sup})
 
     ratios = {
@@ -562,65 +563,17 @@ def kernel_decay_check(n=1, samples=100_000, seed=0, eps_list=(1e-4,), shells=((
 
 
 # ----------------------------------------------------------------------
-# Hardy norm estimates
-
-
-class HardyTestFunction:
-    """Adapter exposing a test function on vertically translated boundaries."""
-
-    def __init__(self, spec, dilation=1.0):
-        self.spec = spec
-        self.dilation = float(dilation)
-        self.comps = hardy_test_function_components(spec.t)
-
-    def boundary_abs_p_integrand(self, eps, p):
-        if eps < 0:
-            raise ValueError("vertical translate must be nonnegative")
-        n = self.spec.n
-        d2 = self.dilation**2
-        comps = self.comps
-
-        def fn(r, t):
-            base = 1.0 + d2 * (eps + r * r)
-            nu = np.stack([base, d2 * t[:, 0], d2 * t[:, 1], d2 * t[:, 2]], axis=-1)
-            vals = comps.eval_array(nu)
-            return np.sum(vals * vals, axis=-1) ** (p / 2.0)
-
-        return BoundaryIntegrand(
-            n=n,
-            fn=fn,
-            radial=True,
-            decay_power=p * (self.spec.order + 3),
-            values=1,
-            omega_scale=1.0 / self.dilation,
-            t_scale=1.0 / d2,
-            t_scale_with_r=True,
-        )
-
-
-def hardy_norm_profile(func, p, eps_grid, budget=5.0e6, tol=1e-6):
-    """Boundary p-norms of the vertical translates over a grid of eps."""
-    if p <= 2.0 / 3.0:
-        raise ValueError("exponent below the Hardy range")
-    profile = {}
-    for eps in eps_grid:
-        integrand = func.boundary_abs_p_integrand(eps, p)
-        res = integrate_boundary(func.spec.n, integrand, tol=tol, budget=budget)
-        profile[float(eps)] = float(res.value) ** (1.0 / p)
-    return profile
-
-
-# ----------------------------------------------------------------------
 # geometry compatibility
 
 
-def action_compatibility_check(seed=0, trials=40):
+def action_compatibility_check(seed=0):
     """Does each printed multiplication law make translation an action?
 
-    Both sign conventions are applied to both groups on random exact
-    elements; every verdict is reported.  (The two formulas are conjugate
+    Both sign conventions are applied to both groups on 40 random exact
+    triples each; every verdict is reported.  (The two formulas are conjugate
     expressions of the same element, so all four verdicts agree.)
     """
+    trials = 40
     rng = random.Random(seed)
     verdicts = {}
     for kind, dim, tn in (("quaternionic", 4, 3), ("octonionic", 8, 7)):
@@ -671,8 +624,8 @@ def _conjugate_gradient_system(h_poly):
     return HyperFrac(tuple(comps))
 
 
-def _x(i, d=8):
-    return RatPoly.variable(d, i)
+def _x(i):
+    return RatPoly.variable(8, i)
 
 
 def cr_corpus(seed=11, n_random=8):

@@ -121,6 +121,15 @@ def test_verify_reproducing_out_of_budget_reports_failure(capsys):
     assert "0/2 checks passed" in err
 
 
+@pytest.mark.parametrize("budget", ["1e4", "37247"])
+def test_verify_budget_below_two_levels_is_usage_error(budget, capsys):
+    # two boundary levels (12 x 8^3 and 18 x 12^3 points) need 37248
+    # evaluations; a smaller budget is a usage error with one error line
+    code, out, err = run_cli(["verify", "reproducing", "--budget", budget], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "budget" in err and len(err.strip().splitlines()) == 1
+
+
 def test_eval_nonpositive_n_is_usage_error(capsys):
     code, out, err = run_cli(["eval", "s", "--n", "0", "--nu", "1,0,0,0"], capsys)
     assert code == 2

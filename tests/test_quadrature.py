@@ -7,15 +7,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qszego.hypercomplex import mul_arrays
+from qszego.kernel import KernelOrder, szego_density
 from qszego.quadrature import (
     BoundaryIntegrand,
     ExpDecay,
     PowerDecay,
     QuadratureConvergenceError,
     SqrtPiRational,
+    _boundary_level_full,
     _boundary_level_radial,
     _sphere_level,
-    boundary_tensor_level,
     exponential_moment_closed_form,
     fourier_newton,
     gamma_half,
@@ -23,6 +25,7 @@ from qszego.quadrature import (
     integrate_r3,
     parseval_identity_check,
 )
+from qszego.verify import hardy_test_function_components
 
 PI = math.pi
 
@@ -169,22 +172,10 @@ def test_parseval_rejects_bad_input():
         parseval_identity_check((1, 0, 0, 0), (0, 0, 0, 0), 0.0)
 
 
-def test_boundary_separable_oracle():
-    # int (1+r^2)^-6 over H^1 = 2 pi^2 * (1/2) B(2,4) = pi^2/20; Gaussian gives pi^(3/2)
-    exact = (PI**2 / 20) * PI**1.5
-
-    def fn(r, t):
-        return (1 + r**2) ** -6.0 * np.exp(-np.sum(t * t, axis=-1))
-
-    bi = BoundaryIntegrand(n=1, fn=fn, radial=True, decay_power=6.0, t_decay="gaussian")
-    res = integrate_boundary(1, bi, tol=1e-9, budget=5e7)
-    assert abs(res.value - exact) <= 1e-8 * exact
-
-
 def test_boundary_rejects_nonintegrable():
-    bi = BoundaryIntegrand(n=1, fn=lambda r, t: np.ones(len(r)), radial=True, decay_power=0.0)
+    bi = BoundaryIntegrand(n=1, fn=lambda r, t: np.ones(len(r)), decay_power=0.0)
     with pytest.raises(ValueError):
-        integrate_boundary(1, bi, tol=1e-3)
+        integrate_boundary(bi, tol=1e-3)
 
 
 def test_boundary_radial_matches_full_tensor():
@@ -196,11 +187,11 @@ def test_boundary_radial_matches_full_tensor():
     def ff(w, t):
         return (1 + np.sum(w * w, axis=-1)) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
 
-    bi_r = BoundaryIntegrand(n=1, fn=fr, radial=True, decay_power=6)
-    bi_f = BoundaryIntegrand(n=1, fn=ff, radial=False, decay_power=6)
-    radial = integrate_boundary(1, bi_r, tol=1e-9, budget=5e7)
+    bi_r = BoundaryIntegrand(n=1, fn=fr, decay_power=6)
+    bi_f = BoundaryIntegrand(n=1, fn=ff, decay_power=6)
+    radial = integrate_boundary(bi_r, tol=1e-9, budget=5e7)
     assert abs(radial.value - exact) <= 1e-8 * exact
-    full, used = boundary_tensor_level(bi_f, 16, 8)
+    (full,), used = _boundary_level_full(bi_f, 16, 8)
     assert abs(full - radial.value) <= 1e-6 * abs(radial.value)
 
 
@@ -208,9 +199,9 @@ def test_boundary_budget_determinism():
     def fn(r, t):
         return (1 + r * r) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
 
-    bi = BoundaryIntegrand(n=1, fn=fn, radial=True, decay_power=6)
-    a = integrate_boundary(1, bi, tol=1e-9, budget=1e6)
-    b = integrate_boundary(1, bi, tol=1e-9, budget=1e6)
+    bi = BoundaryIntegrand(n=1, fn=fn, decay_power=6)
+    a = integrate_boundary(bi, tol=1e-9, budget=1e6)
+    b = integrate_boundary(bi, tol=1e-9, budget=1e6)
     assert a.value == b.value and a.n_evals == b.n_evals
 
 
@@ -223,9 +214,10 @@ def test_result_json_shape():
 
 def test_coordinate_maps_pinned_bit_for_bit():
     # exact float.hex values of one rule per coordinate map ("cut" through
-    # ExpDecay and "gaussian", "power" through PowerDecay and the boundary
-    # kinds, radial and full); a change to node placement, weights or
-    # summation order shows here before it shows in a tolerance
+    # ExpDecay, "power" through PowerDecay and the boundary levels, radial
+    # with a fixed and with a growing t-window, and full); a change to node
+    # placement, weights or summation order shows here before it shows in a
+    # tolerance
     res = integrate_r3(lambda p: np.exp(-np.linalg.norm(p, axis=1)), ExpDecay(1.0), tol=1e-9)
     assert (res.value.hex(), res.n_evals) == ("0x1.921fb54442cd7p+4", 168192)
 
@@ -240,17 +232,26 @@ def test_coordinate_maps_pinned_bit_for_bit():
     value, used = _boundary_level_radial(BoundaryIntegrand(n=1, fn=power, decay_power=6), 12, 8)
     assert (float(value[0]).hex(), used) == ("0x1.e9a1a9b120c6dp+0", 6144)
 
-    def gaussian(r, t):
-        return np.exp(-r * r - np.sum(t * t, axis=-1))
+    # the reproducing integrand S((0,1), w) F(w) of verify.reproducing_check
+    # at n = 1, t = (2, 0, 0, 1): four components, growing t-window
+    density = szego_density(KernelOrder(1))
+    comps = hardy_test_function_components((2, 0, 0, 1))
 
-    bi = BoundaryIntegrand(
-        n=2, fn=gaussian, omega_decay="gaussian", t_decay="gaussian", omega_scale=0.5, t_scale_with_r=True
-    )
+    def reproducing(r, t):
+        base = 1.0 + r * r
+        s = density.eval_array(np.stack([base, -t[:, 0], -t[:, 1], -t[:, 2]], axis=-1))
+        f = comps.eval_array(np.stack([base, t[:, 0], t[:, 1], t[:, 2]], axis=-1))
+        return mul_arrays(s, f, 4)
+
+    bi = BoundaryIntegrand(n=1, fn=reproducing, decay_power=11, t_scale_with_r=True)
     value, used = _boundary_level_radial(bi, 12, 8)
-    assert (float(value[0]).hex(), used) == ("0x1.26c5023e995bbp-3", 6144)
+    assert ([float(v).hex() for v in value], used) == (
+        ["-0x1.2045e365b9562p-58", "0x1.4492bffc29541p-58", "0x1.8843b6dfcc7cap-58", "0x1.29da4abd870ffp-1"],
+        6144,
+    )
 
     def full(w, t):
         return (1 + np.sum(w * w, axis=-1)) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
 
-    value, used = boundary_tensor_level(BoundaryIntegrand(n=1, fn=full, radial=False, decay_power=6), 6, 6)
+    (value,), used = _boundary_level_full(BoundaryIntegrand(n=1, fn=full, decay_power=6), 6, 6)
     assert (value.hex(), used) == ("0x1.d94f0e6641a78p+0", 279936)

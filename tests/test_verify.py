@@ -11,13 +11,11 @@ from qszego.geometry import SiegelPoint
 from qszego.hypercomplex import Hypercomplex
 from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
 from qszego.verify import (
-    HardyTestFunction,
     TestFunctionSpec,
     action_compatibility_check,
     coefficient_system_check,
     composed_analyticity_check,
     cr_corpus,
-    hardy_norm_profile,
     hardy_test_function,
     hardy_test_function_closed_form,
     kernel_decay_check,
@@ -237,40 +235,3 @@ def test_action_compatibility_reported():
         "octonionic:plus_conj_alpha_beta",
     }
     assert all(verdicts.values())
-
-
-def test_hardy_norm_profile_decreasing():
-    func = HardyTestFunction(TestFunctionSpec(1, (2, 0, 0, 1)))
-    profile = hardy_norm_profile(func, 2.0, (0.0, 0.5, 1.0), budget=4e6)
-    vals = [profile[k] for k in sorted(profile)]
-    assert all(v > 0 for v in vals)
-    assert vals[0] > vals[1] > vals[2]
-
-
-def test_hardy_norm_rejects_constant():
-    class Constant:
-        class spec:
-            n = 1
-
-        def boundary_abs_p_integrand(self, eps, p):
-            from qszego.quadrature import BoundaryIntegrand
-
-            return BoundaryIntegrand(
-                n=1, fn=lambda r, t: np.ones(len(r)), radial=True, decay_power=0.0
-            )
-
-    with pytest.raises(ValueError):
-        hardy_norm_profile(Constant(), 2.0, (0.0,))
-
-
-def test_hardy_norm_dilation_scaling():
-    # norms of F(2 o .) at eps relate to norms of F at 4 eps by 2^-(4n+6)/p
-    spec = TestFunctionSpec(1, (2, 0, 0, 1))
-    base = HardyTestFunction(spec)
-    dilated = HardyTestFunction(spec, dilation=2.0)
-    p = 2.0
-    prof_d = hardy_norm_profile(dilated, p, (0.25,), budget=2e7)
-    prof_b = hardy_norm_profile(base, p, (1.0,), budget=2e7)
-    lhs = prof_d[0.25]
-    rhs = prof_b[1.0] * 2.0 ** (-10.0 / p)
-    assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
