@@ -4,7 +4,9 @@ Output is machine-first: values and check reports go to stdout as JSON (one
 line per check for suites), human summaries go to stderr.  Exit codes:
 0 success, 1 check or evaluation failure (a singular point, or a float
 evaluation that overflows or divides by zero), 2 usage or I/O error
-(including a ``--budget`` too small for two boundary refinement levels).
+(including a ``--budget`` too small for two boundary refinement levels, and
+an ``--n`` for which the reproducing test function is outside the Hardy
+membership range).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .kernel import (
 )
 from .quadrature import BudgetTooSmallError
 from .suites import SUITE_NAMES, run_suite
+from .verify import OutsideHardyRangeError
 
 
 class UsageError(Exception):
@@ -265,7 +268,7 @@ def main(argv=None):
         return args.run(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (UsageError, BudgetTooSmallError) as exc:
+    except (UsageError, BudgetTooSmallError, OutsideHardyRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

@@ -5,7 +5,12 @@ rule in spherical coordinates for integrals over R^3, and a tensor rule over
 the Siegel boundary, reduced to one radial horizontal dimension for
 integrands that are rotation invariant in the horizontal variables.  Both
 place their Gauss nodes through the same coordinate maps,
-:func:`coordinate_map`.
+:func:`coordinate_map`, refine through the same loop, and take integrands
+that return one value or one row of values per point.  A level whose value
+is not finite raises :class:`FloatingPointError`.
+
+The Parseval check takes its right side, and with it the parity rule that
+decides when both sides vanish, from :func:`exponential_moment_closed_form`.
 
 Gamma values at positive half integers are exact: they are rational
 multiples of sqrt(pi)^k, carried by :class:`SqrtPiRational` so that moment
@@ -114,16 +119,6 @@ def gamma_half(twice_x):
     return SqrtPiRational(coef, 1)
 
 
-def _moment_gamma_part(l0, l1, l2, l3):
-    """2 Gamma(l+3) Gamma(k1+1/2) Gamma(k2+1/2) Gamma(k3+1/2) / Gamma(k1+k2+k3+3/2)."""
-    l = l0 + l1 + l2 + l3
-    if l < -2:
-        raise ValueError("total exponent below integrability threshold")
-    k1, k2, k3 = l1 // 2, l2 // 2, l3 // 2
-    num = gamma_half(2 * (l + 3)) * gamma_half(2 * k1 + 1) * gamma_half(2 * k2 + 1) * gamma_half(2 * k3 + 1)
-    return (num / gamma_half(2 * (k1 + k2 + k3) + 3)) * 2
-
-
 def exponential_moment_closed_form(a, l0, l1, l2, l3):
     """Closed form of int (x1^2+x2^2+x3^2)^(l0/2) x1^l1 x2^l2 x3^l3 e^(-a rho) dx.
 
@@ -142,8 +137,9 @@ def exponential_moment_closed_form(a, l0, l1, l2, l3):
     if (l1 % 2) or (l2 % 2) or (l3 % 2):
         return SqrtPiRational.zero()
     l = l0 + l1 + l2 + l3
-    a_exact = Fraction(a)
-    return _moment_gamma_part(l0, l1, l2, l3) * (a_exact ** (-(l + 3)))
+    k1, k2, k3 = l1 // 2, l2 // 2, l3 // 2
+    num = gamma_half(2 * (l + 3)) * gamma_half(2 * k1 + 1) * gamma_half(2 * k2 + 1) * gamma_half(2 * k3 + 1)
+    return (num / gamma_half(2 * (k1 + k2 + k3) + 3)) * 2 * (Fraction(a) ** (-(l + 3)))
 
 
 def fourier_newton(x0, rho):
@@ -235,8 +231,26 @@ def _gauss01(n):
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def _columns(vals):
+    """Integrand output as a (points, components) float array."""
+    vals = np.asarray(vals, dtype=float)
+    return vals[:, None] if vals.ndim == 1 else vals
+
+
+def _finite(value, evals):
+    """A level's (value, evals); a non-finite value raises FloatingPointError."""
+    if not np.all(np.isfinite(value)):
+        raise FloatingPointError(f"quadrature level of {evals} points produced a non-finite value")
+    return value, evals
+
+
 def _sphere_level(f, decay, nr, nc, nphi):
-    """One tensor level of the spherical product rule; returns (value, evals)."""
+    """One tensor level of the spherical product rule; returns (value, evals).
+
+    ``f`` returns one value per point, or one row of values per point; the
+    value is a float for one column and an array of one entry per column
+    otherwise.
+    """
     u, wu = _gauss01(nr)
     r, jac = decay.map(u)
     c, wc = _leggauss(nc)
@@ -253,10 +267,31 @@ def _sphere_level(f, decay, nr, nc, nphi):
         x2 = ri * s[:, None] * cphi[None, :]
         x3 = ri * s[:, None] * sphi[None, :]
         pts = np.stack([x1, x2, x3], axis=-1).reshape(-1, 3)
-        vals = np.asarray(f(pts), dtype=float).reshape(nc, nphi)
-        angular = float(np.sum(vals * wc[:, None]) * wphi)
-        total += wu[i] * jac[i] * ri * ri * angular
-    return total, nr * nc * nphi
+        vals = np.ascontiguousarray(_columns(f(pts)).T).reshape(-1, nc, nphi)
+        angular = np.array([np.sum(v * wc[:, None]) * wphi for v in vals])
+        total = total + wu[i] * jac[i] * ri * ri * angular
+    return _finite(float(total[0]) if len(total) == 1 else total, nr * nc * nphi)
+
+
+def _refine(level, sizes, tol, abs_tol):
+    """Run ``level(*size)`` over ``sizes`` until two successive values agree.
+
+    Values agree when max|value - prev| <= max(tol * max|value|, abs_tol).
+    Returns the last level's :class:`QuadratureResult`, converged or not,
+    and the number of levels run.
+    """
+    prev, err, n_evals, levels = None, math.inf, 0, 0
+    value = math.nan
+    for size in sizes:
+        value, used = level(*size)
+        n_evals += used
+        levels += 1
+        if prev is not None:
+            err = float(np.max(np.abs(value - prev)))
+            if err <= max(tol * float(np.max(np.abs(value))), abs_tol):
+                return QuadratureResult(value, err, n_evals), levels
+        prev = value
+    return QuadratureResult(value, err, n_evals, converged=False), levels
 
 
 def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0, max_refinements=4):
@@ -269,25 +304,12 @@ def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0, max_refinements=4):
     :class:`QuadratureConvergenceError` (carrying the best value) when the
     budget of refinements is exhausted.
     """
-    nr, nc, nphi = 16, 12, 12
-    prev = None
-    err = math.inf
-    n_evals = 0
-    value = math.nan
-    for _ in range(max_refinements + 1):
-        value, used = _sphere_level(f, decay_hint, nr, nc, nphi)
-        n_evals += used
-        if prev is not None:
-            err = abs(value - prev)
-            if err <= max(tol * abs(value), abs_tol):
-                return QuadratureResult(value, err, n_evals)
-        prev = value
-        nr *= 2
-        nc = min(nc * 2, 48)
-        nphi = min(nphi * 2, 48)
-    result = QuadratureResult(value, err, n_evals, converged=False)
+    sizes = [(16 * 2**k, min(12 * 2**k, 48), min(12 * 2**k, 48)) for k in range(max_refinements + 1)]
+    result, _ = _refine(lambda *size: _sphere_level(f, decay_hint, *size), sizes, tol, abs_tol)
+    if result.converged:
+        return result
     raise QuadratureConvergenceError(
-        f"spherical rule did not reach tol={tol:g} (best error {err:g})", result
+        f"spherical rule did not reach tol={tol:g} (best error {result.error_estimate:g})", result
     )
 
 
@@ -301,9 +323,9 @@ def parseval_identity_check(p_orders, q_orders, x0):
     The left side integrates the product of two mixed partials of the Newton
     potential over R^3 at fixed x0 > 0 by quadrature; the right side is the
     exact exponential-moment value the Fourier transform produces, matched to
-    relative 1e-6.  When any paired axis order is odd both sides vanish; the
-    left side is then tested against 1e-10 times the integral of the
-    absolute product.
+    relative 1e-6.  When the exact right side vanishes (a paired axis order
+    is odd) the left side is tested against 1e-10 times the integral of the
+    absolute product, both taken from one evaluation of the product.
     """
     tol, zero_tol = 1e-6, 1e-10
     p_orders = tuple(int(v) for v in p_orders)
@@ -315,63 +337,44 @@ def parseval_identity_check(p_orders, q_orders, x0):
     alpha, gamma = sum(p_orders), sum(q_orders)
     l = [p_orders[i] + q_orders[i] for i in range(4)]
 
+    # exact right side: 2^(a+g) pi^(a+g+2) (-1)^(p0+g) i^(a+g-p0-q0) times the
+    # moment at rate 4 pi x0, whose pi^(-l-3) joins the ledger symbolically;
+    # the moment vanishes exactly when a paired axis order is odd
+    total_l = sum(l) - 2
+    sign = (-1) ** (p_orders[0] + gamma + (l[1] + l[2] + l[3]) // 2)
+    ledger = SqrtPiRational(sign * Fraction(2) ** (alpha + gamma), 2 * (alpha + gamma + 2) - 2 * (total_l + 3))
+    rhs_exact = ledger * exponential_moment_closed_form(4 * Fraction(x0), l[0] - 2, l[1], l[2], l[3])
+    rhs = rhs_exact.to_float()
+
     fp = newton_derivative(p_orders)
     fq = newton_derivative(q_orders)
 
-    def product(pts3, absolute=False):
+    def product(pts3):
         pts4 = np.concatenate([np.full((len(pts3), 1), float(x0)), pts3], axis=1)
-        vals = fp.eval_array(pts4) * fq.eval_array(pts4)
-        return np.abs(vals) if absolute else vals
+        return fp.eval_array(pts4) * fq.eval_array(pts4)
+
+    def signed_and_absolute(pts3):
+        vals = product(pts3)
+        return np.stack([vals, np.abs(vals)], axis=1)
 
     decay = PowerDecay(scale=max(1.0, 2.0 * float(x0)))
-    inputs = {"p": list(p_orders), "q": list(q_orders), "x0": float(x0)}
-
-    if any(l[i] % 2 for i in (1, 2, 3)):
-        lhs, used = _sphere_level(lambda pts: product(pts), decay, 64, 24, 24)
-        scale, used2 = _sphere_level(lambda pts: product(pts, absolute=True), decay, 64, 24, 24)
-        passed = abs(lhs) <= zero_tol * max(scale, 1e-300)
-        return CheckReport(
-            name="parseval-identity",
-            inputs=inputs,
-            lhs=lhs,
-            rhs=0.0,
-            abs_deviation=abs(lhs),
-            rel_deviation=abs(lhs) / max(scale, 1e-300),
-            tolerance=zero_tol,
-            passed=passed,
-            n_evals=used + used2,
-        )
-
-    # exact right side: 2^(a+g) pi^(a+g+2) (-1)^(p0+g) i^(a+g-p0-q0) times the
-    # moment at rate 4 pi x0, with the pi powers folded together symbolically
-    m = (l[1] + l[2] + l[3]) // 2
-    sign = (-1) ** (p_orders[0] + gamma) * (-1) ** m
-    l0 = l[0] - 2
-    gamma_part = _moment_gamma_part(l0, l[1], l[2], l[3])
-    a_rational = Fraction(4) * Fraction(x0)
-    total_l = l0 + l[1] + l[2] + l[3]
-    coef = (
-        Fraction(sign)
-        * Fraction(2) ** (alpha + gamma)
-        * gamma_part.coef
-        * a_rational ** (-(total_l + 3))
-    )
-    pi_half = 2 * (alpha + gamma + 2) + gamma_part.pi_half + 2 * (-(total_l + 3))
-    rhs_exact = SqrtPiRational(coef, pi_half)
-    rhs = rhs_exact.to_float()
-
-    res = integrate_r3(product, decay, tol=tol * 0.2, abs_tol=abs(rhs) * tol * 0.2)
-    deviation = abs(res.value - rhs)
+    if rhs_exact.is_zero():
+        (lhs, scale), n_evals = _sphere_level(signed_and_absolute, decay, 64, 24, 24)
+        ref, tolerance = max(scale, 1e-300), zero_tol
+    else:
+        res = integrate_r3(product, decay, tol=tol * 0.2, abs_tol=abs(rhs) * tol * 0.2)
+        lhs, n_evals, ref, tolerance = res.value, res.n_evals, abs(rhs), tol
+    deviation = abs(lhs - rhs)
     return CheckReport(
         name="parseval-identity",
-        inputs=inputs,
-        lhs=res.value,
+        inputs={"p": list(p_orders), "q": list(q_orders), "x0": float(x0)},
+        lhs=lhs,
         rhs=rhs,
         abs_deviation=deviation,
-        rel_deviation=deviation / abs(rhs),
-        tolerance=tol,
-        passed=deviation <= tol * abs(rhs),
-        n_evals=res.n_evals,
+        rel_deviation=deviation / ref,
+        tolerance=tolerance,
+        passed=deviation <= tolerance * ref,
+        n_evals=n_evals,
     )
 
 
@@ -430,12 +433,6 @@ def _t_grid(n_t):
     return tt, wt.reshape(-1)
 
 
-def _columns(vals):
-    """Integrand output as a (points, components) float array."""
-    vals = np.asarray(vals, dtype=float)
-    return vals[:, None] if vals.ndim == 1 else vals
-
-
 def _boundary_level_radial(integrand, n_r, n_t):
     """One tensor level with the horizontal factor reduced to the radius."""
     n = integrand.n
@@ -454,7 +451,7 @@ def _boundary_level_radial(integrand, n_r, n_t):
         vals = _columns(integrand.fn(np.full(len(tt), r[i]), tti))
         weight = area * wr[i] * r[i] ** (4 * n - 1)
         out = out + weight * (wti @ vals)
-    return out, n_r * len(tt)
+    return _finite(out, n_r * len(tt))
 
 
 def _boundary_level_full(integrand, n_w, n_t):
@@ -482,7 +479,7 @@ def _boundary_level_full(integrand, n_w, n_t):
         vals = vals.reshape(len(wg), len(tt), vals.shape[-1])
         out = out + np.einsum("i,j,ijk->k", wwg, wt, vals)
         evals += len(wg) * len(tt)
-    return out, evals
+    return _finite(out, evals)
 
 
 def integrate_boundary(integrand, tol=1e-6, budget=2.0e7):
@@ -498,33 +495,21 @@ def integrate_boundary(integrand, tol=1e-6, budget=2.0e7):
     levels.
     """
     integrand.check_integrable()
-    a, b = 12, 8
-    prev = None
-    err = math.inf
-    n_evals = 0
-    levels = 0
-    converged = False
-    while not converged:
-        cost = a * b**3
-        if n_evals + cost > budget:
-            break
-        value, used = _boundary_level_radial(integrand, a, b)
-        n_evals += used
-        levels += 1
-        if prev is not None:
-            err = float(np.max(np.abs(value - prev)))
-            scale = float(np.max(np.abs(value)))
-            converged = err <= max(tol * scale, 1e-300)
-        prev = value
-        a = max(a + 1, int(a * 1.5))
-        b = max(b + 1, int(b * 1.5))
+
+    def sizes():
+        a, b, spent = 12, 8, 0
+        while spent + a * b**3 <= budget:
+            yield a, b
+            spent += a * b**3
+            a, b = max(a + 1, int(a * 1.5)), max(b + 1, int(b * 1.5))
+
+    result, levels = _refine(lambda a, b: _boundary_level_radial(integrand, a, b), sizes(), tol, 1e-300)
     if levels < 2:
         raise BudgetTooSmallError(f"budget {budget:g} too small for two refinement levels")
-    if len(value) == 1:
-        value = float(value[0])
-    result = QuadratureResult(value, err, n_evals, converged)
-    if converged:
+    if len(result.value) == 1:
+        result.value = float(result.value[0])
+    if result.converged:
         return result
     raise QuadratureConvergenceError(
-        f"budget {budget:g} exhausted before reaching tol={tol:g} (error {err:g})", result
+        f"budget {budget:g} exhausted before reaching tol={tol:g} (error {result.error_estimate:g})", result
     )

@@ -42,6 +42,10 @@ from .report import CheckReport
 # the test-function family
 
 
+class OutsideHardyRangeError(ValueError):
+    """The test function's order is outside the Hardy membership range for its n."""
+
+
 @dataclass(frozen=True)
 class TestFunctionSpec:
     """Derivative orders (t0, t1, t2, t3) of a Hardy-space test function."""
@@ -174,7 +178,7 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     converges yields a failing report carrying its best value.
     """
     if not spec.in_hardy_range():
-        raise ValueError("spec outside the Hardy membership range")
+        raise OutsideHardyRangeError("spec outside the Hardy membership range")
     n = spec.n
     order = KernelOrder(n)
     density = szego_density(order)

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import qszego
 from qszego.cli import main
 
 
@@ -130,6 +133,14 @@ def test_verify_budget_below_two_levels_is_usage_error(budget, capsys):
     assert err.startswith("error:") and "budget" in err and len(err.strip().splitlines()) == 1
 
 
+def test_verify_n_outside_hardy_range_is_usage_error(capsys):
+    # the suite's test function t = (2, 0, 0, 1) has order 3, outside the
+    # Hardy membership range for n >= 5
+    code, out, err = run_cli(["verify", "reproducing", "--n", "5"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Hardy" in err and len(err.strip().splitlines()) == 1
+
+
 def test_eval_nonpositive_n_is_usage_error(capsys):
     code, out, err = run_cli(["eval", "s", "--n", "0", "--nu", "1,0,0,0"], capsys)
     assert code == 2
@@ -187,8 +198,13 @@ def test_config_file_flags_win(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child process finds the package where this one imported it from
+    src = str(Path(qszego.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run(
         [sys.executable, "-m", "qszego.cli", "eval", "s", "--nu", "1,0,0,0"],
+        env=env,
         capture_output=True,
         text=True,
     )

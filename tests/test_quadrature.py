@@ -104,6 +104,53 @@ def test_integrate_r3_nonconvergence_reports_best():
     assert abs(info.value.result.value - 8 * PI) < 1e-3
 
 
+def test_integrate_r3_one_level_is_not_converged():
+    # one level gives no error estimate: not converged, not a budget error
+    f = lambda pts: np.exp(-np.linalg.norm(pts, axis=1))
+    with pytest.raises(QuadratureConvergenceError) as info:
+        integrate_r3(f, ExpDecay(1.0), max_refinements=0)
+    res = info.value.result
+    assert not res.converged and res.error_estimate == math.inf and res.n_evals == 16 * 12 * 12
+
+
+def test_sphere_level_columns_match_scalar_levels():
+    # a row of values per point is reduced column by column, bit for bit as
+    # a one-value integrand is
+    f = lambda p: (1.0 + np.sum(p * p, axis=1)) ** -2.0
+    g = lambda p: p[:, 0] ** 2 * (1.0 + np.sum(p * p, axis=1)) ** -3.0
+    both, used = _sphere_level(lambda p: np.stack([f(p), g(p)], axis=1), PowerDecay(2.0), 16, 12, 12)
+    one_f, _ = _sphere_level(f, PowerDecay(2.0), 16, 12, 12)
+    one_g, _ = _sphere_level(g, PowerDecay(2.0), 16, 12, 12)
+    assert isinstance(one_f, float) and used == 2304
+    assert [v.hex() for v in both] == [one_f.hex(), one_g.hex()]
+
+
+def _nan_at_first_point(fn):
+    """``fn`` with its first value replaced by nan on its first call."""
+    calls = []
+
+    def poisoned(*args):
+        vals = np.array(fn(*args), dtype=float)
+        if not calls:
+            vals[0] = np.nan
+        calls.append(1)
+        return vals
+
+    return poisoned
+
+
+def test_nonfinite_integrand_value_raises():
+    # a nan at one point leaves the level as an error, not as a nan value
+    # or a convergence failure
+    f = _nan_at_first_point(lambda p: np.exp(-np.linalg.norm(p, axis=1)))
+    with pytest.raises(FloatingPointError):
+        integrate_r3(f, ExpDecay(1.0), tol=1e-9)
+
+    fn = _nan_at_first_point(lambda r, t: (1 + r * r) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1))
+    with pytest.raises(FloatingPointError):
+        integrate_boundary(BoundaryIntegrand(n=1, fn=fn, decay_power=6), tol=1e-9, budget=1e6)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_moment_quadrature_consistency_random(seed):
     rng = random.Random(seed)
@@ -163,6 +210,16 @@ def test_parseval_identity_examples():
 
     rep = parseval_identity_check((2, 0, 0, 0), (0, 0, 0, 2), 0.5)
     assert rep.passed and rep.rel_deviation <= 1e-6
+
+    # pinned float.hex of one odd and one even pair; an odd pair takes its
+    # signed and absolute integrals from one 64 x 24 x 24 level
+    rep = parseval_identity_check((0, 1, 0, 0), (0, 0, 1, 0), 1.0)
+    assert (rep.lhs.hex(), rep.rel_deviation.hex()) == ("-0x1.358951a4f44c0p-61", "0x1.261c6a47811aap-61")
+    assert rep.n_evals == 64 * 24 * 24 == 36864
+
+    rep = parseval_identity_check((1, 0, 0, 0), (1, 0, 0, 0), 1.0)
+    assert (rep.lhs.hex(), rep.rhs.hex()) == ("0x1.3bd3cc9be45d8p+2", "0x1.3bd3cc9be45dep+2")
+    assert rep.n_evals == 20736
 
 
 def test_parseval_rejects_bad_input():
