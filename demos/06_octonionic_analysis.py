@@ -47,5 +47,5 @@ print(f"  {agree}/{len(corpus)} functions: universal-alpha test matches the CR s
 print("|f|^p is subharmonic for analytic f once p >= 6/7:")
 for p in (6.0 / 7.0, 1.0, 2.0):
     rep = subharmonicity_check(twisted, p, n_points=800)
-    print(f"  p = {p:.4f}: discrete Laplacian nonnegative at all kept points: {rep.passed}"
-          f" (skipped {rep.inputs['skipped_near_zero']} near zeros)")
+    print(f"  p = {p:.4f}: exact Laplacian nonnegative at every sampled point: {rep.passed}"
+          f" (min R = {rep.lhs:.3f}, skipped {rep.inputs['skipped_zeros']} zeros)")

@@ -166,10 +166,8 @@ class RatPoly:
             e = k[i]
             if e == 0:
                 continue
-            nk = k[:i] + (e - 1,) + k[i + 1 :]
-            nc = c * e
-            acc = out.get(nk)
-            out[nk] = nc if acc is None else acc + nc
+            # k -> k - e_i is injective, so no two terms land on one key
+            out[k[:i] + (e - 1,) + k[i + 1 :]] = c * e
         return RatPoly(self.dim, out)
 
     # -- queries -------------------------------------------------------------
@@ -505,6 +503,10 @@ class HyperFrac:
             out[..., i] = c.eval_array(x)
         return out
 
+    def deriv(self, i):
+        """Componentwise d/dx_i."""
+        return HyperFrac(tuple(c.deriv(i) for c in self.comps))
+
     def dirac(self, side="left", conjugated=False, var_indices=None):
         """Apply the Dirac operator through the multiplication table.
 
@@ -529,8 +531,7 @@ class HyperFrac:
         out = [RadialFraction.zero(self.dim) for _ in range(alg)]
         for i, vi in enumerate(var_indices):
             sign_i = -1 if (conjugated and i >= 1) else 1
-            for j in range(alg):
-                df = self.comps[j].deriv(vi)
+            for j, df in enumerate(self.deriv(vi).comps):
                 if df.is_zero():
                     continue
                 k, s = table[i][j] if side == "left" else table[j][i]

@@ -4,8 +4,9 @@ Contains the Hardy-space test-function family (four mixed partials of the
 Newton potential combined along the imaginary units), its exact Gamma closed
 form, the reproducing-property check, the coefficient linear system with its
 solved coefficients, the Stein-Weiss / composed-analyticity equivalences,
-subharmonicity of |f|^p, and the projection-kernel decay estimates.  Each
-check returns a :class:`CheckReport`.
+subharmonicity of |f|^p, and the projection-kernel decay estimates.  The
+last two differentiate exactly, through the symbolic partials of f and of
+the Szego density.  Each check returns a :class:`CheckReport`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .geometry import (
     translate,
 )
 from .hypercomplex import Hypercomplex, left_mult_matrix, mul_arrays
-from .kernel import KernelOrder, group_kernel_array, newton_derivative, szego_density
+from .kernel import KernelOrder, newton_derivative, szego_density
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
 from .quadrature import (
     BoundaryIntegrand,
@@ -240,8 +241,8 @@ def coefficient_system_check(n):
     identically.
     """
     q_range = 3
-    if n > 6:
-        raise ValueError("grid check supported for n <= 6")
+    if not 1 <= n <= 6:
+        raise ValueError("grid check supported for 1 <= n <= 6")
     failures = []
     checked = 0
     for q1 in range(q_range):
@@ -281,8 +282,6 @@ def coefficient_system_check(n):
                     ("odd-x1x2", lambda p0, p1, p2: (2 * p0, 2 * p1 + 1, 2 * p2 + 1), 1, 1, 7),
                 )
                 for name, slot, sh1, sh2, tail in patterns:
-                    if n < 1:
-                        continue
                     sums = [SqrtPiRational.zero() for _ in range(4)]
                     for p0 in range(n):
                         for p1 in range(n - 1 - p0 + 1):
@@ -417,16 +416,16 @@ def slice_regularity_check(big_f, alpha):
 
 
 def subharmonicity_check(f, p, n_points=1000, seed=0):
-    """Discrete-Laplacian subharmonicity of |f|^p away from zeros of f.
+    """Subharmonicity of |f|^p from the exact partials of f.
 
-    The central-difference Laplacian with step 1e-3 is taken at
-    ``n_points`` centres drawn uniformly from [-1.5, 1.5]^d and must exceed
-    -1e-4 times the local size of |f|^p.  Points whose |f| falls below a
-    small fraction of the sample median are skipped (and counted): |f|^p is
-    not twice differentiable at zeros for small p, and the finite-difference
-    error blows up there.
+    Df = 0 and conj(D) D = Laplacian make every component of f harmonic, so
+    Lap |f|^p = p |f|^(p-2) sum_i |d_i f|^2 R with
+    R = 1 + (p - 2) sum_i <f, d_i f>^2 / (|f|^2 sum_i |d_i f|^2).
+    R is taken at ``n_points`` centres drawn uniformly from [-1.5, 1.5]^d and
+    must be at least -1e-4.  Centres where f or its gradient vanishes leave
+    R undefined; they are skipped and counted.
     """
-    h, box, tol_factor = 1e-3, 1.5, 1e-4
+    box, tol = 1.5, 1e-4
     if p < 6.0 / 7.0:
         raise ValueError("exponent below the subharmonicity threshold")
     if not f.is_polynomial():
@@ -437,40 +436,25 @@ def subharmonicity_check(f, p, n_points=1000, seed=0):
     d = f.dim
     centers = rng.uniform(-box, box, size=(n_points, d))
 
-    stencil = [centers]
-    for i in range(d):
-        step = np.zeros(d)
-        step[i] = h
-        stencil.append(centers + step)
-        stencil.append(centers - step)
-    pts = np.stack(stencil, axis=1)  # (N, 2d+1, d)
-    vals = f.eval_array(pts.reshape(-1, d)).reshape(n_points, 2 * d + 1, f.alg_dim)
-    mod = np.sqrt(np.sum(vals * vals, axis=-1))
-
-    median = float(np.median(mod[:, 0]))
-    keep = mod[:, 0] > 0.05 * median
-    skipped = int(np.sum(~keep))
-
-    g = mod**p
-    lap = (np.sum(g[:, 1:], axis=1) - 2 * d * g[:, 0]) / h**2
-    local_scale = np.max(g, axis=1)
-    if not np.any(keep):
-        # everything sits at a zero of f (f vanishes identically): trivially fine
-        ok = np.ones(0, dtype=bool)
-        worst = 0.0
-    else:
-        ok = lap[keep] >= -tol_factor * local_scale[keep]
-        worst = float(np.min(lap[keep] / np.maximum(local_scale[keep], 1e-300)))
+    vals = f.eval_array(centers)  # (N, alg)
+    grads = np.stack([f.deriv(i).eval_array(centers) for i in range(d)], axis=1)  # (N, d, alg)
+    mod_sq = np.sum(vals * vals, axis=1)
+    grad_sq = np.sum(grads * grads, axis=(1, 2))
+    inner_sq = np.sum(np.einsum("na,nia->ni", vals, grads) ** 2, axis=1)
+    defined = (mod_sq > 0) & (grad_sq > 0)
+    r = 1 + (p - 2) * inner_sq[defined] / (mod_sq[defined] * grad_sq[defined])
+    # with random centres, none is defined only when f is constant; |f|^p is then harmonic
+    worst = float(np.min(r)) if r.size else 0.0
     return CheckReport(
         name="subharmonicity",
-        inputs={"p": p, "n_points": n_points, "h": h, "skipped_near_zero": skipped},
+        inputs={"p": p, "n_points": n_points, "skipped_zeros": int(np.sum(~defined))},
         lhs=worst,
         rhs=0.0,
         abs_deviation=max(0.0, -worst),
         rel_deviation=max(0.0, -worst),
-        tolerance=tol_factor,
-        passed=bool(np.all(ok)),
-        n_evals=int(n_points * (2 * d + 1)),
+        tolerance=tol,
+        passed=worst >= -tol,
+        n_evals=int(n_points * (d + 1)),
     )
 
 
@@ -490,10 +474,11 @@ def _sample_shell(rng, n, rho_lo, rho_hi, samples):
     return y * scale[:, None], tau * scale[:, None] ** 2, target
 
 
-def _kernel_abs(order, y, tau):
-    w2 = np.sum(y * y, axis=1)
-    vals = group_kernel_array(order, w2, tau)
-    return np.sqrt(np.sum(vals * vals, axis=1))
+def _kernel_abs(fracs, scale, y, tau):
+    """|scale * f(|y|^2, tau)| for each f; f = the density body gives |K(y, tau)|."""
+    pts = np.concatenate([np.sum(y * y, axis=1)[:, None], tau], axis=1)
+    vals = np.stack([f.eval_array(pts) for f in fracs]) * scale
+    return np.sqrt(np.sum(vals * vals, axis=-1))
 
 
 def kernel_decay_check(n=1, samples=100_000, seed=0):
@@ -502,21 +487,24 @@ def kernel_decay_check(n=1, samples=100_000, seed=0):
     Checks |K(delta o h)| = delta^-d |K(h)| to 1e-12, then compares the
     suprema of |K| rho^d, |dK/dy| rho^(d+1) and |dK/dt| rho^(d+2) over the
     sample shells 1 <= rho <= 10 and 10 <= rho <= 100; stability (ratio < 2)
-    is the verdict.  The derivatives are central differences with relative
-    step 1e-4, scaled by rho for y and rho^2 for t.
+    is the verdict.  The derivatives are exact: K(y, t) = s(|y|^2, t), so
+    dK/dy_i = 2 y_i d_0 s and dK/dt_j = d_(j+1) s, with the partials of the
+    density body s taken symbolically once.
     """
     order = KernelOrder(n)
     d = homogeneous_dim(n)
     rng = np.random.default_rng(seed)
-    eps = 1e-4
+    density = szego_density(order)
+    body, scale = density.body, density.prefactor()
+    fracs = [body] + [body.deriv(i) for i in range(4)]
 
     # exact dilation invariance on a modest sample
     y, tau, rho = _sample_shell(rng, n, 0.5, 5.0, 200)
     inv_ok = True
     worst_inv = 0.0
     for delta in (2.0, 3.0):
-        lhs = _kernel_abs(order, y * delta, tau * delta**2)
-        rhs = _kernel_abs(order, y, tau) * delta ** (-d)
+        lhs = _kernel_abs([body], scale, y * delta, tau * delta**2)[0]
+        rhs = _kernel_abs([body], scale, y, tau)[0] * delta ** (-d)
         dev = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
         worst_inv = max(worst_inv, dev)
         inv_ok = inv_ok and dev <= 1e-12
@@ -524,28 +512,10 @@ def kernel_decay_check(n=1, samples=100_000, seed=0):
     sups = []
     for rho_lo, rho_hi in ((1.0, 10.0), (10.0, 100.0)):
         y, tau, rho = _sample_shell(rng, n, rho_lo, rho_hi, samples)
-        k_sup = float(np.max(_kernel_abs(order, y, tau) * rho**d))
-
-        dy_sup = 0.0
-        dt_sup = 0.0
-        base_w2 = np.sum(y * y, axis=1)
-        step_y = eps * rho
-        for i in range(4 * n):
-            w2_plus = base_w2 + 2 * step_y * y[:, i] + step_y**2
-            w2_minus = base_w2 - 2 * step_y * y[:, i] + step_y**2
-            kp = group_kernel_array(order, w2_plus, tau)
-            km = group_kernel_array(order, w2_minus, tau)
-            grad = np.sqrt(np.sum((kp - km) ** 2, axis=1)) / (2 * step_y)
-            dy_sup = max(dy_sup, float(np.max(grad * rho ** (d + 1))))
-
-        step_t = eps * rho**2
-        for j in range(3):
-            shift = np.zeros((len(tau), 3))
-            shift[:, j] = step_t
-            kp = group_kernel_array(order, base_w2, tau + shift)
-            km = group_kernel_array(order, base_w2, tau - shift)
-            grad = np.sqrt(np.sum((kp - km) ** 2, axis=1)) / (2 * step_t)
-            dt_sup = max(dt_sup, float(np.max(grad * rho ** (d + 2))))
+        k, ds0, *ds_t = _kernel_abs(fracs, scale, y, tau)
+        k_sup = float(np.max(k * rho**d))
+        dy_sup = float(np.max(2 * np.max(np.abs(y), axis=1) * ds0 * rho ** (d + 1)))
+        dt_sup = float(np.max(np.max(ds_t, axis=0) * rho ** (d + 2)))
         sups.append({"shell": [rho_lo, rho_hi], "K": k_sup, "dK_dy": dy_sup, "dK_dt": dt_sup})
 
     ratios = {
@@ -562,7 +532,7 @@ def kernel_decay_check(n=1, samples=100_000, seed=0):
         rel_deviation=max(ratios.values()) - 1.0,
         tolerance=1.0,
         passed=bool(stable and inv_ok),
-        n_evals=2 * samples * (1 + 8 * n + 6),
+        n_evals=2 * samples * len(fracs),
     )
 
 

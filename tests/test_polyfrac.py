@@ -174,6 +174,8 @@ def test_conjugated_dirac_is_laplacian_on_polynomials():
             for i in range(dim):
                 lap[j] = lap[j] + f.comps[j].deriv(i).deriv(i)
         assert lhs == HyperFrac(tuple(lap))
+        second = [f.deriv(i).deriv(i) for i in range(dim)]
+        assert sum(second[1:], second[0]) == HyperFrac(tuple(lap))
 
 
 def test_linear_substitute_examples():
