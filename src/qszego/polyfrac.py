@@ -2,12 +2,13 @@
 
 ``RatPoly`` is a sparse multivariate polynomial over exact rationals.
 ``RadialFraction`` divides such a polynomial by an integer power of the
-squared radius ``|x|^2 = sum x_i^2`` and keeps itself canonical: the
-numerator is never divisible by ``|x|^2`` while the denominator power is
-positive, so identity checks (harmonicity, Dirac annihilation, homogeneity)
-reduce to exact zero tests.  ``HyperFrac`` is a vector of radial fractions
-acting as hypercomplex components; the Dirac operators and linear variable
-substitutions act on it.
+squared radius ``|x|^2 = sum x_i^2`` and stores the pair as given.  For
+dim >= 2, |x|^2 is prime in Q[x], so derivatives and scalings of reduced
+fractions, and products of two with k > 0, stay reduced without a division.
+Sums are not reduced; equality, zero and degree tests (Dirac annihilation,
+homogeneity) do not depend on it.
+``HyperFrac`` is a vector of radial fractions acting as hypercomplex
+components; the Dirac operators and linear variable substitutions act on it.
 
 ``eval`` is exact and rejects floats: it is the oracle that the one float
 evaluator, ``eval_array``, is checked against.
@@ -82,10 +83,6 @@ class RatPoly:
         key = [0] * dim
         key[i] = 1
         return cls(dim, {tuple(key): 1})
-
-    @classmethod
-    def monomial(cls, dim, exps, coef=1):
-        return cls(dim, {tuple(exps): coef})
 
     # -- ring operations ----------------------------------------------------
 
@@ -274,40 +271,8 @@ def radius_sq(dim):
     return RatPoly(dim, terms)
 
 
-def try_divide_radius_sq(poly):
-    """Exact quotient poly / |x|^2, or None when not divisible.
-
-    Single-divisor multivariate division in lex order; the remainder is zero
-    exactly when the polynomial lies in the ideal generated by |x|^2, and the
-    first term that cannot be cancelled proves indivisibility.
-    """
-    if poly.is_zero():
-        return poly
-    dim = poly.dim
-    rsq = radius_sq(dim)
-    work = dict(poly.terms)
-    quot = {}
-    while work:
-        m = max(work)
-        c = work.pop(m)
-        if m[0] < 2:
-            return None
-        qk = (m[0] - 2,) + m[1:]
-        quot[qk] = quot.get(qk, 0) + c
-        for rk in rsq.terms:
-            k = tuple(a + b for a, b in zip(qk, rk))
-            if k == m:
-                continue
-            acc = work.get(k, 0) - c
-            if acc:
-                work[k] = acc
-            else:
-                work.pop(k, None)
-    return RatPoly(dim, quot)
-
-
 class RadialFraction:
-    """Canonical P(x) / |x|^(2k) with exact polynomial numerator."""
+    """P(x) / |x|^(2k) as given; ``deriv`` and ``scale`` keep it reduced, a sum may not."""
 
     __slots__ = ("num", "k")
 
@@ -316,11 +281,6 @@ class RadialFraction:
             raise ValueError("denominator power must be nonnegative")
         if num.is_zero():
             k = 0
-        while k > 0:
-            q = try_divide_radius_sq(num)
-            if q is None:
-                break
-            num, k = q, k - 1
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "k", k)
 
@@ -380,7 +340,7 @@ class RadialFraction:
         return RadialFraction(self.num.scale(c), self.k if c else 0)
 
     def deriv(self, i):
-        """d/dx_i via the quotient rule, re-canonicalized."""
+        """d/dx_i via the quotient rule."""
         dnum = self.num.deriv(i)
         if self.k == 0:
             return RadialFraction(dnum, 0)
@@ -389,12 +349,10 @@ class RadialFraction:
         return RadialFraction(new_num, self.k + 1)
 
     def __eq__(self, other):
+        """By value: P/|x|^(2k) == P|x|^2/|x|^(2k+2); unequal dimensions are unequal."""
         if not isinstance(other, RadialFraction):
             return NotImplemented
-        return self.k == other.k and self.num == other.num
-
-    def __hash__(self):
-        return hash((self.k, self.num))
+        return self.dim == other.dim and (self - other).is_zero()
 
     def __repr__(self):
         if self.k == 0:

@@ -1,5 +1,7 @@
 """Construction and evaluation of the Cauchy and Szego kernels."""
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -299,3 +301,31 @@ def test_kernel_json_roundtrip(tmp_path):
     assert back.coeff == s.coeff
     assert back.pi_pow == s.pi_pow
     assert back.body == s.body
+
+
+# sha256 of json.dumps(szego_density(KernelOrder(n, m)).to_json(), sort_keys=True),
+# recorded when RadialFraction still divided every numerator by |x|^2 as far
+# as it would go: the forms built without that division must be the same.
+DENSITY_JSON_SHA256 = {
+    (4, 1): "f57d5c6cbf3671266604655c81a8c0d4e5040c94b4cd834697fe62119ab20081",
+    (4, 2): "e74f8dbe28e0ce7812f8c83e99b201447fd00fcac9a76d1ceb5b32a41aee75fa",
+    (4, 3): "e38c4564c4e82d3e1d7008752052d63d7cee43e5942a36efbc89b81a60278cfd",
+    (4, 4): "3b712ca9327e9f8ca63da05441097ee7d6d7f3bdc9c15e8cf32a787e8798b216",
+    (4, 5): "9a45c2389d47c54795dd14f5e61dfdfc4dd9b9c8dbfe8e35f7c2d801705ad7a6",
+    (4, 6): "c56c3a19af50dc08b11920baca81bb12e5d6ea27c7e1b3a97599e66dda57c432",
+    (4, 7): "b41db2a03269f5e208e265bf7aead88f7b2ff61cc21b3b3fb7042731f4e77033",
+    (4, 8): "67c79446a0ad131a8105f01a78007157e13aa6ea31837d18f7b27c4e2946a7ab",
+    (4, 9): "d905250b78ad1d779888468aa3ea005058264133f02b0ceafceac5b8ff7a8185",
+    (4, 10): "9af723020765c4f135e1b1413d77ca41dd8942a10ed5d3ce2e10e7dea7be2572",
+    (4, 11): "8abcf659f71970be28ae2c580b0f1cdbfd310310dc1758b3d910110e56afc373",
+    (2, 1): "2817f81c098081e58934fb047506515a1d0125df10004d6fff26fab9e6f524e4",
+    (2, 2): "7b17ed3e13d092293aa835a0a60ab157a6d9302201c1fd5a3d631302c21c0058",
+    (2, 3): "e8eed7b481058282ae940ab19b1a8d0f52642d0d652f512e144d9b9997c67395",
+    (2, 4): "1b78c7a73cbea4fc5cfa5acc66e5c6d81c99fdd60611d9c00ecf7569c2152d16",
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(DENSITY_JSON_SHA256))
+def test_density_json_pinned(m, n):
+    text = json.dumps(szego_density(KernelOrder(n, m)).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DENSITY_JSON_SHA256[(m, n)]

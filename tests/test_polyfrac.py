@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qszego.hypercomplex import Hypercomplex, left_mult_matrix
-from qszego.polyfrac import (
-    HyperFrac,
-    RadialFraction,
-    RatPoly,
-    radius_sq,
-    try_divide_radius_sq,
-)
+from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly, radius_sq
 
 
 def x(i, d=4):
@@ -66,32 +60,6 @@ def test_eval_examples():
     assert d.eval((1, 1, 0, 0)) == Fraction(-1, 2)
     with pytest.raises(ZeroDivisionError):
         n.eval((0, 0, 0, 0))
-
-
-def test_canonical_form_invariant():
-    rng = random.Random(2)
-    rsq = radius_sq(4)
-    for _ in range(60):
-        terms = {}
-        for _ in range(4):
-            key = [0, 0, 0, 0]
-            for _ in range(rng.randint(0, 4)):
-                key[rng.randrange(4)] += 1
-            terms[tuple(key)] = rng.randint(-5, 5)
-        poly = RatPoly(4, terms)
-        frac = RadialFraction(poly * rsq, rng.randint(0, 3))
-        if frac.k > 0:
-            assert try_divide_radius_sq(frac.num) is None
-        got = frac.deriv(rng.randrange(4))
-        if got.k > 0:
-            assert try_divide_radius_sq(got.num) is None
-
-
-def test_exact_division_by_radius():
-    rsq = radius_sq(4)
-    p = (x(0) * x(1) + x(2)) * rsq
-    assert try_divide_radius_sq(p) == x(0) * x(1) + x(2)
-    assert try_divide_radius_sq(x(0) * x(1)) is None
 
 
 def test_mixed_partials_commute():
@@ -243,7 +211,13 @@ def test_derivative_product_rule(f, g, axis):
 
 @given(_polys(max_terms=3), st.integers(0, 2), st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
-def test_radial_fraction_stays_canonical(poly, k, axis):
-    frac = RadialFraction(poly, k).deriv(axis)
-    if frac.k > 0:
-        assert try_divide_radius_sq(frac.num) is None
+def test_radial_fraction_equality_is_by_value(poly, k, axis):
+    # the constructor stores (num, k) as given, so P|x|^2/|x|^(2k+2) and
+    # P/|x|^(2k) are two representations of one function
+    frac = RadialFraction(poly, k)
+    wide = RadialFraction(poly * radius_sq(4), k + 1)
+    assert wide == frac and frac == wide
+    assert wide.deriv(axis) == frac.deriv(axis)
+    assert RadialFraction(poly * radius_sq(4) + x(axis), k + 1) != frac
+    in_8_vars = RadialFraction(RatPoly(8, {e + (0,) * 4: c for e, c in poly.terms.items()}), k)
+    assert frac != in_8_vars and in_8_vars != frac
