@@ -7,8 +7,6 @@ from .hypercomplex import (
     associator,
     left_mult_matrix,
     mult_table,
-    octonion,
-    quaternion,
 )
 from .polyfrac import HyperFrac, RadialFraction, RatPoly, radius_sq
 from .geometry import (
@@ -49,8 +47,6 @@ __all__ = [
     "associator",
     "left_mult_matrix",
     "mult_table",
-    "octonion",
-    "quaternion",
     "HyperFrac",
     "RadialFraction",
     "RatPoly",

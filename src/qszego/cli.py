@@ -109,11 +109,11 @@ def _emit_value(args, payload):
 
 def cmd_eval(args):
     kind = args.kind
-    if kind in ("s", "density", "E", "cauchy"):
+    if kind in ("s", "E"):
         nu = _parse_components(args.nu, expected=args.m)
         if not any(nu):
             raise ZeroDivisionError("singular point nu = 0")
-        if kind in ("s", "density"):
+        if kind == "s":
             kernel = szego_density(KernelOrder(args.n, m=args.m))
             payload = {"kind": "szego-density", "n": args.n}
         else:
@@ -122,7 +122,7 @@ def cmd_eval(args):
         payload.update(m=args.m, nu=nu, value=list(kernel.eval(nu).comps))
         _emit_value(args, payload)
         return 0
-    if kind in ("S", "kernel"):
+    if kind == "S":
         if not args.q or not args.omega:
             raise UsageError("S needs --q and --omega")
         q = _parse_point(args.q, args.n)
@@ -139,28 +139,27 @@ def cmd_eval(args):
             },
         )
         return 0
-    if kind in ("K", "group"):
-        if not args.omega or not args.t:
-            raise UsageError("K needs --omega and --t")
-        w = _parse_components(args.omega, expected=4 * args.n)
-        t = _parse_components(args.t, expected=3)
-        h = GroupElement(
-            tuple(Hypercomplex(w[4 * i : 4 * i + 4], exact=False) for i in range(args.n)),
-            tuple(t),
-        )
-        value = group_kernel(KernelOrder(args.n), h, args.eps)
-        _emit_value(
-            args,
-            {
-                "kind": "group-kernel",
-                "n": args.n,
-                "eps": args.eps,
-                "rho": rho_length(h),
-                "value": list(value.comps),
-            },
-        )
-        return 0
-    raise UsageError(f"unknown eval kind {args.kind!r}")
+    # kind "K", the last of the parser's choices
+    if not args.omega or not args.t:
+        raise UsageError("K needs --omega and --t")
+    w = _parse_components(args.omega, expected=4 * args.n)
+    t = _parse_components(args.t, expected=3)
+    h = GroupElement(
+        tuple(Hypercomplex(w[4 * i : 4 * i + 4], exact=False) for i in range(args.n)),
+        tuple(t),
+    )
+    value = group_kernel(KernelOrder(args.n), h, args.eps)
+    _emit_value(
+        args,
+        {
+            "kind": "group-kernel",
+            "n": args.n,
+            "eps": args.eps,
+            "rho": rho_length(h),
+            "value": list(value.comps),
+        },
+    )
+    return 0
 
 
 def cmd_verify(args):
@@ -224,7 +223,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a kernel at a point")
-    p_eval.add_argument("kind", choices=["s", "S", "E", "K", "density", "kernel", "cauchy", "group"])
+    p_eval.add_argument("kind", choices=["s", "S", "E", "K"])
     p_eval.add_argument("--n", type=_positive_int, default=1)
     p_eval.add_argument("--m", type=int, choices=(2, 4), default=4)
     p_eval.add_argument("--nu", type=str, default="")

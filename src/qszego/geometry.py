@@ -60,21 +60,6 @@ class SiegelPoint:
     def height(self):
         return self.vertical.re - sum(h.norm_sq() for h in self.horizontal)
 
-    def to_float(self):
-        return SiegelPoint(tuple(h.to_float() for h in self.horizontal), self.vertical.to_float())
-
-    def to_json(self):
-        return {
-            "horizontal": [h.to_json() for h in self.horizontal],
-            "vertical": self.vertical.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        from .hypercomplex import from_json
-
-        return cls(tuple(from_json(h) for h in data["horizontal"]), from_json(data["vertical"]))
-
 
 @dataclass(frozen=True)
 class BallPoint:
@@ -132,22 +117,6 @@ class GroupElement:
     @property
     def exact(self):
         return self.omega[0].exact
-
-    def to_float(self):
-        return GroupElement(tuple(w.to_float() for w in self.omega), tuple(float(v) for v in self.t))
-
-    def to_json(self):
-        return {
-            "omega": [w.to_json() for w in self.omega],
-            "t": [v if isinstance(v, float) else str(Fraction(v)) for v in self.t],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        from .hypercomplex import from_json
-
-        t = tuple(Fraction(v) if isinstance(v, str) else float(v) for v in data["t"])
-        return cls(tuple(from_json(w) for w in data["omega"]), t)
 
 
 def identity_element(kind, n=1, exact=True):
@@ -248,8 +217,8 @@ def dilate_element(delta, h):
     return GroupElement(tuple(w * delta for w in h.omega), tuple(v * d2 for v in h.t))
 
 
-def rotate(rotation, p, tol=1e-12):
-    """Componentwise rotation (R_1 q_1, ..., R_n q_n, q_{n+1}), |R_i| = 1."""
+def rotate(rotation, p):
+    """Componentwise rotation (R_1 q_1, ..., R_n q_n, q_{n+1}), |R_i| = 1 to 1e-12."""
     rotation = tuple(rotation)
     if len(rotation) != p.n:
         raise ValueError("one unit rotation per horizontal coordinate")
@@ -258,7 +227,7 @@ def rotate(rotation, p, tol=1e-12):
         if r.exact:
             if n2 != 1:
                 raise ValueError("rotation components must have unit norm")
-        elif abs(float(n2) - 1.0) > tol:
+        elif abs(float(n2) - 1.0) > 1e-12:
             raise ValueError("rotation components must have unit norm")
     horizontal = tuple(r * q for r, q in zip(rotation, p.horizontal))
     return SiegelPoint(horizontal, p.vertical)
@@ -273,13 +242,13 @@ def boundary_param(h):
     return SiegelPoint(h.omega, vertical)
 
 
-def boundary_unparam(p, tol=1e-12):
-    """Inverse of :func:`boundary_param`; requires the point on the boundary."""
+def boundary_unparam(p):
+    """Inverse of :func:`boundary_param`; requires the point on the boundary to 1e-12."""
     height = p.height()
     if p.exact:
         if height != 0:
             raise ValueError("point is not on the boundary")
-    elif abs(float(height)) > tol:
+    elif abs(float(height)) > 1e-12:
         raise ValueError(f"point is off the boundary by {float(height):g}")
     t = tuple(p.vertical.comps[1:])
     return GroupElement(p.horizontal, t)

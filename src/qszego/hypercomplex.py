@@ -9,12 +9,11 @@ acting as identity), never typed by hand.
 Values are immutable.  Exact mode stores ``int``/``Fraction`` components and
 every operation is exact; floating mode stores ``float``.  The two modes do
 not mix silently: combining an exact value with a floating one raises, and
-conversion is explicit via :meth:`Hypercomplex.to_float` / ``to_exact``.
+conversion is explicit via :meth:`Hypercomplex.to_float`.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from numbers import Rational
 
@@ -59,8 +58,6 @@ _TABLES = {
     4: _build_table(4, QUATERNION_TRIPLES),
     8: _build_table(8, OCTONION_TRIPLES),
 }
-
-SUPPORTED_DIMS = tuple(sorted(_TABLES))
 
 
 def mult_table(dim):
@@ -159,14 +156,6 @@ class Hypercomplex:
             return self
         return Hypercomplex._make(self.dim, False, tuple(float(c) for c in self.comps))
 
-    def to_exact(self):
-        """Exact copy; float components convert via Fraction (always exact)."""
-        if self.exact:
-            return self
-        return Hypercomplex._make(
-            self.dim, True, tuple(_norm_rat(Fraction(c)) for c in self.comps)
-        )
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -257,10 +246,6 @@ class Hypercomplex:
             raise ValueError(f"imaginary index {i} out of range for dim {self.dim}")
         return self.comps[i]
 
-    def vector_part(self):
-        zero = 0 if self.exact else 0.0
-        return Hypercomplex._make(self.dim, self.exact, (zero,) + self.comps[1:])
-
     def is_zero(self):
         return not any(self.comps)
 
@@ -294,66 +279,6 @@ class Hypercomplex:
 
     def __repr__(self):
         return f"Hypercomplex({self.to_text()!r}, dim={self.dim})"
-
-    def to_json(self):
-        """JSON array form; exact rationals rendered as "p/q" strings."""
-        if self.exact:
-            return [f"{Fraction(c).numerator}/{Fraction(c).denominator}" for c in self.comps]
-        return list(self.comps)
-
-
-_TERM_RE = re.compile(
-    r"^\s*(?P<coef>[+-]?(?:[0-9]+/[0-9]+"
-    r"|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?))?"
-    r"\s*(?:e(?P<idx>[0-9]+))?\s*$"
-)
-
-
-def parse_text(text, dim, exact=True):
-    """Parse the ``to_text`` rendering back to a value (exact round trip)."""
-    comps = [0.0] * dim if not exact else [Fraction(0)] * dim
-    body = text.strip()
-    if body == "0":
-        return Hypercomplex(comps, exact=exact)
-    body = body.replace("- ", "+ -").replace(" -", " +-")
-    for raw in body.split("+"):
-        raw = raw.strip()
-        if not raw:
-            continue
-        m = _TERM_RE.match(raw)
-        if not m or (m.group("coef") is None and m.group("idx") is None):
-            raise ValueError(f"cannot parse term {raw!r}")
-        coef_s = m.group("coef")
-        idx = int(m.group("idx")) if m.group("idx") is not None else 0
-        if coef_s in (None, "", "+", "-"):
-            coef_s = f"{coef_s or ''}1"
-        coef = Fraction(coef_s) if exact else float(coef_s)
-        if idx >= dim:
-            raise ValueError(f"component e{idx} out of range for dim {dim}")
-        comps[idx] = comps[idx] + coef
-    return Hypercomplex(comps, exact=exact)
-
-
-def from_json(arr):
-    comps = []
-    exact = True
-    for v in arr:
-        if isinstance(v, str):
-            comps.append(Fraction(v))
-        else:
-            comps.append(float(v))
-            exact = False
-    return Hypercomplex(comps, exact=exact)
-
-
-def quaternion(x0, x1, x2, x3, exact=None):
-    return Hypercomplex((x0, x1, x2, x3), exact=exact)
-
-
-def octonion(*comps, exact=None):
-    if len(comps) != 8:
-        raise ValueError("octonion needs 8 components")
-    return Hypercomplex(comps, exact=exact)
 
 
 def associator(x, y, z):

@@ -42,11 +42,6 @@ class KernelOrder:
     def deriv_order(self):
         return self.m * self.n // 2
 
-    @property
-    def homogeneity(self):
-        """Negative homogeneity degree of the density."""
-        return -(self.m * self.n // 2 + self.m - 1)
-
 
 @dataclass(frozen=True)
 class PiScaledKernel:

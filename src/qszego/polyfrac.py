@@ -69,6 +69,14 @@ class RatPoly:
         raise AttributeError("RatPoly values are immutable")
 
     @classmethod
+    def _make(cls, dim, terms):
+        """A polynomial from terms that are already clean (no zero coefficient)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", terms)
+        return p
+
+    @classmethod
     def zero(cls, dim):
         return cls(dim)
 
@@ -105,19 +113,13 @@ class RatPoly:
                     out[k] = acc
                 else:
                     del out[k]
-        p = RatPoly.__new__(RatPoly)
-        object.__setattr__(p, "dim", self.dim)
-        object.__setattr__(p, "terms", out)
-        return p
+        return RatPoly._make(self.dim, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        p = RatPoly.__new__(RatPoly)
-        object.__setattr__(p, "dim", self.dim)
-        object.__setattr__(p, "terms", {k: -c for k, c in self.terms.items()})
-        return p
+        return RatPoly._make(self.dim, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, RatPoly):
@@ -138,10 +140,7 @@ class RatPoly:
                             del out[k]
             if out and any(e >= MAX_EXPONENT for k in out for e in k):
                 raise ValueError("exponent overflow in product")
-            p = RatPoly.__new__(RatPoly)
-            object.__setattr__(p, "dim", self.dim)
-            object.__setattr__(p, "terms", out)
-            return p
+            return RatPoly._make(self.dim, out)
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -150,10 +149,7 @@ class RatPoly:
         c = _norm_rat(c)
         if not c:
             return RatPoly.zero(self.dim)
-        p = RatPoly.__new__(RatPoly)
-        object.__setattr__(p, "dim", self.dim)
-        object.__setattr__(p, "terms", {k: v * c for k, v in self.terms.items()})
-        return p
+        return RatPoly._make(self.dim, {k: v * c for k, v in self.terms.items()})
 
     def deriv(self, i):
         if not 0 <= i < self.dim:
@@ -165,7 +161,7 @@ class RatPoly:
                 continue
             # k -> k - e_i is injective, so no two terms land on one key
             out[k[:i] + (e - 1,) + k[i + 1 :]] = c * e
-        return RatPoly(self.dim, out)
+        return RatPoly._make(self.dim, out)
 
     # -- queries -------------------------------------------------------------
 
@@ -183,9 +179,6 @@ class RatPoly:
         if not isinstance(other, RatPoly):
             return NotImplemented
         return self.dim == other.dim and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -302,9 +295,6 @@ class RadialFraction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_polynomial(self):
-        return self.k == 0
-
     def _check_dim(self, other):
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -415,10 +405,6 @@ class HyperFrac:
     @property
     def dim(self):
         return self.comps[0].dim
-
-    @classmethod
-    def zero(cls, alg_dim, dim):
-        return cls(tuple(RadialFraction.zero(dim) for _ in range(alg_dim)))
 
     @classmethod
     def from_polys(cls, polys):

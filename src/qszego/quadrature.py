@@ -5,9 +5,9 @@ rule in spherical coordinates for integrals over R^3, and a tensor rule over
 the Siegel boundary, reduced to one radial horizontal dimension for
 integrands that are rotation invariant in the horizontal variables.  Both
 place their Gauss nodes through the same coordinate maps,
-:func:`coordinate_map`, refine through the same loop, and take integrands
-that return one value or one row of values per point.  A level whose value
-is not finite raises :class:`FloatingPointError`.
+:meth:`ExpDecay.map` and :meth:`PowerDecay.map`, refine through the same
+loop, and take integrands that return one value or one row of values per
+point.  A level whose value is not finite raises :class:`FloatingPointError`.
 
 The Parseval check takes its right side, and with it the parity rule that
 decides when both sides vanish, from :func:`exponential_moment_closed_form`.
@@ -50,10 +50,6 @@ class SqrtPiRational:
     @classmethod
     def zero(cls):
         return cls(Fraction(0), 0)
-
-    @classmethod
-    def one(cls):
-        return cls(Fraction(1), 0)
 
     def is_zero(self):
         return not self.coef
@@ -160,16 +156,6 @@ class QuadratureResult:
     n_evals: int
     converged: bool = True
 
-    def to_json(self):
-        v = self.value
-        if hasattr(v, "tolist"):
-            v = v.tolist()
-        return {
-            "value": v,
-            "error_estimate": self.error_estimate,
-            "n_evals": self.n_evals,
-        }
-
 
 class QuadratureConvergenceError(RuntimeError):
     """Raised when refinement stalls; carries the best result obtained."""
@@ -177,22 +163,6 @@ class QuadratureConvergenceError(RuntimeError):
     def __init__(self, message, result):
         super().__init__(message)
         self.result = result
-
-
-def coordinate_map(kind, scale, x):
-    """Map Gauss nodes ``x`` to the radius; returns (r, dr/dx).
-
-    "power" is r = scale * tan(pi x / 2): rational integrands become
-    trigonometric rational functions of x, which the Gauss rule resolves
-    geometrically.  "cut" is r = scale * x, a plain truncation at ``scale``
-    for integrands whose tail beyond it is negligible.
-    """
-    if kind == "power":
-        theta = x * (math.pi / 2.0)
-        return scale * np.tan(theta), scale * (math.pi / 2.0) / np.cos(theta) ** 2
-    if kind == "cut":
-        return scale * x, np.full_like(x, scale)
-    raise ValueError(f"unknown decay kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -207,7 +177,9 @@ class ExpDecay:
     rate: float = 1.0
 
     def map(self, u):
-        return coordinate_map("cut", 80.0 / self.rate, u)
+        """Gauss nodes ``u`` to r = cut * u; returns (r, dr/du)."""
+        cut = 80.0 / self.rate
+        return cut * u, np.full_like(u, cut)
 
 
 @dataclass(frozen=True)
@@ -217,7 +189,13 @@ class PowerDecay:
     scale: float = 1.0
 
     def map(self, u):
-        return coordinate_map("power", self.scale, u)
+        """Gauss nodes ``u`` to r = scale * tan(pi u / 2); returns (r, dr/du).
+
+        Rational integrands become trigonometric rational functions of u,
+        which the Gauss rule resolves geometrically.
+        """
+        theta = u * (math.pi / 2.0)
+        return self.scale * np.tan(theta), self.scale * (math.pi / 2.0) / np.cos(theta) ** 2
 
 
 @lru_cache(maxsize=64)
@@ -397,7 +375,7 @@ class BoundaryIntegrand:
     ``decay_power`` declares |F| <= C (1 + |w'|^2 + |t|)^(-decay_power); the
     engine refuses integrands whose declared decay cannot be absolutely
     integrable.  Every axis uses the rational compactification of
-    :func:`coordinate_map`; with ``t_scale_with_r`` the vertical window grows
+    :meth:`PowerDecay.map`; with ``t_scale_with_r`` the vertical window grows
     like 1 + r^2, matching the parabolic geometry of kernel integrands.
     """
 
@@ -421,7 +399,7 @@ class BudgetTooSmallError(ValueError):
 def _axis_rule(n, half_line=False):
     """Gauss nodes and weights on the half line or the line for one axis."""
     x, w = _gauss01(n) if half_line else _leggauss(n)
-    r, jac = coordinate_map("power", 1.0, x)
+    r, jac = PowerDecay(1.0).map(x)
     return r, w * jac
 
 

@@ -520,7 +520,7 @@ def props_suite(seed=0):
     for n in (1, 2, 3):
         reports.append(verify.coefficient_system_check(n))
 
-    reports.append(verify.closed_form_agreement_check(6))
+    reports.append(verify.closed_form_agreement_check())
 
     lhs, rhs = fourier_newton(1.0, 1.0), math.pi * math.exp(-2 * math.pi)
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))

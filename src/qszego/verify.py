@@ -131,12 +131,13 @@ def hardy_test_function_closed_form(spec):
     return Hypercomplex((0, 0, 0, value.coef))
 
 
-def closed_form_agreement_check(max_order=6):
+def closed_form_agreement_check():
     """Exact equality of the derivative route and the Gamma closed form.
 
-    Runs every parity-valid spec with total order <= max_order, comparing
-    exact rationals at the base point (0, 1).
+    Runs every parity-valid spec with total order <= 6, comparing exact
+    rationals at the base point (0, 1).
     """
+    max_order = 6
     origin = SiegelPoint(
         (Hypercomplex.zero(4),), Hypercomplex.from_real(4, 1)
     )
@@ -176,18 +177,22 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     parameterization with the quaternion product in exactly that order; the
     integrand is rotation invariant in w', so the horizontal factor reduces
     to a radial one.  A boundary rule that runs out of budget before it
-    converges yields a failing report carrying its best value.
+    converges yields a failing report carrying its best value.  A test
+    function that vanishes at (0,1) raises ``ValueError`` before any
+    integration: the relative deviation and the relative refinement both
+    need a nonzero value.
     """
     if not spec.in_hardy_range():
         raise OutsideHardyRangeError("spec outside the Hardy membership range")
     n = spec.n
-    order = KernelOrder(n)
-    density = szego_density(order)
-    comps = hardy_test_function_components(spec.t)
     direct = hardy_test_function(
         spec, SiegelPoint(tuple(Hypercomplex.zero(4) for _ in range(n)), Hypercomplex.from_real(4, 1))
     )
+    if direct.is_zero():
+        raise ValueError("test function vanishes at (0,1): no relative deviation to test")
     direct_f = np.array([float(c) for c in direct.comps])
+    density = szego_density(KernelOrder(n))
+    comps = hardy_test_function_components(spec.t)
 
     def fn(r, t):
         base = 1.0 + r * r
@@ -602,7 +607,7 @@ def _x(i):
     return RatPoly.variable(8, i)
 
 
-def cr_corpus(seed=11, n_random=8):
+def cr_corpus(seed=11):
     """Named octonionic polynomial functions with both verdict classes."""
     x = [_x(i) for i in range(8)]
     harmonics = [
@@ -643,7 +648,7 @@ def cr_corpus(seed=11, n_random=8):
         ("shifted-pair", HyperFrac.from_polys((x[1], x[0], zero, zero, zero, zero, zero, zero)))
     )
     rng = random.Random(seed)
-    for j in range(n_random):
+    for j in range(8):
         polys = []
         for _ in range(8):
             terms = {}

@@ -204,7 +204,7 @@ def test_criterion_05_coefficient_system():
 
 
 def test_criterion_06_test_function_closed_form():
-    rep = closed_form_agreement_check(6)
+    rep = closed_form_agreement_check()
     spec = TestFunctionSpec(1, (2, 0, 0, 1))
     origin = SiegelPoint((Hypercomplex.zero(4),), Hypercomplex.from_real(4, 1))
     want = Hypercomplex((0, 0, 0, Fraction(5, 8)))

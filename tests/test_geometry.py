@@ -252,18 +252,6 @@ def test_octonionic_translation_height():
         assert translate(h, p).height() == p.height()
 
 
-def test_point_json_roundtrip():
-    p = SiegelPoint((q(1, 2, 3, 4),), q(31, Fraction(1, 2), 0, -2))
-    assert SiegelPoint.from_json(p.to_json()) == p
-
-
-def test_element_json_roundtrip():
-    h = GroupElement((q(1, Fraction(-1, 2), 0, 3),), (Fraction(1, 3), -2, 0))
-    assert GroupElement.from_json(h.to_json()) == h
-    hf = h.to_float()
-    assert GroupElement.from_json(hf.to_json()) == hf
-
-
 def test_kind_mismatch_raises():
     a = GroupElement((e(4, 1),), (0, 0, 0))
     b = GroupElement((e(8, 1),), (0,) * 7)

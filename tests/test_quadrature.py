@@ -262,13 +262,6 @@ def test_boundary_budget_determinism():
     assert a.value == b.value and a.n_evals == b.n_evals
 
 
-def test_result_json_shape():
-    f = lambda pts: np.exp(-np.linalg.norm(pts, axis=1))
-    res = integrate_r3(f, ExpDecay(1.0), tol=1e-7)
-    data = res.to_json()
-    assert set(data) == {"value", "error_estimate", "n_evals"}
-
-
 def test_coordinate_maps_pinned_bit_for_bit():
     # exact float.hex values of one rule per coordinate map ("cut" through
     # ExpDecay, "power" through PowerDecay and the boundary levels, radial

@@ -89,7 +89,7 @@ def test_closed_form_values():
 
 
 def test_agreement_all_valid_specs():
-    rep = closed_form_agreement_check(6)
+    rep = closed_form_agreement_check()
     assert rep.passed
     assert rep.inputs["specs_checked"] >= 25
 
@@ -104,6 +104,32 @@ def test_reproducing_property_quick():
 def test_reproducing_rejects_out_of_range():
     with pytest.raises(ValueError):
         reproducing_check(TestFunctionSpec(4, (0, 0, 0, 1)), tol=1e-2)
+
+
+@pytest.mark.parametrize("t", [(0, 1, 1, 1), (1, 1, 1, 0)])
+def test_reproducing_rejects_zero_direct_value_before_integrating(t, monkeypatch):
+    # both specs are in the Hardy range, but the test function vanishes at
+    # (0, 1), so no relative deviation exists; the integral is never taken
+    from qszego import verify
+
+    calls = []
+    monkeypatch.setattr(verify, "integrate_boundary", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="vanishes"):
+        reproducing_check(TestFunctionSpec(1, t))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_density_is_the_solved_test_function(n):
+    # the built density is c0 times the test function of order (2n, 0, 0, 0),
+    # with c0 the only nonzero solved coefficient of the coefficient system
+    from qszego.verify import _solved_coefficient, hardy_test_function_components
+
+    s = szego_density(KernelOrder(n))
+    c0 = _solved_coefficient(n, 2 * n, 0, 0)[0]
+    family = hardy_test_function_components((2 * n, 0, 0, 0))
+    assert s.body.scale(s.coeff) == family.scale(c0.coef)
+    assert 2 * s.pi_pow == c0.pi_half
 
 
 def test_coefficient_system_exact():
