@@ -57,13 +57,24 @@ def _parse_point(text, n):
 
 
 def _positive_int(text):
-    """argparse type of ``--n``: an integer of at least 1."""
+    """argparse type of ``--n`` and ``--points``: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text):
+    """argparse type of ``--eps``: a float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
     return value
 
 
@@ -230,7 +241,7 @@ def build_parser():
     p_eval.add_argument("--q", type=str, default="")
     p_eval.add_argument("--omega", type=str, default="")
     p_eval.add_argument("--t", type=str, default="")
-    p_eval.add_argument("--eps", type=float, default=0.0)
+    p_eval.add_argument("--eps", type=_nonnegative_float, default=0.0)
     p_eval.set_defaults(run=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -246,7 +257,7 @@ def build_parser():
     p_export.add_argument("--what", dest="table", choices=["K-decay", "s-ray"], default="K-decay")
     p_export.add_argument("--n", type=_positive_int, default=1)
     p_export.add_argument("--m", type=int, choices=(2, 4), default=4)
-    p_export.add_argument("--points", type=int, default=50)
+    p_export.add_argument("--points", type=_positive_int, default=50)
     p_export.set_defaults(run=cmd_export)
 
     for p in sub.choices.values():

@@ -11,7 +11,11 @@ homogeneity) do not depend on it.
 components; the Dirac operators and linear variable substitutions act on it.
 
 ``eval`` is exact and rejects floats: it is the oracle that the one float
-evaluator, ``eval_array``, is checked against.
+evaluator, ``eval_array``, is checked against.  ``eval_array`` of a
+polynomial, a fraction or a ``HyperFrac`` evaluates all its fractions in one
+pass that shares each power x_i**e, |x|^2 and |x|^(2k) across them, in
+blocks of ``_ROWS`` points; the values are those of the term-by-term loop,
+bit for bit.
 
 All values are immutable, all operations are pure.
 """
@@ -208,17 +212,7 @@ class RatPoly:
 
     def eval_array(self, x):
         """Evaluate on float points, x shape (..., dim)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1], dtype=float)
-        for k, c in self.terms.items():
-            term = np.full(x.shape[:-1], float(c))
-            for i, e in enumerate(k):
-                if e == 1:
-                    term = term * x[..., i]
-                elif e:
-                    term = term * x[..., i] ** e
-            out += term
-        return out
+        return _eval_fractions((RadialFraction(self),), x)[..., 0]
 
     # -- substitution ----------------------------------------------------------
 
@@ -360,12 +354,7 @@ class RadialFraction:
         return self.num.eval(point)
 
     def eval_array(self, x):
-        x = np.asarray(x, dtype=float)
-        val = self.num.eval_array(x)
-        if self.k:
-            r2 = np.sum(x * x, axis=-1)
-            val = val / r2**self.k
-        return val
+        return _eval_fractions((self,), x)[..., 0]
 
     def to_json(self):
         terms = [
@@ -379,6 +368,58 @@ class RadialFraction:
         dim = int(data["dim"])
         terms = {tuple(t["exp"]): Fraction(t["coef"]) for t in data["terms"]}
         return cls(RatPoly(dim, terms), int(data["k"]))
+
+
+# Points per block of the float evaluator: the shared powers of one block
+# stay near a megabyte, however many points a call passes.
+_ROWS = 4096
+
+
+def _eval_fractions(fracs, x):
+    """Float values of the fractions ``fracs`` at points x of shape (..., dim).
+
+    Returns shape (..., len(fracs)).  The points are taken in blocks of
+    ``_ROWS``; in each block every power x_i**e (e >= 2), |x|^2 and |x|^(2k)
+    is computed once and shared by all terms of all fractions.  Each term is
+    still c * x_i**e * ... in key order, the terms are summed in order and the
+    sum is divided by |x|^(2k), so the values are those of evaluating every
+    term on its own, bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1, x.shape[-1])
+    plans, powers = [], set()
+    for f in fracs:
+        terms = []
+        for key, c in f.num.terms.items():
+            factors = [(i, e) for i, e in enumerate(key) if e]
+            powers.update(factors)
+            terms.append((float(c), factors))
+        plans.append((f.k, terms))
+    radial = {f.k for f in fracs if f.k}
+    out = np.empty((len(flat), len(fracs)))
+    for start in range(0, len(flat), _ROWS):
+        block = flat[start : start + _ROWS]
+        rows = slice(start, start + len(block))
+        cols = np.ascontiguousarray(block.T)
+        pw = {(i, e): cols[i] ** e if e > 1 else cols[i] for i, e in powers}
+        r2 = np.sum(block * block, axis=-1) if radial else None
+        r2k = {k: r2**k for k in radial}
+        term = np.empty(len(block))
+        for j, (k, terms) in enumerate(plans):
+            acc = np.zeros(len(block))
+            for c, factors in terms:
+                if not factors:
+                    acc += c
+                    continue
+                np.multiply(c, pw[factors[0]], out=term)
+                for ie in factors[1:]:
+                    term *= pw[ie]
+                acc += term
+            if k:
+                np.divide(acc, r2k[k], out=out[rows, j])
+            else:
+                out[rows, j] = acc
+    return out.reshape(x.shape[:-1] + (len(fracs),))
 
 
 class HyperFrac:
@@ -441,11 +482,7 @@ class HyperFrac:
         return Hypercomplex(tuple(c.eval(point) for c in self.comps))
 
     def eval_array(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.alg_dim,), dtype=float)
-        for i, c in enumerate(self.comps):
-            out[..., i] = c.eval_array(x)
-        return out
+        return _eval_fractions(self.comps, x)
 
     def deriv(self, i):
         """Componentwise d/dx_i."""

@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import newton_derivative
+from .polyfrac import HyperFrac
 from .report import CheckReport
 
 
@@ -324,12 +325,13 @@ def parseval_identity_check(p_orders, q_orders, x0):
     rhs_exact = ledger * exponential_moment_closed_form(4 * Fraction(x0), l[0] - 2, l[1], l[2], l[3])
     rhs = rhs_exact.to_float()
 
-    fp = newton_derivative(p_orders)
-    fq = newton_derivative(q_orders)
+    # one evaluation of both factors shares |x|^2 and the powers of x_i
+    factors = HyperFrac((newton_derivative(p_orders), newton_derivative(q_orders)))
 
     def product(pts3):
         pts4 = np.concatenate([np.full((len(pts3), 1), float(x0)), pts3], axis=1)
-        return fp.eval_array(pts4) * fq.eval_array(pts4)
+        vals = factors.eval_array(pts4)
+        return vals[:, 0] * vals[:, 1]
 
     def signed_and_absolute(pts3):
         vals = product(pts3)

@@ -155,6 +155,29 @@ def test_config_bad_value_is_usage_error(tmp_path, capsys):
     assert "--n" in err and out == ""
 
 
+def test_negative_eps_is_usage_error(tmp_path, capsys):
+    base = ["eval", "K", "--omega", "0,0,0,0", "--t", "1,0,0"]
+    code, out, err = run_cli(base + ["--eps", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert "--eps" in err and "nonnegative" in err
+    cfg = tmp_path / "conf"
+    cfg.write_text("eps=-1\n")
+    code, out, err = run_cli(base + ["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "--eps" in err and "nonnegative" in err
+
+
+@pytest.mark.parametrize("points", ["-3", "0"])
+def test_export_nonpositive_points_is_usage_error(points, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out_path = tmp_path / "ray.csv"
+    for extra in (["-o", str(out_path)], []):
+        code, out, err = run_cli(["export", "table", "--what", "s-ray", "--points", points] + extra, capsys)
+        assert code == 2 and out == ""
+        assert "--points" in err and "positive integer" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_kernel_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "s2.json"
     code, out, err = run_cli(["export", "kernel", "--n", "2", "-o", str(out_path)], capsys)
