@@ -15,8 +15,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from .geometry import GroupElement, SiegelPoint, homogeneous_dim, rho_length
 from .hypercomplex import Hypercomplex
@@ -24,6 +27,7 @@ from .kernel import (
     KernelOrder,
     cauchy_kernel,
     group_kernel,
+    group_kernel_array,
     szego_density,
     szego_eval,
     szego_nu,
@@ -56,26 +60,25 @@ def _parse_point(text, n):
     return SiegelPoint(horizontal, vertical)
 
 
-def _positive_int(text):
-    """argparse type of ``--n`` and ``--points``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _checked(convert, ok, expected):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _nonnegative_float(text):
-    """argparse type of ``--eps``: a float of at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not value >= 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "a nonnegative finite number")
 
 
 def _config_defaults(path, sub):
@@ -190,39 +193,29 @@ def cmd_export(args):
         _emit(out, json.dumps(kernel.to_json(), sort_keys=True, indent=1) + "\n")
         print(f"wrote {out}", file=sys.stderr)
         return 0
-    if args.what == "table":
-        if args.table == "K-decay":
-            d = homogeneous_dim(args.n)
-            rows = [("rho", "absK", "absK_times_rho_d")]
-            for i in range(args.points):
-                rho = 10 ** (-1 + 3.0 * i / max(1, args.points - 1))
-                h = GroupElement(
-                    (Hypercomplex((rho, 0.0, 0.0, 0.0), exact=False),)
-                    + tuple(
-                        Hypercomplex.zero(4, exact=False) for _ in range(args.n - 1)
-                    ),
-                    (0.0, 0.0, 0.0),
-                )
-                val = group_kernel(KernelOrder(args.n), h, 0.0)
-                absk = abs(val)
-                rows.append((rho, absk, absk * rho**d))
-        elif args.table == "s-ray":
-            density = szego_density(KernelOrder(args.n, m=args.m))
-            rows = [("x0",) + tuple(f"s{i}" for i in range(density.alg_dim))]
-            for i in range(args.points):
-                x0 = 0.25 + 4.0 * i / max(1, args.points - 1)
-                point = [x0] + [0.0] * (density.alg_dim - 1)
-                val = density.eval(point)
-                rows.append((x0,) + tuple(val.comps))
-        else:
-            raise UsageError(f"unknown table {args.table!r}")
-        out = args.output or f"{args.table}-n{args.n}.csv"
-        buf = io.StringIO()
-        csv.writer(buf).writerows(rows)
-        _emit(out, buf.getvalue())
-        print(f"wrote {out}", file=sys.stderr)
-        return 0
-    raise UsageError(f"unknown export target {args.what!r}")
+    # "table", the last of the parser's choices
+    if args.table == "K-decay":
+        d = homogeneous_dim(args.n)
+        rhos = [10 ** (-1 + 3.0 * i / max(1, args.points - 1)) for i in range(args.points)]
+        vals = group_kernel_array(
+            KernelOrder(args.n), [rho * rho for rho in rhos], [(0.0, 0.0, 0.0)] * args.points
+        )
+        absk = np.sqrt(np.sum(vals * vals, axis=1)).tolist()
+        rows = [("rho", "absK", "absK_times_rho_d")]
+        rows += [(rho, a, a * rho**d) for rho, a in zip(rhos, absk)]
+    else:  # "s-ray"
+        density = szego_density(KernelOrder(args.n, m=args.m))
+        x0 = [0.25 + 4.0 * i / max(1, args.points - 1) for i in range(args.points)]
+        pts = np.zeros((args.points, density.alg_dim))
+        pts[:, 0] = x0
+        rows = [("x0",) + tuple(f"s{i}" for i in range(density.alg_dim))]
+        rows += [(x,) + tuple(v) for x, v in zip(x0, density.eval_array(pts).tolist())]
+    out = args.output or f"{args.table}-n{args.n}.csv"
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    _emit(out, buf.getvalue())
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
 
 
 def build_parser():
@@ -247,9 +240,9 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=list(SUITE_NAMES))
     p_verify.add_argument("--n", type=_positive_int, default=1)
-    p_verify.add_argument("--tol", type=float, default=1e-3)
-    p_verify.add_argument("--budget", type=float, default=2.0e7)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--tol", type=_positive_float, default=1e-3)
+    p_verify.add_argument("--budget", type=_positive_float, default=2.0e7)
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=0)
     p_verify.set_defaults(run=cmd_verify)
 
     p_export = sub.add_parser("export", help="export kernels or tables")

@@ -6,7 +6,8 @@ Szego density for n horizontal variables is a power of ``-2/pi`` times the
 (mn/2)-th vertical derivative of the Cauchy kernel.  All symbolic content is
 exact; powers of pi are kept as a separate integer exponent so that identity
 tests never touch floating point.  Every float value comes from
-``eval_array``; a one-point evaluation is a one-row call of it.
+``eval_array``, which raises ``FloatingPointError`` on a float fault; a
+one-point evaluation is a one-row call of it.
 """
 
 from __future__ import annotations
@@ -62,16 +63,13 @@ class PiScaledKernel:
         return float(self.coeff) * math.pi**self.pi_pow
 
     def eval(self, point):
-        """Float value at one point, as a one-row call of :meth:`eval_array`.
-
-        Raises ``FloatingPointError`` when the evaluation overflows or
-        divides by zero.
-        """
+        """Float value at one point, as a one-row call of :meth:`eval_array`."""
         if len(point) != self.body.dim:
             raise ValueError("point dimension mismatch")
-        return _at_one_point(self.eval_array, [point])
+        return Hypercomplex(self.eval_array([point])[0].tolist(), exact=False)
 
     def eval_array(self, x):
+        """Float values at points x of shape (..., dim); float faults raise."""
         return self.body.eval_array(x) * self.prefactor()
 
     def scaled_equal(self, other):
@@ -92,13 +90,6 @@ class PiScaledKernel:
     @classmethod
     def from_json(cls, data):
         return cls(Fraction(data["coeff"]), int(data["pi_pow"]), HyperFrac.from_json(data["body"]))
-
-
-def _at_one_point(evaluate, *args):
-    """Row 0 of ``evaluate(*args)`` as a float value; float faults raise."""
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        row = evaluate(*args)[0]
-    return Hypercomplex(row.tolist(), exact=False)
 
 
 def newton_potential():
@@ -203,7 +194,7 @@ def group_kernel(order, h, eps=0.0):
     t = [float(ti) for ti in h.t]
     if not w2 + eps and not any(t):
         raise ZeroDivisionError("singular point: identity element with eps = 0")
-    return _at_one_point(group_kernel_array, order, [w2], [t], eps)
+    return Hypercomplex(group_kernel_array(order, [w2], [t], eps)[0].tolist(), exact=False)
 
 
 def group_kernel_array(order, w_norm_sq, t, eps=0.0):

@@ -11,11 +11,11 @@ homogeneity) do not depend on it.
 components; the Dirac operators and linear variable substitutions act on it.
 
 ``eval`` is exact and rejects floats: it is the oracle that the one float
-evaluator, ``eval_array``, is checked against.  ``eval_array`` of a
-polynomial, a fraction or a ``HyperFrac`` evaluates all its fractions in one
-pass that shares each power x_i**e, |x|^2 and |x|^(2k) across them, in
-blocks of ``_ROWS`` points; the values are those of the term-by-term loop,
-bit for bit.
+evaluator, ``eval_fractions``, is checked against.  It evaluates any number
+of fractions in one pass that shares each power x_i**e, |x|^2 and |x|^(2k)
+across them, in blocks of ``_ROWS`` points, with the term-by-term loop's
+values bit for bit; a float fault raises ``FloatingPointError``, on a grid
+as at one point.  ``eval_array`` of a fraction or a ``HyperFrac`` calls it.
 
 All values are immutable, all operations are pure.
 """
@@ -210,10 +210,6 @@ class RatPoly:
             total = total + v
         return total
 
-    def eval_array(self, x):
-        """Evaluate on float points, x shape (..., dim)."""
-        return _eval_fractions((RadialFraction(self),), x)[..., 0]
-
     # -- substitution ----------------------------------------------------------
 
     def substitute_linear(self, rows):
@@ -354,7 +350,7 @@ class RadialFraction:
         return self.num.eval(point)
 
     def eval_array(self, x):
-        return _eval_fractions((self,), x)[..., 0]
+        return eval_fractions((self,), x)[..., 0]
 
     def to_json(self):
         terms = [
@@ -375,15 +371,17 @@ class RadialFraction:
 _ROWS = 4096
 
 
-def _eval_fractions(fracs, x):
+@np.errstate(over="raise", divide="raise", invalid="raise")
+def eval_fractions(fracs, x):
     """Float values of the fractions ``fracs`` at points x of shape (..., dim).
 
-    Returns shape (..., len(fracs)).  The points are taken in blocks of
-    ``_ROWS``; in each block every power x_i**e (e >= 2), |x|^2 and |x|^(2k)
-    is computed once and shared by all terms of all fractions.  Each term is
-    still c * x_i**e * ... in key order, the terms are summed in order and the
-    sum is divided by |x|^(2k), so the values are those of evaluating every
-    term on its own, bit for bit.
+    Returns shape (..., len(fracs)); a value that overflows, divides by zero
+    or is invalid raises ``FloatingPointError``.  The points are taken in
+    blocks of ``_ROWS``; in each block every power x_i**e (e >= 2), |x|^2
+    and |x|^(2k) is computed once and shared by all terms of all fractions.
+    Each term is still c * x_i**e * ... in key order, the terms are summed in
+    order and the sum is divided by |x|^(2k), so the values are those of
+    evaluating every term on its own, bit for bit.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1, x.shape[-1])
@@ -482,7 +480,7 @@ class HyperFrac:
         return Hypercomplex(tuple(c.eval(point) for c in self.comps))
 
     def eval_array(self, x):
-        return _eval_fractions(self.comps, x)
+        return eval_fractions(self.comps, x)
 
     def deriv(self, i):
         """Componentwise d/dx_i."""

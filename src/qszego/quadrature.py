@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import newton_derivative
-from .polyfrac import HyperFrac
+from .polyfrac import eval_fractions
 from .report import CheckReport
 
 
@@ -326,11 +326,11 @@ def parseval_identity_check(p_orders, q_orders, x0):
     rhs = rhs_exact.to_float()
 
     # one evaluation of both factors shares |x|^2 and the powers of x_i
-    factors = HyperFrac((newton_derivative(p_orders), newton_derivative(q_orders)))
+    factors = (newton_derivative(p_orders), newton_derivative(q_orders))
 
     def product(pts3):
         pts4 = np.concatenate([np.full((len(pts3), 1), float(x0)), pts3], axis=1)
-        vals = factors.eval_array(pts4)
+        vals = eval_fractions(factors, pts4)
         return vals[:, 0] * vals[:, 1]
 
     def signed_and_absolute(pts3):

@@ -13,16 +13,10 @@ def _jsonable(v):
         return int(v)
     if isinstance(v, float):
         return float(v)
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
-    if hasattr(v, "tolist"):
-        return _jsonable(v.tolist())
-    if hasattr(v, "to_json"):
-        return v.to_json()
     return str(v)
 
 

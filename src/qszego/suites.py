@@ -43,7 +43,7 @@ from .kernel import (
     cauchy_kernel,
     complex_szego_closed_form,
     szego_density,
-    szego_eval,
+    szego_nu,
 )
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
 from .quadrature import (
@@ -169,19 +169,14 @@ def kernel_suite(seed=0):
             c.is_zero() or c.num.homogeneous_degree() == 2 * c.k + deg_target
             for c in density.body.comps
         )
+        nus = np.array([rng.uniform(-2, 2) for _ in range(4 * 25)]).reshape(25, 4)
+        nus = nus[np.sum(nus * nus, axis=1) >= 0.1]
+        base = density.eval_array(nus)
+        norm = np.maximum(np.sqrt(np.sum(base * base, axis=1)), 1e-300)
         worst = 0.0
-        for _ in range(25):
-            nu = [rng.uniform(-2, 2) for _ in range(4)]
-            if sum(v * v for v in nu) < 0.1:
-                continue
-            base = density.eval(nu)
-            for t in (0.5, 2.0, 5.0):
-                scaled = density.eval([t * v for v in nu])
-                dev = max(
-                    abs(float(s) * t ** (2 * n + 3) - float(b))
-                    for s, b in zip(scaled.comps, base.comps)
-                )
-                worst = max(worst, dev / max(abs(base), 1e-300))
+        for t in (0.5, 2.0, 5.0):
+            dev = np.max(np.abs(density.eval_array(t * nus) * t ** (2 * n + 3) - base), axis=1)
+            worst = max(worst, float(np.max(dev / norm)))
         reports.append(
             CheckReport(
                 name="density-homogeneity",
@@ -223,14 +218,12 @@ def kernel_suite(seed=0):
                 rhs="2^(n-1) n! pi^-(n+1) nu^-(n+1)",
             )
         )
+        nus = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(100)]
+        nus = [nu for nu in nus if abs(nu) >= 0.1]
         worst = 0.0
-        for _ in range(100):
-            nu = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if abs(nu) < 0.1:
-                continue
-            v = density.eval((nu.real, nu.imag))
+        for nu, (re, im) in zip(nus, density.eval_array([(nu.real, nu.imag) for nu in nus]).tolist()):
             w = complex_szego_closed_form(n, nu)
-            worst = max(worst, abs(complex(float(v.comps[0]), float(v.comps[1])) - w) / abs(w))
+            worst = max(worst, abs(complex(re, im) - w) / abs(w))
         reports.append(
             CheckReport(
                 name="complex-closed-form-crosscheck",
@@ -255,26 +248,33 @@ def kernel_suite(seed=0):
         )
         return SiegelPoint((q1,), vert)
 
-    worst = {"hermitian": 0.0, "dilation": 0.0, "rotation": 0.0, "translation": 0.0}
-
-    def record(key, s, s_qw):
-        dev = max(abs(a - b) for a, b in zip(s_qw.comps, s.comps)) / max(abs(s_qw), 1e-300)
-        worst[key] = max(worst[key], dev)
-
+    samples = []
     for _ in range(40):
         q, w = rand_interior(), rand_interior()
-        s_qw = szego_eval(1, q, w)
-        record("hermitian", szego_eval(1, w, q).conj(), s_qw)
         delta = rng.uniform(0.5, 2.0)
-        record("dilation", szego_eval(1, dilate(delta, q), dilate(delta, w)) * delta**10, s_qw)
         u = _rand_float(rng, 4)
         u = u * (1.0 / abs(u))
-        record("rotation", szego_eval(1, rotate((u,), q), rotate((u,), w)), s_qw)
         h = GroupElement(
             (_rand_float(rng, 4),),
             tuple(rng.uniform(-1, 1) for _ in range(3)),
         )
-        record("translation", szego_eval(1, translate(h, q), translate(h, w)), s_qw)
+        samples.append((q, w, delta, u, h))
+
+    def kernel(pairs):
+        """S(q, w) for each pair (q, w), one row each, from one density evaluation."""
+        return szego_density(1).eval_array([szego_nu(q, w).comps for q, w in pairs])
+
+    s_qw = kernel((q, w) for q, w, *_ in samples)
+    # each entry should equal s_qw: conj S(w, q), delta^10 S(delta q, delta w), ...
+    transformed = {
+        "hermitian": kernel((w, q) for q, w, *_ in samples) * [1.0, -1.0, -1.0, -1.0],
+        "dilation": kernel((dilate(d, q), dilate(d, w)) for q, w, d, *_ in samples)
+        * np.array([[d**10] for _, _, d, *_ in samples]),
+        "rotation": kernel((rotate((u,), q), rotate((u,), w)) for q, w, _, u, _ in samples),
+        "translation": kernel((translate(h, q), translate(h, w)) for q, w, *_, h in samples),
+    }
+    norm = np.maximum(np.sqrt(np.sum(s_qw * s_qw, axis=1)), 1e-300)
+    worst = {key: float(np.max(np.max(np.abs(v - s_qw), axis=1) / norm)) for key, v in transformed.items()}
     for key, tol in (("hermitian", 1e-12), ("dilation", 1e-10), ("rotation", 1e-10), ("translation", 1e-10)):
         reports.append(
             CheckReport(

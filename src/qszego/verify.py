@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .hypercomplex import Hypercomplex, left_mult_matrix, mul_arrays
 from .kernel import KernelOrder, newton_derivative, szego_density
-from .polyfrac import HyperFrac, RadialFraction, RatPoly
+from .polyfrac import HyperFrac, RadialFraction, RatPoly, eval_fractions
 from .quadrature import (
     BoundaryIntegrand,
     QuadratureConvergenceError,
@@ -441,8 +441,9 @@ def subharmonicity_check(f, p, n_points=1000, seed=0):
     d = f.dim
     centers = rng.uniform(-box, box, size=(n_points, d))
 
-    vals = f.eval_array(centers)  # (N, alg)
-    grads = np.stack([f.deriv(i).eval_array(centers) for i in range(d)], axis=1)  # (N, d, alg)
+    fracs = f.comps + tuple(c for i in range(d) for c in f.deriv(i).comps)
+    out = eval_fractions(fracs, centers).reshape(n_points, d + 1, f.alg_dim)
+    vals, grads = out[:, 0], out[:, 1:]  # (N, alg) and (N, d, alg)
     mod_sq = np.sum(vals * vals, axis=1)
     grad_sq = np.sum(grads * grads, axis=(1, 2))
     inner_sq = np.sum(np.einsum("na,nia->ni", vals, grads) ** 2, axis=1)
@@ -482,8 +483,9 @@ def _sample_shell(rng, n, rho_lo, rho_hi, samples):
 def _kernel_abs(fracs, scale, y, tau):
     """|scale * f(|y|^2, tau)| for each f; f = the density body gives |K(y, tau)|."""
     pts = np.concatenate([np.sum(y * y, axis=1)[:, None], tau], axis=1)
-    vals = np.stack([f.eval_array(pts) for f in fracs]) * scale
-    return np.sqrt(np.sum(vals * vals, axis=-1))
+    vals = eval_fractions([c for f in fracs for c in f.comps], pts)
+    vals = vals.reshape(len(pts), len(fracs), -1) * scale
+    return np.sqrt(np.sum(vals * vals, axis=-1)).T
 
 
 def kernel_decay_check(n=1, samples=100_000, seed=0):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qszego
+from qszego import cli
 from qszego.cli import main
 
 
@@ -165,6 +166,28 @@ def test_negative_eps_is_usage_error(tmp_path, capsys):
     code, out, err = run_cli(base + ["--config", str(cfg)], capsys)
     assert code == 2 and out == ""
     assert "--eps" in err and "nonnegative" in err
+
+
+_EVAL_K = ["eval", "K", "--omega", "0,0,0,0", "--t", "1,0,0"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify", suite, "--seed", "-1"] for suite in ("algebra", "geometry", "kernel", "octonion", "all")]
+    + [["verify", "reproducing", "--tol", v] for v in ("inf", "-1", "0", "nan")]
+    + [["verify", "reproducing", "--budget", v] for v in ("inf", "-1", "nan")]
+    + [_EVAL_K + ["--eps", v] for v in ("inf", "nan")],
+)
+def test_bad_flag_value_is_usage_error(args, monkeypatch, capsys):
+    # argparse rejects the value before any suite or evaluation starts
+    def must_not_run(*a, **k):
+        raise AssertionError("started work on a bad flag value")
+
+    monkeypatch.setattr(cli, "run_suite", must_not_run)
+    monkeypatch.setattr(cli, "group_kernel", must_not_run)
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and f"argument {args[-2]}:" in err
 
 
 @pytest.mark.parametrize("points", ["-3", "0"])

@@ -1,4 +1,5 @@
-"""The shared-power float evaluator gives the per-term loop's values bit for bit."""
+"""The shared-power float evaluator gives the per-term loop's values bit for
+bit, and raises on a float fault at one point and on a grid alike."""
 
 import itertools
 from fractions import Fraction
@@ -6,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qszego.kernel import KernelOrder, newton_derivative, szego_density
-from qszego.polyfrac import _ROWS, HyperFrac, RadialFraction, RatPoly
+from qszego.kernel import KernelOrder, group_kernel_array, newton_derivative, szego_density
+from qszego.polyfrac import _ROWS, HyperFrac, RadialFraction, RatPoly, eval_fractions
 from qszego.verify import hardy_test_function_components
 
 
@@ -89,7 +90,7 @@ def test_bare_polynomial_bit_identical():
     poly = RatPoly(4, {(3, 0, 1, 0): Fraction(1, 3), (0, 2, 0, 5): -7, (1, 1, 1, 1): 2, (0, 0, 0, 0): Fraction(5, 2)})
     for shape in _shapes(4):
         x = _points(shape, seed=7)
-        got = poly.eval_array(x)
+        got = RadialFraction(poly).eval_array(x)
         assert got.shape == shape[:-1]
         assert _same_bits(got, _per_term(RadialFraction(poly), x))
 
@@ -98,3 +99,20 @@ def test_one_point_fault_still_raises():
     # |x|^(2k) underflows to 0 at |nu| = 1e-60; the one-point path raises
     with pytest.raises(FloatingPointError):
         szego_density(KernelOrder(1)).eval([1e-60, 0, 0, 0])
+
+
+def test_one_call_equals_one_call_per_fraction():
+    # the n = 1 density and its four partials: 20 fractions in one call
+    body = szego_density(KernelOrder(1)).body
+    parts = [body] + [body.deriv(i) for i in range(4)]
+    x = _points((2 * _ROWS + 7, 4), seed=5)
+    got = eval_fractions([c for f in parts for c in f.comps], x)
+    assert np.array_equal(got, np.concatenate([f.eval_array(x) for f in parts], axis=1))
+
+
+def test_grid_fault_raises():
+    # |x|^(2k) overflows at |nu| = 1e60 and underflows to 0 at 1e-60 and 1e-130
+    with pytest.raises(FloatingPointError):
+        szego_density(KernelOrder(1)).eval_array([[1e60, 0, 0, 0], [1e-60, 0, 0, 0]])
+    with pytest.raises(FloatingPointError):
+        group_kernel_array(1, [1e-130], [[0.0, 0.0, 0.0]])
