@@ -195,6 +195,8 @@ def cmd_export(args):
         return 0
     # "table", the last of the parser's choices
     if args.table == "K-decay":
+        if args.m != 4:
+            raise UsageError("the K-decay table is the quaternionic group kernel; it needs --m 4")
         d = homogeneous_dim(args.n)
         rhos = [10 ** (-1 + 3.0 * i / max(1, args.points - 1)) for i in range(args.points)]
         vals = group_kernel_array(
@@ -210,7 +212,7 @@ def cmd_export(args):
         pts[:, 0] = x0
         rows = [("x0",) + tuple(f"s{i}" for i in range(density.alg_dim))]
         rows += [(x,) + tuple(v) for x, v in zip(x0, density.eval_array(pts).tolist())]
-    out = args.output or f"{args.table}-n{args.n}.csv"
+    out = args.output or f"{args.table}-n{args.n}-m{args.m}.csv"
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     _emit(out, buf.getvalue())

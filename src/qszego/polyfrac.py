@@ -15,7 +15,12 @@ evaluator, ``eval_fractions``, is checked against.  It evaluates any number
 of fractions in one pass that shares each power x_i**e, |x|^2 and |x|^(2k)
 across them, in blocks of ``_ROWS`` points, with the term-by-term loop's
 values bit for bit; a float fault raises ``FloatingPointError``, on a grid
-as at one point.  ``eval_array`` of a fraction or a ``HyperFrac`` calls it.
+as at one point.  numpy's power is slow on negative bases, so a column that
+holds a negative value is raised to each power on its distinct values only
+(a tensor grid repeats them) and the results are gathered back to the rows;
+numpy's power of a value does not depend on the array holding it, so the
+bits are those of the whole-column power.  ``eval_array`` of a fraction or a
+``HyperFrac`` calls it.
 
 All values are immutable, all operations are pure.
 """
@@ -371,6 +376,23 @@ class RadialFraction:
 _ROWS = 4096
 
 
+def _column_powers(col, exps):
+    """(e, col**e) for each exponent e in ``exps``, equal to the array power bit for bit.
+
+    numpy's float power is a function of each element alone, and it is 15 to
+    30 times slower on a negative base than on a positive one.  So a column
+    that holds a negative value is raised on its distinct values, which a
+    tensor grid repeats many times, and the powers are gathered back to the
+    rows.  ``np.unique`` merges +0.0 and -0.0, so an odd power of a zero may
+    come back with the other sign; that only flips the sign of a zero term,
+    which cannot change a sum that starts at +0.0.
+    """
+    if not (col < 0).any():
+        return [(e, col**e) for e in exps]
+    distinct, rows = np.unique(col, return_inverse=True)
+    return [(e, (distinct**e)[rows]) for e in exps]
+
+
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def eval_fractions(fracs, x):
     """Float values of the fractions ``fracs`` at points x of shape (..., dim).
@@ -379,9 +401,12 @@ def eval_fractions(fracs, x):
     or is invalid raises ``FloatingPointError``.  The points are taken in
     blocks of ``_ROWS``; in each block every power x_i**e (e >= 2), |x|^2
     and |x|^(2k) is computed once and shared by all terms of all fractions.
-    Each term is still c * x_i**e * ... in key order, the terms are summed in
-    order and the sum is divided by |x|^(2k), so the values are those of
-    evaluating every term on its own, bit for bit.
+    When the block's column x_i holds a negative value, x_i**e is taken on
+    the column's distinct values and gathered back to the rows
+    (``_column_powers``).  Each term is still c * x_i**e * ... in key order,
+    the terms are summed in order from +0.0 and the sum is divided by
+    |x|^(2k), so the values are those of evaluating every term on its own,
+    bit for bit.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1, x.shape[-1])
@@ -394,12 +419,18 @@ def eval_fractions(fracs, x):
             terms.append((float(c), factors))
         plans.append((f.k, terms))
     radial = {f.k for f in fracs if f.k}
+    exps = {}
+    for i, e in powers:
+        if e > 1:
+            exps.setdefault(i, []).append(e)
     out = np.empty((len(flat), len(fracs)))
     for start in range(0, len(flat), _ROWS):
         block = flat[start : start + _ROWS]
         rows = slice(start, start + len(block))
         cols = np.ascontiguousarray(block.T)
-        pw = {(i, e): cols[i] ** e if e > 1 else cols[i] for i, e in powers}
+        pw = {(i, 1): cols[i] for i in range(len(cols))}
+        for i, es in exps.items():
+            pw.update(((i, e), p) for e, p in _column_powers(cols[i], es))
         r2 = np.sum(block * block, axis=-1) if radial else None
         r2k = {k: r2**k for k in radial}
         term = np.empty(len(block))

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import newton_derivative
-from .polyfrac import eval_fractions
+from .polyfrac import _ROWS, eval_fractions
 from .report import CheckReport
 
 
@@ -228,7 +228,11 @@ def _sphere_level(f, decay, nr, nc, nphi):
 
     ``f`` returns one value per point, or one row of values per point; the
     value is a float for one column and an array of one entry per column
-    otherwise.
+    otherwise.  ``f`` is called once per group of whole radial nodes, as many
+    as fit in one evaluator block of ``_ROWS`` points (at least one), and the
+    points are built per group.  Each node's angular sum is still taken on
+    its own contiguous (nc, nphi) array and added to the total node by node,
+    so the value does not depend on the grouping.
     """
     u, wu = _gauss01(nr)
     r, jac = decay.map(u)
@@ -239,16 +243,19 @@ def _sphere_level(f, decay, nr, nc, nphi):
     s = np.sqrt(1.0 - c**2)
     cphi, sphi = np.cos(phi), np.sin(phi)
 
+    group = max(1, _ROWS // (nc * nphi))
     total = 0.0
-    for i in range(nr):
-        ri = r[i]
-        x1 = np.broadcast_to((ri * c)[:, None], (nc, nphi))
-        x2 = ri * s[:, None] * cphi[None, :]
-        x3 = ri * s[:, None] * sphi[None, :]
+    for start in range(0, nr, group):
+        rg = r[start : start + group, None, None]
+        x1 = np.broadcast_to(rg * c[:, None], (len(rg), nc, nphi))
+        x2 = rg * s[:, None] * cphi[None, :]
+        x3 = rg * s[:, None] * sphi[None, :]
         pts = np.stack([x1, x2, x3], axis=-1).reshape(-1, 3)
-        vals = np.ascontiguousarray(_columns(f(pts)).T).reshape(-1, nc, nphi)
-        angular = np.array([np.sum(v * wc[:, None]) * wphi for v in vals])
-        total = total + wu[i] * jac[i] * ri * ri * angular
+        vals = np.ascontiguousarray(_columns(f(pts)).T).reshape(-1, len(rg), nc, nphi)
+        for j in range(len(rg)):
+            i = start + j
+            angular = np.array([np.sum(v[j] * wc[:, None]) * wphi for v in vals])
+            total = total + wu[i] * jac[i] * r[i] * r[i] * angular
     return _finite(float(total[0]) if len(total) == 1 else total, nr * nc * nphi)
 
 

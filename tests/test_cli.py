@@ -227,6 +227,25 @@ def test_export_decay_table(tmp_path, capsys):
     assert abs(float(first[2]) - float(last[2])) < 1e-9 * abs(float(first[2]))
 
 
+def test_export_decay_table_needs_m_4(tmp_path, monkeypatch, capsys):
+    # the group kernel is quaternionic: --m 2 would silently give the m = 4 table
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["export", "table", "--what", "K-decay", "--m", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "--m 4" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_export_table_default_name_has_m(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for args in (["--what", "s-ray", "--m", "2"], ["--what", "s-ray", "--m", "4"], ["--what", "K-decay"]):
+        code, out, err = run_cli(["export", "table", "--points", "3"] + args, capsys)
+        assert code == 0
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["K-decay-n1-m4.csv", "s-ray-n1-m2.csv", "s-ray-n1-m4.csv"]
+    assert (tmp_path / "s-ray-n1-m2.csv").read_text() != (tmp_path / "s-ray-n1-m4.csv").read_text()
+
+
 def test_export_bad_path(capsys):
     code, out, err = run_cli(["export", "kernel", "-o", "/nonexistent/dir/x.json"], capsys)
     assert code == 2

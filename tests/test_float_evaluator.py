@@ -50,6 +50,21 @@ def _points(shape, seed):
     return x
 
 
+def _grid(dim, seed):
+    """A tensor grid like the boundary rule's t grid: every axis repeats a few
+    values, and there are more than ``_ROWS`` rows.  x0 > 0, so no row is
+    singular; the other axes have both signs, and the last one holds +0.0 and
+    -0.0, which ``np.unique`` merges."""
+    rng = np.random.default_rng(seed)
+    side = next(n for n in itertools.count(2) if n**dim > _ROWS)
+    axes = [10.0 ** rng.uniform(-1, 1, side)]
+    for _ in range(1, dim):
+        mags = 10.0 ** rng.uniform(-1, 1, side)
+        axes.append(np.where(np.arange(side) % 2, -mags, mags))
+    axes[-1][:2] = (0.0, -0.0)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
 def _same_bits(a, b):
     """Equal shapes and equal float64 bit patterns (so 0.0 differs from -0.0)."""
     a, b = np.asarray(a), np.asarray(b)
@@ -57,8 +72,8 @@ def _same_bits(a, b):
 
 
 def _assert_bit_identical(hf, seed):
-    for shape in _shapes(hf.dim):
-        x = _points(shape, seed)
+    for x in [_points(shape, seed) for shape in _shapes(hf.dim)] + [_grid(hf.dim, seed)]:
+        shape = x.shape
         got = hf.eval_array(x)
         want = np.stack([_per_term(c, x) for c in hf.comps], axis=-1)
         assert got.shape == shape[:-1] + (hf.alg_dim,)
@@ -116,3 +131,42 @@ def test_grid_fault_raises():
         szego_density(KernelOrder(1)).eval_array([[1e60, 0, 0, 0], [1e-60, 0, 0, 0]])
     with pytest.raises(FloatingPointError):
         group_kernel_array(1, [1e-130], [[0.0, 0.0, 0.0]])
+
+
+def test_grid_zeros_of_both_signs_sum_to_positive_zero():
+    # x3 holds 0.0 and -0.0 next to negative values, so its powers come from
+    # its distinct values, where the two zeros are one; an odd power may give
+    # the other zero, but every sum starts at +0.0, so the values keep their bits
+    poly = RatPoly(4, {(0, 0, 0, 3): 1, (0, 0, 0, 5): 2, (1, 1, 0, 1): 1})
+    x = np.zeros((2 * _ROWS + 7, 4))
+    x[:, 0] = 1.0
+    x[:, 3] = np.resize([0.0, -0.0, -1.5, 2.0, -0.0], len(x))
+    got = RadialFraction(poly, 2).eval_array(x)
+    assert _same_bits(got, _per_term(RadialFraction(poly, 2), x))
+    assert _same_bits(got[x[:, 3] == 0], np.zeros(np.count_nonzero(x[:, 3] == 0)))
+
+
+def test_mixed_sign_power_overflow_raises():
+    # (-1e40)**9 overflows in a column of both signs with repeated values
+    frac = RadialFraction(RatPoly(4, {(0, 0, 0, 9): 1}))
+    x = [[1.0, 0.0, 0.0, v] for v in (2.0, -1e40, 2.0, -3.0)]
+    with pytest.raises(FloatingPointError):
+        frac.eval_array(x)
+
+
+@pytest.mark.parametrize("e", range(2, 10))
+def test_numpy_power_depends_on_the_element_alone(e):
+    # the premise of the distinct-value powers in eval_fractions: numpy's
+    # array power of a value does not depend on the array that holds it
+    rng = np.random.default_rng(e)
+    mags = 10.0 ** rng.uniform(-3, 3, 5000)
+    x = np.where(rng.random(5000) < 0.5, -mags, mags)
+    x = np.concatenate([x, x[:1000]])
+    want = x**e
+    perm = rng.permutation(len(x))
+    assert _same_bits(x[perm] ** e, want[perm])
+    assert _same_bits(x[1:] ** e, want[1:])
+    distinct, rows = np.unique(x, return_inverse=True)
+    assert len(distinct) < len(x)
+    assert _same_bits((distinct**e)[rows], want)
+    assert _same_bits(np.concatenate([x[i : i + 1] ** e for i in range(len(x))]), want)

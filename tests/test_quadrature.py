@@ -9,6 +9,7 @@ import pytest
 
 from qszego.hypercomplex import mul_arrays
 from qszego.kernel import KernelOrder, szego_density
+from qszego.polyfrac import _ROWS
 from qszego.quadrature import (
     BoundaryIntegrand,
     ExpDecay,
@@ -123,6 +124,48 @@ def test_sphere_level_columns_match_scalar_levels():
     one_g, _ = _sphere_level(g, PowerDecay(2.0), 16, 12, 12)
     assert isinstance(one_f, float) and used == 2304
     assert [v.hex() for v in both] == [one_f.hex(), one_g.hex()]
+
+
+def _sphere_level_per_node(f, decay, nr, nc, nphi):
+    """The spherical level with one integrand call per radial node: the
+    reference the grouped calls of ``_sphere_level`` must match bit for bit."""
+    u, wu = np.polynomial.legendre.leggauss(nr)
+    r, jac = decay.map((u + 1.0) / 2.0)
+    wu = wu / 2.0
+    c, wc = np.polynomial.legendre.leggauss(nc)
+    phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
+    wphi = 2.0 * math.pi / nphi
+    s = np.sqrt(1.0 - c**2)
+    total = 0.0
+    for i in range(nr):
+        x1 = np.broadcast_to((r[i] * c)[:, None], (nc, nphi))
+        x2 = r[i] * s[:, None] * np.cos(phi)[None, :]
+        x3 = r[i] * s[:, None] * np.sin(phi)[None, :]
+        vals = f(np.stack([x1, x2, x3], axis=-1).reshape(-1, 3))
+        vals = np.ascontiguousarray(vals.T).reshape(-1, nc, nphi)
+        angular = np.array([np.sum(v * wc[:, None]) * wphi for v in vals])
+        total = total + wu[i] * jac[i] * r[i] * r[i] * angular
+    return total
+
+
+@pytest.mark.parametrize("size", [(64, 24, 24), (16, 48, 48), (16, 12, 12)])
+def test_sphere_level_groups_whole_radial_nodes(size):
+    # one integrand call per group of whole radial nodes, at most _ROWS
+    # points (one node when a node alone has more), with the per-node values
+    nr, nc, nphi = size
+    calls = []
+
+    def f(p):
+        calls.append(len(p))
+        r2 = np.sum(p * p, axis=1)
+        return np.stack([p[:, 1] ** 3 * (1.0 + r2) ** -4.0, np.exp(-r2)], axis=1)
+
+    got, used = _sphere_level(f, PowerDecay(2.0), nr, nc, nphi)
+    group = max(1, _ROWS // (nc * nphi))
+    assert sum(calls) == used == nr * nc * nphi
+    assert calls == [nc * nphi * min(group, nr - i) for i in range(0, nr, group)]
+    want = _sphere_level_per_node(f, PowerDecay(2.0), nr, nc, nphi)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _nan_at_first_point(fn):
