@@ -4,9 +4,9 @@ Output is machine-first: values and check reports go to stdout as JSON (one
 line per check for suites), human summaries go to stderr.  Exit codes:
 0 success, 1 check or evaluation failure (a singular point, or a float
 evaluation that overflows or divides by zero), 2 usage or I/O error
-(including a ``--budget`` too small for two boundary refinement levels, and
-an ``--n`` for which the reproducing test function is outside the Hardy
-membership range).
+(including a ``--budget`` too small for two boundary refinement levels, an
+``--n`` for which the reproducing test function is outside the Hardy
+membership range, and an ``eval`` or ``export`` ``--n`` above ``MAX_N``).
 """
 
 from __future__ import annotations
@@ -75,7 +75,12 @@ def _checked(convert, ok, expected):
     return parse
 
 
+# The largest n that ``eval`` and ``export`` accept: the density has O(n^3)
+# terms, and its cold build takes about 1 s at n = 24 and 9 s at n = 40.
+MAX_N = 24
+
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_kernel_n = _checked(int, lambda v: 1 <= v <= MAX_N, f"a positive integer at most {MAX_N}")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 _nonnegative_float = _checked(float, lambda v: 0 <= v < math.inf, "a nonnegative finite number")
@@ -230,7 +235,7 @@ def build_parser():
 
     p_eval = sub.add_parser("eval", help="evaluate a kernel at a point")
     p_eval.add_argument("kind", choices=["s", "S", "E", "K"])
-    p_eval.add_argument("--n", type=_positive_int, default=1)
+    p_eval.add_argument("--n", type=_kernel_n, default=1)
     p_eval.add_argument("--m", type=int, choices=(2, 4), default=4)
     p_eval.add_argument("--nu", type=str, default="")
     p_eval.add_argument("--q", type=str, default="")
@@ -250,7 +255,7 @@ def build_parser():
     p_export = sub.add_parser("export", help="export kernels or tables")
     p_export.add_argument("what", choices=["kernel", "table"])
     p_export.add_argument("--what", dest="table", choices=["K-decay", "s-ray"], default="K-decay")
-    p_export.add_argument("--n", type=_positive_int, default=1)
+    p_export.add_argument("--n", type=_kernel_n, default=1)
     p_export.add_argument("--m", type=int, choices=(2, 4), default=4)
     p_export.add_argument("--points", type=_positive_int, default=50)
     p_export.set_defaults(run=cmd_export)

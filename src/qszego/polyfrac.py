@@ -11,22 +11,27 @@ homogeneity) do not depend on it.
 components; the Dirac operators and linear variable substitutions act on it.
 
 ``eval`` is exact and rejects floats: it is the oracle that the one float
-evaluator, ``eval_fractions``, is checked against.  It evaluates any number
-of fractions in one pass that shares each power x_i**e, |x|^2 and |x|^(2k)
-across them, in blocks of ``_ROWS`` points, with the term-by-term loop's
-values bit for bit; a float fault raises ``FloatingPointError``, on a grid
-as at one point.  numpy's power is slow on negative bases, so a column that
-holds a negative value is raised to each power on its distinct values only
-(a tensor grid repeats them) and the results are gathered back to the rows;
-numpy's power of a value does not depend on the array holding it, so the
-bits are those of the whole-column power.  ``eval_array`` of a fraction or a
-``HyperFrac`` calls it.
+evaluator, ``eval_fractions``, is checked against.  It takes one coordinate
+column per variable, and the columns broadcast to the shape of the point
+set: a tensor grid passes its axes, so each power x_i**e is taken once per
+axis value instead of once per point.  It evaluates any number of fractions
+in one pass that shares each power x_i**e, |x|^2 and |x|^(2k) across them,
+in blocks of at most ``_ROWS`` points, with the term-by-term loop's values
+bit for bit; a float fault raises ``FloatingPointError``, on a grid as at
+one point.  numpy's power of a value does not depend on the array holding
+it, so an axis column gives the bits of the whole-grid power; a numpy or
+Python scalar does not (its power is another routine, which rounds
+differently), so the evaluator turns every column into an array, and a
+caller must not raise a coordinate to a power as a scalar before passing
+it.  ``eval_array`` of a fraction or a ``HyperFrac`` passes its points
+array as columns.
 
 All values are immutable, all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -355,7 +360,7 @@ class RadialFraction:
         return self.num.eval(point)
 
     def eval_array(self, x):
-        return eval_fractions((self,), x)[..., 0]
+        return eval_fractions((self,), np.moveaxis(x, -1, 0))[..., 0]
 
     def to_json(self):
         terms = [
@@ -376,79 +381,64 @@ class RadialFraction:
 _ROWS = 4096
 
 
-def _column_powers(col, exps):
-    """(e, col**e) for each exponent e in ``exps``, equal to the array power bit for bit.
-
-    numpy's float power is a function of each element alone, and it is 15 to
-    30 times slower on a negative base than on a positive one.  So a column
-    that holds a negative value is raised on its distinct values, which a
-    tensor grid repeats many times, and the powers are gathered back to the
-    rows.  ``np.unique`` merges +0.0 and -0.0, so an odd power of a zero may
-    come back with the other sign; that only flips the sign of a zero term,
-    which cannot change a sum that starts at +0.0.
-    """
-    if not (col < 0).any():
-        return [(e, col**e) for e in exps]
-    distinct, rows = np.unique(col, return_inverse=True)
-    return [(e, (distinct**e)[rows]) for e in exps]
-
-
 @np.errstate(over="raise", divide="raise", invalid="raise")
-def eval_fractions(fracs, x):
-    """Float values of the fractions ``fracs`` at points x of shape (..., dim).
+def eval_fractions(fracs, cols):
+    """Float values of the fractions ``fracs`` at the points given by ``cols``.
 
-    Returns shape (..., len(fracs)); a value that overflows, divides by zero
-    or is invalid raises ``FloatingPointError``.  The points are taken in
-    blocks of ``_ROWS``; in each block every power x_i**e (e >= 2), |x|^2
-    and |x|^(2k) is computed once and shared by all terms of all fractions.
-    When the block's column x_i holds a negative value, x_i**e is taken on
-    the column's distinct values and gathered back to the rows
-    (``_column_powers``).  Each term is still c * x_i**e * ... in key order,
-    the terms are summed in order from +0.0 and the sum is divided by
-    |x|^(2k), so the values are those of evaluating every term on its own,
-    bit for bit.
+    ``cols`` holds one coordinate column per variable; the columns broadcast
+    to the shape S of the point set (a points array x of shape (..., dim)
+    passes ``np.moveaxis(x, -1, 0)``).  Returns shape S + (len(fracs),); a
+    value that overflows, divides by zero or is invalid raises
+    ``FloatingPointError``.  The points are taken in blocks of at most
+    ``_ROWS`` along S's leading axis.  In each block every power x_i**e
+    (e >= 2) is taken once, on the column's own contiguous slice, and
+    |x|^2 = ((x_0^2 + x_1^2) + x_2^2) + ... (the order of
+    ``np.sum(x * x, axis=-1)`` for dim < 8, which holds every fraction with
+    k > 0 evaluated in floats here) and |x|^(2k) once; all are shared by all
+    terms of all fractions.  Each term is c * x_i**e * ... in key order, each
+    partial product on its own broadcast shape, the terms are summed in
+    order from +0.0 and the sum is divided by |x|^(2k), so the values are
+    those of evaluating every term at every point, bit for bit.  A column
+    that is a scalar becomes a one-element array before any power is taken
+    (see the module docstring).
     """
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1, x.shape[-1])
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    true_shape = np.broadcast_shapes(*(c.shape for c in cols))
+    shape = true_shape or (1,)
+    cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
     plans, powers = [], set()
     for f in fracs:
         terms = []
         for key, c in f.num.terms.items():
             factors = [(i, e) for i, e in enumerate(key) if e]
-            powers.update(factors)
+            powers.update(ie for ie in factors if ie[1] > 1)
             terms.append((float(c), factors))
         plans.append((f.k, terms))
     radial = {f.k for f in fracs if f.k}
-    exps = {}
-    for i, e in powers:
-        if e > 1:
-            exps.setdefault(i, []).append(e)
-    out = np.empty((len(flat), len(fracs)))
-    for start in range(0, len(flat), _ROWS):
-        block = flat[start : start + _ROWS]
-        rows = slice(start, start + len(block))
-        cols = np.ascontiguousarray(block.T)
-        pw = {(i, 1): cols[i] for i in range(len(cols))}
-        for i, es in exps.items():
-            pw.update(((i, e), p) for e, p in _column_powers(cols[i], es))
-        r2 = np.sum(block * block, axis=-1) if radial else None
-        r2k = {k: r2**k for k in radial}
-        term = np.empty(len(block))
+    out = np.empty(shape + (len(fracs),))
+    step = max(1, _ROWS // max(1, math.prod(shape[1:])))
+    for start in range(0, shape[0], step):
+        block = [np.ascontiguousarray(c if len(c) == 1 else c[start : start + step]) for c in cols]
+        pw = {(i, 1): c for i, c in enumerate(block)}
+        pw.update(((i, e), block[i] ** e) for i, e in powers)
+        if radial:
+            r2 = block[0] * block[0]
+            for c in block[1:]:
+                r2 = r2 + c * c
+            r2k = {k: r2**k for k in radial}
+        rows = out[start : start + step]
         for j, (k, terms) in enumerate(plans):
-            acc = np.zeros(len(block))
+            acc = np.zeros(rows.shape[:-1])
             for c, factors in terms:
-                if not factors:
-                    acc += c
-                    continue
-                np.multiply(c, pw[factors[0]], out=term)
-                for ie in factors[1:]:
-                    term *= pw[ie]
+                term = c
+                for ie in factors:
+                    term = term * pw[ie]
                 acc += term
             if k:
-                np.divide(acc, r2k[k], out=out[rows, j])
+                np.divide(acc, r2k[k], out=rows[..., j])
             else:
-                out[rows, j] = acc
-    return out.reshape(x.shape[:-1] + (len(fracs),))
+                rows[..., j] = acc
+    return out.reshape(true_shape + (len(fracs),))
 
 
 class HyperFrac:
@@ -511,7 +501,7 @@ class HyperFrac:
         return Hypercomplex(tuple(c.eval(point) for c in self.comps))
 
     def eval_array(self, x):
-        return eval_fractions(self.comps, x)
+        return eval_fractions(self.comps, np.moveaxis(x, -1, 0))
 
     def deriv(self, i):
         """Componentwise d/dx_i."""
@@ -526,27 +516,14 @@ class HyperFrac:
         with e_0..; by default the variable dimension must equal the
         component count.
         """
-        alg = self.alg_dim
         if var_indices is None:
-            if self.dim != alg:
+            if self.dim != self.alg_dim:
                 raise ValueError(
-                    f"variable dimension {self.dim} != component count {alg};"
+                    f"variable dimension {self.dim} != component count {self.alg_dim};"
                     " pass var_indices explicitly"
                 )
-            var_indices = range(alg)
-        var_indices = tuple(var_indices)
-        if len(var_indices) != alg:
-            raise ValueError("need one variable per basis element")
-        table = mult_table(alg)
-        out = [RadialFraction.zero(self.dim) for _ in range(alg)]
-        for i, vi in enumerate(var_indices):
-            sign_i = -1 if (conjugated and i >= 1) else 1
-            for j, df in enumerate(self.deriv(vi).comps):
-                if df.is_zero():
-                    continue
-                k, s = table[i][j] if side == "left" else table[j][i]
-                out[k] = out[k] + df.scale(s * sign_i)
-        return HyperFrac(tuple(out))
+            var_indices = range(self.alg_dim)
+        return dirac_from_partials([self.deriv(vi) for vi in var_indices], side, conjugated)
 
     def substitute_linear(self, rows):
         """Component-wise x -> Ax substitution; polynomial inputs only."""
@@ -560,3 +537,20 @@ class HyperFrac:
     @classmethod
     def from_json(cls, data):
         return cls(tuple(RadialFraction.from_json(c) for c in data["components"]))
+
+
+def dirac_from_partials(partials, side="left", conjugated=False):
+    """The Dirac operator of :meth:`HyperFrac.dirac` from the partials it pairs with e_0, e_1, ..."""
+    alg = partials[0].alg_dim
+    if len(partials) != alg:
+        raise ValueError("need one variable per basis element")
+    table = mult_table(alg)
+    out = [RadialFraction.zero(partials[0].dim) for _ in range(alg)]
+    for i, partial in enumerate(partials):
+        sign_i = -1 if (conjugated and i >= 1) else 1
+        for j, df in enumerate(partial.comps):
+            if df.is_zero():
+                continue
+            k, s = table[i][j] if side == "left" else table[j][i]
+            out[k] = out[k] + df.scale(s * sign_i)
+    return HyperFrac(tuple(out))

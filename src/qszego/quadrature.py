@@ -210,12 +210,6 @@ def _gauss01(n):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _columns(vals):
-    """Integrand output as a (points, components) float array."""
-    vals = np.asarray(vals, dtype=float)
-    return vals[:, None] if vals.ndim == 1 else vals
-
-
 def _finite(value, evals):
     """A level's (value, evals); a non-finite value raises FloatingPointError."""
     if not np.all(np.isfinite(value)):
@@ -251,7 +245,7 @@ def _sphere_level(f, decay, nr, nc, nphi):
         x2 = rg * s[:, None] * cphi[None, :]
         x3 = rg * s[:, None] * sphi[None, :]
         pts = np.stack([x1, x2, x3], axis=-1).reshape(-1, 3)
-        vals = np.ascontiguousarray(_columns(f(pts)).T).reshape(-1, len(rg), nc, nphi)
+        vals = np.ascontiguousarray(np.reshape(f(pts), (len(pts), -1)).T).reshape(-1, len(rg), nc, nphi)
         for j in range(len(rg)):
             i = start + j
             angular = np.array([np.sum(v[j] * wc[:, None]) * wphi for v in vals])
@@ -335,9 +329,10 @@ def parseval_identity_check(p_orders, q_orders, x0):
     # one evaluation of both factors shares |x|^2 and the powers of x_i
     factors = (newton_derivative(p_orders), newton_derivative(q_orders))
 
+    x0_col = np.full(1, float(x0))  # an array, so its powers round as the points' do
+
     def product(pts3):
-        pts4 = np.concatenate([np.full((len(pts3), 1), float(x0)), pts3], axis=1)
-        vals = eval_fractions(factors, pts4)
+        vals = eval_fractions(factors, (x0_col, *pts3.T))
         return vals[:, 0] * vals[:, 1]
 
     def signed_and_absolute(pts3):
@@ -379,8 +374,12 @@ class BoundaryIntegrand:
     """A rotation-invariant integrand over the Siegel boundary.
 
     The boundary is parameterized by (w', t) in R^(4n) x R^3.  ``fn(r, t)``
-    receives the horizontal radius r = |w'| and returns one value per point,
-    or one row of components per point for a hypercomplex integrand.
+    receives the horizontal radius r = |w'| as a (1, 1, 1) array and t as the
+    vertical grid's axis columns, of shapes (n_t, 1, 1), (1, n_t, 1) and
+    (1, 1, n_t), so a power of a coordinate is taken once per axis value; it
+    returns shape (n_t, n_t, n_t), or (n_t, n_t, n_t, c) for a hypercomplex
+    integrand.  r is an array because numpy rounds a scalar's power
+    differently from an array's, and a value must not depend on the grid's form.
     ``decay_power`` declares |F| <= C (1 + |w'|^2 + |t|)^(-decay_power); the
     engine refuses integrands whose declared decay cannot be absolutely
     integrable.  Every axis uses the rational compactification of
@@ -413,32 +412,32 @@ def _axis_rule(n, half_line=False):
 
 
 def _t_grid(n_t):
-    """The vertical tensor grid on R^3: points (n_t^3, 3) and weights."""
+    """The vertical tensor grid on R^3: axis nodes (n_t,) and point weights (n_t^3,) in C order."""
     t1, wt1 = _axis_rule(n_t)
-    tt = np.stack(np.meshgrid(t1, t1, t1, indexing="ij"), axis=-1).reshape(-1, 3)
     wt = wt1[:, None, None] * wt1[None, :, None] * wt1[None, None, :]
-    return tt, wt.reshape(-1)
+    return t1, wt.reshape(-1)
 
 
 def _boundary_level_radial(integrand, n_r, n_t):
-    """One tensor level with the horizontal factor reduced to the radius."""
+    """One tensor level with the horizontal factor reduced to the radius, ``fn`` on axis columns."""
     n = integrand.n
     r, wr = _axis_rule(n_r, half_line=True)
-    tt, wt = _t_grid(n_t)
+    t1, wt = _t_grid(n_t)
+    axes = (t1[:, None, None], t1[None, :, None], t1[None, None, :])
 
     area = sphere_surface(4 * n)
     out = 0.0
     for i in range(n_r):
         if integrand.t_scale_with_r:
             grow = 1.0 + r[i] ** 2
-            tti = tt * grow
+            ti = tuple(a * grow for a in axes)
             wti = wt * grow**3
         else:
-            tti, wti = tt, wt
-        vals = _columns(integrand.fn(np.full(len(tt), r[i]), tti))
+            ti, wti = axes, wt
+        vals = np.reshape(integrand.fn(r[i : i + 1].reshape(1, 1, 1), ti), (len(wt), -1))
         weight = area * wr[i] * r[i] ** (4 * n - 1)
         out = out + weight * (wti @ vals)
-    return _finite(out, n_r * len(tt))
+    return _finite(out, n_r * len(wt))
 
 
 def _boundary_level_full(integrand, n_w, n_t):
@@ -450,7 +449,8 @@ def _boundary_level_full(integrand, n_w, n_t):
     chunk = 4096
     dim = 4 * integrand.n
     w1, ww1 = _axis_rule(n_w)
-    tt, wt = _t_grid(n_t)
+    t1, wt = _t_grid(n_t)
+    tt = np.stack(np.meshgrid(t1, t1, t1, indexing="ij"), axis=-1).reshape(-1, 3)
 
     w_grid = np.stack(np.meshgrid(*[w1] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
     w_weights = np.stack(np.meshgrid(*[ww1] * dim, indexing="ij"), axis=-1).reshape(-1, dim).prod(axis=1)
@@ -462,8 +462,7 @@ def _boundary_level_full(integrand, n_w, n_t):
         wwg = w_weights[s : s + chunk]
         big_w = np.repeat(wg, len(tt), axis=0)
         big_t = np.tile(tt, (len(wg), 1))
-        vals = _columns(integrand.fn(big_w, big_t))
-        vals = vals.reshape(len(wg), len(tt), vals.shape[-1])
+        vals = np.reshape(integrand.fn(big_w, big_t), (len(wg), len(tt), -1))
         out = out + np.einsum("i,j,ijk->k", wwg, wt, vals)
         evals += len(wg) * len(tt)
     return _finite(out, evals)

@@ -33,9 +33,10 @@ class CheckReport:
     tolerance: float = 0.0
     passed: bool = False
     n_evals: int = 0
+    error: str | None = None  # a suite that raised: the exception's type and message
 
     @classmethod
-    def from_flag(cls, name, inputs, passed, lhs=None, rhs=None, n_evals=0):
+    def from_flag(cls, name, inputs, passed, lhs=None, rhs=None, n_evals=0, error=None):
         return cls(
             name=name,
             inputs=inputs,
@@ -46,10 +47,11 @@ class CheckReport:
             tolerance=0.0,
             passed=bool(passed),
             n_evals=n_evals,
+            error=error,
         )
 
     def to_json(self):
-        return {
+        out = {
             "name": self.name,
             "inputs": _jsonable(self.inputs),
             "lhs": _jsonable(self.lhs),
@@ -60,6 +62,9 @@ class CheckReport:
             "passed": bool(self.passed),
             "n_evals": int(self.n_evals),
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
     def to_json_line(self):
         return json.dumps(self.to_json(), sort_keys=True)

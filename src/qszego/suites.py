@@ -47,6 +47,7 @@ from .kernel import (
 )
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
 from .quadrature import (
+    BudgetTooSmallError,
     ExpDecay,
     SqrtPiRational,
     exponential_moment_closed_form,
@@ -609,21 +610,33 @@ def reproducing_suite(n=1, tol=1e-3, budget=2.0e7):
 
 
 def run_suite(name, n=1, tol=1e-3, budget=2.0e7, seed=0):
-    """Run one named suite (or all of them); reports sorted by check name."""
+    """Run one named suite (or all of them); reports sorted by check name.
+
+    A suite that raises adds one failing ``suite-error`` report, whose
+    ``error`` field holds the exception's type and message, and the other
+    suites still run.  Usage errors still raise: a budget too small for two
+    boundary refinement levels, and an ``n`` outside the Hardy range.
+    """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    suites = {
+        "algebra": lambda: algebra_suite(seed=seed),
+        "kernel": lambda: kernel_suite(seed=seed),
+        "geometry": lambda: geometry_suite(seed=seed),
+        "props": lambda: props_suite(seed=seed),
+        "octonion": lambda: octonion_suite(seed=seed),
+        "reproducing": lambda: reproducing_suite(n=n, tol=tol, budget=budget),
+    }
     reports = []
-    if name in ("all", "algebra"):
-        reports += algebra_suite(seed=seed)
-    if name in ("all", "kernel"):
-        reports += kernel_suite(seed=seed)
-    if name in ("all", "geometry"):
-        reports += geometry_suite(seed=seed)
-    if name in ("all", "props"):
-        reports += props_suite(seed=seed)
-    if name in ("all", "octonion"):
-        reports += octonion_suite(seed=seed)
-    if name in ("all", "reproducing"):
-        reports += reproducing_suite(n=n, tol=tol, budget=budget)
+    for suite, run in suites.items():
+        if name not in ("all", suite):
+            continue
+        try:
+            reports += run()
+        except (BudgetTooSmallError, verify.OutsideHardyRangeError):
+            raise
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            reports.append(CheckReport.from_flag("suite-error", {"suite": suite}, False, error=error))
     reports.sort(key=lambda r: (r.name, str(r.inputs)))
     return reports

@@ -28,7 +28,7 @@ from .geometry import (
 )
 from .hypercomplex import Hypercomplex, left_mult_matrix, mul_arrays
 from .kernel import KernelOrder, newton_derivative, szego_density
-from .polyfrac import HyperFrac, RadialFraction, RatPoly, eval_fractions
+from .polyfrac import HyperFrac, RadialFraction, RatPoly, dirac_from_partials, eval_fractions
 from .quadrature import (
     BoundaryIntegrand,
     QuadratureConvergenceError,
@@ -192,14 +192,14 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
         raise ValueError("test function vanishes at (0,1): no relative deviation to test")
     direct_f = np.array([float(c) for c in direct.comps])
     density = szego_density(KernelOrder(n))
-    comps = hardy_test_function_components(spec.t)
+    comps = hardy_test_function_components(spec.t).comps
 
     def fn(r, t):
+        # r and the t axes are arrays that broadcast to the grid, so each
+        # power is taken once per axis value (see BoundaryIntegrand)
         base = 1.0 + r * r
-        nu_s = np.stack([base, -t[:, 0], -t[:, 1], -t[:, 2]], axis=-1)
-        nu_f = np.stack([base, t[:, 0], t[:, 1], t[:, 2]], axis=-1)
-        s_vals = density.eval_array(nu_s)
-        f_vals = comps.eval_array(nu_f)
+        s_vals = eval_fractions(density.body.comps, (base, -t[0], -t[1], -t[2])) * density.prefactor()
+        f_vals = eval_fractions(comps, (base, *t))
         return mul_arrays(s_vals, f_vals, 4)
 
     decay = (2 * n + 3) + (spec.order + 3)
@@ -435,14 +435,15 @@ def subharmonicity_check(f, p, n_points=1000, seed=0):
         raise ValueError("exponent below the subharmonicity threshold")
     if not f.is_polynomial():
         raise ValueError("polynomial input required")
-    if not f.dirac("left").is_zero():
+    d = f.dim
+    partials = [f.deriv(i) for i in range(d)]
+    if d != f.alg_dim or not dirac_from_partials(partials).is_zero():
         raise ValueError("input is not left analytic")
     rng = np.random.default_rng(seed)
-    d = f.dim
     centers = rng.uniform(-box, box, size=(n_points, d))
 
-    fracs = f.comps + tuple(c for i in range(d) for c in f.deriv(i).comps)
-    out = eval_fractions(fracs, centers).reshape(n_points, d + 1, f.alg_dim)
+    fracs = f.comps + tuple(c for g in partials for c in g.comps)
+    out = eval_fractions(fracs, centers.T).reshape(n_points, d + 1, f.alg_dim)
     vals, grads = out[:, 0], out[:, 1:]  # (N, alg) and (N, d, alg)
     mod_sq = np.sum(vals * vals, axis=1)
     grad_sq = np.sum(grads * grads, axis=(1, 2))
@@ -482,9 +483,8 @@ def _sample_shell(rng, n, rho_lo, rho_hi, samples):
 
 def _kernel_abs(fracs, scale, y, tau):
     """|scale * f(|y|^2, tau)| for each f; f = the density body gives |K(y, tau)|."""
-    pts = np.concatenate([np.sum(y * y, axis=1)[:, None], tau], axis=1)
-    vals = eval_fractions([c for f in fracs for c in f.comps], pts)
-    vals = vals.reshape(len(pts), len(fracs), -1) * scale
+    vals = eval_fractions([c for f in fracs for c in f.comps], (np.sum(y * y, axis=1), *tau.T))
+    vals = vals.reshape(len(y), len(fracs), -1) * scale
     return np.sqrt(np.sum(vals * vals, axis=-1)).T
 
 

@@ -148,6 +148,58 @@ def test_eval_nonpositive_n_is_usage_error(capsys):
     assert "positive integer" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "s", "--nu", "1,0,0,0"],
+        ["eval", "S"],
+        ["eval", "K"],
+        ["export", "kernel"],
+        ["export", "table", "--what", "s-ray"],
+    ],
+)
+def test_n_above_cap_is_usage_error(args, tmp_path, monkeypatch, capsys):
+    # eval and export take --n up to 24, and reject 25 before any density build
+    def must_not_run(*a, **k):
+        raise AssertionError("started work on an --n above the cap")
+
+    for name in ("szego_density", "szego_eval", "group_kernel", "group_kernel_array"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    monkeypatch.chdir(tmp_path)
+    assert cli.MAX_N == 24
+    code, out, err = run_cli(args + ["--n", "25"], capsys)
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "argument --n:" in err and "at most 24" in err
+    assert list(tmp_path.iterdir()) == []
+    parser, _ = cli.build_parser()
+    assert parser.parse_args(args + ["--n", "24"]).n == 24
+
+
+def test_raising_suite_is_a_failing_report(monkeypatch, capsys):
+    # a suite that raises is one failing suite-error report; the others still run
+    from qszego import suites
+    from qszego.report import CheckReport
+
+    def raising(seed=0):
+        raise RuntimeError("boom")
+
+    for name in ("algebra", "kernel", "geometry", "props", "octonion", "reproducing"):
+        stub = lambda name=name, **k: [CheckReport.from_flag(f"{name}-stub", {}, True)]
+        monkeypatch.setattr(suites, f"{name}_suite", stub)
+    monkeypatch.setattr(suites, "props_suite", raising)
+    code, out, err = run_cli(["verify", "all"], capsys)
+    assert code == 1
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    assert [l["name"] for l in lines] == [
+        "algebra-stub", "geometry-stub", "kernel-stub", "octonion-stub", "reproducing-stub", "suite-error"
+    ]
+    error = lines[-1]
+    assert error["inputs"] == {"suite": "props"} and error["error"] == "RuntimeError: boom"
+    assert error["passed"] is False
+    assert all("error" not in l for l in lines[:-1])
+    assert "5/6 checks passed" in err
+
+
 def test_config_bad_value_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "conf"
     cfg.write_text("n=abc\nnu=1,0,0,0\n")

@@ -50,11 +50,10 @@ def _points(shape, seed):
     return x
 
 
-def _grid(dim, seed):
-    """A tensor grid like the boundary rule's t grid: every axis repeats a few
-    values, and there are more than ``_ROWS`` rows.  x0 > 0, so no row is
-    singular; the other axes have both signs, and the last one holds +0.0 and
-    -0.0, which ``np.unique`` merges."""
+def _axes(dim, seed):
+    """The axes of a tensor grid like the boundary rule's t grid, with more
+    than ``_ROWS`` points.  x0 > 0, so no point is singular; the other axes
+    have both signs, and the last one holds +0.0 and -0.0."""
     rng = np.random.default_rng(seed)
     side = next(n for n in itertools.count(2) if n**dim > _ROWS)
     axes = [10.0 ** rng.uniform(-1, 1, side)]
@@ -62,7 +61,17 @@ def _grid(dim, seed):
         mags = 10.0 ** rng.uniform(-1, 1, side)
         axes.append(np.where(np.arange(side) % 2, -mags, mags))
     axes[-1][:2] = (0.0, -0.0)
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    return axes
+
+
+def _grid(dim, seed):
+    """The points of the ``_axes`` grid as a (side^dim, dim) array."""
+    return np.stack(np.meshgrid(*_axes(dim, seed), indexing="ij"), axis=-1).reshape(-1, dim)
+
+
+def _axis_columns(axes):
+    """Axis i as a column of shape (1, ..., len(axes[i]), ..., 1)."""
+    return [a.reshape([-1 if j == i else 1 for j in range(len(axes))]) for i, a in enumerate(axes)]
 
 
 def _same_bits(a, b):
@@ -121,7 +130,7 @@ def test_one_call_equals_one_call_per_fraction():
     body = szego_density(KernelOrder(1)).body
     parts = [body] + [body.deriv(i) for i in range(4)]
     x = _points((2 * _ROWS + 7, 4), seed=5)
-    got = eval_fractions([c for f in parts for c in f.comps], x)
+    got = eval_fractions([c for f in parts for c in f.comps], np.moveaxis(x, -1, 0))
     assert np.array_equal(got, np.concatenate([f.eval_array(x) for f in parts], axis=1))
 
 
@@ -134,9 +143,9 @@ def test_grid_fault_raises():
 
 
 def test_grid_zeros_of_both_signs_sum_to_positive_zero():
-    # x3 holds 0.0 and -0.0 next to negative values, so its powers come from
-    # its distinct values, where the two zeros are one; an odd power may give
-    # the other zero, but every sum starts at +0.0, so the values keep their bits
+    # x3 holds 0.0 and -0.0 next to negative values; an odd power of -0.0 is
+    # -0.0, and a term may be -0.0, but every sum starts at +0.0, so a value
+    # that is zero is +0.0
     poly = RatPoly(4, {(0, 0, 0, 3): 1, (0, 0, 0, 5): 2, (1, 1, 0, 1): 1})
     x = np.zeros((2 * _ROWS + 7, 4))
     x[:, 0] = 1.0
@@ -156,8 +165,10 @@ def test_mixed_sign_power_overflow_raises():
 
 @pytest.mark.parametrize("e", range(2, 10))
 def test_numpy_power_depends_on_the_element_alone(e):
-    # the premise of the distinct-value powers in eval_fractions: numpy's
-    # array power of a value does not depend on the array that holds it
+    # the premise of the column contract of eval_fractions: numpy's array
+    # power of a value does not depend on the array that holds it, so an
+    # axis column, or a one-element or (1, 1, 1) column, gives the bits of
+    # the power taken on every point
     rng = np.random.default_rng(e)
     mags = 10.0 ** rng.uniform(-3, 3, 5000)
     x = np.where(rng.random(5000) < 0.5, -mags, mags)
@@ -170,3 +181,73 @@ def test_numpy_power_depends_on_the_element_alone(e):
     assert len(distinct) < len(x)
     assert _same_bits((distinct**e)[rows], want)
     assert _same_bits(np.concatenate([x[i : i + 1] ** e for i in range(len(x))]), want)
+    assert _same_bits(np.concatenate([x[i : i + 1].reshape(1, 1, 1) ** e for i in range(len(x))]).ravel(), want)
+    for shape in [(-1, 1, 1), (1, -1, 1), (1, 1, -1), (1, -1)]:
+        assert _same_bits((x.reshape(shape) ** e).ravel(), want)
+    grid = np.broadcast_to(x[:40, None, None], (40, 40, 40))
+    assert _same_bits(np.ascontiguousarray(grid) ** e, np.broadcast_to(want[:40, None, None], grid.shape))
+
+
+def _fractions(dim):
+    """Fractions of dimension ``dim`` with powers up to 9, some k > 0, and a
+    constant term."""
+    rng = np.random.default_rng(dim)
+    fracs = []
+    for k in (0, 1, 3):
+        terms = {(0,) * dim: Fraction(5, 2)} if k == 1 else {}
+        for _ in range(6):
+            key = tuple(int(e) for e in rng.integers(0, 4, dim) * (rng.random(dim) < 0.6))
+            terms[key] = Fraction(int(rng.integers(-9, 10)) or 1, int(rng.integers(1, 7)))
+        terms[tuple(9 * (i == dim - 1) for i in range(dim))] = -1
+        terms[tuple(7 * (i == 0) for i in range(dim))] = 3
+        fracs.append(RadialFraction(RatPoly(dim, terms), k))
+    return fracs
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_axis_columns_equal_the_points_array(dim):
+    # the grid passed as its axes gives the values of the grid passed as an
+    # (N, dim) array, bit for bit; the axes cover several leading-axis blocks
+    # and the last one holds +0.0 and -0.0 next to negative values
+    fracs = _fractions(dim)
+    axes = _axes(dim, seed=dim)
+    got = eval_fractions(fracs, _axis_columns(axes))
+    assert got.shape == tuple(len(a) for a in axes) + (len(fracs),)
+    assert len(axes[0]) > 1 and np.prod(got.shape[1:-1]) < _ROWS < np.prod(got.shape[:-1])
+    pts = _grid(dim, seed=dim)
+    want = eval_fractions(fracs, np.moveaxis(pts, -1, 0))
+    assert _same_bits(got.reshape(want.shape), want)
+    if dim < 8:  # np.sum adds eight or more squares pairwise, not in order
+        assert _same_bits(want, np.stack([_per_term(f, pts) for f in fracs], axis=-1))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_one_element_columns_equal_full_columns(dim):
+    # x0 as a one-element, a (1, 1, 1) and a scalar column, beside full
+    # columns of several leading-axis blocks, gives the values of a full x0
+    # column; the scalar becomes an array, since a numpy scalar power can
+    # differ from the array power in the last bit (1.1**7 does on x86-64
+    # with numpy 2.4)
+    fracs = _fractions(dim)
+    pts = _points((2 * _ROWS + 7, dim), seed=dim)
+    pts[:, 0] = 1.1
+    want = eval_fractions(fracs, np.moveaxis(pts, -1, 0))
+    rest = list(np.moveaxis(pts[:, 1:], -1, 0))
+    for x0 in (np.full(1, 1.1), np.full((1, 1, 1), 1.1), np.float64(1.1), 1.1):
+        got = eval_fractions(fracs, [x0] + rest)
+        assert _same_bits(got.reshape(want.shape), want)
+    cube = [c.reshape(-1, 1, 1) for c in rest]
+    got = eval_fractions(fracs, [np.full((1, 1, 1), 1.1)] + cube)
+    assert got.shape == (len(pts), 1, 1, len(fracs)) and _same_bits(got.reshape(want.shape), want)
+
+
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_radius_sum_order_is_np_sum_order(dim):
+    # |x|^2 is summed as ((x0^2 + x1^2) + x2^2) + ..., which is the order of
+    # np.sum(x * x, axis=-1) for fewer than eight coordinates
+    one_over_r2 = RadialFraction(RatPoly.const(dim, 1), 1)
+    rng = np.random.default_rng(dim)
+    for rows in list(range(1, 9)) + [_ROWS, 64_000]:
+        mags = 10.0 ** rng.uniform(-8, 8, (rows, dim))
+        x = np.where(rng.random((rows, dim)) < 0.5, -mags, mags)
+        assert _same_bits(one_over_r2.eval_array(x), 1.0 / np.sum(x * x, axis=-1))

@@ -9,22 +9,25 @@ import pytest
 
 from qszego.hypercomplex import mul_arrays
 from qszego.kernel import KernelOrder, szego_density
-from qszego.polyfrac import _ROWS
+from qszego.polyfrac import _ROWS, eval_fractions
 from qszego.quadrature import (
     BoundaryIntegrand,
     ExpDecay,
     PowerDecay,
     QuadratureConvergenceError,
     SqrtPiRational,
+    _axis_rule,
     _boundary_level_full,
     _boundary_level_radial,
     _sphere_level,
+    _t_grid,
     exponential_moment_closed_form,
     fourier_newton,
     gamma_half,
     integrate_boundary,
     integrate_r3,
     parseval_identity_check,
+    sphere_surface,
 )
 from qszego.verify import hardy_test_function_components
 
@@ -189,7 +192,7 @@ def test_nonfinite_integrand_value_raises():
     with pytest.raises(FloatingPointError):
         integrate_r3(f, ExpDecay(1.0), tol=1e-9)
 
-    fn = _nan_at_first_point(lambda r, t: (1 + r * r) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1))
+    fn = _nan_at_first_point(lambda r, t: (1 + r * r) ** -6.0 * math.prod(1.0 / (1 + a * a) ** 2 for a in t))
     with pytest.raises(FloatingPointError):
         integrate_boundary(BoundaryIntegrand(n=1, fn=fn, decay_power=6), tol=1e-9, budget=1e6)
 
@@ -282,7 +285,7 @@ def test_boundary_radial_matches_full_tensor():
     exact = (PI**2 / 20) * (PI / 2) ** 3
 
     def fr(r, t):
-        return (1 + r * r) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
+        return (1 + r * r) ** -6.0 * math.prod(1.0 / (1 + a * a) ** 2 for a in t)
 
     def ff(w, t):
         return (1 + np.sum(w * w, axis=-1)) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
@@ -297,7 +300,7 @@ def test_boundary_radial_matches_full_tensor():
 
 def test_boundary_budget_determinism():
     def fn(r, t):
-        return (1 + r * r) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
+        return (1 + r * r) ** -6.0 * math.prod(1.0 / (1 + a * a) ** 2 for a in t)
 
     bi = BoundaryIntegrand(n=1, fn=fn, decay_power=6)
     a = integrate_boundary(bi, tol=1e-9, budget=1e6)
@@ -320,7 +323,7 @@ def test_coordinate_maps_pinned_bit_for_bit():
     assert (value.hex(), used) == ("0x1.3bd3cc9be4e6fp+3", 2304)
 
     def power(r, t):
-        return (1 + r * r) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
+        return (1 + r * r) ** -6.0 * math.prod(1.0 / (1 + a * a) ** 2 for a in t)
 
     value, used = _boundary_level_radial(BoundaryIntegrand(n=1, fn=power, decay_power=6), 12, 8)
     assert (float(value[0]).hex(), used) == ("0x1.e9a1a9b120c6dp+0", 6144)
@@ -332,8 +335,8 @@ def test_coordinate_maps_pinned_bit_for_bit():
 
     def reproducing(r, t):
         base = 1.0 + r * r
-        s = density.eval_array(np.stack([base, -t[:, 0], -t[:, 1], -t[:, 2]], axis=-1))
-        f = comps.eval_array(np.stack([base, t[:, 0], t[:, 1], t[:, 2]], axis=-1))
+        s = eval_fractions(density.body.comps, (base, -t[0], -t[1], -t[2])) * density.prefactor()
+        f = eval_fractions(comps.comps, (base, *t))
         return mul_arrays(s, f, 4)
 
     bi = BoundaryIntegrand(n=1, fn=reproducing, decay_power=11, t_scale_with_r=True)
@@ -348,3 +351,43 @@ def test_coordinate_maps_pinned_bit_for_bit():
 
     (value,), used = _boundary_level_full(BoundaryIntegrand(n=1, fn=full, decay_power=6), 6, 6)
     assert (value.hex(), used) == ("0x1.d94f0e6641a78p+0", 279936)
+
+
+def test_reproducing_integrand_columns_equal_points():
+    # the reproducing integrand of verify.reproducing_check at n = 1,
+    # t = (3, 0, 0, 1), growing t-window: the boundary rule with its column
+    # contract gives, bit for bit, each radial node's values and the level of
+    # a reference that builds every point of the node; n_t is odd, so every
+    # t axis holds a 0 and -t holds -0.0
+    density = szego_density(KernelOrder(1))
+    comps = hardy_test_function_components((3, 0, 0, 1))
+
+    def columns(r, t):
+        base = 1.0 + r * r
+        s = eval_fractions(density.body.comps, (base, -t[0], -t[1], -t[2])) * density.prefactor()
+        return mul_arrays(s, eval_fractions(comps.comps, (base, *t)), 4)
+
+    def points(r, t):
+        base = 1.0 + r * r
+        s = density.eval_array(np.stack([base, -t[:, 0], -t[:, 1], -t[:, 2]], axis=-1))
+        f = comps.eval_array(np.stack([base, t[:, 0], t[:, 1], t[:, 2]], axis=-1))
+        return mul_arrays(s, f, 4)
+
+    n_r, n_t = 12, 9
+    bi = BoundaryIntegrand(n=1, fn=columns, decay_power=12, t_scale_with_r=True)
+    got, used = _boundary_level_radial(bi, n_r, n_t)
+    assert used == n_r * n_t**3
+
+    r, wr = _axis_rule(n_r, half_line=True)
+    t1, wt = _t_grid(n_t)
+    tt = np.stack(np.meshgrid(t1, t1, t1, indexing="ij"), axis=-1).reshape(-1, 3)
+    axes = (t1[:, None, None], t1[None, :, None], t1[None, None, :])
+    want = 0.0
+    for i in range(n_r):
+        grow = 1.0 + r[i] ** 2
+        vals = points(np.full(len(tt), r[i]), tt * grow)
+        node = columns(r[i : i + 1].reshape(1, 1, 1), tuple(a * grow for a in axes))
+        assert node.shape == (n_t, n_t, n_t, 4)
+        assert np.array_equal(node.reshape(-1, 4).view(np.uint64), vals.view(np.uint64))
+        want = want + sphere_surface(4) * wr[i] * r[i] ** 3 * ((wt * grow**3) @ vals)
+    assert [v.hex() for v in got] == [v.hex() for v in want]

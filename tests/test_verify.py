@@ -239,6 +239,17 @@ def test_subharmonicity_rejects_bad_inputs():
         subharmonicity_check(not_analytic, 1.0)
 
 
+def test_subharmonicity_takes_each_partial_once(monkeypatch):
+    # the Df = 0 test and R share the 8 first partials: 8 x 8 component derivatives
+    z = RatPoly.zero(8)
+    f = HyperFrac.from_polys((z, -x(2), x(1), RatPoly.const(8, -2) * x(0), z, z, z, z))
+    calls = []
+    deriv = RadialFraction.deriv
+    monkeypatch.setattr(RadialFraction, "deriv", lambda self, i: calls.append(i) or deriv(self, i))
+    assert subharmonicity_check(f, 1.0, n_points=50, seed=1).passed
+    assert len(calls) == 64
+
+
 def test_subharmonicity_ratio_closed_form():
     # f = x1 - x0 e1 gives |f|^2 = x0^2 + x1^2 and sum_i |d_i f|^2 = 2, so R = p/2
     z = RatPoly.zero(8)
