@@ -46,7 +46,7 @@ for a, powers in ((1.0, (0, 0, 0, 0)), (2.0, (0, 0, 0, 0)), (1.0, (1, 2, 0, 2)))
 
     res = integrate_r3(f, ExpDecay(a), tol=1e-9, abs_tol=1e-12)
     print(f"  a={a}, powers={powers}: closed {exact.to_float():.10f}"
-          f"  numeric {res.value:.10f}  ({res.n_evals} evaluations)")
+          f"  numeric {res.value:.10f}  ({res.n_evals} evaluations, converged {res.converged})")
 
 print("\nodd powers vanish by symmetry, exactly in the closed form:")
 print(f"  powers (0,1,0,0): {exponential_moment_closed_form(1, 0, 1, 0, 0)}")

@@ -1,4 +1,10 @@
-"""Pass/fail reporting shared by the verification checks and the CLI."""
+"""Pass/fail reporting shared by the verification checks and the CLI.
+
+Every check ends as one :class:`CheckReport`.  Exact checks build theirs
+with :meth:`CheckReport.from_flag`, float checks with
+:meth:`CheckReport.within`, whose ``ok`` carries any condition beyond the
+deviation, such as a quadrature rule's ``converged`` flag.
+"""
 
 from __future__ import annotations
 
@@ -48,6 +54,21 @@ class CheckReport:
             passed=bool(passed),
             n_evals=n_evals,
             error=error,
+        )
+
+    @classmethod
+    def within(cls, name, inputs, deviation, tolerance, ref=1.0, ok=True, lhs=None, rhs=None, n_evals=0):
+        """Passed when ``ok`` holds and deviation <= tolerance * ref; a NaN deviation fails."""
+        return cls(
+            name=name,
+            inputs=inputs,
+            lhs=lhs,
+            rhs=rhs,
+            abs_deviation=deviation,
+            rel_deviation=deviation / ref,
+            tolerance=tolerance,
+            passed=bool(ok and deviation <= tolerance * ref),
+            n_evals=n_evals,
         )
 
     def to_json(self):

@@ -51,7 +51,6 @@ from .quadrature import (
     ExpDecay,
     SqrtPiRational,
     exponential_moment_closed_form,
-    fourier_newton,
     gamma_half,
     integrate_r3,
     parseval_identity_check,
@@ -179,16 +178,9 @@ def kernel_suite(seed=0):
             dev = np.max(np.abs(density.eval_array(t * nus) * t ** (2 * n + 3) - base), axis=1)
             worst = max(worst, float(np.max(dev / norm)))
         reports.append(
-            CheckReport(
-                name="density-homogeneity",
-                inputs={"n": n, "degree": deg_target},
-                lhs="eval(s, t nu) t^(2n+3)",
-                rhs="eval(s, nu)",
-                abs_deviation=worst,
-                rel_deviation=worst,
-                tolerance=1e-12,
-                passed=sym_ok and worst <= 1e-12,
-                n_evals=100,
+            CheckReport.within(
+                "density-homogeneity", {"n": n, "degree": deg_target}, worst, 1e-12,
+                ok=sym_ok, lhs="eval(s, t nu) t^(2n+3)", rhs="eval(s, nu)", n_evals=100,
             )
         )
 
@@ -226,16 +218,9 @@ def kernel_suite(seed=0):
             w = complex_szego_closed_form(n, nu)
             worst = max(worst, abs(complex(re, im) - w) / abs(w))
         reports.append(
-            CheckReport(
-                name="complex-closed-form-crosscheck",
-                inputs={"n": n},
-                lhs="density eval",
-                rhs="closed form",
-                abs_deviation=worst,
-                rel_deviation=worst,
-                tolerance=1e-12,
-                passed=worst <= 1e-12,
-                n_evals=100,
+            CheckReport.within(
+                "complex-closed-form-crosscheck", {"n": n}, worst, 1e-12,
+                lhs="density eval", rhs="closed form", n_evals=100,
             )
         )
 
@@ -278,16 +263,9 @@ def kernel_suite(seed=0):
     worst = {key: float(np.max(np.max(np.abs(v - s_qw), axis=1) / norm)) for key, v in transformed.items()}
     for key, tol in (("hermitian", 1e-12), ("dilation", 1e-10), ("rotation", 1e-10), ("translation", 1e-10)):
         reports.append(
-            CheckReport(
-                name=f"kernel-invariance-{key}",
-                inputs={"n": 1, "pairs": 40},
-                lhs="transformed kernel",
-                rhs="kernel",
-                abs_deviation=worst[key],
-                rel_deviation=worst[key],
-                tolerance=tol,
-                passed=worst[key] <= tol,
-                n_evals=160,
+            CheckReport.within(
+                f"kernel-invariance-{key}", {"n": 1, "pairs": 40}, worst[key], tol,
+                lhs="transformed kernel", rhs="kernel", n_evals=160,
             )
         )
 
@@ -383,16 +361,9 @@ def geometry_suite(seed=0):
         scale = max(1.0, abs(p.vertical))
         worst_round = max(worst_round, dev / scale)
     reports.append(
-        CheckReport(
-            name="cayley-roundtrip",
-            inputs={"samples": 10_000},
-            lhs="cayley_inv(cayley(tau))",
-            rhs="tau",
-            abs_deviation=worst_round,
-            rel_deviation=worst_round,
-            tolerance=1e-12,
-            passed=inside and worst_round <= 1e-12,
-            n_evals=10_000,
+        CheckReport.within(
+            "cayley-roundtrip", {"samples": 10_000}, worst_round, 1e-12,
+            ok=inside, lhs="cayley_inv(cayley(tau))", rhs="tau", n_evals=10_000,
         )
     )
 
@@ -403,16 +374,9 @@ def geometry_suite(seed=0):
         p = SiegelPoint((tau1,), Hypercomplex(vert, exact=False))
         worst_bd = max(worst_bd, abs(cayley(p).norm_sq_sum() - 1.0))
     reports.append(
-        CheckReport(
-            name="cayley-boundary-to-sphere",
-            inputs={"samples": 500},
-            lhs="|sigma|^2 on the boundary",
-            rhs=1.0,
-            abs_deviation=worst_bd,
-            rel_deviation=worst_bd,
-            tolerance=1e-10,
-            passed=worst_bd <= 1e-10,
-            n_evals=500,
+        CheckReport.within(
+            "cayley-boundary-to-sphere", {"samples": 500}, worst_bd, 1e-10,
+            lhs="|sigma|^2 on the boundary", rhs=1.0, n_evals=500,
         )
     )
 
@@ -450,6 +414,7 @@ def props_suite(seed=0):
 
     worst = 0.0
     count = 0
+    converged = True
     tuples = []
     for l0 in range(4):
         for l1 in range(0, 4 - l0, 2):
@@ -481,18 +446,12 @@ def props_suite(seed=0):
 
             res = integrate_r3(f, ExpDecay(a), tol=1e-8, abs_tol=1e-12 * abs(exact))
             worst = max(worst, abs(res.value - exact) / abs(exact))
+            converged = converged and res.converged
             count += 1
     reports.append(
-        CheckReport(
-            name="exponential-moment-consistency",
-            inputs={"tuples": len(tuples), "a_values": [1, 2, 4]},
-            lhs="spherical quadrature",
-            rhs="Gamma closed form",
-            abs_deviation=worst,
-            rel_deviation=worst,
-            tolerance=1e-6,
-            passed=worst <= 1e-6,
-            n_evals=count,
+        CheckReport.within(
+            "exponential-moment-consistency", {"tuples": len(tuples), "a_values": [1, 2, 4]}, worst, 1e-6,
+            ok=converged, lhs="spherical quadrature", rhs="Gamma closed form", n_evals=count,
         )
     )
 
@@ -522,21 +481,6 @@ def props_suite(seed=0):
         reports.append(verify.coefficient_system_check(n))
 
     reports.append(verify.closed_form_agreement_check())
-
-    lhs, rhs = fourier_newton(1.0, 1.0), math.pi * math.exp(-2 * math.pi)
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    reports.append(
-        CheckReport(
-            name="fourier-profile-value",
-            inputs={"x0": 1, "rho": 1},
-            lhs=lhs,
-            rhs=rhs,
-            abs_deviation=abs(lhs - rhs),
-            rel_deviation=rel,
-            tolerance=1e-14,
-            passed=rel <= 1e-14,
-        )
-    )
     return reports
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qszego import quadrature
 from qszego.hypercomplex import mul_arrays
 from qszego.kernel import KernelOrder, szego_density
 from qszego.polyfrac import _ROWS, eval_fractions
@@ -14,7 +15,6 @@ from qszego.quadrature import (
     BoundaryIntegrand,
     ExpDecay,
     PowerDecay,
-    QuadratureConvergenceError,
     SqrtPiRational,
     _axis_rule,
     _boundary_level_full,
@@ -101,19 +101,17 @@ def test_integrate_r3_odd_vanishes():
 
 
 def test_integrate_r3_nonconvergence_reports_best():
-    # tolerance far below reachable: the error must carry the best value
+    # tolerance far below reachable: the result must carry the best value
     f = lambda pts: np.exp(-np.linalg.norm(pts, axis=1))
-    with pytest.raises(QuadratureConvergenceError) as info:
-        integrate_r3(f, ExpDecay(1.0), tol=0.0, max_refinements=1)
-    assert abs(info.value.result.value - 8 * PI) < 1e-3
+    res = integrate_r3(f, ExpDecay(1.0), tol=0.0, max_refinements=1)
+    assert not res.converged
+    assert abs(res.value - 8 * PI) < 1e-3
 
 
 def test_integrate_r3_one_level_is_not_converged():
     # one level gives no error estimate: not converged, not a budget error
     f = lambda pts: np.exp(-np.linalg.norm(pts, axis=1))
-    with pytest.raises(QuadratureConvergenceError) as info:
-        integrate_r3(f, ExpDecay(1.0), max_refinements=0)
-    res = info.value.result
+    res = integrate_r3(f, ExpDecay(1.0), max_refinements=0)
     assert not res.converged and res.error_estimate == math.inf and res.n_evals == 16 * 12 * 12
 
 
@@ -296,6 +294,30 @@ def test_boundary_radial_matches_full_tensor():
     assert abs(radial.value - exact) <= 1e-8 * exact
     (full,), used = _boundary_level_full(bi_f, 16, 8)
     assert abs(full - radial.value) <= 1e-6 * abs(radial.value)
+
+
+def test_boundary_nonconvergence_reports_best():
+    # the budget pays for the 12 x 8^3 and 18 x 12^3 levels, which do not agree to 1e-12
+    exact = (PI**2 / 20) * (PI / 2) ** 3
+
+    def fn(r, t):
+        return (1 + r * r) ** -6.0 * math.prod(1.0 / (1 + a * a) ** 2 for a in t)
+
+    res = integrate_boundary(BoundaryIntegrand(n=1, fn=fn, decay_power=6), tol=1e-12, budget=6e4)
+    assert not res.converged
+    assert res.n_evals == 12 * 8**3 + 18 * 12**3
+    assert 0 < res.error_estimate < math.inf
+    assert abs(res.value - exact) <= 1e-8 * exact
+
+
+def test_parseval_unconverged_is_a_failing_report(monkeypatch):
+    # a rule cut to one level cannot converge: the check fails and keeps its left side
+    refine = quadrature._refine
+    monkeypatch.setattr(quadrature, "_refine", lambda level, sizes, *tol: refine(level, list(sizes)[:1], *tol))
+    rep = parseval_identity_check((1, 0, 0, 0), (1, 0, 0, 0), 1.0)
+    assert not rep.passed
+    assert math.isfinite(rep.lhs) and rep.rhs == float.fromhex("0x1.3bd3cc9be45dep+2")
+    assert rep.n_evals == 16 * 12 * 12
 
 
 def test_boundary_budget_determinism():
