@@ -4,7 +4,14 @@ One component-vector representation covers the complex numbers (dim 2), the
 quaternions (dim 4) and the octonions (dim 8).  Multiplication is table
 driven: the sign/index tables are generated at import time from the defining
 oriented triples (e_a e_b = e_c plus anticommutativity, e_i^2 = -1 and e_0
-acting as identity), never typed by hand.
+acting as identity), never typed by hand.  From each table one straight-line
+product function is generated at import, as ``dataclasses`` generates
+methods: component k is ``0 +- a_i*b_j +- ...`` over the (i, j) with
+e_i e_j = +-e_k, in i-major order.  On finite components its values are
+those of summing the table's products term by term from the integer 0 and
+skipping the zero ones, bit for bit, including the sign of a zero.  With an
+inf or nan component a product 0*inf is summed as nan, where skipping it
+would not; the command line rejects non-finite input.
 
 Values are immutable.  Exact mode stores ``int``/``Fraction`` components and
 every operation is exact; floating mode stores ``float``.  The two modes do
@@ -60,6 +67,23 @@ _TABLES = {
 }
 
 
+def _make_product(dim):
+    """The straight-line product of two component tuples of ``dim``, generated from its table."""
+    sums = [["0"] for _ in range(dim)]
+    for i, row in enumerate(_TABLES[dim]):
+        for j, (k, s) in enumerate(row):
+            sums[k].append(f"{'+' if s > 0 else '-'} a{i} * b{j}")
+    a = ", ".join(f"a{i}" for i in range(dim))
+    b = ", ".join(f"b{i}" for i in range(dim))
+    comps = "".join(f"        {' '.join(terms)},\n" for terms in sums)
+    namespace = {}
+    exec(f"def _mul{dim}(a, b):\n    {a} = a\n    {b} = b\n    return (\n{comps}    )\n", namespace)
+    return namespace[f"_mul{dim}"]
+
+
+_PRODUCTS = {dim: _make_product(dim) for dim in _TABLES}
+
+
 def mult_table(dim):
     """The (index, sign) multiplication table for the given dimension."""
     try:
@@ -94,13 +118,14 @@ class Hypercomplex:
             raise ValueError(f"dimension {len(comps)} not supported")
         if exact is None:
             exact = not any(isinstance(c, float) for c in comps)
-        if exact:
-            comps = tuple(_norm_rat(c) for c in comps)
-        else:
+        if not exact:
             comps = tuple(float(c) for c in comps)
-        object.__setattr__(self, "dim", len(comps))
-        object.__setattr__(self, "exact", bool(exact))
-        object.__setattr__(self, "comps", comps)
+        elif not all(type(c) is int for c in comps):
+            # bool is not int by type, so it goes to _norm_rat and raises
+            comps = tuple(_norm_rat(c) for c in comps)
+        _set_dim(self, len(comps))
+        _set_exact(self, bool(exact))
+        _set_comps(self, comps)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypercomplex values are immutable")
@@ -108,9 +133,9 @@ class Hypercomplex:
     @classmethod
     def _make(cls, dim, exact, comps):
         obj = object.__new__(cls)
-        object.__setattr__(obj, "dim", dim)
-        object.__setattr__(obj, "exact", exact)
-        object.__setattr__(obj, "comps", tuple(comps))
+        _set_dim(obj, dim)
+        _set_exact(obj, exact)
+        _set_comps(obj, tuple(comps))
         return obj
 
     # -- constructors -----------------------------------------------------
@@ -180,23 +205,9 @@ class Hypercomplex:
     def __mul__(self, other):
         if isinstance(other, Hypercomplex):
             self._check_same(other)
-            table = _TABLES[self.dim]
-            out = [0] * self.dim
-            for i, ai in enumerate(self.comps):
-                if not ai:
-                    continue
-                row = table[i]
-                for j, bj in enumerate(other.comps):
-                    if not bj:
-                        continue
-                    k, s = row[j]
-                    if s > 0:
-                        out[k] = out[k] + ai * bj
-                    else:
-                        out[k] = out[k] - ai * bj
-            if not self.exact:
-                out = [float(v) for v in out]
-            return Hypercomplex._make(self.dim, self.exact, out)
+            return Hypercomplex._make(
+                self.dim, self.exact, _PRODUCTS[self.dim](self.comps, other.comps)
+            )
         c = self._coerce_scalar(other)
         return Hypercomplex._make(self.dim, self.exact, tuple(a * c for a in self.comps))
 
@@ -279,6 +290,13 @@ class Hypercomplex:
 
     def __repr__(self):
         return f"Hypercomplex({self.to_text()!r}, dim={self.dim})"
+
+
+# The slot descriptors: setting through them bypasses the immutability guard
+# in ``__setattr__`` at the cost of one call.
+_set_dim = Hypercomplex.dim.__set__
+_set_exact = Hypercomplex.exact.__set__
+_set_comps = Hypercomplex.comps.__set__
 
 
 def associator(x, y, z):

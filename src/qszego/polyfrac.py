@@ -41,8 +41,22 @@ from .hypercomplex import Hypercomplex, _norm_rat, mult_table
 MAX_EXPONENT = 1 << 16
 
 
-def _clean_terms(dim, items):
-    terms = {}
+def _accumulate(terms, items):
+    """Add the (key, coefficient) pairs into ``terms`` in order; a key whose sum cancels is deleted."""
+    for k, c in items:
+        acc = terms.get(k)
+        if acc is None:
+            terms[k] = c
+        else:
+            acc = acc + c
+            if acc:
+                terms[k] = acc
+            else:
+                del terms[k]
+    return terms
+
+
+def _checked_items(dim, items):
     for exps, coef in items:
         exps = tuple(int(e) for e in exps)
         if len(exps) != dim:
@@ -50,18 +64,12 @@ def _clean_terms(dim, items):
         if any(e < 0 or e >= MAX_EXPONENT for e in exps):
             raise ValueError(f"exponent out of range in {exps}")
         c = _norm_rat(coef)
-        if not c:
-            continue
-        acc = terms.get(exps)
-        if acc is None:
-            terms[exps] = c
-        else:
-            acc = acc + c
-            if acc:
-                terms[exps] = acc
-            else:
-                del terms[exps]
-    return terms
+        if c:
+            yield exps, c
+
+
+def _clean_terms(dim, items):
+    return _accumulate({}, _checked_items(dim, items))
 
 
 class RatPoly:
@@ -116,18 +124,7 @@ class RatPoly:
         if not isinstance(other, RatPoly):
             return NotImplemented
         self._check_dim(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            if acc is None:
-                out[k] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[k] = acc
-                else:
-                    del out[k]
-        return RatPoly._make(self.dim, out)
+        return RatPoly._make(self.dim, _accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + (-other)
@@ -234,7 +231,8 @@ class RatPoly:
         new_dim = len(rows[0])
         if any(len(r) != new_dim for r in rows):
             raise ValueError("ragged substitution matrix")
-        forms = [RatPoly(new_dim, {tuple(int(j == m) for m in range(new_dim)): rows[i][j] for j in range(new_dim) if rows[i][j]}) for i in range(self.dim)]
+        units = [tuple(int(j == m) for m in range(new_dim)) for j in range(new_dim)]
+        forms = [RatPoly._make(new_dim, {u: v for u, v in zip(units, row) if v}) for row in rows]
         power_cache = [{0: RatPoly.const(new_dim, 1)} for _ in range(self.dim)]
 
         def form_pow(i, e):
@@ -243,14 +241,17 @@ class RatPoly:
                 cache[e] = form_pow(i, e - 1) * forms[i]
             return cache[e]
 
-        out = RatPoly.zero(new_dim)
+        # one dict takes every term, in the order and with the cancellations
+        # of summing them pairwise
+        one = (0,) * new_dim
+        out = {}
         for k, c in self.terms.items():
-            term = RatPoly.const(new_dim, c)
+            term = RatPoly._make(new_dim, {one: _norm_rat(c)})
             for i, e in enumerate(k):
                 if e:
                     term = term * form_pow(i, e)
-            out = out + term
-        return out
+            _accumulate(out, term.terms.items())
+        return RatPoly._make(new_dim, out)
 
 
 def radius_sq(dim):
@@ -304,12 +305,13 @@ class RadialFraction:
             return NotImplemented
         self._check_dim(other)
         k = max(self.k, other.k)
-        rsq = radius_sq(self.dim)
         a, b = self.num, other.num
-        for _ in range(k - self.k):
-            a = a * rsq
-        for _ in range(k - other.k):
-            b = b * rsq
+        if self.k != other.k:
+            rsq = radius_sq(self.dim)
+            for _ in range(k - self.k):
+                a = a * rsq
+            for _ in range(k - other.k):
+                b = b * rsq
         return RadialFraction(a + b, k)
 
     def __sub__(self, other):

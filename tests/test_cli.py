@@ -1,5 +1,6 @@
 """Command line interface: evaluation, suites, exports, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -96,6 +97,9 @@ def test_verify_deterministic_given_seed(capsys):
     code2, out2, _ = run_cli(["verify", "geometry", "--seed", "7"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+    # pins the float Cayley deviations, which go through the product
+    digest = hashlib.sha256(out1.encode()).hexdigest()
+    assert digest == "089cb6e518b8cdf464ac514f13a258ccb6f0b64d70d3bc733f2117f1eeef57e1"
 
 
 def test_verify_unknown_suite(capsys):

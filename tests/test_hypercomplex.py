@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +171,14 @@ def test_exact_storage_normalized():
     v = Hypercomplex((Fraction(4, 2), Fraction(1, 3), 0, 0))
     assert v.comps[0] == 2 and isinstance(v.comps[0], int)
     assert v.comps[1] == Fraction(1, 3)
+    w = Hypercomplex([np.int64(3), np.int64(-2), 0, 0])
+    assert w.comps == (3, -2, 0, 0) and all(type(c) is int for c in w.comps)
+    assert Hypercomplex([1, 2, 3, 4]).comps == (1, 2, 3, 4)
+    assert Hypercomplex([1, 2, 3, 4], exact=False).comps == (1.0, 2.0, 3.0, 4.0)
+    # bool is an int subclass but not a scalar component
+    for comps in ([True, 0, 0, 0], [0, 0, 0, False]):
+        with pytest.raises(TypeError):
+            Hypercomplex(comps)
 
 
 def test_dimension_mismatch_raises():
@@ -182,3 +191,63 @@ def test_left_mult_matrix_example():
     m = left_mult_matrix(basis(4, 1))
     assert m[0] == (0, -1, 0, 0)
     assert m[1] == (1, 0, 0, 0)
+
+
+def _table_loop_product(a, b):
+    """The product by the nested table loop, skipping zero terms: the reference."""
+    table = mult_table(a.dim)
+    out = [0] * a.dim
+    for i, ai in enumerate(a.comps):
+        if not ai:
+            continue
+        row = table[i]
+        for j, bj in enumerate(b.comps):
+            if not bj:
+                continue
+            k, s = row[j]
+            if s > 0:
+                out[k] = out[k] + ai * bj
+            else:
+                out[k] = out[k] - ai * bj
+    if not a.exact:
+        out = [float(v) for v in out]
+    return out
+
+
+def _product_operands(rng, dim):
+    ints = [0, 0, 1, -1, 7, -12]
+    fracs = [Fraction(0), Fraction(3, 4), Fraction(-5, 3), Fraction(6, 3)]
+    # underflowing products (1e-200 squared) add signed zeros that are not skipped
+    floats = [0.0, -0.0, 0.0, 1.5, -2.25, 1e-200, -1e-200, 1.0 / 3.0]
+    exact, floating = [], []
+    for _ in range(300):
+        exact.append(Hypercomplex([rng.choice(ints + fracs) for _ in range(dim)]))
+        floating.append(
+            Hypercomplex([rng.choice(floats + [rng.uniform(-4, 4)]) for _ in range(dim)], exact=False)
+        )
+    for i in range(dim):
+        exact += [Hypercomplex.basis(dim, i), Hypercomplex.basis(dim, i) * Fraction(1, 3)]
+        floating += [Hypercomplex.basis(dim, i, exact=False), -Hypercomplex.basis(dim, i, exact=False)]
+    exact += [Hypercomplex.from_real(dim, 5), Hypercomplex.from_real(dim, Fraction(-2, 7)), Hypercomplex.zero(dim)]
+    floating += [
+        Hypercomplex.from_real(dim, 2.5),
+        Hypercomplex.from_real(dim, -0.0, exact=False),
+        Hypercomplex.zero(dim, exact=False),
+        Hypercomplex([-0.0] * dim, exact=False),
+    ]
+    return exact, floating
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_product_matches_table_loop_bit_for_bit(dim):
+    rng = random.Random(dim)
+    exact, floating = _product_operands(rng, dim)
+    for values in (exact, floating):
+        pairs = [(rng.choice(values), rng.choice(values)) for _ in range(2000)]
+        pairs += [(a, b) for a in values[-2 * dim - 4 :] for b in values[-2 * dim - 4 :]]
+        for a, b in pairs:
+            got, ref = (a * b).comps, _table_loop_product(a, b)
+            if a.exact:
+                assert list(got) == ref
+            else:
+                assert [v.hex() for v in got] == [v.hex() for v in ref]

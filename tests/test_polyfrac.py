@@ -157,6 +157,59 @@ def test_linear_substitute_examples():
     two = tuple(tuple(2 * int(i == j) for j in range(4)) for i in range(4))
     assert (x(1) * x(1)).substitute_linear(two) == (x(1) * x(1)).scale(4)
 
+    # the y0*y1 terms of x0^2 and x1^2 cancel; x2*x3 adds y0*y1 back last
+    p = x(0) * x(0) + x(1) * x(1) + x(2) * x(3)
+    got = p.substitute_linear(_CANCELLING_ROWS)
+    assert list(got.terms.items()) == [((2, 0, 0, 0), 2), ((0, 2, 0, 0), 2), ((1, 1, 0, 0), 1)]
+
+
+# x0 -> y0 - y1, x1 -> y0 + y1, x2 -> y0, x3 -> y1
+_CANCELLING_ROWS = ((1, -1, 0, 0), (1, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0))
+
+
+def _substitute_by_pairwise_sums(p, rows):
+    """x -> Ax by adding the substituted terms one ``+`` at a time: the reference."""
+    new_dim = len(rows[0])
+    forms = [
+        RatPoly(new_dim, {tuple(int(j == m) for m in range(new_dim)): v for j, v in enumerate(row) if v})
+        for row in rows
+    ]
+    powers = [[RatPoly.const(new_dim, 1)] for _ in rows]
+    out = RatPoly.zero(new_dim)
+    for k, c in p.terms.items():
+        term = RatPoly.const(new_dim, c)
+        for i, e in enumerate(k):
+            while len(powers[i]) <= e:
+                powers[i].append(powers[i][-1] * forms[i])
+            if e:
+                term = term * powers[i][e]
+        out = out + term
+    return out
+
+
+def test_substitute_matches_pairwise_sums_in_order():
+    p = x(0) * x(0) + x(1) * x(1) + x(2) * x(3) + x(0) * x(1)
+    got = p.substitute_linear(_CANCELLING_ROWS)
+    assert list(got.terms.items()) == list(_substitute_by_pairwise_sums(p, _CANCELLING_ROWS).terms.items())
+
+    rng = random.Random(8)
+    polys = []
+    for _ in range(8):
+        terms = {}
+        for _ in range(6):
+            key = [0] * 8
+            for _ in range(rng.randint(0, 3)):
+                key[rng.randrange(8)] += 1
+            terms[tuple(key)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        polys.append(RatPoly(8, terms))
+    f = HyperFrac.from_polys(polys)
+    a = Hypercomplex([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(8)])
+    rows = left_mult_matrix(a)
+    g = f.substitute_linear(rows)
+    for got, poly in zip(g.comps, polys):
+        ref = _substitute_by_pairwise_sums(poly, rows)
+        assert got.k == 0 and list(got.num.terms.items()) == list(ref.terms.items())
+
 
 def test_substitute_rejects_rational_part():
     f = HyperFrac((newton(), newton(), newton(), newton()))
