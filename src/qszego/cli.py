@@ -44,7 +44,7 @@ class UsageError(Exception):
 def _parse_components(text, expected=None):
     try:
         comps = [float(Fraction(part)) for part in text.split(",") if part.strip() != ""]
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"cannot parse component list {text!r}: {exc}") from None
     if expected is not None and len(comps) != expected:
         raise UsageError(f"expected {expected} components, got {len(comps)} in {text!r}")

@@ -320,17 +320,12 @@ def left_mult_matrix(a):
 
 
 def mul_arrays(a, b, dim):
-    """Vectorized product of component arrays with shape (..., dim)."""
-    table = _TABLES[dim]
+    """Vectorized product of component arrays with shape (..., dim).
+
+    Runs the straight-line product of ``dim`` on the component views, so
+    every value has the bits of the scalar product at that point.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=float)
-    for i in range(dim):
-        ai = a[..., i]
-        for j in range(dim):
-            k, s = table[i][j]
-            if s > 0:
-                out[..., k] += ai * b[..., j]
-            else:
-                out[..., k] -= ai * b[..., j]
-    return out
+    comps = _PRODUCTS[dim](tuple(a[..., i] for i in range(dim)), tuple(b[..., j] for j in range(dim)))
+    return np.stack(comps, axis=-1)

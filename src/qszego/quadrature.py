@@ -3,7 +3,9 @@
 Two integration paths cover the verification needs: an adaptive product
 rule in spherical coordinates for integrals over R^3, and a tensor rule over
 the Siegel boundary, reduced to one radial horizontal dimension for
-integrands that are rotation invariant in the horizontal variables.  Both
+integrands that are rotation invariant in the horizontal variables; one
+that declares its degree of homogeneity is evaluated once per level.  The
+boundary budget counts rule points, ``n_evals`` the points evaluated.  Both
 place their Gauss nodes through the same coordinate maps,
 :meth:`ExpDecay.map` and :meth:`PowerDecay.map`, refine through the same
 loop, and take integrands that return one value or one row of values per
@@ -373,14 +375,18 @@ class BoundaryIntegrand:
     ``decay_power`` declares |F| <= C (1 + |w'|^2 + |t|)^(-decay_power); the
     engine refuses integrands whose declared decay cannot be absolutely
     integrable.  Every axis uses the rational compactification of
-    :meth:`PowerDecay.map`; with ``t_scale_with_r`` the vertical window grows
-    like 1 + r^2, matching the parabolic geometry of kernel integrands.
+    :meth:`PowerDecay.map`.
+
+    With ``degree`` set, ``fn`` depends on r only through 1 + r^2 and is
+    homogeneous of exactly that degree jointly in (1 + r^2, t); the vertical
+    window grows like 1 + r^2, so ``fn`` is called once per level, at r = 0.
+    Without it the window is fixed and ``fn`` is called once per radial node.
     """
 
     n: int
     fn: object
     decay_power: float = 0.0
-    t_scale_with_r: bool = False
+    degree: int | None = None
 
     def check_integrable(self):
         if 2.0 * self.decay_power <= 4 * self.n + 6:
@@ -409,24 +415,27 @@ def _t_grid(n_t):
 
 
 def _boundary_level_radial(integrand, n_r, n_t):
-    """One tensor level with the horizontal factor reduced to the radius, ``fn`` on axis columns."""
+    """One level of n_r * n_t^3 rule points, the horizontal factor reduced to the radius.
+
+    With a ``degree``, ``fn`` runs once at r = 0 and each radial node weighs
+    in by (1 + r^2)^(degree + 3): the degree from homogeneity, 3 from the
+    grown window.  Returns (value, points evaluated).
+    """
     n = integrand.n
     r, wr = _axis_rule(n_r, half_line=True)
     t1, wt = _t_grid(n_t)
     axes = (t1[:, None, None], t1[None, :, None], t1[None, None, :])
 
     area = sphere_surface(4 * n)
+    if integrand.degree is not None:
+        vals = np.reshape(integrand.fn(np.zeros((1, 1, 1)), axes), (len(wt), -1))
+        radial = np.sum(area * wr * r ** (4 * n - 1) * (1.0 + r * r) ** (integrand.degree + 3))
+        return _finite(radial * (wt @ vals), len(wt))
     out = 0.0
     for i in range(n_r):
-        if integrand.t_scale_with_r:
-            grow = 1.0 + r[i] ** 2
-            ti = tuple(a * grow for a in axes)
-            wti = wt * grow**3
-        else:
-            ti, wti = axes, wt
-        vals = np.reshape(integrand.fn(r[i : i + 1].reshape(1, 1, 1), ti), (len(wt), -1))
+        vals = np.reshape(integrand.fn(r[i : i + 1].reshape(1, 1, 1), axes), (len(wt), -1))
         weight = area * wr[i] * r[i] ** (4 * n - 1)
-        out = out + weight * (wti @ vals)
+        out = out + weight * (wt @ vals)
     return _finite(out, n_r * len(wt))
 
 
@@ -464,8 +473,10 @@ def integrate_boundary(integrand, tol=1e-6, budget=2.0e7):
     The boundary is identified with R^(4n) x R^3 carrying Lebesgue measure;
     the integrand's rotational symmetry in w' collapses the horizontal factor
     to one radial dimension.  Starting from 12 radial and 8^3 vertical nodes,
-    refinement grows every axis by half while the cumulative evaluation count
-    fits the budget; the result is deterministic for a fixed budget.  A
+    refinement grows every axis by half while the cumulative count of rule
+    points, n_r * n_t^3 per level, fits the budget; the result is
+    deterministic for a fixed budget.  ``n_evals`` counts the points
+    evaluated: n_t^3 per level with a degree, n_r * n_t^3 without.  A
     scalar integrand yields a float, a hypercomplex one its component array.
     When the budget runs out before two levels agree, the result carries
     ``converged=False`` and the last level's value.  Raises

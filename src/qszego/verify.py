@@ -169,14 +169,29 @@ def closed_form_agreement_check():
 # the reproducing property
 
 
+def _homogeneous_degree(fracs):
+    """deg(num) - 2k, shared by every nonzero num / |x|^(2k) in ``fracs``; else ``ValueError``."""
+    degs = set()
+    for c in fracs:
+        if not c.is_zero():
+            d = c.num.homogeneous_degree()
+            degs.add(None if d is None else d - 2 * c.k)
+    if len(degs) != 1 or None in degs:
+        raise ValueError(f"fractions are not homogeneous of one degree: {sorted(degs, key=str)}")
+    return degs.pop()
+
+
 def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     """Compare the test function at (0,1) with its boundary reproduction.
 
     The boundary integral of S((0,1), w) F(w) is taken over the Heisenberg
     parameterization with the quaternion product in exactly that order; the
     integrand is rotation invariant in w', so the horizontal factor reduces
-    to a radial one.  A boundary rule that runs out of budget before it
-    converges yields a failing report carrying its best value.  A test
+    to a radial one.  The integrand is homogeneous in (1 + |w'|^2, t) of
+    degree D = deg S + deg F, both read off the exact fractions, so the
+    boundary rule evaluates it once per level, and its decay power is -D.
+    A boundary rule that runs out of budget before it converges yields a
+    failing report carrying its best value.  A test
     function that vanishes at (0,1) raises ``ValueError`` before any
     integration: the relative deviation and the relative refinement both
     need a nonzero value.
@@ -201,8 +216,8 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
         f_vals = eval_fractions(comps, (base, *t))
         return mul_arrays(s_vals, f_vals, 4)
 
-    decay = (2 * n + 3) + (spec.order + 3)
-    integrand = BoundaryIntegrand(n=n, fn=fn, decay_power=decay, t_scale_with_r=True)
+    degree = _homogeneous_degree(density.body.comps) + _homogeneous_degree(comps)
+    integrand = BoundaryIntegrand(n=n, fn=fn, decay_power=-degree, degree=degree)
     res = integrate_boundary(integrand, tol=tol / 3.0, budget=budget)
     integral = np.asarray(res.value)
     deviation = float(np.max(np.abs(integral - direct_f)))

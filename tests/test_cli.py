@@ -84,6 +84,20 @@ def test_eval_parse_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "s", "--n", "1", "--nu", "1e400,0,0,0"],
+        ["eval", "S", "--n", "1", "--q", "0,0,0,0,1e400,0,0,0", "--omega", "0,0,0,0,1,0,0,0"],
+    ],
+)
+def test_out_of_range_component_is_usage_error(args, capsys):
+    # a component beyond the float range is a bad flag value, not a failed evaluation
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_verify_algebra_passes(capsys):
     code, out, err = run_cli(["verify", "algebra"], capsys)
     assert code == 0
@@ -131,8 +145,8 @@ def test_verify_reproducing_out_of_budget_reports_failure(capsys):
 
 @pytest.mark.parametrize("budget", ["1e4", "37247"])
 def test_verify_budget_below_two_levels_is_usage_error(budget, capsys):
-    # two boundary levels (12 x 8^3 and 18 x 12^3 points) need 37248
-    # evaluations; a smaller budget is a usage error with one error line
+    # two boundary levels (12 x 8^3 and 18 x 12^3 rule points) need a
+    # budget of 37248; a smaller budget is a usage error with one error line
     code, out, err = run_cli(["verify", "reproducing", "--budget", budget], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "budget" in err and len(err.strip().splitlines()) == 1

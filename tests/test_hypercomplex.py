@@ -13,6 +13,7 @@ from qszego.hypercomplex import (
     Hypercomplex,
     associator,
     left_mult_matrix,
+    mul_arrays,
     mult_table,
 )
 
@@ -251,3 +252,35 @@ def test_product_matches_table_loop_bit_for_bit(dim):
                 assert list(got) == ref
             else:
                 assert [v.hex() for v in got] == [v.hex() for v in ref]
+
+
+def _mul_arrays_loop(a, b, dim):
+    # the strided update loop mul_arrays ran before it called the generated product
+    table = mult_table(dim)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i in range(dim):
+        for j in range(dim):
+            k, s = table[i][j]
+            if s > 0:
+                out[..., k] += a[..., i] * b[..., j]
+            else:
+                out[..., k] -= a[..., i] * b[..., j]
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_mul_arrays_matches_update_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-300, -1e150])
+
+    def draw(shape):
+        values = rng.uniform(-4, 4, shape)
+        mask = rng.random(shape) < 0.4
+        values[mask] = rng.choice(pool, int(mask.sum()))
+        return values
+
+    for sa, sb in [((50, dim), (50, dim)), ((3, 1, 5, dim), (1, 4, 5, dim)), ((dim,), (7, dim)), ((dim,), (dim,))]:
+        a, b = draw(sa), draw(sb)
+        got, ref = mul_arrays(a, b, dim), _mul_arrays_loop(a, b, dim)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))

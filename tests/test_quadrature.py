@@ -333,9 +333,9 @@ def test_boundary_budget_determinism():
 def test_coordinate_maps_pinned_bit_for_bit():
     # exact float.hex values of one rule per coordinate map ("cut" through
     # ExpDecay, "power" through PowerDecay and the boundary levels, radial
-    # with a fixed and with a growing t-window, and full); a change to node
-    # placement, weights or summation order shows here before it shows in a
-    # tolerance
+    # with a fixed t-window and with one that grows with a declared degree,
+    # and full); a change to node placement, weights or summation order
+    # shows here before it shows in a tolerance
     res = integrate_r3(lambda p: np.exp(-np.linalg.norm(p, axis=1)), ExpDecay(1.0), tol=1e-9)
     assert (res.value.hex(), res.n_evals) == ("0x1.921fb54442cd7p+4", 168192)
 
@@ -351,7 +351,8 @@ def test_coordinate_maps_pinned_bit_for_bit():
     assert (float(value[0]).hex(), used) == ("0x1.e9a1a9b120c6dp+0", 6144)
 
     # the reproducing integrand S((0,1), w) F(w) of verify.reproducing_check
-    # at n = 1, t = (2, 0, 0, 1): four components, growing t-window
+    # at n = 1, t = (2, 0, 0, 1): four components, homogeneous of degree
+    # -5 - 6, evaluated once at r = 0
     density = szego_density(KernelOrder(1))
     comps = hardy_test_function_components((2, 0, 0, 1))
 
@@ -361,11 +362,11 @@ def test_coordinate_maps_pinned_bit_for_bit():
         f = eval_fractions(comps.comps, (base, *t))
         return mul_arrays(s, f, 4)
 
-    bi = BoundaryIntegrand(n=1, fn=reproducing, decay_power=11, t_scale_with_r=True)
+    bi = BoundaryIntegrand(n=1, fn=reproducing, decay_power=11, degree=-11)
     value, used = _boundary_level_radial(bi, 12, 8)
     assert ([float(v).hex() for v in value], used) == (
-        ["-0x1.2045e365b9562p-58", "0x1.4492bffc29541p-58", "0x1.8843b6dfcc7cap-58", "0x1.29da4abd870ffp-1"],
-        6144,
+        ["0x1.e142818090b33p-72", "0x1.60410234ce211p-59", "-0x1.41c9598f3b92ap-60", "0x1.29da4abd870fcp-1"],
+        512,
     )
 
     def full(w, t):
@@ -377,10 +378,14 @@ def test_coordinate_maps_pinned_bit_for_bit():
 
 def test_reproducing_integrand_columns_equal_points():
     # the reproducing integrand of verify.reproducing_check at n = 1,
-    # t = (3, 0, 0, 1), growing t-window: the boundary rule with its column
-    # contract gives, bit for bit, each radial node's values and the level of
-    # a reference that builds every point of the node; n_t is odd, so every
-    # t axis holds a 0 and -t holds -0.0
+    # t = (3, 0, 0, 1), homogeneous of degree D = -5 - 7.  At the one node
+    # the level evaluates, r = 0, the column contract gives, bit for bit, the
+    # values of a reference that builds every point; n_t is odd, so every t
+    # axis holds a 0 and -t holds -0.0.  The per-node reference, its
+    # t-window grown to 1 + r^2, has the same bits in columns and points at
+    # every node, each node holds (1 + r^2)^D times the r = 0 values, and
+    # its level equals the rule's
+    degree = -12
     density = szego_density(KernelOrder(1))
     comps = hardy_test_function_components((3, 0, 0, 1))
 
@@ -395,21 +400,34 @@ def test_reproducing_integrand_columns_equal_points():
         f = comps.eval_array(np.stack([base, t[:, 0], t[:, 1], t[:, 2]], axis=-1))
         return mul_arrays(s, f, 4)
 
+    calls = []
+
+    def recorded(r, t):
+        calls.append((r, columns(r, t)))
+        return calls[-1][1]
+
     n_r, n_t = 12, 9
-    bi = BoundaryIntegrand(n=1, fn=columns, decay_power=12, t_scale_with_r=True)
+    bi = BoundaryIntegrand(n=1, fn=recorded, decay_power=-degree, degree=degree)
     got, used = _boundary_level_radial(bi, n_r, n_t)
-    assert used == n_r * n_t**3
+    assert used == n_t**3 and len(calls) == 1
 
     r, wr = _axis_rule(n_r, half_line=True)
     t1, wt = _t_grid(n_t)
     tt = np.stack(np.meshgrid(t1, t1, t1, indexing="ij"), axis=-1).reshape(-1, 3)
     axes = (t1[:, None, None], t1[None, :, None], t1[None, None, :])
+    r_at, node0 = calls[0]
+    assert r_at.shape == (1, 1, 1) and not r_at.any()
+    assert node0.shape == (n_t, n_t, n_t, 4)
+    at_zero = points(np.zeros(len(tt)), tt)
+    assert np.array_equal(node0.reshape(-1, 4).view(np.uint64), at_zero.view(np.uint64))
+
     want = 0.0
     for i in range(n_r):
         grow = 1.0 + r[i] ** 2
         vals = points(np.full(len(tt), r[i]), tt * grow)
         node = columns(r[i : i + 1].reshape(1, 1, 1), tuple(a * grow for a in axes))
-        assert node.shape == (n_t, n_t, n_t, 4)
         assert np.array_equal(node.reshape(-1, 4).view(np.uint64), vals.view(np.uint64))
+        scaled = grow**degree * at_zero
+        assert np.max(np.abs(vals - scaled)) <= 1e-13 * np.max(np.abs(scaled))
         want = want + sphere_surface(4) * wr[i] * r[i] ** 3 * ((wt * grow**3) @ vals)
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -11,8 +11,10 @@ from qszego.geometry import SiegelPoint
 from qszego.hypercomplex import Hypercomplex
 from qszego.kernel import KernelOrder, group_kernel_array, szego_density
 from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
+from qszego.quadrature import BudgetTooSmallError, QuadratureResult
 from qszego.verify import (
     TestFunctionSpec,
+    _homogeneous_degree,
     _sample_shell,
     action_compatibility_check,
     coefficient_system_check,
@@ -117,6 +119,55 @@ def test_reproducing_rejects_zero_direct_value_before_integrating(t, monkeypatch
     with pytest.raises(ValueError, match="vanishes"):
         reproducing_check(TestFunctionSpec(1, t))
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reproducing_degree_read_off_the_fractions(n, monkeypatch):
+    # the boundary integrand S((0,1), w) F(w) is homogeneous of degree
+    # deg S + deg F = -(2n + 3) - (order + 3), derived from the exact
+    # fractions, and declares decay power minus that degree
+    from qszego import verify
+
+    seen = []
+
+    def record(integrand, **kw):
+        seen.append(integrand)
+        return QuadratureResult(np.zeros(4), 0.0, 0)
+
+    monkeypatch.setattr(verify, "integrate_boundary", record)
+    for t in [(2, 0, 0, 1), (3, 0, 0, 1), (0, 2, 0, 1), (3, 0, 0, 0), (2, 2, 0, 1)]:
+        spec = TestFunctionSpec(n, t)
+        reproducing_check(spec)
+        degree = -(2 * n + 3) - (spec.order + 3)
+        assert (seen[-1].degree, seen[-1].decay_power) == (degree, -degree)
+
+
+def test_homogeneous_degree_rejects_inhomogeneous_fractions():
+    x0, x1 = RatPoly.variable(4, 0), RatPoly.variable(4, 1)
+    assert _homogeneous_degree([RadialFraction(x0 * x1, 2), RadialFraction.zero(4), RadialFraction(x1 * x1, 2)]) == -2
+    with pytest.raises(ValueError, match="homogeneous"):
+        _homogeneous_degree([RadialFraction(x0 * x1 + x0, 2)])
+    with pytest.raises(ValueError, match="homogeneous"):
+        _homogeneous_degree([RadialFraction(x0, 1), RadialFraction(x0 * x1, 1)])
+
+
+@pytest.mark.parametrize("t, n_evals", [((2, 0, 0, 1), 8**3 + 12**3 + 18**3), ((3, 0, 0, 1), 27755)])
+def test_reproducing_evaluates_one_radial_node_per_level(t, n_evals):
+    # the boundary rule runs the levels 12 x 8^3, 18 x 12^3, 27 x 18^3, ...
+    # of the per-node rule, and evaluates n_t^3 points per level: 8,072 and
+    # 8,072 + 27^3 = 27,755
+    rep = reproducing_check(TestFunctionSpec(1, t), tol=1e-3, budget=2e7)
+    assert rep.passed and rep.n_evals == n_evals
+
+
+def test_reproducing_budget_counts_rule_points():
+    # two levels cost 12 x 8^3 + 18 x 12^3 = 37,248 rule points, although
+    # only 8^3 + 12^3 points are evaluated
+    spec = TestFunctionSpec(1, (2, 0, 0, 1))
+    with pytest.raises(BudgetTooSmallError):
+        reproducing_check(spec, budget=37247)
+    rep = reproducing_check(spec, budget=37248)
+    assert rep.n_evals == 8**3 + 12**3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
