@@ -182,10 +182,13 @@ def cmd_eval(args):
 
 
 def cmd_verify(args):
+    elapsed = {}
     reports = run_suite(
-        args.suite, n=args.n, tol=args.tol, budget=args.budget, seed=args.seed
+        args.suite, n=args.n, tol=args.tol, budget=args.budget, seed=args.seed, elapsed=elapsed
     )
     _emit(args.output, "".join(r.to_json_line() + "\n" for r in reports))
+    for suite, seconds in elapsed.items():
+        print(f"{suite}: {seconds:.3f} s", file=sys.stderr)
     n_pass = sum(r.passed for r in reports)
     print(f"{args.suite}: {n_pass}/{len(reports)} checks passed", file=sys.stderr)
     return 0 if n_pass == len(reports) else 1

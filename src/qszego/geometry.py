@@ -8,6 +8,12 @@ quaternionic and the octonionic multiplication laws are implemented exactly
 as printed (they differ in the sign and the order of the conjugated factor;
 see :func:`group_mul_with_convention` for testing either convention on
 either group).
+
+The octonionic Cayley transform is one formula over component sequences.
+:func:`cayley` and :func:`cayley_inv` run it on the components of one point,
+exact or float; :func:`cayley_columns` runs it on float columns, one row per
+point, so a block of points costs one pass of array operations, and every
+row has the bits of the point-wise transform.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hypercomplex import Hypercomplex, _norm_rat
+import numpy as np
+
+from .hypercomplex import _PRODUCTS, Hypercomplex, _norm_rat, sum_squares
 
 
 def _coerce_t(t, exact):
@@ -255,26 +263,63 @@ def boundary_unparam(p):
 
 
 def _cayley_map(a, b, pole):
-    """(a (1 + conj b), (1 + conj b)(1 - b)) / |1 + b|^2, shared by both directions."""
-    one = Hypercomplex.from_real(8, 1 if b.exact else 1.0, exact=b.exact)
-    denom = (one + b).norm_sq()
-    if not denom:
+    """(a (1 + conj b), (1 + conj b)(1 - b)) / |1 + b|^2 on component sequences.
+
+    Shared by both directions and by points and columns: each component is
+    an exact or float scalar or a float column.  The steps are those of the
+    ``Hypercomplex`` operations, 1 + b, the running sum of squares and
+    division as multiplication by 1.0/denominator, so a column gets, row by
+    row, the bits of the map at one point.
+    """
+    one_plus_b = (1 + b[0],) + tuple(0 + c for c in b[1:])
+    denom = sum_squares(one_plus_b)
+    if not np.all(denom):
         raise ZeroDivisionError(f"Cayley pole: {pole} = -1")
-    factor = one + b.conj()
-    return (a * factor) / denom, (factor * (one - b)) / denom
+    if isinstance(denom, (float, np.ndarray)):
+        inv = 1.0 / denom
+    else:
+        inv = _norm_rat(Fraction(1, 1) / denom)
+    factor = (1 + b[0],) + tuple(0 + -c for c in b[1:])
+    one_minus_b = (1 - b[0],) + tuple(0 - c for c in b[1:])
+    mul = _PRODUCTS[8]
+    return (
+        tuple(c * inv for c in mul(a, factor)),
+        tuple(c * inv for c in mul(factor, one_minus_b)),
+    )
+
+
+def cayley_columns(first, second, inverse=False):
+    """The Cayley transform of points given as two sequences of 8 components.
+
+    Forward, ``(tau1, tau2)`` goes to ``(sigma1, sigma2)``; with ``inverse``,
+    ``(sigma1, sigma2)`` goes back.  The components may be float columns, one
+    row per point, and each row has the bits of :func:`cayley` or
+    :func:`cayley_inv` at that point.  Raises ZeroDivisionError if any row is
+    the pole.
+    """
+    if inverse:
+        return _cayley_map(first, second, "sigma2")
+    return _cayley_map(tuple(c * 2 for c in first), second, "tau2")
 
 
 def cayley(p):
     """Octonionic Siegel half space (n=1) to the unit ball."""
     if p.alg_dim != 8 or p.n != 1:
         raise ValueError("Cayley transform expects an octonionic point with n=1")
-    return BallPoint(*_cayley_map(p.horizontal[0] * 2, p.vertical, "tau2"))
+    sigma1, sigma2 = cayley_columns(p.horizontal[0].comps, p.vertical.comps)
+    return BallPoint(Hypercomplex(sigma1, exact=p.exact), Hypercomplex(sigma2, exact=p.exact))
 
 
 def cayley_inv(b):
     """Unit ball back to the Siegel half space."""
-    tau1, tau2 = _cayley_map(b.sigma1, b.sigma2, "sigma2")
-    return SiegelPoint((tau1,), tau2)
+    sigma1, sigma2 = b.sigma1, b.sigma2
+    if sigma1.dim != 8 or sigma2.dim != 8:
+        raise ValueError("inverse Cayley transform expects an octonionic ball point")
+    if sigma1.exact != sigma2.exact:
+        raise TypeError("mixed scalar modes in ball point")
+    exact = sigma1.exact
+    tau1, tau2 = cayley_columns(sigma1.comps, sigma2.comps, inverse=True)
+    return SiegelPoint((Hypercomplex(tau1, exact=exact),), Hypercomplex(tau2, exact=exact))
 
 
 def rho_length(h):

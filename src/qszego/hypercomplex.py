@@ -21,6 +21,7 @@ conversion is explicit via :meth:`Hypercomplex.to_float`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
 
@@ -82,6 +83,18 @@ def _make_product(dim):
 
 
 _PRODUCTS = {dim: _make_product(dim) for dim in _TABLES}
+
+
+def sum_squares(comps):
+    """c0*c0 + c1*c1 + ..., added left to right from the integer 0.
+
+    The components may be exact or float scalars or float columns (numpy
+    arrays); a column gets, row by row, the bits of the scalar sum.
+    """
+    acc = 0
+    for c in comps:
+        acc += c * c
+    return acc
 
 
 def mult_table(dim):
@@ -231,11 +244,9 @@ class Hypercomplex:
         return Hypercomplex._make(self.dim, self.exact, (c[0],) + tuple(-x for x in c[1:]))
 
     def norm_sq(self):
-        return sum(c * c for c in self.comps)
+        return sum_squares(self.comps)
 
     def __abs__(self):
-        import math
-
         return math.sqrt(float(self.norm_sq()))
 
     def inverse(self):

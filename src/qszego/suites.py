@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,7 @@ from .geometry import (
     SiegelPoint,
     boundary_param,
     boundary_unparam,
-    cayley,
-    cayley_inv,
+    cayley_columns,
     dilate,
     dilate_element,
     group_inverse,
@@ -36,6 +36,7 @@ from .hypercomplex import (
     Hypercomplex,
     associator,
     mult_table,
+    sum_squares,
 )
 from .kernel import (
     KernelOrder,
@@ -61,11 +62,39 @@ SUITE_NAMES = ("all", "algebra", "kernel", "geometry", "props", "reproducing", "
 
 
 def _rand_exact(rng, dim, span=9):
-    return Hypercomplex([rng.randint(-span, span) for _ in range(dim)])
+    """Components drawn as ``rng.randint(-span, span)`` draws them, at a
+    fraction of its cost: rejection sampling on ``getrandbits``."""
+    n = 2 * span + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    comps = []
+    for _ in range(dim):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        comps.append(r - span)
+    return Hypercomplex(comps)
 
 
 def _rand_float(rng, dim):
     return Hypercomplex([rng.uniform(-1.0, 1.0) for _ in range(dim)], exact=False)
+
+
+# The float Cayley checks run on blocks of at most this many points, which
+# bounds their memory; the draws of a block are those of drawing its points
+# one at a time.
+CAYLEY_BLOCK = 1000
+# bounds of the uniform draws, per column: tau1, the height (round trip
+# only), then Im tau2
+_ROUNDTRIP_LOW = [-1.0] * 8 + [0.05] + [-2.0] * 7
+_ROUNDTRIP_HIGH = [1.0] * 8 + [3.0] + [2.0] * 7
+_BOUNDARY_LOW = [-1.0] * 8 + [-2.0] * 7
+_BOUNDARY_HIGH = [1.0] * 8 + [2.0] * 7
+
+
+def _blocks(total):
+    """Sizes of the blocks of at most CAYLEY_BLOCK points that make up ``total``."""
+    return [min(CAYLEY_BLOCK, total - start) for start in range(0, total, CAYLEY_BLOCK)]
 
 
 def _report_counterexamples(name, inputs, bad, count):
@@ -345,21 +374,18 @@ def geometry_suite(seed=0):
     nrng = np.random.default_rng(seed)
     worst_round = 0.0
     inside = True
-    for _ in range(10_000):
-        tau1 = Hypercomplex(nrng.uniform(-1, 1, 8), exact=False)
-        height = float(nrng.uniform(0.05, 3.0))
-        vert = np.concatenate([[float(tau1.norm_sq()) + height], nrng.uniform(-2, 2, 7)])
-        p = SiegelPoint((tau1,), Hypercomplex(vert, exact=False))
-        ball = cayley(p)
-        if ball.norm_sq_sum() >= 1.0:
+    for size in _blocks(10_000):
+        # per row: tau1 in [-1, 1]^8, the height, then Im tau2 in [-2, 2]^7
+        draws = nrng.uniform(_ROUNDTRIP_LOW, _ROUNDTRIP_HIGH, (size, 16))
+        tau1 = tuple(draws[:, :8].T)
+        tau2 = (sum_squares(tau1) + draws[:, 8],) + tuple(draws[:, 9:].T)
+        sigma1, sigma2 = cayley_columns(tau1, tau2)
+        if np.any(sum_squares(sigma1) + sum_squares(sigma2) >= 1.0):
             inside = False
-        back = cayley_inv(ball)
-        dev = max(
-            max(abs(a - b) for a, b in zip(back.horizontal[0].comps, p.horizontal[0].comps)),
-            max(abs(a - b) for a, b in zip(back.vertical.comps, p.vertical.comps)),
-        )
-        scale = max(1.0, abs(p.vertical))
-        worst_round = max(worst_round, dev / scale)
+        back1, back2 = cayley_columns(sigma1, sigma2, inverse=True)
+        dev = np.max(np.abs(np.array(back1 + back2) - np.array(tau1 + tau2)), axis=0)
+        scale = np.maximum(1.0, np.sqrt(sum_squares(tau2)))
+        worst_round = max(worst_round, float(np.max(dev / scale)))
     reports.append(
         CheckReport.within(
             "cayley-roundtrip", {"samples": 10_000}, worst_round, 1e-12,
@@ -368,11 +394,11 @@ def geometry_suite(seed=0):
     )
 
     worst_bd = 0.0
-    for _ in range(500):
-        tau1 = Hypercomplex(nrng.uniform(-1, 1, 8), exact=False)
-        vert = np.concatenate([[float(tau1.norm_sq())], nrng.uniform(-2, 2, 7)])
-        p = SiegelPoint((tau1,), Hypercomplex(vert, exact=False))
-        worst_bd = max(worst_bd, abs(cayley(p).norm_sq_sum() - 1.0))
+    for size in _blocks(500):
+        draws = nrng.uniform(_BOUNDARY_LOW, _BOUNDARY_HIGH, (size, 15))
+        tau1 = tuple(draws[:, :8].T)
+        sigma1, sigma2 = cayley_columns(tau1, (sum_squares(tau1),) + tuple(draws[:, 8:].T))
+        worst_bd = max(worst_bd, float(np.max(np.abs(sum_squares(sigma1) + sum_squares(sigma2) - 1.0))))
     reports.append(
         CheckReport.within(
             "cayley-boundary-to-sphere", {"samples": 500}, worst_bd, 1e-10,
@@ -553,13 +579,15 @@ def reproducing_suite(n=1, tol=1e-3, budget=2.0e7):
 # ----------------------------------------------------------------------
 
 
-def run_suite(name, n=1, tol=1e-3, budget=2.0e7, seed=0):
+def run_suite(name, n=1, tol=1e-3, budget=2.0e7, seed=0, elapsed=None):
     """Run one named suite (or all of them); reports sorted by check name.
 
     A suite that raises adds one failing ``suite-error`` report, whose
     ``error`` field holds the exception's type and message, and the other
     suites still run.  Usage errors still raise: a budget too small for two
-    boundary refinement levels, and an ``n`` outside the Hardy range.
+    boundary refinement levels, and an ``n`` outside the Hardy range.  If
+    ``elapsed`` is a dict, it receives each suite's wall time in seconds,
+    in the order the suites ran.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -575,6 +603,7 @@ def run_suite(name, n=1, tol=1e-3, budget=2.0e7, seed=0):
     for suite, run in suites.items():
         if name not in ("all", suite):
             continue
+        start = time.perf_counter()
         try:
             reports += run()
         except (BudgetTooSmallError, verify.OutsideHardyRangeError):
@@ -582,5 +611,7 @@ def run_suite(name, n=1, tol=1e-3, budget=2.0e7, seed=0):
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             reports.append(CheckReport.from_flag("suite-error", {"suite": suite}, False, error=error))
+        if elapsed is not None:
+            elapsed[suite] = time.perf_counter() - start
     reports.sort(key=lambda r: (r.name, str(r.inputs)))
     return reports

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,21 @@ def test_raising_suite_is_a_failing_report(monkeypatch, capsys):
     assert error["passed"] is False
     assert all("error" not in l for l in lines[:-1])
     assert "5/6 checks passed" in err
+
+
+def test_verify_prints_each_suite_time_on_stderr(monkeypatch, capsys):
+    from qszego import suites
+    from qszego.report import CheckReport
+
+    names = ("algebra", "kernel", "geometry", "props", "octonion", "reproducing")
+    for name in names:
+        stub = lambda name=name, **k: [CheckReport.from_flag(f"{name}-stub", {}, True)]
+        monkeypatch.setattr(suites, f"{name}_suite", stub)
+    code, out, err = run_cli(["verify", "all"], capsys)
+    assert code == 0 and len(out.strip().splitlines()) == 6
+    times = [line for line in err.splitlines() if re.fullmatch(r"\w+: \d+\.\d+ s", line)]
+    assert sorted(line.split(":")[0] for line in times) == sorted(names)
+    assert "all: 6/6 checks passed" in err
 
 
 def test_config_bad_value_is_usage_error(tmp_path, capsys):

@@ -14,6 +14,7 @@ from qszego.geometry import (
     boundary_param,
     boundary_unparam,
     cayley,
+    cayley_columns,
     cayley_inv,
     dilate,
     dilate_element,
@@ -224,6 +225,41 @@ def test_cayley_pole():
     p = SiegelPoint((Hypercomplex.zero(8),), Hypercomplex.from_real(8, -1))
     with pytest.raises(ZeroDivisionError):
         cayley(p)
+
+
+def _hex(comps):
+    return [float(c).hex() for c in comps]
+
+
+def test_cayley_columns_match_points_bit_for_bit():
+    rng = np.random.default_rng(3)
+    tau1 = rng.uniform(-1, 1, (300, 8))
+    tau2 = np.concatenate([np.sum(tau1 * tau1, axis=1, keepdims=True), rng.uniform(-2, 2, (300, 7))], axis=1)
+    tau2[::2, 0] += rng.uniform(0.05, 3.0, 150)
+    tau1[7, 3] = tau2[7, 5] = -0.0
+    # the exact boundary point (0, e1), in floats
+    tau1[0], tau2[0] = 0.0, [0.0, 1.0] + [0.0] * 6
+    sigma1, sigma2 = cayley_columns(tuple(tau1.T), tuple(tau2.T))
+    back1, back2 = cayley_columns(sigma1, sigma2, inverse=True)
+    for i in range(300):
+        p = SiegelPoint((Hypercomplex(tau1[i], exact=False),), Hypercomplex(tau2[i], exact=False))
+        ball = cayley(p)
+        assert _hex(c[i] for c in sigma1) == _hex(ball.sigma1.comps)
+        assert _hex(c[i] for c in sigma2) == _hex(ball.sigma2.comps)
+        back = cayley_inv(ball)
+        assert _hex(c[i] for c in back1) == _hex(back.horizontal[0].comps)
+        assert _hex(c[i] for c in back2) == _hex(back.vertical.comps)
+    assert _hex(c[0] for c in sigma2) == _hex([0.0, -1.0] + [0.0] * 6)
+
+
+def test_cayley_columns_block_with_pole_raises():
+    tau1 = tuple(np.zeros(3) for _ in range(8))
+    tau2 = (np.array([1.0, -1.0, 2.0]),) + tuple(np.zeros(3) for _ in range(7))
+    with pytest.raises(ZeroDivisionError, match="tau2 = -1"):
+        cayley_columns(tau1, tau2)
+    sigma2 = (np.array([0.5, -1.0]),) + tuple(np.zeros(2) for _ in range(7))
+    with pytest.raises(ZeroDivisionError, match="sigma2 = -1"):
+        cayley_columns(tuple(np.zeros(2) for _ in range(8)), sigma2, inverse=True)
 
 
 def test_rho_length():
