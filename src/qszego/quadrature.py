@@ -2,11 +2,11 @@
 
 Two integration paths cover the verification needs: an adaptive product
 rule in spherical coordinates for integrals over R^3, and a tensor rule over
-the Siegel boundary, reduced to one radial horizontal dimension for
-integrands that are rotation invariant in the horizontal variables; one
-that declares its degree of homogeneity is evaluated once per level.  The
-boundary budget counts rule points, ``n_evals`` the points evaluated.  Both
-place their Gauss nodes through the same coordinate maps,
+the Siegel boundary for integrands that are rotation invariant in the
+horizontal variables and homogeneous of a declared degree: the horizontal
+factor reduces to one radial dimension, and the integrand is evaluated once
+per level.  The boundary budget counts rule points, ``n_evals`` the points
+evaluated.  Both place their Gauss nodes through the same coordinate maps,
 :meth:`ExpDecay.map` and :meth:`PowerDecay.map`, refine through the same
 loop, and take integrands that return one value or one row of values per
 point.  Both return a :class:`QuadratureResult` whether or not refinement
@@ -278,17 +278,17 @@ def _refine(level, sizes, tol, abs_tol):
     return QuadratureResult(value, err, n_evals, converged=False), levels
 
 
-def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0, max_refinements=4):
+def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0):
     """Adaptive spherical product rule over R^3.
 
     ``f`` is vectorized over points of shape (N, 3) and must be absolutely
     integrable with the declared radial decay.  Starting from 16 x 12 x 12
-    nodes, refinement doubles the radial rule and grows the angular rules
-    until successive levels agree to the requested tolerance.  When the
-    refinements run out first, the result carries ``converged=False`` and
-    the last level's value.
+    nodes, refinement doubles the radial rule and grows the angular rules, for
+    at most five levels, until successive levels agree to the requested
+    tolerance.  When the levels run out first, the result carries
+    ``converged=False`` and the last level's value.
     """
-    sizes = [(16 * 2**k, min(12 * 2**k, 48), min(12 * 2**k, 48)) for k in range(max_refinements + 1)]
+    sizes = [(16 * 2**k, min(12 * 2**k, 48), min(12 * 2**k, 48)) for k in range(5)]
     return _refine(lambda *size: _sphere_level(f, decay_hint, *size), sizes, tol, abs_tol)[0]
 
 
@@ -363,36 +363,31 @@ def sphere_surface(dim):
 
 @dataclass
 class BoundaryIntegrand:
-    """A rotation-invariant integrand over the Siegel boundary.
+    """A rotation-invariant integrand over the Siegel boundary, homogeneous of a declared degree.
 
     The boundary is parameterized by (w', t) in R^(4n) x R^3.  ``fn(r, t)``
-    receives the horizontal radius r = |w'| as a (1, 1, 1) array and t as the
-    vertical grid's axis columns, of shapes (n_t, 1, 1), (1, n_t, 1) and
-    (1, 1, n_t), so a power of a coordinate is taken once per axis value; it
-    returns shape (n_t, n_t, n_t), or (n_t, n_t, n_t, c) for a hypercomplex
-    integrand.  r is an array because numpy rounds a scalar's power
-    differently from an array's, and a value must not depend on the grid's form.
-    ``decay_power`` declares |F| <= C (1 + |w'|^2 + |t|)^(-decay_power); the
-    engine refuses integrands whose declared decay cannot be absolutely
+    depends on r = |w'| only through 1 + r^2 and is homogeneous of exactly
+    ``degree`` jointly in (1 + r^2, t).  It receives r as a (1, 1, 1) array
+    and t as the vertical grid's axis columns, of shapes (n_t, 1, 1),
+    (1, n_t, 1) and (1, 1, n_t), so a power of a coordinate is taken once
+    per axis value; it returns shape (n_t, n_t, n_t), or (n_t, n_t, n_t, c)
+    for a hypercomplex integrand.  r is an array because numpy rounds a
+    scalar's power differently from an array's, and a value must not depend
+    on the grid's form.  The integrand decays like (1 + |w'|^2 + |t|)^degree,
+    and the engine refuses a degree at which that cannot be absolutely
     integrable.  Every axis uses the rational compactification of
     :meth:`PowerDecay.map`.
-
-    With ``degree`` set, ``fn`` depends on r only through 1 + r^2 and is
-    homogeneous of exactly that degree jointly in (1 + r^2, t); the vertical
-    window grows like 1 + r^2, so ``fn`` is called once per level, at r = 0.
-    Without it the window is fixed and ``fn`` is called once per radial node.
     """
 
     n: int
     fn: object
-    decay_power: float = 0.0
-    degree: int | None = None
+    degree: int
 
     def check_integrable(self):
-        if 2.0 * self.decay_power <= 4 * self.n + 6:
+        if -2 * self.degree <= 4 * self.n + 6:
             raise ValueError(
-                "declared decay power {:g} cannot be absolutely integrable over "
-                "the boundary (needs > {:g})".format(self.decay_power, 2 * self.n + 3)
+                "degree {} cannot be absolutely integrable over the boundary "
+                "(needs < {})".format(self.degree, -(2 * self.n + 3))
             )
 
 
@@ -417,9 +412,9 @@ def _t_grid(n_t):
 def _boundary_level_radial(integrand, n_r, n_t):
     """One level of n_r * n_t^3 rule points, the horizontal factor reduced to the radius.
 
-    With a ``degree``, ``fn`` runs once at r = 0 and each radial node weighs
-    in by (1 + r^2)^(degree + 3): the degree from homogeneity, 3 from the
-    grown window.  Returns (value, points evaluated).
+    The vertical window grows like 1 + r^2, so ``fn`` runs once at r = 0 and
+    each radial node weighs in by (1 + r^2)^(degree + 3): the degree from
+    homogeneity, 3 from the grown window.  Returns (value, points evaluated).
     """
     n = integrand.n
     r, wr = _axis_rule(n_r, half_line=True)
@@ -427,44 +422,9 @@ def _boundary_level_radial(integrand, n_r, n_t):
     axes = (t1[:, None, None], t1[None, :, None], t1[None, None, :])
 
     area = sphere_surface(4 * n)
-    if integrand.degree is not None:
-        vals = np.reshape(integrand.fn(np.zeros((1, 1, 1)), axes), (len(wt), -1))
-        radial = np.sum(area * wr * r ** (4 * n - 1) * (1.0 + r * r) ** (integrand.degree + 3))
-        return _finite(radial * (wt @ vals), len(wt))
-    out = 0.0
-    for i in range(n_r):
-        vals = np.reshape(integrand.fn(r[i : i + 1].reshape(1, 1, 1), axes), (len(wt), -1))
-        weight = area * wr[i] * r[i] ** (4 * n - 1)
-        out = out + weight * (wt @ vals)
-    return _finite(out, n_r * len(wt))
-
-
-def _boundary_level_full(integrand, n_w, n_t):
-    """One full tensor level over R^(4n) x R^3, with ``fn(w, t)``.
-
-    The reference the radial reduction is checked against: ``fn`` receives
-    the whole horizontal vector w' instead of its length.
-    """
-    chunk = 4096
-    dim = 4 * integrand.n
-    w1, ww1 = _axis_rule(n_w)
-    t1, wt = _t_grid(n_t)
-    tt = np.stack(np.meshgrid(t1, t1, t1, indexing="ij"), axis=-1).reshape(-1, 3)
-
-    w_grid = np.stack(np.meshgrid(*[w1] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-    w_weights = np.stack(np.meshgrid(*[ww1] * dim, indexing="ij"), axis=-1).reshape(-1, dim).prod(axis=1)
-
-    out = 0.0
-    evals = 0
-    for s in range(0, len(w_grid), chunk):
-        wg = w_grid[s : s + chunk]
-        wwg = w_weights[s : s + chunk]
-        big_w = np.repeat(wg, len(tt), axis=0)
-        big_t = np.tile(tt, (len(wg), 1))
-        vals = np.reshape(integrand.fn(big_w, big_t), (len(wg), len(tt), -1))
-        out = out + np.einsum("i,j,ijk->k", wwg, wt, vals)
-        evals += len(wg) * len(tt)
-    return _finite(out, evals)
+    vals = np.reshape(integrand.fn(np.zeros((1, 1, 1)), axes), (len(wt), -1))
+    radial = np.sum(area * wr * r ** (4 * n - 1) * (1.0 + r * r) ** (integrand.degree + 3))
+    return _finite(radial * (wt @ vals), len(wt))
 
 
 def integrate_boundary(integrand, tol=1e-6, budget=2.0e7):
@@ -476,10 +436,10 @@ def integrate_boundary(integrand, tol=1e-6, budget=2.0e7):
     refinement grows every axis by half while the cumulative count of rule
     points, n_r * n_t^3 per level, fits the budget; the result is
     deterministic for a fixed budget.  ``n_evals`` counts the points
-    evaluated: n_t^3 per level with a degree, n_r * n_t^3 without.  A
-    scalar integrand yields a float, a hypercomplex one its component array.
-    When the budget runs out before two levels agree, the result carries
-    ``converged=False`` and the last level's value.  Raises
+    evaluated, n_t^3 per level.  The value is the array of the integrand's
+    components, one entry for a scalar integrand.  When the budget runs out
+    before two levels agree, the result carries ``converged=False`` and the
+    last level's value.  Raises
     :class:`BudgetTooSmallError` when the budget cannot pay for two levels.
     """
     integrand.check_integrable()
@@ -494,6 +454,4 @@ def integrate_boundary(integrand, tol=1e-6, budget=2.0e7):
     result, levels = _refine(lambda a, b: _boundary_level_radial(integrand, a, b), sizes(), tol, 1e-300)
     if levels < 2:
         raise BudgetTooSmallError(f"budget {budget:g} too small for two refinement levels")
-    if len(result.value) == 1:
-        result.value = float(result.value[0])
     return result

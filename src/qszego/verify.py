@@ -189,7 +189,7 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     integrand is rotation invariant in w', so the horizontal factor reduces
     to a radial one.  The integrand is homogeneous in (1 + |w'|^2, t) of
     degree D = deg S + deg F, both read off the exact fractions, so the
-    boundary rule evaluates it once per level, and its decay power is -D.
+    boundary rule evaluates it once per level.
     A boundary rule that runs out of budget before it converges yields a
     failing report carrying its best value.  A test
     function that vanishes at (0,1) raises ``ValueError`` before any
@@ -217,7 +217,7 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
         return mul_arrays(s_vals, f_vals, 4)
 
     degree = _homogeneous_degree(density.body.comps) + _homogeneous_degree(comps)
-    integrand = BoundaryIntegrand(n=n, fn=fn, decay_power=-degree, degree=degree)
+    integrand = BoundaryIntegrand(n=n, fn=fn, degree=degree)
     res = integrate_boundary(integrand, tol=tol / 3.0, budget=budget)
     integral = np.asarray(res.value)
     deviation = float(np.max(np.abs(integral - direct_f)))

@@ -17,7 +17,6 @@ from qszego.quadrature import (
     PowerDecay,
     SqrtPiRational,
     _axis_rule,
-    _boundary_level_full,
     _boundary_level_radial,
     _sphere_level,
     _t_grid,
@@ -32,6 +31,33 @@ from qszego.quadrature import (
 from qszego.verify import hardy_test_function_components
 
 PI = math.pi
+
+
+def _cut_levels(monkeypatch, count):
+    """Cut every refinement in ``quadrature`` to its first ``count`` levels."""
+    refine = quadrature._refine
+    monkeypatch.setattr(quadrature, "_refine", lambda level, sizes, *tol: refine(level, list(sizes)[:count], *tol))
+
+
+def _g(a):
+    """g = ((1 + r^2)^2 + |t|^2)^(-a) on the boundary, homogeneous of degree -2a."""
+
+    def fn(r, t):
+        s = 1.0 + r * r
+        return (s * s + t[0] * t[0] + t[1] * t[1] + t[2] * t[2]) ** (-float(a))
+
+    return fn
+
+
+def _g_exact(n, a):
+    """The boundary integral of g over R^(4n) x R^3, exact.
+
+    pi^(3/2) Gamma(a - 3/2) / Gamma(a) from t, then
+    pi^(2n) Gamma(2a - 3 - 2n) / Gamma(2a - 3) from w'.
+    """
+    t_part = SqrtPiRational(1, 3) * gamma_half(2 * a - 3) / gamma_half(2 * a)
+    w_part = SqrtPiRational(1, 4 * n) * gamma_half(4 * a - 6 - 4 * n) / gamma_half(4 * a - 6)
+    return (t_part * w_part).to_float()
 
 
 def test_gamma_half_values():
@@ -100,18 +126,20 @@ def test_integrate_r3_odd_vanishes():
     assert abs(res.value) < 1e-10
 
 
-def test_integrate_r3_nonconvergence_reports_best():
+def test_integrate_r3_nonconvergence_reports_best(monkeypatch):
     # tolerance far below reachable: the result must carry the best value
+    _cut_levels(monkeypatch, 2)
     f = lambda pts: np.exp(-np.linalg.norm(pts, axis=1))
-    res = integrate_r3(f, ExpDecay(1.0), tol=0.0, max_refinements=1)
+    res = integrate_r3(f, ExpDecay(1.0), tol=0.0)
     assert not res.converged
     assert abs(res.value - 8 * PI) < 1e-3
 
 
-def test_integrate_r3_one_level_is_not_converged():
+def test_integrate_r3_one_level_is_not_converged(monkeypatch):
     # one level gives no error estimate: not converged, not a budget error
+    _cut_levels(monkeypatch, 1)
     f = lambda pts: np.exp(-np.linalg.norm(pts, axis=1))
-    res = integrate_r3(f, ExpDecay(1.0), max_refinements=0)
+    res = integrate_r3(f, ExpDecay(1.0))
     assert not res.converged and res.error_estimate == math.inf and res.n_evals == 16 * 12 * 12
 
 
@@ -190,9 +218,9 @@ def test_nonfinite_integrand_value_raises():
     with pytest.raises(FloatingPointError):
         integrate_r3(f, ExpDecay(1.0), tol=1e-9)
 
-    fn = _nan_at_first_point(lambda r, t: (1 + r * r) ** -6.0 * math.prod(1.0 / (1 + a * a) ** 2 for a in t))
+    fn = _nan_at_first_point(_g(4))
     with pytest.raises(FloatingPointError):
-        integrate_boundary(BoundaryIntegrand(n=1, fn=fn, decay_power=6), tol=1e-9, budget=1e6)
+        integrate_boundary(BoundaryIntegrand(n=1, fn=fn, degree=-8), tol=1e-9, budget=1e6)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -274,46 +302,54 @@ def test_parseval_rejects_bad_input():
 
 
 def test_boundary_rejects_nonintegrable():
-    bi = BoundaryIntegrand(n=1, fn=lambda r, t: np.ones(len(r)), decay_power=0.0)
-    with pytest.raises(ValueError):
+    bi = BoundaryIntegrand(n=1, fn=_g(2), degree=-4)
+    with pytest.raises(ValueError, match="degree -4"):
         integrate_boundary(bi, tol=1e-3)
 
 
-def test_boundary_radial_matches_full_tensor():
-    exact = (PI**2 / 20) * (PI / 2) ** 3
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_integrability_threshold(n):
+    # absolutely integrable over R^(4n) x R^3 exactly when degree < -(2n + 3)
+    with pytest.raises(ValueError, match="cannot be absolutely integrable"):
+        BoundaryIntegrand(n=n, fn=None, degree=-(2 * n + 3)).check_integrable()
+    BoundaryIntegrand(n=n, fn=None, degree=-(2 * n + 4)).check_integrable()
 
-    def fr(r, t):
-        return (1 + r * r) ** -6.0 * math.prod(1.0 / (1 + a * a) ** 2 for a in t)
 
-    def ff(w, t):
-        return (1 + np.sum(w * w, axis=-1)) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
-
-    bi_r = BoundaryIntegrand(n=1, fn=fr, decay_power=6)
-    bi_f = BoundaryIntegrand(n=1, fn=ff, decay_power=6)
-    radial = integrate_boundary(bi_r, tol=1e-9, budget=5e7)
-    assert abs(radial.value - exact) <= 1e-8 * exact
-    (full,), used = _boundary_level_full(bi_f, 16, 8)
-    assert abs(full - radial.value) <= 1e-6 * abs(radial.value)
+@pytest.mark.parametrize("n, a", [(1, 4), (2, 5), (3, 6)])
+def test_boundary_rule_matches_exact_value(n, a):
+    # g is homogeneous of degree -2a, so the radial reduction and the one
+    # evaluation per level are exact in exact arithmetic; the rule must
+    # converge and meet the closed form far inside its tolerance
+    exact = _g_exact(n, a)
+    res = integrate_boundary(BoundaryIntegrand(n=n, fn=_g(a), degree=-2 * a), tol=1e-9, budget=5e7)
+    assert res.converged
+    assert res.value.shape == (1,)
+    assert abs(res.value[0] - exact) <= 1e-11 * exact
 
 
 def test_boundary_nonconvergence_reports_best():
-    # the budget pays for the 12 x 8^3 and 18 x 12^3 levels, which do not agree to 1e-12
-    exact = (PI**2 / 20) * (PI / 2) ** 3
-
-    def fn(r, t):
-        return (1 + r * r) ** -6.0 * math.prod(1.0 / (1 + a * a) ** 2 for a in t)
-
-    res = integrate_boundary(BoundaryIntegrand(n=1, fn=fn, decay_power=6), tol=1e-12, budget=6e4)
+    # the budget pays for the 12 x 8^3 and 18 x 12^3 levels, which do not
+    # agree to 1e-12; the result is the second level and its distance from the first
+    bi = BoundaryIntegrand(n=1, fn=_g(4), degree=-8)
+    res = integrate_boundary(bi, tol=1e-12, budget=6e4)
     assert not res.converged
-    assert res.n_evals == 12 * 8**3 + 18 * 12**3
+    assert res.n_evals == 8**3 + 12**3
+    first, second = _boundary_level_radial(bi, 12, 8)[0], _boundary_level_radial(bi, 18, 12)[0]
+    assert res.value.view(np.uint64).tolist() == second.view(np.uint64).tolist()
+    assert res.error_estimate == float(np.max(np.abs(second - first))) > 0
+    assert abs(res.value[0] - _g_exact(1, 4)) <= 1e-5 * _g_exact(1, 4)
+
+    # a = 3 decays slowest of the integrable g at n = 1: the whole budget
+    # leaves it short of 1e-9
+    res = integrate_boundary(BoundaryIntegrand(n=1, fn=_g(3), degree=-6), tol=1e-9, budget=5e7)
+    assert not res.converged
     assert 0 < res.error_estimate < math.inf
-    assert abs(res.value - exact) <= 1e-8 * exact
+    assert 1e-9 < abs(res.value[0] - _g_exact(1, 3)) / _g_exact(1, 3) < 1e-7
 
 
 def test_parseval_unconverged_is_a_failing_report(monkeypatch):
     # a rule cut to one level cannot converge: the check fails and keeps its left side
-    refine = quadrature._refine
-    monkeypatch.setattr(quadrature, "_refine", lambda level, sizes, *tol: refine(level, list(sizes)[:1], *tol))
+    _cut_levels(monkeypatch, 1)
     rep = parseval_identity_check((1, 0, 0, 0), (1, 0, 0, 0), 1.0)
     assert not rep.passed
     assert math.isfinite(rep.lhs) and rep.rhs == float.fromhex("0x1.3bd3cc9be45dep+2")
@@ -321,21 +357,18 @@ def test_parseval_unconverged_is_a_failing_report(monkeypatch):
 
 
 def test_boundary_budget_determinism():
-    def fn(r, t):
-        return (1 + r * r) ** -6.0 * math.prod(1.0 / (1 + a * a) ** 2 for a in t)
-
-    bi = BoundaryIntegrand(n=1, fn=fn, decay_power=6)
+    bi = BoundaryIntegrand(n=1, fn=_g(4), degree=-8)
     a = integrate_boundary(bi, tol=1e-9, budget=1e6)
     b = integrate_boundary(bi, tol=1e-9, budget=1e6)
-    assert a.value == b.value and a.n_evals == b.n_evals
+    assert a.value.view(np.uint64).tolist() == b.value.view(np.uint64).tolist()
+    assert a.n_evals == b.n_evals
 
 
 def test_coordinate_maps_pinned_bit_for_bit():
     # exact float.hex values of one rule per coordinate map ("cut" through
-    # ExpDecay, "power" through PowerDecay and the boundary levels, radial
-    # with a fixed t-window and with one that grows with a declared degree,
-    # and full); a change to node placement, weights or summation order
-    # shows here before it shows in a tolerance
+    # ExpDecay, "power" through PowerDecay and the boundary level, on g and
+    # on the reproducing integrand); a change to node placement, weights or
+    # summation order shows here before it shows in a tolerance
     res = integrate_r3(lambda p: np.exp(-np.linalg.norm(p, axis=1)), ExpDecay(1.0), tol=1e-9)
     assert (res.value.hex(), res.n_evals) == ("0x1.921fb54442cd7p+4", 168192)
 
@@ -344,11 +377,8 @@ def test_coordinate_maps_pinned_bit_for_bit():
     )
     assert (value.hex(), used) == ("0x1.3bd3cc9be4e6fp+3", 2304)
 
-    def power(r, t):
-        return (1 + r * r) ** -6.0 * math.prod(1.0 / (1 + a * a) ** 2 for a in t)
-
-    value, used = _boundary_level_radial(BoundaryIntegrand(n=1, fn=power, decay_power=6), 12, 8)
-    assert (float(value[0]).hex(), used) == ("0x1.e9a1a9b120c6dp+0", 6144)
+    value, used = _boundary_level_radial(BoundaryIntegrand(n=1, fn=_g(4), degree=-8), 12, 8)
+    assert (float(value[0]).hex(), used) == ("0x1.03df8d7f3ea86p+0", 512)
 
     # the reproducing integrand S((0,1), w) F(w) of verify.reproducing_check
     # at n = 1, t = (2, 0, 0, 1): four components, homogeneous of degree
@@ -362,18 +392,12 @@ def test_coordinate_maps_pinned_bit_for_bit():
         f = eval_fractions(comps.comps, (base, *t))
         return mul_arrays(s, f, 4)
 
-    bi = BoundaryIntegrand(n=1, fn=reproducing, decay_power=11, degree=-11)
+    bi = BoundaryIntegrand(n=1, fn=reproducing, degree=-11)
     value, used = _boundary_level_radial(bi, 12, 8)
     assert ([float(v).hex() for v in value], used) == (
         ["0x1.e142818090b33p-72", "0x1.60410234ce211p-59", "-0x1.41c9598f3b92ap-60", "0x1.29da4abd870fcp-1"],
         512,
     )
-
-    def full(w, t):
-        return (1 + np.sum(w * w, axis=-1)) ** -6.0 * np.prod(1.0 / (1 + t * t) ** 2, axis=-1)
-
-    (value,), used = _boundary_level_full(BoundaryIntegrand(n=1, fn=full, decay_power=6), 6, 6)
-    assert (value.hex(), used) == ("0x1.d94f0e6641a78p+0", 279936)
 
 
 def test_reproducing_integrand_columns_equal_points():
@@ -407,7 +431,7 @@ def test_reproducing_integrand_columns_equal_points():
         return calls[-1][1]
 
     n_r, n_t = 12, 9
-    bi = BoundaryIntegrand(n=1, fn=recorded, decay_power=-degree, degree=degree)
+    bi = BoundaryIntegrand(n=1, fn=recorded, degree=degree)
     got, used = _boundary_level_radial(bi, n_r, n_t)
     assert used == n_t**3 and len(calls) == 1
 

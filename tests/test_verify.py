@@ -125,7 +125,7 @@ def test_reproducing_rejects_zero_direct_value_before_integrating(t, monkeypatch
 def test_reproducing_degree_read_off_the_fractions(n, monkeypatch):
     # the boundary integrand S((0,1), w) F(w) is homogeneous of degree
     # deg S + deg F = -(2n + 3) - (order + 3), derived from the exact
-    # fractions, and declares decay power minus that degree
+    # fractions, and declared to the boundary rule
     from qszego import verify
 
     seen = []
@@ -139,7 +139,7 @@ def test_reproducing_degree_read_off_the_fractions(n, monkeypatch):
         spec = TestFunctionSpec(n, t)
         reproducing_check(spec)
         degree = -(2 * n + 3) - (spec.order + 3)
-        assert (seen[-1].degree, seen[-1].decay_power) == (degree, -degree)
+        assert seen[-1].degree == degree
 
 
 def test_homogeneous_degree_rejects_inhomogeneous_fractions():
