@@ -34,15 +34,10 @@ print("\nexponential moments over R^3, closed form vs quadrature:")
 for a, powers in ((1.0, (0, 0, 0, 0)), (2.0, (0, 0, 0, 0)), (1.0, (1, 2, 0, 2))):
     exact = exponential_moment_closed_form(a, *powers)
 
-    def f(pts):
-        r = np.linalg.norm(pts, axis=1)
-        return (
-            r ** powers[0]
-            * pts[:, 0] ** powers[1]
-            * pts[:, 1] ** powers[2]
-            * pts[:, 2] ** powers[3]
-            * np.exp(-a * r)
-        )
+    def f(x1, x2, x3):
+        # coordinate columns that broadcast: x1**k is taken once per axis value
+        r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+        return r ** powers[0] * x1 ** powers[1] * x2 ** powers[2] * x3 ** powers[3] * np.exp(-a * r)
 
     res = integrate_r3(f, ExpDecay(a), tol=1e-9, abs_tol=1e-12)
     print(f"  a={a}, powers={powers}: closed {exact.to_float():.10f}"

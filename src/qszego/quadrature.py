@@ -8,7 +8,10 @@ factor reduces to one radial dimension, and the integrand is evaluated once
 per level.  The boundary budget counts rule points, ``n_evals`` the points
 evaluated.  Both place their Gauss nodes through the same coordinate maps,
 :meth:`ExpDecay.map` and :meth:`PowerDecay.map`, refine through the same
-loop, and take integrands that return one value or one row of values per
+loop, and pass their integrands coordinate columns that broadcast (the
+spherical rule x1, x2, x3 of a group of radial nodes, the boundary rule r
+and the t grid's axes), so a power of a coordinate is taken once per axis
+value; an integrand returns one value or a trailing axis of values per
 point.  Both return a :class:`QuadratureResult` whether or not refinement
 converged, and every check that integrates puts its ``converged`` flag into
 its verdict.  A level whose value is not finite raises
@@ -224,13 +227,17 @@ def _finite(value, evals):
 def _sphere_level(f, decay, nr, nc, nphi):
     """One tensor level of the spherical product rule; returns (value, evals).
 
-    ``f`` returns one value per point, or one row of values per point; the
-    value is a float for one column and an array of one entry per column
-    otherwise.  ``f`` is called once per group of whole radial nodes, as many
-    as fit in one evaluator block of ``_ROWS`` points (at least one), and the
-    points are built per group.  Each node's angular sum is still taken on
-    its own contiguous (nc, nphi) array and added to the total node by node,
-    so the value does not depend on the grouping.
+    ``f(x1, x2, x3)`` receives the coordinate columns of a group of whole
+    radial nodes, of shapes (g, nc, 1), (g, nc, nphi) and (g, nc, nphi), so
+    a power of x1 is taken once per (r, cos theta) value; it returns shape
+    (g, nc, nphi), or (g, nc, nphi, C) for C values per point.  The value is
+    a float for one value per point and an array of C entries otherwise.
+    A group holds as many nodes as fit in one evaluator block of ``_ROWS``
+    points (at least one).  One sum over the last two axes of the group's
+    contiguous (C, g, nc, nphi) values takes every node's angular sum, each
+    on its own contiguous (nc, nphi) slice, and the nodes are added to the
+    total one by one in node order, so the value does not depend on the
+    grouping.
     """
     u, wu = _gauss01(nr)
     r, jac = decay.map(u)
@@ -240,20 +247,18 @@ def _sphere_level(f, decay, nr, nc, nphi):
 
     s = np.sqrt(1.0 - c**2)
     cphi, sphi = np.cos(phi), np.sin(phi)
+    weight = wu * jac * r * r
 
     group = max(1, _ROWS // (nc * nphi))
     total = 0.0
     for start in range(0, nr, group):
         rg = r[start : start + group, None, None]
-        x1 = np.broadcast_to(rg * c[:, None], (len(rg), nc, nphi))
-        x2 = rg * s[:, None] * cphi[None, :]
-        x3 = rg * s[:, None] * sphi[None, :]
-        pts = np.stack([x1, x2, x3], axis=-1).reshape(-1, 3)
-        vals = np.ascontiguousarray(np.reshape(f(pts), (len(pts), -1)).T).reshape(-1, len(rg), nc, nphi)
-        for j in range(len(rg)):
-            i = start + j
-            angular = np.array([np.sum(v[j] * wc[:, None]) * wphi for v in vals])
-            total = total + wu[i] * jac[i] * r[i] * r[i] * angular
+        rs = rg * s[:, None]
+        vals = f(rg * c[:, None], rs * cphi, rs * sphi)
+        vals = np.ascontiguousarray(np.moveaxis(np.reshape(vals, (len(rg), nc, nphi, -1)), -1, 0))
+        nodes = np.sum(vals * wc[:, None], axis=(-2, -1)) * wphi * weight[start : start + group]
+        for node in nodes.T:
+            total = total + node
     return _finite(float(total[0]) if len(total) == 1 else total, nr * nc * nphi)
 
 
@@ -281,10 +286,11 @@ def _refine(level, sizes, tol, abs_tol):
 def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0):
     """Adaptive spherical product rule over R^3.
 
-    ``f`` is vectorized over points of shape (N, 3) and must be absolutely
-    integrable with the declared radial decay.  Starting from 16 x 12 x 12
-    nodes, refinement doubles the radial rule and grows the angular rules, for
-    at most five levels, until successive levels agree to the requested
+    ``f(x1, x2, x3)`` takes coordinate columns that broadcast, as
+    :func:`_sphere_level` passes them, and must be absolutely integrable
+    with the declared radial decay.  Starting from 16 x 12 x 12 nodes,
+    refinement doubles the radial rule and grows the angular rules, for at
+    most five levels, until successive levels agree to the requested
     tolerance.  When the levels run out first, the result carries
     ``converged=False`` and the last level's value.
     """
@@ -329,15 +335,15 @@ def parseval_identity_check(p_orders, q_orders, x0):
     # one evaluation of both factors shares |x|^2 and the powers of x_i
     factors = (newton_derivative(p_orders), newton_derivative(q_orders))
 
-    x0_col = np.full(1, float(x0))  # an array, so its powers round as the points' do
+    x0_col = np.full((1, 1, 1), float(x0))  # an array, so its powers round as the grid's do
 
-    def product(pts3):
-        vals = eval_fractions(factors, (x0_col, *pts3.T))
-        return vals[:, 0] * vals[:, 1]
+    def product(x1, x2, x3):
+        vals = eval_fractions(factors, (x0_col, x1, x2, x3))
+        return vals[..., 0] * vals[..., 1]
 
-    def signed_and_absolute(pts3):
-        vals = product(pts3)
-        return np.stack([vals, np.abs(vals)], axis=1)
+    def signed_and_absolute(x1, x2, x3):
+        vals = product(x1, x2, x3)
+        return np.stack([vals, np.abs(vals)], axis=-1)
 
     decay = PowerDecay(scale=max(1.0, 2.0 * float(x0)))
     if rhs_exact.is_zero():

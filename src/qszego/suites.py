@@ -61,19 +61,20 @@ from .report import CheckReport
 SUITE_NAMES = ("all", "algebra", "kernel", "geometry", "props", "reproducing", "octonion")
 
 
-def _rand_exact(rng, dim, span=9):
-    """Components drawn as ``rng.randint(-span, span)`` draws them, at a
+def _randint(rng, low, high):
+    """One integer drawn as ``rng.randint(low, high)`` draws it, at a
     fraction of its cost: rejection sampling on ``getrandbits``."""
-    n = 2 * span + 1
+    n = high - low + 1
     k = n.bit_length()
-    getrandbits = rng.getrandbits
-    comps = []
-    for _ in range(dim):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        comps.append(r - span)
-    return Hypercomplex(comps)
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return low + r
+
+
+def _rand_exact(rng, dim, span=9):
+    """Components drawn as ``rng.randint(-span, span)`` draws them."""
+    return Hypercomplex([_randint(rng, -span, span) for _ in range(dim)])
 
 
 def _rand_float(rng, dim):
@@ -317,7 +318,7 @@ def geometry_suite(seed=0):
         def rand_el():
             return GroupElement(
                 tuple(_rand_exact(rng, dim, 4) for _ in range(n)),
-                tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(tn)),
+                tuple(Fraction(_randint(rng, -6, 6), _randint(rng, 1, 3)) for _ in range(tn)),
             )
 
         bad = []
@@ -347,14 +348,14 @@ def geometry_suite(seed=0):
     for _ in range(200):
         h = GroupElement(
             (_rand_exact(rng, 4, 4),),
-            tuple(Fraction(rng.randint(-5, 5)) for _ in range(3)),
+            tuple(Fraction(_randint(rng, -5, 5)) for _ in range(3)),
         )
         p = SiegelPoint((_rand_exact(rng, 4, 4),), _rand_exact(rng, 4, 4))
         if translate(h, p).height() != p.height():
             bad.append("quaternionic")
         ho = GroupElement(
             (_rand_exact(rng, 8, 4),),
-            tuple(Fraction(rng.randint(-5, 5)) for _ in range(7)),
+            tuple(Fraction(_randint(rng, -5, 5)) for _ in range(7)),
         )
         po = SiegelPoint((_rand_exact(rng, 8, 4),), _rand_exact(rng, 8, 4))
         if translate(ho, po).height() != po.height():
@@ -365,7 +366,7 @@ def geometry_suite(seed=0):
     for _ in range(200):
         h = GroupElement(
             (_rand_exact(rng, 4, 4),),
-            tuple(Fraction(rng.randint(-5, 5)) for _ in range(3)),
+            tuple(Fraction(_randint(rng, -5, 5)) for _ in range(3)),
         )
         if boundary_unparam(boundary_param(h)) != h:
             bad.append(str(h))
@@ -460,15 +461,9 @@ def props_suite(seed=0):
         for l0, l1, l2, l3 in tuples:
             exact = exponential_moment_closed_form(a, l0, l1, l2, l3).to_float()
 
-            def f(pts, l0=l0, l1=l1, l2=l2, l3=l3, a=a):
-                r = np.linalg.norm(pts, axis=1)
-                return (
-                    r**l0
-                    * pts[:, 0] ** l1
-                    * pts[:, 1] ** l2
-                    * pts[:, 2] ** l3
-                    * np.exp(-a * r)
-                )
+            def f(x1, x2, x3, l0=l0, l1=l1, l2=l2, l3=l3, a=a):
+                r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+                return r**l0 * x1**l1 * x2**l2 * x3**l3 * np.exp(-a * r)
 
             res = integrate_r3(f, ExpDecay(a), tol=1e-8, abs_tol=1e-12 * abs(exact))
             worst = max(worst, abs(res.value - exact) / abs(exact))

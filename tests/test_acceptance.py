@@ -131,20 +131,14 @@ def test_criterion_03_exponential_moments():
                         exact = exponential_moment_closed_form(a, l0, l1, l2, l3)
                         count += 1
 
-                        def f(pts, sign=1.0):
-                            r = np.linalg.norm(pts, axis=1)
-                            v = (
-                                r**l0
-                                * pts[:, 0] ** l1
-                                * pts[:, 1] ** l2
-                                * pts[:, 2] ** l3
-                                * np.exp(-a * r)
-                            )
+                        def f(x1, x2, x3, sign=1.0):
+                            r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+                            v = r**l0 * x1**l1 * x2**l2 * x3**l3 * np.exp(-a * r)
                             return np.abs(v) if sign < 0 else v
 
                         if exact.is_zero():
                             val, _ = _sphere_level(f, ExpDecay(a), 48, 16, 16)
-                            scale, _ = _sphere_level(lambda p: f(p, -1.0), ExpDecay(a), 48, 16, 16)
+                            scale, _ = _sphere_level(lambda *x: f(*x, -1.0), ExpDecay(a), 48, 16, 16)
                             worst_odd = max(worst_odd, abs(val) / max(scale, 1e-300))
                         else:
                             want = exact.to_float()

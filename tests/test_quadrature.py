@@ -9,7 +9,7 @@ import pytest
 
 from qszego import quadrature
 from qszego.hypercomplex import mul_arrays
-from qszego.kernel import KernelOrder, szego_density
+from qszego.kernel import KernelOrder, newton_derivative, szego_density
 from qszego.polyfrac import _ROWS, eval_fractions
 from qszego.quadrature import (
     BoundaryIntegrand,
@@ -112,8 +112,13 @@ def test_moment_negative_radial_exponent():
         exponential_moment_closed_form(1, -3, 0, 0, 0)
 
 
+def _radius(x1, x2, x3):
+    """|x| from coordinate columns, in the order of ``np.linalg.norm(pts, axis=1)``."""
+    return np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+
+
 def test_integrate_r3_exponential():
-    f = lambda pts: np.exp(-np.linalg.norm(pts, axis=1))
+    f = lambda *x: np.exp(-_radius(*x))
     res = integrate_r3(f, ExpDecay(1.0), tol=1e-9)
     assert abs(res.value - 8 * PI) <= 1e-8 * 8 * PI
     assert res.n_evals > 0
@@ -121,7 +126,7 @@ def test_integrate_r3_exponential():
 
 
 def test_integrate_r3_odd_vanishes():
-    f = lambda pts: pts[:, 0] * np.exp(-np.linalg.norm(pts, axis=1))
+    f = lambda x1, x2, x3: x1 * np.exp(-_radius(x1, x2, x3))
     res = integrate_r3(f, ExpDecay(1.0), tol=1e-9, abs_tol=1e-12)
     assert abs(res.value) < 1e-10
 
@@ -129,7 +134,7 @@ def test_integrate_r3_odd_vanishes():
 def test_integrate_r3_nonconvergence_reports_best(monkeypatch):
     # tolerance far below reachable: the result must carry the best value
     _cut_levels(monkeypatch, 2)
-    f = lambda pts: np.exp(-np.linalg.norm(pts, axis=1))
+    f = lambda *x: np.exp(-_radius(*x))
     res = integrate_r3(f, ExpDecay(1.0), tol=0.0)
     assert not res.converged
     assert abs(res.value - 8 * PI) < 1e-3
@@ -138,17 +143,17 @@ def test_integrate_r3_nonconvergence_reports_best(monkeypatch):
 def test_integrate_r3_one_level_is_not_converged(monkeypatch):
     # one level gives no error estimate: not converged, not a budget error
     _cut_levels(monkeypatch, 1)
-    f = lambda pts: np.exp(-np.linalg.norm(pts, axis=1))
+    f = lambda *x: np.exp(-_radius(*x))
     res = integrate_r3(f, ExpDecay(1.0))
     assert not res.converged and res.error_estimate == math.inf and res.n_evals == 16 * 12 * 12
 
 
 def test_sphere_level_columns_match_scalar_levels():
-    # a row of values per point is reduced column by column, bit for bit as
-    # a one-value integrand is
-    f = lambda p: (1.0 + np.sum(p * p, axis=1)) ** -2.0
-    g = lambda p: p[:, 0] ** 2 * (1.0 + np.sum(p * p, axis=1)) ** -3.0
-    both, used = _sphere_level(lambda p: np.stack([f(p), g(p)], axis=1), PowerDecay(2.0), 16, 12, 12)
+    # a trailing axis of values per point is reduced value by value, bit for
+    # bit as a one-value integrand is
+    f = lambda x1, x2, x3: (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -2.0
+    g = lambda x1, x2, x3: x1**2 * (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -3.0
+    both, used = _sphere_level(lambda *x: np.stack([f(*x), g(*x)], axis=-1), PowerDecay(2.0), 16, 12, 12)
     one_f, _ = _sphere_level(f, PowerDecay(2.0), 16, 12, 12)
     one_g, _ = _sphere_level(g, PowerDecay(2.0), 16, 12, 12)
     assert isinstance(one_f, float) and used == 2304
@@ -156,8 +161,10 @@ def test_sphere_level_columns_match_scalar_levels():
 
 
 def _sphere_level_per_node(f, decay, nr, nc, nphi):
-    """The spherical level with one integrand call per radial node: the
-    reference the grouped calls of ``_sphere_level`` must match bit for bit."""
+    """The spherical level with one integrand call per radial node on that
+    node's stacked (nc * nphi, 3) points, passed as ``f(*pts.T)``, and one
+    angular sum per node and value: the reference the grouped column calls of
+    ``_sphere_level`` must match bit for bit.  Returns (value, evals)."""
     u, wu = np.polynomial.legendre.leggauss(nr)
     r, jac = decay.map((u + 1.0) / 2.0)
     wu = wu / 2.0
@@ -170,31 +177,95 @@ def _sphere_level_per_node(f, decay, nr, nc, nphi):
         x1 = np.broadcast_to((r[i] * c)[:, None], (nc, nphi))
         x2 = r[i] * s[:, None] * np.cos(phi)[None, :]
         x3 = r[i] * s[:, None] * np.sin(phi)[None, :]
-        vals = f(np.stack([x1, x2, x3], axis=-1).reshape(-1, 3))
+        pts = np.stack([x1, x2, x3], axis=-1).reshape(-1, 3)
+        vals = np.reshape(f(*pts.T), (len(pts), -1))
         vals = np.ascontiguousarray(vals.T).reshape(-1, nc, nphi)
         angular = np.array([np.sum(v * wc[:, None]) * wphi for v in vals])
         total = total + wu[i] * jac[i] * r[i] * r[i] * angular
-    return total
+    return (float(total[0]) if len(total) == 1 else total), nr * nc * nphi
 
 
 @pytest.mark.parametrize("size", [(64, 24, 24), (16, 48, 48), (16, 12, 12)])
 def test_sphere_level_groups_whole_radial_nodes(size):
     # one integrand call per group of whole radial nodes, at most _ROWS
-    # points (one node when a node alone has more), with the per-node values
+    # points (one node when a node alone has more), on the group's coordinate
+    # columns, with the values of the per-node reference on stacked points
     nr, nc, nphi = size
     calls = []
 
-    def f(p):
-        calls.append(len(p))
-        r2 = np.sum(p * p, axis=1)
-        return np.stack([p[:, 1] ** 3 * (1.0 + r2) ** -4.0, np.exp(-r2)], axis=1)
+    def f(x1, x2, x3):
+        calls.append((x1.shape, x2.shape, x3.shape))
+        r2 = x1 * x1 + x2 * x2 + x3 * x3
+        return np.stack([x2**3 * (1.0 + r2) ** -4.0, np.exp(-r2)], axis=-1)
 
     got, used = _sphere_level(f, PowerDecay(2.0), nr, nc, nphi)
     group = max(1, _ROWS // (nc * nphi))
-    assert sum(calls) == used == nr * nc * nphi
-    assert calls == [nc * nphi * min(group, nr - i) for i in range(0, nr, group)]
-    want = _sphere_level_per_node(f, PowerDecay(2.0), nr, nc, nphi)
+    sizes = [min(group, nr - i) for i in range(0, nr, group)]
+    assert used == nr * nc * nphi
+    assert calls == [((g, nc, 1), (g, nc, nphi), (g, nc, nphi)) for g in sizes]
+    want, _ = _sphere_level_per_node(f, PowerDecay(2.0), nr, nc, nphi)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("nc, nphi", [(12, 12), (24, 24), (48, 48), (16, 16)])
+def test_numpy_sum_over_trailing_axes_equals_per_slice_sums(nc, nphi):
+    # the premise of the grouped angular sum of _sphere_level: summing a
+    # contiguous (C, g, nc, nphi) block over its last two axes gives, bit for
+    # bit, np.sum of each contiguous (nc, nphi) slice on its own
+    rng = np.random.default_rng(nc * 100 + nphi)
+    for count, g in ((1, 1), (2, max(1, _ROWS // (nc * nphi))), (3, 5)):
+        mags = 10.0 ** rng.uniform(-8, 8, (count, g, nc, nphi))
+        block = np.where(rng.random(mags.shape) < 0.5, -mags, mags)
+        block[..., ::2] += -np.roll(block, 1, axis=-1)[..., ::2]  # heavy cancellation
+        got = np.sum(block, axis=(-2, -1))
+        want = [[np.sum(np.ascontiguousarray(block[i, j])) for j in range(g)] for i in range(count)]
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+def _parseval_lhs_by_points(p, q, x0, rhs):
+    """The left side of ``parseval_identity_check`` by the point path: both
+    factors evaluated on each node's stacked points as
+    ``eval_fractions(factors, (x0, *pts.T))`` on the per-node level, refined
+    as ``integrate_r3`` refines.  Returns (lhs, n_evals)."""
+    factors = (newton_derivative(p), newton_derivative(q))
+    x0_col = np.full(1, float(x0))
+
+    def product(*cols):
+        vals = eval_fractions(factors, (x0_col, *cols))
+        return vals[:, 0] * vals[:, 1]
+
+    def signed_and_absolute(*cols):
+        vals = product(*cols)
+        return np.stack([vals, np.abs(vals)], axis=1)
+
+    decay = PowerDecay(max(1.0, 2.0 * x0))
+    if rhs == 0.0:
+        (lhs, _), used = _sphere_level_per_node(signed_and_absolute, decay, 64, 24, 24)
+        return lhs, used
+    sizes = [(16 * 2**k, min(12 * 2**k, 48), min(12 * 2**k, 48)) for k in range(5)]
+    level = lambda *size: _sphere_level_per_node(product, decay, *size)
+    res, _ = quadrature._refine(level, sizes, 1e-6 * 0.2, abs(rhs) * 1e-6 * 0.2)
+    return res.value, res.n_evals
+
+
+@pytest.mark.parametrize("x0", [0.5, 1.5])
+def test_parseval_columns_equal_point_path(x0):
+    # 20 seeded pairs of order <= 3, half with a vanishing right side: the
+    # column contract gives the left side and n_evals of the point path
+    multi = [m for m in np.ndindex(4, 4, 4, 4) if sum(m) <= 3]
+    rng = random.Random(18)
+    pairs = {True: [], False: []}
+    while min(len(v) for v in pairs.values()) < 10:
+        p, q = rng.choice(multi), rng.choice(multi)
+        zero = exponential_moment_closed_form(1, 0, *(p[i] + q[i] for i in (1, 2, 3))).is_zero()
+        if len(pairs[zero]) < 10:
+            pairs[zero].append((p, q))
+    for zero, chosen in pairs.items():
+        for p, q in chosen:
+            rep = parseval_identity_check(p, q, x0)
+            assert (rep.rhs == 0.0) == zero
+            lhs, used = _parseval_lhs_by_points(p, q, x0, rep.rhs)
+            assert (rep.lhs.hex(), rep.n_evals) == (lhs.hex(), used)
 
 
 def _nan_at_first_point(fn):
@@ -204,7 +275,7 @@ def _nan_at_first_point(fn):
     def poisoned(*args):
         vals = np.array(fn(*args), dtype=float)
         if not calls:
-            vals[0] = np.nan
+            vals.flat[0] = np.nan
         calls.append(1)
         return vals
 
@@ -214,7 +285,7 @@ def _nan_at_first_point(fn):
 def test_nonfinite_integrand_value_raises():
     # a nan at one point leaves the level as an error, not as a nan value
     # or a convergence failure
-    f = _nan_at_first_point(lambda p: np.exp(-np.linalg.norm(p, axis=1)))
+    f = _nan_at_first_point(lambda *x: np.exp(-_radius(*x)))
     with pytest.raises(FloatingPointError):
         integrate_r3(f, ExpDecay(1.0), tol=1e-9)
 
@@ -231,9 +302,9 @@ def test_moment_quadrature_consistency_random(seed):
     l1, l2, l3 = (2 * rng.randint(0, 1) for _ in range(3))
     exact = exponential_moment_closed_form(a, l0, l1, l2, l3).to_float()
 
-    def f(pts):
-        r = np.linalg.norm(pts, axis=1)
-        return r**l0 * pts[:, 0] ** l1 * pts[:, 1] ** l2 * pts[:, 2] ** l3 * np.exp(-a * r)
+    def f(x1, x2, x3):
+        r = _radius(x1, x2, x3)
+        return r**l0 * x1**l1 * x2**l2 * x3**l3 * np.exp(-a * r)
 
     res = integrate_r3(f, ExpDecay(a), tol=1e-8, abs_tol=abs(exact) * 1e-10)
     assert abs(res.value - exact) <= 1e-6 * abs(exact)
@@ -369,11 +440,11 @@ def test_coordinate_maps_pinned_bit_for_bit():
     # ExpDecay, "power" through PowerDecay and the boundary level, on g and
     # on the reproducing integrand); a change to node placement, weights or
     # summation order shows here before it shows in a tolerance
-    res = integrate_r3(lambda p: np.exp(-np.linalg.norm(p, axis=1)), ExpDecay(1.0), tol=1e-9)
+    res = integrate_r3(lambda *x: np.exp(-_radius(*x)), ExpDecay(1.0), tol=1e-9)
     assert (res.value.hex(), res.n_evals) == ("0x1.921fb54442cd7p+4", 168192)
 
     value, used = _sphere_level(
-        lambda p: (1.0 + np.sum(p * p, axis=1)) ** -2.0, PowerDecay(2.0), 16, 12, 12
+        lambda x1, x2, x3: (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -2.0, PowerDecay(2.0), 16, 12, 12
     )
     assert (value.hex(), used) == ("0x1.3bd3cc9be4e6fp+3", 2304)
 
