@@ -141,6 +141,8 @@ def cmd_eval(args):
         payload.update(m=args.m, nu=nu, value=list(kernel.eval(nu).comps))
         _emit_value(args, payload)
         return 0
+    if args.m != 4:
+        raise UsageError(f"{kind} is a quaternionic kernel; it needs --m 4")
     if kind == "S":
         if not args.q or not args.omega:
             raise UsageError("S needs --q and --omega")

@@ -127,13 +127,10 @@ class GroupElement:
         return self.omega[0].exact
 
 
-def identity_element(kind, n=1, exact=True):
+def identity_element(kind, n=1):
     dim = 4 if kind == "quaternionic" else 8
     n = 1 if kind == "octonionic" else n
-    omega = tuple(Hypercomplex.zero(dim, exact=exact) for _ in range(n))
-    t_len = 3 if kind == "quaternionic" else 7
-    t = (0,) * t_len if exact else (0.0,) * t_len
-    return GroupElement(omega, t)
+    return GroupElement(tuple(Hypercomplex.zero(dim) for _ in range(n)), (0,) * (dim - 1))
 
 
 def _hermitian_pairing(a, b):
@@ -180,9 +177,8 @@ def group_inverse(h):
     return GroupElement(tuple(-w for w in h.omega), tuple(-v for v in h.t))
 
 
-def _imag_embedding(dim, t, exact):
-    comps = [0 if exact else 0.0] + list(t)
-    return Hypercomplex(comps, exact=exact)
+def _imag_embedding(t, exact):
+    return Hypercomplex((0, *t), exact=exact)
 
 
 def translate(h, p):
@@ -198,29 +194,29 @@ def translate(h, p):
         p.vertical
         + Hypercomplex.from_real(p.alg_dim, w2, exact=p.exact)
         + shift
-        + _imag_embedding(p.alg_dim, h.t, p.exact)
+        + _imag_embedding(h.t, p.exact)
     )
     return SiegelPoint(horizontal, vertical)
 
 
-def dilate(delta, p):
+def _dilation_factor(delta, exact):
+    """delta as a scalar of the mode ``exact``; a float delta is taken exactly
+    in exact mode."""
     if not delta > 0:
         raise ValueError("dilation factor must be positive")
-    if p.exact:
-        delta = _norm_rat(delta if not isinstance(delta, float) else Fraction(delta))
-    else:
-        delta = float(delta)
+    if exact:
+        return _norm_rat(Fraction(delta) if isinstance(delta, float) else delta)
+    return float(delta)
+
+
+def dilate(delta, p):
+    delta = _dilation_factor(delta, p.exact)
     return SiegelPoint(tuple(h * delta for h in p.horizontal), p.vertical * (delta * delta))
 
 
 def dilate_element(delta, h):
     """Group dilation delta o [w', t] = [delta w', delta^2 t]."""
-    if not delta > 0:
-        raise ValueError("dilation factor must be positive")
-    if h.exact:
-        delta = _norm_rat(delta if not isinstance(delta, float) else Fraction(delta))
-    else:
-        delta = float(delta)
+    delta = _dilation_factor(delta, h.exact)
     d2 = delta * delta
     return GroupElement(tuple(w * delta for w in h.omega), tuple(v * d2 for v in h.t))
 
@@ -244,9 +240,7 @@ def rotate(rotation, p):
 def boundary_param(h):
     """[w', t] -> (w', |w'|^2 + e.t), a point on the boundary."""
     w2 = sum(w.norm_sq() for w in h.omega)
-    vertical = Hypercomplex.from_real(h.alg_dim, w2, exact=h.exact) + _imag_embedding(
-        h.alg_dim, h.t, h.exact
-    )
+    vertical = Hypercomplex.from_real(h.alg_dim, w2, exact=h.exact) + _imag_embedding(h.t, h.exact)
     return SiegelPoint(h.omega, vertical)
 
 

@@ -224,21 +224,6 @@ class Hypercomplex:
         c = self._coerce_scalar(other)
         return Hypercomplex._make(self.dim, self.exact, tuple(a * c for a in self.comps))
 
-    def __rmul__(self, other):
-        c = self._coerce_scalar(other)
-        return Hypercomplex._make(self.dim, self.exact, tuple(c * a for a in self.comps))
-
-    def __truediv__(self, other):
-        if isinstance(other, Hypercomplex):
-            return self * other.inverse()
-        c = self._coerce_scalar(other)
-        if not c:
-            raise ZeroDivisionError("division by zero scalar")
-        if self.exact:
-            inv = Fraction(1, 1) / Fraction(c)
-            return self * _norm_rat(inv)
-        return self * (1.0 / c)
-
     def conj(self):
         c = self.comps
         return Hypercomplex._make(self.dim, self.exact, (c[0],) + tuple(-x for x in c[1:]))

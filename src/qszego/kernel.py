@@ -6,8 +6,10 @@ Szego density for n horizontal variables is a power of ``-2/pi`` times the
 (mn/2)-th vertical derivative of the Cauchy kernel.  All symbolic content is
 exact; powers of pi are kept as a separate integer exponent so that identity
 tests never touch floating point.  Every float value comes from
-``eval_array``, which raises ``FloatingPointError`` on a float fault; a
-one-point evaluation is a one-row call of it.
+``polyfrac.eval_fractions``, which raises ``FloatingPointError`` on a float
+fault: here through ``eval_array``, of which a one-point evaluation is a
+one-row call, while ``verify.reproducing_check`` and ``verify._kernel_abs``
+call ``eval_fractions`` on the density's components directly.
 """
 
 from __future__ import annotations

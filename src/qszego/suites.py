@@ -57,24 +57,9 @@ from .quadrature import (
     parseval_identity_check,
 )
 from .report import CheckReport
+from .verify import _rand_exact, _rand_fraction, _randint
 
 SUITE_NAMES = ("all", "algebra", "kernel", "geometry", "props", "reproducing", "octonion")
-
-
-def _randint(rng, low, high):
-    """One integer drawn as ``rng.randint(low, high)`` draws it, at a
-    fraction of its cost: rejection sampling on ``getrandbits``."""
-    n = high - low + 1
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return low + r
-
-
-def _rand_exact(rng, dim, span=9):
-    """Components drawn as ``rng.randint(-span, span)`` draws them."""
-    return Hypercomplex([_randint(rng, -span, span) for _ in range(dim)])
 
 
 def _rand_float(rng, dim):
@@ -318,7 +303,7 @@ def geometry_suite(seed=0):
         def rand_el():
             return GroupElement(
                 tuple(_rand_exact(rng, dim, 4) for _ in range(n)),
-                tuple(Fraction(_randint(rng, -6, 6), _randint(rng, 1, 3)) for _ in range(tn)),
+                tuple(_rand_fraction(rng, 6, 3) for _ in range(tn)),
             )
 
         bad = []
@@ -449,14 +434,7 @@ def props_suite(seed=0):
                 for l3 in range(0, 4 - l0 - l1 - l2, 2):
                     tuples.append((l0, l1, l2, l3))
     for _ in range(5):
-        tuples.append(
-            (
-                rng.randint(0, 2),
-                2 * rng.randint(0, 1),
-                2 * rng.randint(0, 1),
-                2 * rng.randint(0, 1),
-            )
-        )
+        tuples.append((_randint(rng, 0, 2), *(2 * _randint(rng, 0, 1) for _ in range(3))))
     for a in (1.0, 2.0, 4.0):
         for l0, l1, l2, l3 in tuples:
             exact = exponential_moment_closed_form(a, l0, l1, l2, l3).to_float()

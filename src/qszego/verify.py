@@ -39,6 +39,33 @@ from .report import CheckReport
 
 
 # ----------------------------------------------------------------------
+# seeded draws: every random exact input of the checks and suites is drawn
+# here, on the stream of ``random.Random.randint``
+
+
+def _randint(rng, low, high):
+    """One integer drawn as ``rng.randint(low, high)`` draws it, at a
+    fraction of its cost: rejection sampling on ``getrandbits``."""
+    n = high - low + 1
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return low + r
+
+
+def _rand_exact(rng, dim, span=9):
+    """Components drawn as ``rng.randint(-span, span)`` draws them."""
+    return Hypercomplex([_randint(rng, -span, span) for _ in range(dim)])
+
+
+def _rand_fraction(rng, span, den):
+    """A rational with numerator in [-span, span] and denominator in [1, den],
+    the numerator drawn first."""
+    return Fraction(_randint(rng, -span, span), _randint(rng, 1, den))
+
+
+# ----------------------------------------------------------------------
 # the test-function family
 
 
@@ -147,8 +174,6 @@ def closed_form_agreement_check():
             for q2 in range(0, (max_order - t0 - 2 * q1) // 2 + 1):
                 for q3 in range(0, (max_order - t0 - 2 * q1 - 2 * q2 - 1) // 2 + 1):
                     t = (t0, 2 * q1, 2 * q2, 2 * q3 + 1)
-                    if sum(t) > max_order:
-                        continue
                     spec = TestFunctionSpec(1, t)
                     direct = hardy_test_function(spec, origin)
                     closed = hardy_test_function_closed_form(spec)
@@ -346,8 +371,7 @@ def stein_weiss_check(f):
 
 
 def _random_rational_hypercomplex(rng, dim):
-    comps = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
-    return Hypercomplex(comps)
+    return Hypercomplex([_rand_fraction(rng, 3, 3) for _ in range(dim)])
 
 
 def composed_analyticity_check(f, n_random=20, seed=0):
@@ -565,17 +589,17 @@ def action_compatibility_check(seed=0):
     rng = random.Random(seed)
     verdicts = {}
     for kind, dim, tn in (("quaternionic", 4, 3), ("octonionic", 8, 7)):
+        def rand_el():
+            return GroupElement(
+                (_random_rational_hypercomplex(rng, dim),),
+                tuple(_rand_fraction(rng, 3, 2) for _ in range(tn)),
+            )
+
         for convention in ("minus_conj_beta_alpha", "plus_conj_alpha_beta"):
             ok = True
             for _ in range(trials):
-                a = GroupElement(
-                    (_random_rational_hypercomplex(rng, dim),),
-                    tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(tn)),
-                )
-                b = GroupElement(
-                    (_random_rational_hypercomplex(rng, dim),),
-                    tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(tn)),
-                )
+                a = rand_el()
+                b = rand_el()
                 point = SiegelPoint(
                     (_random_rational_hypercomplex(rng, dim),),
                     _random_rational_hypercomplex(rng, dim),
@@ -616,6 +640,13 @@ def _x(i):
     return RatPoly.variable(8, i)
 
 
+def _dirac_null_asymmetric():
+    """Dirac null but with an asymmetric Jacobian: fails the CR system."""
+    x0, x1, x2 = _x(0), _x(1), _x(2)
+    zero = RatPoly.zero(8)
+    return HyperFrac.from_polys((zero, -x2, x1, RatPoly.const(8, -2) * x0) + (zero,) * 4)
+
+
 def cr_corpus(seed=11):
     """Named octonionic polynomial functions with both verdict classes."""
     x = [_x(i) for i in range(8)]
@@ -638,15 +669,7 @@ def cr_corpus(seed=11):
     one = RatPoly.const(8, 1)
     corpus.append(("constant-1", HyperFrac.from_polys((one,) + (zero,) * 7)))
     corpus.append(("constant-e5", HyperFrac.from_polys((zero,) * 5 + (one,) + (zero,) * 2)))
-    # Dirac null but asymmetric Jacobian: fails the CR system
-    corpus.append(
-        (
-            "dirac-null-asymmetric",
-            HyperFrac.from_polys(
-                (zero, -x[2], x[1], RatPoly.const(8, -2) * x[0], zero, zero, zero, zero)
-            ),
-        )
-    )
+    corpus.append(("dirac-null-asymmetric", _dirac_null_asymmetric()))
     corpus.append(
         (
             "identity-map",
@@ -663,9 +686,9 @@ def cr_corpus(seed=11):
             terms = {}
             for _ in range(3):
                 key = [0] * 8
-                for _ in range(rng.randint(0, 3)):
-                    key[rng.randrange(8)] += 1
-                terms[tuple(key)] = terms.get(tuple(key), 0) + rng.randint(-3, 3)
+                for _ in range(_randint(rng, 0, 3)):
+                    key[_randint(rng, 0, 7)] += 1
+                terms[tuple(key)] = terms.get(tuple(key), 0) + _randint(rng, -3, 3)
             polys.append(RatPoly(8, terms))
         corpus.append((f"random-{j}", HyperFrac.from_polys(tuple(polys))))
     return corpus
@@ -678,12 +701,7 @@ def o_analytic_corpus():
     funcs = [
         ("fueter-1", HyperFrac.from_polys((x[1], -x[0], zero, zero, zero, zero, zero, zero))),
         ("fueter-5", HyperFrac.from_polys((x[5], zero, zero, zero, zero, -x[0], zero, zero))),
-        (
-            "dirac-null-asymmetric",
-            HyperFrac.from_polys(
-                (zero, -x[2], x[1], RatPoly.const(8, -2) * x[0], zero, zero, zero, zero)
-            ),
-        ),
+        ("dirac-null-asymmetric", _dirac_null_asymmetric()),
         (
             "cubic-gradient",
             _conjugate_gradient_system(x[0] * x[0] * x[0] - x[0] * x[1] * x[1] * 3),
@@ -723,9 +741,8 @@ def slice_regularity_corpus():
     const = HyperFrac.from_polys((one, zero, zero, zero))
     fueter_q2 = _fueter_variable(8, 4, 1)
     fueter_q1 = _fueter_variable(8, 0, 2)
-    z1 = _fueter_variable(8, 4, 1)
     z2 = _fueter_variable(8, 4, 2)
-    sym = (_quat_product(z1, z2) + _quat_product(z2, z1)).scale(Fraction(1, 2))
+    sym = (_quat_product(fueter_q2, z2) + _quat_product(z2, fueter_q2)).scale(Fraction(1, 2))
     mixed = fueter_q1 + fueter_q2.scale(3)
     cases = []
     for name, func in (

@@ -79,6 +79,21 @@ def test_eval_group_kernel(capsys):
     assert data["rho"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "S", "--q", "0,0,0,0,1,0,0,0", "--omega", "0,0,0,0,1,0,0,0"],
+        ["eval", "K", "--omega", "0,0,0,0", "--t", "1,0,0"],
+    ],
+    ids=["S", "K"],
+)
+def test_eval_quaternionic_kernel_needs_m_4(args, capsys):
+    # S and K are quaternionic: --m 2 would silently give the m = 4 value
+    code, out, err = run_cli(args + ["--m", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "--m 4" in err
+
+
 def test_eval_parse_error(capsys):
     code, out, err = run_cli(["eval", "s", "--nu", "1,zebra,0,0"], capsys)
     assert code == 2

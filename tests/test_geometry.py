@@ -161,6 +161,24 @@ def test_dilation():
         dilate(0, p)
 
 
+def test_dilation_factor_of_elements_and_exact_float_delta():
+    h = GroupElement((q(1, 2, 3, 4),), (1, -2, 3))
+    for delta in (0, -1, 0.0, -0.5):
+        with pytest.raises(ValueError):
+            dilate_element(delta, h)
+    # a float delta on exact input is taken exactly: 0.5 scales by Fraction(1, 2)
+    dh = dilate_element(0.5, h)
+    assert dh.exact
+    assert dh.omega[0].comps == (Fraction(1, 2), 1, Fraction(3, 2), 2)
+    assert dh.t == (Fraction(1, 4), Fraction(-1, 2), Fraction(3, 4))
+    p = SiegelPoint((q(1, -1, 0, 2),), q(8, 4, 0, -4))
+    dp = dilate(0.5, p)
+    assert dp.exact
+    assert dp.horizontal[0].comps == (Fraction(1, 2), Fraction(-1, 2), 0, 1)
+    assert dp.vertical.comps == (2, 1, 0, -1)
+    assert all(isinstance(c, (int, Fraction)) for c in dp.horizontal[0].comps + dp.vertical.comps)
+
+
 def test_rotation_example():
     p = SiegelPoint((e(4, 2),), Hypercomplex.from_real(4, 1))
     r = rotate((e(4, 1),), p)
