@@ -17,12 +17,14 @@ converged, and every check that integrates puts its ``converged`` flag into
 its verdict.  A level whose value is not finite raises
 :class:`FloatingPointError`.
 
-The Parseval check takes its right side, and with it the parity rule that
-decides when both sides vanish, from :func:`exponential_moment_closed_form`.
-
 Gamma values at positive half integers are exact: they are rational
 multiples of sqrt(pi)^k, carried by :class:`SqrtPiRational` so that moment
 identities and coefficient systems can be checked with no floating point.
+Every Gamma closed form is built on one of them, :func:`sphere_moment`, the
+exact moment of a monomial over the unit sphere in R^d, which also decides
+the parity rule: the moment is 0 when some exponent is odd.  The Parseval
+check takes its right side, and with it the rule that decides when both
+sides vanish, from :func:`exponential_moment_closed_form`.
 """
 
 from __future__ import annotations
@@ -124,14 +126,28 @@ def gamma_half(twice_x):
     return SqrtPiRational(coef, 1)
 
 
+def sphere_moment(a):
+    """Exact moment int_{S^(d-1)} xi^a dsigma of the unit sphere in R^d, d = len(a).
+
+    Equals 2 Gamma((a_1+1)/2) ... Gamma((a_d+1)/2) / Gamma((|a|+d)/2), and 0
+    when some a_i is odd: the one place the parity rule of the moment
+    identities is decided.  The exponents must be nonnegative integers.
+    """
+    if not a or min(a) < 0:
+        raise ValueError("sphere moment needs at least one exponent, all nonnegative")
+    if any(ai % 2 for ai in a):
+        return SqrtPiRational.zero()
+    return 2 * math.prod(gamma_half(ai + 1) for ai in a) / gamma_half(sum(a) + len(a))
+
+
 def exponential_moment_closed_form(a, l0, l1, l2, l3):
     """Closed form of int (x1^2+x2^2+x3^2)^(l0/2) x1^l1 x2^l2 x3^l3 e^(-a rho) dx.
 
-    Vanishes unless l1, l2, l3 are all even; otherwise equals
-    2 a^(-l-3) Gamma(l+3) Gamma(k1+1/2) Gamma(k2+1/2) Gamma(k3+1/2)
-    / Gamma(k1+k2+k3+3/2) with l = l0+l1+l2+l3 and li = 2 ki.  ``l0`` may be
-    as small as -2 (the radial factor stays integrable); ``a`` must be
-    positive and exactly representable (int, Fraction, or float).
+    In polar coordinates the integral is Gamma(l+3) a^(-l-3) times the
+    sphere moment of (l1, l2, l3), l = l0+l1+l2+l3; so it vanishes unless
+    l1, l2, l3 are all even (:func:`sphere_moment`).  ``l0`` may be as small
+    as -2 (the radial factor stays integrable); ``a`` must be positive and
+    exactly representable (int, Fraction, or float).
     """
     if a <= 0:
         raise ValueError("decay rate a must be positive")
@@ -139,12 +155,8 @@ def exponential_moment_closed_form(a, l0, l1, l2, l3):
         raise ValueError("axis exponents must be nonnegative")
     if l0 < -2:
         raise ValueError("radial exponent below -2 is not integrable")
-    if (l1 % 2) or (l2 % 2) or (l3 % 2):
-        return SqrtPiRational.zero()
     l = l0 + l1 + l2 + l3
-    k1, k2, k3 = l1 // 2, l2 // 2, l3 // 2
-    num = gamma_half(2 * (l + 3)) * gamma_half(2 * k1 + 1) * gamma_half(2 * k2 + 1) * gamma_half(2 * k3 + 1)
-    return (num / gamma_half(2 * (k1 + k2 + k3) + 3)) * 2 * (Fraction(a) ** (-(l + 3)))
+    return gamma_half(2 * (l + 3)) * sphere_moment((l1, l2, l3)) * Fraction(a) ** (-(l + 3))
 
 
 def fourier_newton(x0, rho):

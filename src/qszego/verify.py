@@ -11,6 +11,7 @@ the Szego density.  Each check returns a :class:`CheckReport`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .quadrature import (
     SqrtPiRational,
     gamma_half,
     integrate_boundary,
+    sphere_moment,
 )
 from .report import CheckReport
 
@@ -45,8 +47,12 @@ from .report import CheckReport
 
 def _randint(rng, low, high):
     """One integer drawn as ``rng.randint(low, high)`` draws it, at a
-    fraction of its cost: rejection sampling on ``getrandbits``."""
+    fraction of its cost: rejection sampling on ``getrandbits``.  An empty
+    range (``high < low``) raises ``ValueError`` before any draw, as
+    ``randint`` does."""
     n = high - low + 1
+    if n < 1:
+        raise ValueError(f"empty range for _randint({low}, {high})")
     k = n.bit_length()
     r = rng.getrandbits(k)
     while r >= n:
@@ -135,22 +141,20 @@ def hardy_test_function(spec, point):
 def hardy_test_function_closed_form(spec):
     """Exact Gamma-product value of the test function at (0, 1).
 
-    Requires the parity pattern t = (t0, 2 q1, 2 q2, 2 q3 + 1); the value is
-    purely along e3 and the powers of pi cancel, leaving a rational number.
+    Requires the parity pattern t = (t0, 2 q1, 2 q2, 2 q3 + 1).  The value is
+    purely along e3: (-1)^(t0+q1+q2+q3) 2^(-lambda-5) pi^(-1) Gamma(lambda+3)
+    times the sphere moment of (t1, t2, t3 + 1), lambda = |t|, and the powers
+    of pi cancel, leaving a rational number.
     """
     if not spec.closed_form_parity():
         raise ValueError("closed form needs t = (t0, even, even, odd)")
-    t0 = spec.t[0]
-    q1, q2, q3 = spec.t[1] // 2, spec.t[2] // 2, spec.t[3] // 2
+    t0, t1, t2, t3 = spec.t
     lam = spec.order
-    sign = (-1) ** (t0 + q1 + q2 + q3)
+    sign = (-1) ** (t0 + (t1 + t2 + t3) // 2)
     value = (
-        SqrtPiRational(Fraction(sign, 2 ** (lam + 4)), -2)
+        SqrtPiRational(Fraction(sign, 2 ** (lam + 5)), -2)
         * gamma_half(2 * (lam + 3))
-        * gamma_half(2 * q1 + 1)
-        * gamma_half(2 * q2 + 1)
-        * gamma_half(2 * q3 + 3)
-        / gamma_half(2 * (q1 + q2 + q3) + 5)
+        * sphere_moment((t1, t2, t3 + 1))
     )
     if value.pi_half != 0:
         raise AssertionError("pi powers failed to cancel in the closed form")
@@ -169,17 +173,15 @@ def closed_form_agreement_check():
     )
     checked = 0
     worst = None
-    for t0 in range(0, max_order):
-        for q1 in range(0, (max_order - t0) // 2 + 1):
-            for q2 in range(0, (max_order - t0 - 2 * q1) // 2 + 1):
-                for q3 in range(0, (max_order - t0 - 2 * q1 - 2 * q2 - 1) // 2 + 1):
-                    t = (t0, 2 * q1, 2 * q2, 2 * q3 + 1)
-                    spec = TestFunctionSpec(1, t)
-                    direct = hardy_test_function(spec, origin)
-                    closed = hardy_test_function_closed_form(spec)
-                    checked += 1
-                    if direct != closed:
-                        worst = {"t": t, "direct": direct.to_text(), "closed": closed.to_text()}
+    for t in itertools.product(range(max_order + 1), repeat=4):
+        spec = TestFunctionSpec(1, t)
+        if spec.order > max_order or not spec.closed_form_parity():
+            continue
+        direct = hardy_test_function(spec, origin)
+        closed = hardy_test_function_closed_form(spec)
+        checked += 1
+        if direct != closed:
+            worst = {"t": t, "direct": direct.to_text(), "closed": closed.to_text()}
     return CheckReport.from_flag(
         name="test-function-closed-form",
         inputs={"max_order": max_order, "specs_checked": checked},
@@ -273,72 +275,51 @@ def coefficient_system_check(n):
     Every family is evaluated with exact Gamma arithmetic over the grid
     (q1, q2, q3) in {0, 1, 2}^3: the even-index family must reproduce the
     Gamma ratio on the right-hand side and all other families must vanish
-    identically.
+    identically.  A family is a shape x0^(2 p0 + e0) x1^(2 p1 + e1)
+    x2^(2 p2 + e2) of total degree 2n; its term at p carries the sphere
+    moment of (2 (p1 + q1 + e1), 2 (p2 + q2 + e2), 2 q3 + 2), and the right
+    side the moment of (2 q1, 2 q2, 2 q3 + 2).  Both sides are so multiplied
+    by the common factor 2 Gamma(q3 + 3/2), which leaves every equality as it
+    was.
     """
     q_range = 3
     if not 1 <= n <= 6:
         raise ValueError("grid check supported for 1 <= n <= 6")
+    # the even family and the three odd families by their exponent offsets
+    # (e0, e1, e2), so p0 + p1 + p2 = n - (e0 + e1 + e2) / 2; every term is
+    # signed (-1)^p0, and the even family's c0 equation, whose terms carry
+    # (-1)^(n+p0+1), is multiplied through by (-1)^(n+1)
+    families = (
+        ("even", (0, 0, 0)),
+        ("odd-x0x1", (1, 1, 0)),
+        ("odd-x0x2", (1, 0, 1)),
+        ("odd-x1x2", (0, 1, 1)),
+    )
+    c0_scale = SqrtPiRational(Fraction((-1) ** (n + 1) * 2 ** (2 * n - 2)), -2 * (2 * n + 2))
+    zero = SqrtPiRational.zero()
     failures = []
-    checked = 0
-    for q1 in range(q_range):
-        for q2 in range(q_range):
-            for q3 in range(q_range):
-                qsum = q1 + q2 + q3
-                # family over even indices (2p0, 2p1, 2p2)
-                sums = [SqrtPiRational.zero() for _ in range(4)]
-                for p0 in range(n + 1):
-                    for p1 in range(n - p0 + 1):
-                        p2 = n - p0 - p1
-                        kern = (
-                            gamma_half(2 * (p1 + q1) + 1)
-                            * gamma_half(2 * (p2 + q2) + 1)
-                            / gamma_half(2 * (qsum + n - p0) + 5)
-                        )
-                        c = _solved_coefficient(n, 2 * p0, 2 * p1, 2 * p2)
-                        sums[0] = sums[0] + kern * c[0] * ((-1) ** (n + p0 + 1))
-                        for i in (1, 2, 3):
-                            sums[i] = sums[i] + kern * c[i] * ((-1) ** p0)
-                rhs = (
-                    SqrtPiRational(Fraction(2 ** (2 * n - 2)), -2 * (2 * n + 2))
-                    * gamma_half(2 * q1 + 1)
-                    * gamma_half(2 * q2 + 1)
-                    / gamma_half(2 * qsum + 5)
-                )
-                checked += 1
-                if sums[0] != rhs:
-                    failures.append({"family": "even-c0", "q": (q1, q2, q3)})
-                for i in (1, 2, 3):
-                    if not sums[i].is_zero():
-                        failures.append({"family": f"even-c{i}", "q": (q1, q2, q3)})
-                # the three odd-pattern families, all with vanishing coefficients
-                patterns = (
-                    ("odd-x0x1", lambda p0, p1, p2: (2 * p0 + 1, 2 * p1 + 1, 2 * p2), 1, 0, 5),
-                    ("odd-x0x2", lambda p0, p1, p2: (2 * p0 + 1, 2 * p1, 2 * p2 + 1), 0, 1, 5),
-                    ("odd-x1x2", lambda p0, p1, p2: (2 * p0, 2 * p1 + 1, 2 * p2 + 1), 1, 1, 7),
-                )
-                for name, slot, sh1, sh2, tail in patterns:
-                    sums = [SqrtPiRational.zero() for _ in range(4)]
-                    for p0 in range(n):
-                        for p1 in range(n - 1 - p0 + 1):
-                            p2 = n - 1 - p0 - p1
-                            kern = (
-                                gamma_half(2 * (p1 + q1) + 1 + 2 * sh1)
-                                * gamma_half(2 * (p2 + q2) + 1 + 2 * sh2)
-                                / gamma_half(2 * (qsum + n - p0) + tail)
-                            )
-                            c = _solved_coefficient(n, *slot(p0, p1, p2))
-                            for i in range(4):
-                                sums[i] = sums[i] + kern * c[i] * ((-1) ** p0)
-                    for i in range(4):
-                        if not sums[i].is_zero():
-                            failures.append({"family": f"{name}-c{i}", "q": (q1, q2, q3)})
+    for q1, q2, q3 in itertools.product(range(q_range), repeat=3):
+        rhs = c0_scale * sphere_moment((2 * q1, 2 * q2, 2 * q3 + 2))
+        for name, (e0, e1, e2) in families:
+            total = n - (e0 + e1 + e2) // 2
+            sums = [zero] * 4
+            for p0 in range(total + 1):
+                for p1 in range(total - p0 + 1):
+                    p2 = total - p0 - p1
+                    kern = sphere_moment((2 * (p1 + q1 + e1), 2 * (p2 + q2 + e2), 2 * q3 + 2)) * (-1) ** p0
+                    c = _solved_coefficient(n, 2 * p0 + e0, 2 * p1 + e1, 2 * p2 + e2)
+                    sums = [s + kern * ci for s, ci in zip(sums, c)]
+            wants = [rhs if name == "even" else zero, zero, zero, zero]
+            for i in range(4):
+                if sums[i] != wants[i]:
+                    failures.append({"family": f"{name}-c{i}", "q": (q1, q2, q3)})
     return CheckReport.from_flag(
         name="coefficient-system",
-        inputs={"n": n, "grid": f"{q_range}^3", "equations_checked": checked * 5},
+        inputs={"n": n, "grid": f"{q_range}^3", "equations_checked": q_range**3 * 5},
         passed=not failures,
         lhs="exact family sums",
         rhs=failures if failures else "exact match",
-        n_evals=checked,
+        n_evals=q_range**3,
     )
 
 

@@ -1,5 +1,6 @@
 """Gamma arithmetic, moment closed forms, and the integration engines."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from qszego.quadrature import (
     integrate_boundary,
     integrate_r3,
     parseval_identity_check,
+    sphere_moment,
     sphere_surface,
 )
 from qszego.verify import hardy_test_function_components
@@ -110,6 +112,76 @@ def test_moment_negative_radial_exponent():
     assert abs(m.to_float() - 2 * PI) < 1e-14
     with pytest.raises(ValueError):
         exponential_moment_closed_form(1, -3, 0, 0, 0)
+
+
+def _exponents(d, max_total):
+    """Every exponent tuple in N^d of total at most ``max_total``."""
+    return [a for a in itertools.product(range(max_total + 1), repeat=d) if sum(a) <= max_total]
+
+
+def test_sphere_moment_values():
+    # S^0 is two points; the circle, the sphere and their second moments
+    assert sphere_moment((0,)) == SqrtPiRational(2)
+    assert sphere_moment((0, 0)) == SqrtPiRational(2, 2)
+    assert sphere_moment((0, 0, 0)) == SqrtPiRational(4, 2)
+    assert sphere_moment((2, 0, 0)) == SqrtPiRational(Fraction(4, 3), 2)
+    assert sphere_moment((2, 2)) == SqrtPiRational(Fraction(1, 4), 2)
+    for bad in ((), (-1,), (2, -2, 0)):
+        with pytest.raises(ValueError):
+            sphere_moment(bad)
+
+
+def test_sphere_moment_sums_to_the_lower_moment():
+    # |xi|^2 = 1 on the sphere, so sum_i M(a + 2 e_i) = M(a): 791 exponent
+    # tuples over d = 1..5, |a| <= 6, odd ones included
+    checked = 0
+    for d in range(1, 6):
+        for a in _exponents(d, 6):
+            raised = [tuple(ai + 2 * (i == j) for j, ai in enumerate(a)) for i in range(d)]
+            total = SqrtPiRational.zero()
+            for b in raised:
+                total = total + sphere_moment(b)
+            assert total == sphere_moment(a), a
+            checked += 1
+    assert checked == 791
+
+
+def test_sphere_moment_vanishes_on_an_odd_exponent():
+    for d in range(1, 6):
+        for a in _exponents(d, 6):
+            odd = any(ai % 2 for ai in a)
+            assert sphere_moment(a).is_zero() == odd, a
+            if not odd:
+                assert sphere_moment(a).coef > 0
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_sphere_moment_of_one_is_the_sphere_surface(d):
+    # the float surface feeds the boundary rule; it agrees with the exact one
+    exact = sphere_moment((0,) * d).to_float()
+    assert abs(sphere_surface(d) - exact) <= 1e-15 * exact
+
+
+def _exponential_moment_product(a, l0, l1, l2, l3):
+    """The exponential moment as its Gamma product, with the parity rule by hand."""
+    if (l1 % 2) or (l2 % 2) or (l3 % 2):
+        return SqrtPiRational.zero()
+    l = l0 + l1 + l2 + l3
+    k1, k2, k3 = l1 // 2, l2 // 2, l3 // 2
+    num = gamma_half(2 * (l + 3)) * gamma_half(2 * k1 + 1) * gamma_half(2 * k2 + 1) * gamma_half(2 * k3 + 1)
+    return (num / gamma_half(2 * (k1 + k2 + k3) + 3)) * 2 * (Fraction(a) ** (-(l + 3)))
+
+
+def test_exponential_moment_is_its_gamma_product():
+    # 15,435 tuples: five decay rates, l0 = -2..6 and every l_i <= 6
+    checked = 0
+    for a in (1, 2, 4, Fraction(3, 2), 0.5):
+        for l0 in range(-2, 7):
+            for l1, l2, l3 in itertools.product(range(7), repeat=3):
+                want = _exponential_moment_product(a, l0, l1, l2, l3)
+                assert exponential_moment_closed_form(a, l0, l1, l2, l3) == want
+                checked += 1
+    assert checked == 15435
 
 
 def _radius(x1, x2, x3):

@@ -105,3 +105,36 @@ def test_every_integer_draw_goes_through_the_verify_helpers():
         ("verify.py", "_rand_fraction"),
         ("verify.py", "_randint"),
     ]
+
+
+class _BoundedBits:
+    """A generator stub whose ``getrandbits`` returns 0 and raises after 10 draws."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        if self.calls > 10:
+            raise RuntimeError("drew again and again from an empty range")
+        return 0
+
+
+@pytest.mark.parametrize("low, high", [(1, 0), (5, -5), (0, -1)])
+def test_randint_rejects_an_empty_range_before_drawing(low, high):
+    # randint raises ValueError on an empty range; _randint raises the same
+    # error, and draws nothing first, so the stream of valid draws is kept
+    rng = _BoundedBits()
+    with pytest.raises(ValueError, match="empty range"):
+        _randint(rng, low, high)
+    assert rng.calls == 0
+    with pytest.raises(ValueError, match="empty range"):
+        random.Random(0).randint(low, high)
+
+
+def test_rand_fraction_rejects_an_empty_denominator_range():
+    # the numerator is drawn, then the denominator range [1, 0] is empty
+    rng = _BoundedBits()
+    with pytest.raises(ValueError, match="empty range"):
+        _rand_fraction(rng, 3, 0)
+    assert rng.calls == 1

@@ -1,5 +1,6 @@
 """The test-function family, reproducing property, and the section-4 checks."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,8 @@ from qszego.geometry import SiegelPoint
 from qszego.hypercomplex import Hypercomplex
 from qszego.kernel import KernelOrder, group_kernel_array, szego_density
 from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
-from qszego.quadrature import BudgetTooSmallError, QuadratureResult
+from qszego import verify
+from qszego.quadrature import BudgetTooSmallError, QuadratureResult, SqrtPiRational, gamma_half, sphere_moment
 from qszego.verify import (
     TestFunctionSpec,
     _homogeneous_degree,
@@ -88,6 +90,34 @@ def test_closed_form_values():
     assert a.comps[3] < 0 < b.comps[3]
     with pytest.raises(ValueError):
         hardy_test_function_closed_form(TestFunctionSpec(1, (0, 1, 0, 1)))
+
+
+def _closed_form_product(t):
+    """The test function's e3 value at (0, 1) as its Gamma product."""
+    t0, q1, q2, q3 = t[0], t[1] // 2, t[2] // 2, t[3] // 2
+    lam = sum(t)
+    return (
+        SqrtPiRational(Fraction((-1) ** (t0 + q1 + q2 + q3), 2 ** (lam + 4)), -2)
+        * gamma_half(2 * (lam + 3))
+        * gamma_half(2 * q1 + 1)
+        * gamma_half(2 * q2 + 1)
+        * gamma_half(2 * q3 + 3)
+        / gamma_half(2 * (q1 + q2 + q3) + 5)
+    )
+
+
+def test_closed_form_is_its_gamma_product():
+    # all 252 parity-valid specs of order <= 12
+    specs = [
+        TestFunctionSpec(1, t)
+        for t in itertools.product(range(13), repeat=4)
+        if sum(t) <= 12 and TestFunctionSpec(1, t).closed_form_parity()
+    ]
+    assert len(specs) == 252
+    for spec in specs:
+        want = _closed_form_product(spec.t)
+        assert want.pi_half == 0
+        assert hardy_test_function_closed_form(spec) == Hypercomplex((0, 0, 0, want.coef))
 
 
 def test_agreement_all_valid_specs():
@@ -187,6 +217,70 @@ def test_coefficient_system_exact():
     for n in (1, 2, 3):
         rep = coefficient_system_check(n)
         assert rep.passed
+
+
+def test_coefficient_terms_are_sphere_moments():
+    # every family term's Gamma ratio, with the hand-typed denominator tails
+    # 5, 5 and 7, and the right side's ratio, times 2 Gamma(q3 + 3/2), is a
+    # sphere moment: 6,777 terms over n = 1..6 and the 27-cell q grid
+    checked = 0
+    for n in range(1, 7):
+        # (sh1, sh2, tail, p0 + p1 + p2) of the even, x0x1, x0x2 and x1x2 families
+        families = ((0, 0, 5, n), (1, 0, 5, n - 1), (0, 1, 5, n - 1), (1, 1, 7, n - 1))
+        for q1, q2, q3 in itertools.product(range(3), repeat=3):
+            common = 2 * gamma_half(2 * q3 + 3)
+            rhs = gamma_half(2 * q1 + 1) * gamma_half(2 * q2 + 1) / gamma_half(2 * (q1 + q2 + q3) + 5)
+            assert rhs * common == sphere_moment((2 * q1, 2 * q2, 2 * q3 + 2))
+            for sh1, sh2, tail, total in families:
+                for p0 in range(total + 1):
+                    for p1 in range(total - p0 + 1):
+                        p2 = total - p0 - p1
+                        kern = (
+                            gamma_half(2 * (p1 + q1) + 1 + 2 * sh1)
+                            * gamma_half(2 * (p2 + q2) + 1 + 2 * sh2)
+                            / gamma_half(2 * (q1 + q2 + q3 + n - p0) + tail)
+                        )
+                        moment = sphere_moment((2 * (p1 + q1 + sh1), 2 * (p2 + q2 + sh2), 2 * q3 + 2))
+                        assert kern * common == moment
+                        checked += 1
+    assert checked == 6777
+
+
+def _cells():
+    return list(itertools.product(range(3), repeat=3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coefficient_system_fails_on_a_wrong_coefficient(n, monkeypatch):
+    # a doubled c0 breaks the even family's c0 equation in every cell, and
+    # only that one
+    solved = verify._solved_coefficient
+
+    def doubled(n, *slot):
+        c = solved(n, *slot)
+        return (c[0] * 2, *c[1:])
+
+    monkeypatch.setattr(verify, "_solved_coefficient", doubled)
+    rep = coefficient_system_check(n)
+    assert not rep.passed
+    assert rep.rhs == [{"family": "even-c0", "q": q} for q in _cells()]
+
+
+@pytest.mark.parametrize("family, offsets", [("odd-x0x1", (1, 1, 0)), ("odd-x0x2", (1, 0, 1)), ("odd-x1x2", (0, 1, 1))])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coefficient_system_fails_on_a_nonzero_odd_coefficient(n, family, offsets, monkeypatch):
+    # a c1 in the family's slot x0^(2(n-1)+e0) x1^e1 x2^e2 must not vanish
+    solved = verify._solved_coefficient
+    slot = (2 * (n - 1) + offsets[0], *offsets[1:])
+
+    def with_c1(n, *s):
+        c = solved(n, *s)
+        return (c[0], SqrtPiRational(Fraction(1), -2), *c[2:]) if s == slot else c
+
+    monkeypatch.setattr(verify, "_solved_coefficient", with_c1)
+    rep = coefficient_system_check(n)
+    assert not rep.passed
+    assert rep.rhs == [{"family": f"{family}-c1", "q": q} for q in _cells()]
 
 
 @pytest.mark.parametrize("n", [0, -1, 7])
