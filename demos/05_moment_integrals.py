@@ -10,7 +10,6 @@ import numpy as np
 from qszego.quadrature import (
     ExpDecay,
     exponential_moment_closed_form,
-    fourier_newton,
     gamma_half,
     integrate_r3,
     parseval_identity_check,
@@ -45,9 +44,6 @@ for a, powers in ((1.0, (0, 0, 0, 0)), (2.0, (0, 0, 0, 0)), (1.0, (1, 2, 0, 2)))
 
 print("\nodd powers vanish by symmetry, exactly in the closed form:")
 print(f"  powers (0,1,0,0): {exponential_moment_closed_form(1, 0, 1, 0, 0)}")
-
-print("\nthe Fourier profile of the Newton-potential slice:")
-print(f"  x0=1, rho=1: {fourier_newton(1.0, 1.0):.10f}  (= pi e^(-2 pi))")
 
 print("\nParseval ties derivative products to exponential moments:")
 for p, q, x0 in (((1, 0, 0, 0), (1, 0, 0, 0), 1.0), ((2, 0, 0, 0), (0, 0, 0, 2), 0.5)):

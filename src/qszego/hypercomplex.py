@@ -7,11 +7,14 @@ oriented triples (e_a e_b = e_c plus anticommutativity, e_i^2 = -1 and e_0
 acting as identity), never typed by hand.  From each table one straight-line
 product function is generated at import, as ``dataclasses`` generates
 methods: component k is ``0 +- a_i*b_j +- ...`` over the (i, j) with
-e_i e_j = +-e_k, in i-major order.  On finite components its values are
-those of summing the table's products term by term from the integer 0 and
-skipping the zero ones, bit for bit, including the sign of a zero.  With an
-inf or nan component a product 0*inf is summed as nan, where skipping it
-would not; the command line rejects non-finite input.
+e_i e_j = +-e_k, in i-major order.  It runs on any components that take
+``0 +``, ``+``, ``-`` and ``*``: exact and float scalars, numpy columns
+(:func:`mul_arrays`) and the ``RadialFraction`` components of a symbolic
+``HyperFrac``.  On finite float components its values are those of summing
+the table's products term by term from the integer 0 and skipping the zero
+ones, bit for bit, including the sign of a zero.  With an inf or nan
+component a product 0*inf is summed as nan, where skipping it would not;
+the command line rejects non-finite input.
 
 Values are immutable.  Exact mode stores ``int``/``Fraction`` components and
 every operation is exact; floating mode stores ``float``.  The two modes do

@@ -8,7 +8,8 @@ fractions, and products of two with k > 0, stay reduced without a division.
 Sums are not reduced; equality, zero and degree tests (Dirac annihilation,
 homogeneity) do not depend on it.
 ``HyperFrac`` is a vector of radial fractions acting as hypercomplex
-components; the Dirac operators and linear variable substitutions act on it.
+components; the left Dirac operator and linear variable substitutions act
+on it.
 
 ``eval`` is exact and rejects floats: it is the oracle that the one float
 evaluator, ``eval_fractions``, is checked against.  It takes one coordinate
@@ -314,6 +315,12 @@ class RadialFraction:
                 b = b * rsq
         return RadialFraction(a + b, k)
 
+    def __radd__(self, other):
+        """``0 + f`` is ``f``: the generated hypercomplex products sum from the integer 0."""
+        if type(other) is int and other == 0:
+            return self
+        return NotImplemented
+
     def __sub__(self, other):
         return self + (-other)
 
@@ -481,12 +488,6 @@ class HyperFrac:
     def __add__(self, other):
         return HyperFrac(tuple(a + b for a, b in zip(self.comps, other.comps)))
 
-    def __sub__(self, other):
-        return HyperFrac(tuple(a - b for a, b in zip(self.comps, other.comps)))
-
-    def __neg__(self):
-        return HyperFrac(tuple(-a for a in self.comps))
-
     def scale(self, c):
         return HyperFrac(tuple(a.scale(c) for a in self.comps))
 
@@ -509,15 +510,16 @@ class HyperFrac:
         """Componentwise d/dx_i."""
         return HyperFrac(tuple(c.deriv(i) for c in self.comps))
 
-    def dirac(self, side="left", conjugated=False, var_indices=None):
-        """Apply the Dirac operator through the multiplication table.
+    def dirac(self, side="left", var_indices=None):
+        """The left Dirac operator sum_i e_i df/dx_i, through the multiplication table.
 
-        ``left`` computes sum_i e_i df/dx_i, ``right`` computes
-        sum_i (df/dx_i) e_i; ``conjugated`` uses the conjugate basis
-        (sign flip on e_1..).  ``var_indices`` selects which variables pair
-        with e_0..; by default the variable dimension must equal the
-        component count.
+        ``side`` must be ``"left"``: the Hardy space is made of left-regular
+        functions, and no other side is implemented.  ``var_indices`` selects
+        which variables pair with e_0, e_1, ...; by default the variable
+        dimension must equal the component count.
         """
+        if side != "left":
+            raise ValueError(f"only the left Dirac operator is implemented, not {side!r}")
         if var_indices is None:
             if self.dim != self.alg_dim:
                 raise ValueError(
@@ -525,7 +527,7 @@ class HyperFrac:
                     " pass var_indices explicitly"
                 )
             var_indices = range(self.alg_dim)
-        return dirac_from_partials([self.deriv(vi) for vi in var_indices], side, conjugated)
+        return dirac_from_partials([self.deriv(vi) for vi in var_indices])
 
     def substitute_linear(self, rows):
         """Component-wise x -> Ax substitution; polynomial inputs only."""
@@ -541,18 +543,17 @@ class HyperFrac:
         return cls(tuple(RadialFraction.from_json(c) for c in data["components"]))
 
 
-def dirac_from_partials(partials, side="left", conjugated=False):
-    """The Dirac operator of :meth:`HyperFrac.dirac` from the partials it pairs with e_0, e_1, ..."""
+def dirac_from_partials(partials):
+    """The left Dirac operator of :meth:`HyperFrac.dirac` from the partials it pairs with e_0, e_1, ..."""
     alg = partials[0].alg_dim
     if len(partials) != alg:
         raise ValueError("need one variable per basis element")
     table = mult_table(alg)
     out = [RadialFraction.zero(partials[0].dim) for _ in range(alg)]
     for i, partial in enumerate(partials):
-        sign_i = -1 if (conjugated and i >= 1) else 1
         for j, df in enumerate(partial.comps):
             if df.is_zero():
                 continue
-            k, s = table[i][j] if side == "left" else table[j][i]
-            out[k] = out[k] + df.scale(s * sign_i)
+            k, s = table[i][j]
+            out[k] = out[k] + df.scale(s)
     return HyperFrac(tuple(out))

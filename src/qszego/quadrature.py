@@ -79,9 +79,6 @@ class SqrtPiRational:
             return SqrtPiRational(self.coef / other.coef, self.pi_half - other.pi_half)
         return SqrtPiRational(self.coef / Fraction(other), self.pi_half)
 
-    def __neg__(self):
-        return SqrtPiRational(-self.coef, self.pi_half)
-
     def __add__(self, other):
         if not isinstance(other, SqrtPiRational):
             return NotImplemented
@@ -92,9 +89,6 @@ class SqrtPiRational:
         if self.pi_half != other.pi_half:
             raise ValueError("cannot add values with different powers of sqrt(pi)")
         return SqrtPiRational(self.coef + other.coef, self.pi_half)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, SqrtPiRational):
@@ -157,13 +151,6 @@ def exponential_moment_closed_form(a, l0, l1, l2, l3):
         raise ValueError("radial exponent below -2 is not integrable")
     l = l0 + l1 + l2 + l3
     return gamma_half(2 * (l + 3)) * sphere_moment((l1, l2, l3)) * Fraction(a) ** (-(l + 3))
-
-
-def fourier_newton(x0, rho):
-    """Radial Fourier profile (pi / rho) exp(-2 pi x0 rho) of the Newton slice."""
-    if x0 <= 0 or rho <= 0:
-        raise ValueError("x0 and rho must be positive")
-    return math.pi / rho * math.exp(-2.0 * math.pi * x0 * rho)
 
 
 # ----------------------------------------------------------------------
@@ -336,21 +323,19 @@ def parseval_identity_check(p_orders, q_orders, x0):
     l = [p_orders[i] + q_orders[i] for i in range(4)]
 
     # exact right side: 2^(a+g) pi^(a+g+2) (-1)^(p0+g) i^(a+g-p0-q0) times the
-    # moment at rate 4 pi x0, whose pi^(-l-3) joins the ledger symbolically;
-    # the moment vanishes exactly when a paired axis order is odd
-    total_l = sum(l) - 2
+    # moment at rate 4 pi x0, which is the moment at rate 4 x0 times
+    # pi^-(a+g+1), so the ledger keeps pi^1; the moment vanishes exactly when
+    # a paired axis order is odd
     sign = (-1) ** (p_orders[0] + gamma + (l[1] + l[2] + l[3]) // 2)
-    ledger = SqrtPiRational(sign * Fraction(2) ** (alpha + gamma), 2 * (alpha + gamma + 2) - 2 * (total_l + 3))
+    ledger = SqrtPiRational(sign * Fraction(2) ** (alpha + gamma), 2)
     rhs_exact = ledger * exponential_moment_closed_form(4 * Fraction(x0), l[0] - 2, l[1], l[2], l[3])
     rhs = rhs_exact.to_float()
 
     # one evaluation of both factors shares |x|^2 and the powers of x_i
     factors = (newton_derivative(p_orders), newton_derivative(q_orders))
 
-    x0_col = np.full((1, 1, 1), float(x0))  # an array, so its powers round as the grid's do
-
     def product(x1, x2, x3):
-        vals = eval_fractions(factors, (x0_col, x1, x2, x3))
+        vals = eval_fractions(factors, (float(x0), x1, x2, x3))
         return vals[..., 0] * vals[..., 1]
 
     def signed_and_absolute(x1, x2, x3):

@@ -27,7 +27,7 @@ from .geometry import (
     homogeneous_dim,
     translate,
 )
-from .hypercomplex import Hypercomplex, left_mult_matrix, mul_arrays
+from .hypercomplex import _PRODUCTS, Hypercomplex, left_mult_matrix, mul_arrays
 from .kernel import KernelOrder, newton_derivative, szego_density
 from .polyfrac import HyperFrac, RadialFraction, RatPoly, dirac_from_partials, eval_fractions
 from .quadrature import (
@@ -701,20 +701,6 @@ def _fueter_variable(d, offset, i):
     return HyperFrac.from_polys(tuple(comps))
 
 
-def _quat_product(f, g):
-    """Product of two quaternion-valued polynomial HyperFracs."""
-    from .hypercomplex import mult_table
-
-    table = mult_table(4)
-    d = f.dim
-    out = [RadialFraction.zero(d) for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            k, s = table[i][j]
-            out[k] = out[k] + (f.comps[i] * g.comps[j]).scale(s)
-    return HyperFrac(tuple(out))
-
-
 def slice_regularity_corpus():
     """Bi-variable regular functions paired with substitution constants."""
     zero = RatPoly.zero(8)
@@ -723,7 +709,9 @@ def slice_regularity_corpus():
     fueter_q2 = _fueter_variable(8, 4, 1)
     fueter_q1 = _fueter_variable(8, 0, 2)
     z2 = _fueter_variable(8, 4, 2)
-    sym = (_quat_product(fueter_q2, z2) + _quat_product(z2, fueter_q2)).scale(Fraction(1, 2))
+    product = _PRODUCTS[4]
+    sym = HyperFrac(product(fueter_q2.comps, z2.comps)) + HyperFrac(product(z2.comps, fueter_q2.comps))
+    sym = sym.scale(Fraction(1, 2))
     mixed = fueter_q1 + fueter_q2.scale(3)
     cases = []
     for name, func in (

@@ -132,6 +132,14 @@ def test_verify_deterministic_given_seed(capsys):
     assert digest == "089cb6e518b8cdf464ac514f13a258ccb6f0b64d70d3bc733f2117f1eeef57e1"
 
 
+def test_verify_all_seed_0_is_pinned(capsys):
+    # every report of every suite, bit for bit
+    code, out, _ = run_cli(["verify", "all", "--seed", "0"], capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "a1c9f6c28d23e1485abb73fb25fc016cee3bc111e356f5aa66edd36b1fa191fc"
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nonsense"]) == 2
 

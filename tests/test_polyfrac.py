@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qszego.hypercomplex import Hypercomplex, left_mult_matrix
-from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly, radius_sq
+from qszego.hypercomplex import _PRODUCTS, Hypercomplex, left_mult_matrix, mult_table
+from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly, dirac_from_partials, radius_sq
 
 
 def x(i, d=4):
@@ -123,20 +123,27 @@ def test_dirac_octonion_null_example():
     assert f.dirac("left").is_zero()
 
 
+def _random_poly_hyperfrac(rng, dim, alg_dim):
+    polys = []
+    for _ in range(alg_dim):
+        terms = {}
+        for _ in range(3):
+            key = [0] * dim
+            for _ in range(rng.randint(0, 3)):
+                key[rng.randrange(dim)] += 1
+            terms[tuple(key)] = rng.randint(-4, 4)
+        polys.append(RatPoly(dim, terms))
+    return HyperFrac.from_polys(tuple(polys))
+
+
 def test_conjugated_dirac_is_laplacian_on_polynomials():
+    # the conjugate Dirac operator is the left one with the partials i >= 1
+    # negated; subharmonicity_check rests on conj(D) D = Laplacian
     rng = random.Random(8)
     for dim in (4, 8):
-        polys = []
-        for _ in range(dim):
-            terms = {}
-            for _ in range(3):
-                key = [0] * dim
-                for _ in range(rng.randint(0, 3)):
-                    key[rng.randrange(dim)] += 1
-                terms[tuple(key)] = rng.randint(-4, 4)
-            polys.append(RatPoly(dim, terms))
-        f = HyperFrac.from_polys(tuple(polys))
-        lhs = f.dirac("left").dirac("left", conjugated=True)
+        f = _random_poly_hyperfrac(rng, dim, dim)
+        g = f.dirac("left")
+        lhs = dirac_from_partials([g.deriv(0)] + [g.deriv(i).scale(-1) for i in range(1, dim)])
         lap = [RadialFraction.zero(dim) for _ in range(dim)]
         for j in range(dim):
             for i in range(dim):
@@ -144,6 +151,46 @@ def test_conjugated_dirac_is_laplacian_on_polynomials():
         assert lhs == HyperFrac(tuple(lap))
         second = [f.deriv(i).deriv(i) for i in range(dim)]
         assert sum(second[1:], second[0]) == HyperFrac(tuple(lap))
+
+
+def test_dirac_is_left_only():
+    f = identity_map()
+    assert f.dirac("left") == f.dirac() == f.dirac("left", (0, 1, 2, 3))
+    for side in ("right", "conjugated", None):
+        with pytest.raises(ValueError):
+            f.dirac(side)
+
+
+def test_zero_plus_fraction_is_the_fraction():
+    f = RadialFraction(x(0) * x(1), 2)
+    assert (0 + f) is f
+    for other in (1, -1, 0.0, Fraction(0), 2.5):
+        with pytest.raises(TypeError):
+            other + f
+
+
+def _quat_product_reference(f, g):
+    # the hand-written walk of the multiplication table that the generated
+    # product replaced: out[k] accumulates sign * f_i g_j in i-major order
+    table = mult_table(4)
+    out = [RadialFraction.zero(f.dim) for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            k, s = table[i][j]
+            out[k] = out[k] + (f.comps[i] * g.comps[j]).scale(s)
+    return HyperFrac(tuple(out))
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_generated_product_on_symbolic_components(dim):
+    rng = random.Random(dim)
+    for _ in range(20):
+        f = _random_poly_hyperfrac(rng, dim, 4)
+        g = _random_poly_hyperfrac(rng, dim, 4)
+        for a, b in ((f, g), (g, f)):
+            got = HyperFrac(_PRODUCTS[4](a.comps, b.comps))
+            want = _quat_product_reference(a, b)
+            assert [(c.num, c.k) for c in got.comps] == [(c.num, c.k) for c in want.comps]
 
 
 def test_linear_substitute_examples():

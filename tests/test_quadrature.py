@@ -22,7 +22,6 @@ from qszego.quadrature import (
     _sphere_level,
     _t_grid,
     exponential_moment_closed_form,
-    fourier_newton,
     gamma_half,
     integrate_boundary,
     integrate_r3,
@@ -380,40 +379,6 @@ def test_moment_quadrature_consistency_random(seed):
 
     res = integrate_r3(f, ExpDecay(a), tol=1e-8, abs_tol=abs(exact) * 1e-10)
     assert abs(res.value - exact) <= 1e-6 * abs(exact)
-
-
-def test_fourier_profile_values():
-    assert abs(fourier_newton(1.0, 1.0) - PI * math.exp(-2 * PI)) < 1e-16
-    assert abs(fourier_newton(1e-9, 1.0) - PI) < 1e-6
-    with pytest.raises(ValueError):
-        fourier_newton(-1.0, 1.0)
-
-
-def test_fourier_profile_against_quadrature():
-    # oscillatory radial integral (2/rho) int r sin(2 pi rho r) / (x0^2 + r^2) dr
-    # summed over half periods with tail averaging on a truncated domain
-    from numpy.polynomial.legendre import leggauss
-
-    x0, rho = 0.8, 1.3
-    nodes, weights = leggauss(24)
-
-    def segment(a, b):
-        r = (nodes + 1) * (b - a) / 2 + a
-        w = weights * (b - a) / 2
-        return float(np.sum(w * r * np.sin(2 * PI * rho * r) / (x0**2 + r**2)))
-
-    half = 1.0 / (2 * rho)
-    partials = []
-    total = 0.0
-    for k in range(400):
-        total += segment(k * half, (k + 1) * half)
-        partials.append(total)
-    # repeated averaging accelerates the alternating tail
-    arr = np.array(partials[-60:])
-    for _ in range(10):
-        arr = (arr[1:] + arr[:-1]) / 2
-    numeric = (2 / rho) * arr[-1]
-    assert abs(numeric - fourier_newton(x0, rho)) <= 1e-4 * abs(fourier_newton(x0, rho))
 
 
 def test_parseval_identity_examples():
