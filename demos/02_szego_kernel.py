@@ -40,7 +40,7 @@ print(f"\n  s(1)  = {s1.eval((1,0,0,0)).comps[0]:.9f}   (= 24/pi^4 = {24/math.pi
 print(f"  s(2)  = {s1.eval((2,0,0,0)).comps[0]:.9f}   (= s(1)/2^5, degree -5 homogeneity)")
 
 print("\nfull kernel S(q, w) between two interior points:")
-p = SiegelPoint((Hypercomplex.zero(4, exact=False),), Hypercomplex.from_real(4, 1.0, exact=False))
+p = SiegelPoint((Hypercomplex.zero(4),), Hypercomplex.from_real(4, 1))
 print(f"  S((0,1),(0,1)) = {szego_eval(1, p, p).to_text()}")
 
 print("\nthe m = 2 density reproduces the classical complex kernel:")

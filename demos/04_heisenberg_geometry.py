@@ -3,6 +3,8 @@
 Run:  python demos/04_heisenberg_geometry.py
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from qszego import (
@@ -12,12 +14,13 @@ from qszego import (
     boundary_param,
     boundary_unparam,
     cayley,
-    cayley_inv,
     dilate_element,
     group_mul,
     rho_length,
     translate,
 )
+from qszego.geometry import cayley_columns
+from qszego.hypercomplex import sum_squares
 
 e = lambda dim, i: Hypercomplex.basis(dim, i)
 
@@ -44,21 +47,22 @@ print(f"  roundtrip recovers the element: {boundary_unparam(bp) == h}")
 
 print("\nthe homogeneous length scales linearly under group dilation:")
 g = GroupElement(
-    (Hypercomplex((0.3, -1.2, 0.5, 0.9), exact=False),), (2.0, -0.5, 0.25)
+    (Hypercomplex((Fraction(3, 10), Fraction(-6, 5), Fraction(1, 2), Fraction(9, 10))),),
+    (2, Fraction(-1, 2), Fraction(1, 4)),
 )
-print(f"  rho(h) = {rho_length(g):.6f},  rho(3 o h) = {rho_length(dilate_element(3.0, g)):.6f}")
+print(f"  rho(h) = {rho_length(g):.6f},  rho(3 o h) = {rho_length(dilate_element(3, g)):.6f}")
 
 print("\nthe octonionic Cayley transform maps the half space into the ball:")
-rng = np.random.default_rng(7)
-worst = 0.0
-for _ in range(2000):
-    tau1 = Hypercomplex(rng.uniform(-1, 1, 8), exact=False)
-    vert = np.concatenate([[float(tau1.norm_sq()) + rng.uniform(0.1, 2.0)], rng.uniform(-1, 1, 7)])
-    p = SiegelPoint((tau1,), Hypercomplex(vert, exact=False))
-    ball = cayley(p)
-    assert ball.in_ball()
-    back = cayley_inv(ball)
-    worst = max(worst, max(abs(x - y) for x, y in zip(back.vertical.comps, p.vertical.comps)))
+# float points go through the transform's formula as columns, one row per
+# point: tau1, the height above the boundary, then Im tau2
+low, high = [-1] * 8 + [0.1] + [-1] * 7, [1] * 8 + [2] + [1] * 7
+draws = np.random.default_rng(7).uniform(low, high, (2000, 16))
+tau1 = tuple(draws[:, :8].T)
+tau2 = (sum_squares(tau1) + draws[:, 8],) + tuple(draws[:, 9:].T)
+sigma1, sigma2 = cayley_columns(tau1, tau2)
+assert np.all(sum_squares(sigma1) + sum_squares(sigma2) < 1)
+_, back2 = cayley_columns(sigma1, sigma2, inverse=True)
+worst = np.max(np.abs(np.array(back2) - np.array(tau2)))
 print(f"  2000 random interior points: all inside, roundtrip deviation <= {worst:.2e}")
 
 boundary = SiegelPoint((Hypercomplex.zero(8),), e(8, 1))

@@ -42,8 +42,11 @@ class UsageError(Exception):
 
 
 def _parse_components(text, expected=None):
+    """The exact components of a comma-separated list; each must have a float value."""
     try:
-        comps = [float(Fraction(part)) for part in text.split(",") if part.strip() != ""]
+        comps = [Fraction(part) for part in text.split(",") if part.strip() != ""]
+        for c in comps:
+            float(c)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"cannot parse component list {text!r}: {exc}") from None
     if expected is not None and len(comps) != expected:
@@ -53,11 +56,8 @@ def _parse_components(text, expected=None):
 
 def _parse_point(text, n):
     comps = _parse_components(text, expected=4 * (n + 1))
-    horizontal = tuple(
-        Hypercomplex(comps[4 * i : 4 * i + 4], exact=False) for i in range(n)
-    )
-    vertical = Hypercomplex(comps[4 * n :], exact=False)
-    return SiegelPoint(horizontal, vertical)
+    horizontal = tuple(Hypercomplex(comps[4 * i : 4 * i + 4]) for i in range(n))
+    return SiegelPoint(horizontal, Hypercomplex(comps[4 * n :]))
 
 
 def _checked(convert, ok, expected):
@@ -129,7 +129,7 @@ def _emit_value(args, payload):
 def cmd_eval(args):
     kind = args.kind
     if kind in ("s", "E"):
-        nu = _parse_components(args.nu, expected=args.m)
+        nu = [float(c) for c in _parse_components(args.nu, expected=args.m)]
         if not any(nu):
             raise ZeroDivisionError("singular point nu = 0")
         if kind == "s":
@@ -165,10 +165,7 @@ def cmd_eval(args):
         raise UsageError("K needs --omega and --t")
     w = _parse_components(args.omega, expected=4 * args.n)
     t = _parse_components(args.t, expected=3)
-    h = GroupElement(
-        tuple(Hypercomplex(w[4 * i : 4 * i + 4], exact=False) for i in range(args.n)),
-        tuple(t),
-    )
+    h = GroupElement(tuple(Hypercomplex(w[4 * i : 4 * i + 4]) for i in range(args.n)), t)
     value = group_kernel(KernelOrder(args.n), h, args.eps)
     _emit_value(
         args,

@@ -9,11 +9,14 @@ as printed (they differ in the sign and the order of the conjugated factor;
 see :func:`group_mul_with_convention` for testing either convention on
 either group).
 
-The octonionic Cayley transform is one formula over component sequences.
-:func:`cayley` and :func:`cayley_inv` run it on the components of one point,
-exact or float; :func:`cayley_columns` runs it on float columns, one row per
-point, so a block of points costs one pass of array operations, and every
-row has the bits of the point-wise transform.
+Points and group elements are exact: a float component raises
+``TypeError``.  Each map of the half space is one formula over component
+sequences (:func:`translate_columns`, :func:`dilate_columns`,
+:func:`rotate_columns`, :func:`nu_columns` and :func:`cayley_columns`),
+whose components may be exact or float scalars or float columns, one row
+per point.  The object maps run the formulas on exact components; the float
+checks run them on columns, so a block of points costs one pass of array
+operations, and every row has the bits of the formula on that row's floats.
 """
 
 from __future__ import annotations
@@ -27,10 +30,13 @@ import numpy as np
 from .hypercomplex import _PRODUCTS, Hypercomplex, _norm_rat, sum_squares
 
 
-def _coerce_t(t, exact):
-    if exact:
-        return tuple(_norm_rat(v) for v in t)
-    return tuple(float(v) for v in t)
+def _require_exact(values):
+    if not all(v.exact for v in values):
+        raise TypeError("points and group elements are exact; floats go through the *_columns maps")
+
+
+def _comps(values):
+    return tuple(v.comps for v in values)
 
 
 @dataclass(frozen=True)
@@ -42,14 +48,13 @@ class SiegelPoint:
 
     def __post_init__(self):
         horizontal = tuple(self.horizontal)
+        if not horizontal:
+            raise ValueError("empty horizontal part")
         object.__setattr__(self, "horizontal", horizontal)
         dim = self.vertical.dim
-        exact = self.vertical.exact
-        for h in horizontal:
-            if h.dim != dim:
-                raise ValueError("mixed algebra dimensions in point")
-            if h.exact != exact:
-                raise TypeError("mixed scalar modes in point")
+        if any(h.dim != dim for h in horizontal):
+            raise ValueError("mixed algebra dimensions in point")
+        _require_exact((self.vertical, *horizontal))
         if dim == 8 and len(horizontal) != 1:
             raise ValueError("octonionic points have a single horizontal coordinate")
 
@@ -61,12 +66,13 @@ class SiegelPoint:
     def alg_dim(self):
         return self.vertical.dim
 
-    @property
-    def exact(self):
-        return self.vertical.exact
-
     def height(self):
         return self.vertical.re - sum(h.norm_sq() for h in self.horizontal)
+
+
+def _point(horizontal, vertical):
+    """The point of exact component sequences; a float component raises TypeError."""
+    return SiegelPoint(tuple(Hypercomplex(h) for h in horizontal), Hypercomplex(vertical))
 
 
 @dataclass(frozen=True)
@@ -78,9 +84,6 @@ class BallPoint:
 
     def norm_sq_sum(self):
         return self.sigma1.norm_sq() + self.sigma2.norm_sq()
-
-    def in_ball(self):
-        return self.norm_sq_sum() < 1
 
 
 @dataclass(frozen=True)
@@ -95,16 +98,15 @@ class GroupElement:
         if not omega:
             raise ValueError("empty horizontal part")
         dim = omega[0].dim
-        exact = omega[0].exact
-        for w in omega:
-            if w.dim != dim or w.exact != exact:
-                raise ValueError("inconsistent horizontal components")
+        if any(w.dim != dim for w in omega):
+            raise ValueError("inconsistent horizontal components")
+        _require_exact(omega)
         expected_t = {4: 3, 8: 7}.get(dim)
         if expected_t is None:
             raise ValueError(f"unsupported algebra dimension {dim}")
         if dim == 8 and len(omega) != 1:
             raise ValueError("octonionic elements have a single horizontal coordinate")
-        t = _coerce_t(self.t, exact)
+        t = tuple(_norm_rat(v) for v in self.t)  # a float raises TypeError
         if len(t) != expected_t:
             raise ValueError(f"t must have {expected_t} components")
         object.__setattr__(self, "omega", omega)
@@ -122,10 +124,6 @@ class GroupElement:
     def alg_dim(self):
         return self.omega[0].dim
 
-    @property
-    def exact(self):
-        return self.omega[0].exact
-
 
 def identity_element(kind, n=1):
     dim = 4 if kind == "quaternionic" else 8
@@ -133,12 +131,53 @@ def identity_element(kind, n=1):
     return GroupElement(tuple(Hypercomplex.zero(dim) for _ in range(n)), (0,) * (dim - 1))
 
 
-def _hermitian_pairing(a, b):
-    """sum_i conj(a_i) b_i over horizontal tuples."""
-    acc = Hypercomplex.zero(a[0].dim, exact=a[0].exact)
+# -- the maps, each one formula over component sequences -------------------
+#
+# A horizontal part is a sequence of coordinates, each a sequence of
+# components; every component is an exact or float scalar or a float column.
+# The float steps are those of the ``Hypercomplex`` operations: sums start
+# from the integer 0, a conjugate is taken before its product, and a scalar
+# multiplies from the right.
+
+
+def _conj(c):
+    return (c[0],) + tuple(-x for x in c[1:])
+
+
+def _pairing(a, b):
+    """sum_i conj(a_i) b_i over two horizontal parts, summed from the integer 0."""
+    mul = _PRODUCTS[len(b[0])]
+    acc = (0,) * len(b[0])
     for ai, bi in zip(a, b):
-        acc = acc + ai.conj() * bi
+        acc = tuple(s + c for s, c in zip(acc, mul(_conj(ai), bi)))
     return acc
+
+
+def translate_columns(omega, t, q, v):
+    """Left translation of the points (q, v) by [omega, t]:
+    (q + omega, ((v + |omega|^2) + 2 sum_i conj(omega_i) q_i) + e.t)."""
+    shift = _pairing(omega, q)
+    lift = (sum(sum_squares(w) for w in omega),) + (0,) * (len(v) - 1)
+    horizontal = tuple(tuple(a + b for a, b in zip(qi, wi)) for qi, wi in zip(q, omega))
+    vertical = tuple(((a + b) + c * 2) + d for a, b, c, d in zip(v, lift, shift, (0, *t)))
+    return horizontal, vertical
+
+
+def dilate_columns(delta, q, v):
+    """(delta q, delta^2 v); on a group element's (omega, t) it is delta o [omega, t]."""
+    d2 = delta * delta
+    return tuple(tuple(c * delta for c in h) for h in q), tuple(c * d2 for c in v)
+
+
+def rotate_columns(rotation, q, v):
+    """(R_1 q_1, ..., R_n q_n, v) for unit R_i."""
+    mul = _PRODUCTS[len(v)]
+    return tuple(mul(r, qi) for r, qi in zip(rotation, q)), tuple(v)
+
+
+def nu_columns(q, v, omega, u):
+    """The kernel argument v + conj(u) - 2 sum_i conj(omega_i) q_i of (q, v) and (omega, u)."""
+    return tuple((a + b) - c * 2 for a, b, c in zip(v, _conj(u), _pairing(omega, q)))
 
 
 def group_mul_with_convention(a, b, convention):
@@ -153,18 +192,14 @@ def group_mul_with_convention(a, b, convention):
     """
     if a.kind != b.kind or a.n != b.n:
         raise ValueError("group kind/shape mismatch")
-    if a.exact != b.exact:
-        raise TypeError("scalar mode mismatch")
-    omega = tuple(wa + wb for wa, wb in zip(a.omega, b.omega))
     if convention == "minus_conj_beta_alpha":
-        inner = _hermitian_pairing(b.omega, a.omega)
-        t = tuple(ta + sb - 2 * inner.im(i + 1) for i, (ta, sb) in enumerate(zip(a.t, b.t)))
+        inner = tuple(-c for c in _pairing(_comps(b.omega), _comps(a.omega)))
     elif convention == "plus_conj_alpha_beta":
-        inner = _hermitian_pairing(a.omega, b.omega)
-        t = tuple(ta + sb + 2 * inner.im(i + 1) for i, (ta, sb) in enumerate(zip(a.t, b.t)))
+        inner = _pairing(_comps(a.omega), _comps(b.omega))
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    return GroupElement(omega, t)
+    omega = tuple(wa + wb for wa, wb in zip(a.omega, b.omega))
+    return GroupElement(omega, tuple(ta + sb + c * 2 for ta, sb, c in zip(a.t, b.t, inner[1:])))
 
 
 def group_mul(a, b):
@@ -177,93 +212,60 @@ def group_inverse(h):
     return GroupElement(tuple(-w for w in h.omega), tuple(-v for v in h.t))
 
 
-def _imag_embedding(t, exact):
-    return Hypercomplex((0, *t), exact=exact)
-
-
 def translate(h, p):
     """Left translation of the half space by [w', t]."""
     if h.alg_dim != p.alg_dim or h.n != p.n:
         raise ValueError("element/point shape mismatch")
-    if h.exact != p.exact:
-        raise TypeError("scalar mode mismatch")
-    horizontal = tuple(qi + wi for qi, wi in zip(p.horizontal, h.omega))
-    shift = _hermitian_pairing(h.omega, p.horizontal) * 2
-    w2 = sum(w.norm_sq() for w in h.omega)
-    vertical = (
-        p.vertical
-        + Hypercomplex.from_real(p.alg_dim, w2, exact=p.exact)
-        + shift
-        + _imag_embedding(h.t, p.exact)
-    )
-    return SiegelPoint(horizontal, vertical)
+    return _point(*translate_columns(_comps(h.omega), h.t, _comps(p.horizontal), p.vertical.comps))
 
 
-def _dilation_factor(delta, exact):
-    """delta as a scalar of the mode ``exact``; a float delta is taken exactly
-    in exact mode."""
+def _dilation_factor(delta):
+    """delta as an exact positive scalar; a float delta is taken exactly."""
     if not delta > 0:
         raise ValueError("dilation factor must be positive")
-    if exact:
-        return _norm_rat(Fraction(delta) if isinstance(delta, float) else delta)
-    return float(delta)
+    return _norm_rat(Fraction(delta))
 
 
 def dilate(delta, p):
-    delta = _dilation_factor(delta, p.exact)
-    return SiegelPoint(tuple(h * delta for h in p.horizontal), p.vertical * (delta * delta))
+    return _point(*dilate_columns(_dilation_factor(delta), _comps(p.horizontal), p.vertical.comps))
 
 
 def dilate_element(delta, h):
     """Group dilation delta o [w', t] = [delta w', delta^2 t]."""
-    delta = _dilation_factor(delta, h.exact)
-    d2 = delta * delta
-    return GroupElement(tuple(w * delta for w in h.omega), tuple(v * d2 for v in h.t))
+    omega, t = dilate_columns(_dilation_factor(delta), _comps(h.omega), h.t)
+    return GroupElement(tuple(Hypercomplex(w) for w in omega), t)
 
 
 def rotate(rotation, p):
-    """Componentwise rotation (R_1 q_1, ..., R_n q_n, q_{n+1}), |R_i| = 1 to 1e-12."""
+    """Componentwise rotation (R_1 q_1, ..., R_n q_n, q_{n+1}) by exact unit R_i."""
     rotation = tuple(rotation)
     if len(rotation) != p.n:
         raise ValueError("one unit rotation per horizontal coordinate")
-    for r in rotation:
-        n2 = r.norm_sq()
-        if r.exact:
-            if n2 != 1:
-                raise ValueError("rotation components must have unit norm")
-        elif abs(float(n2) - 1.0) > 1e-12:
-            raise ValueError("rotation components must have unit norm")
-    horizontal = tuple(r * q for r, q in zip(rotation, p.horizontal))
-    return SiegelPoint(horizontal, p.vertical)
+    if any(r.norm_sq() != 1 for r in rotation):
+        raise ValueError("rotation components must have unit norm")
+    return _point(*rotate_columns(_comps(rotation), _comps(p.horizontal), p.vertical.comps))
 
 
 def boundary_param(h):
     """[w', t] -> (w', |w'|^2 + e.t), a point on the boundary."""
-    w2 = sum(w.norm_sq() for w in h.omega)
-    vertical = Hypercomplex.from_real(h.alg_dim, w2, exact=h.exact) + _imag_embedding(h.t, h.exact)
-    return SiegelPoint(h.omega, vertical)
+    return SiegelPoint(h.omega, Hypercomplex((sum(w.norm_sq() for w in h.omega), *h.t)))
 
 
 def boundary_unparam(p):
-    """Inverse of :func:`boundary_param`; requires the point on the boundary to 1e-12."""
-    height = p.height()
-    if p.exact:
-        if height != 0:
-            raise ValueError("point is not on the boundary")
-    elif abs(float(height)) > 1e-12:
-        raise ValueError(f"point is off the boundary by {float(height):g}")
-    t = tuple(p.vertical.comps[1:])
-    return GroupElement(p.horizontal, t)
+    """Inverse of :func:`boundary_param`; the point must be on the boundary."""
+    if p.height() != 0:
+        raise ValueError("point is not on the boundary")
+    return GroupElement(p.horizontal, p.vertical.comps[1:])
 
 
 def _cayley_map(a, b, pole):
     """(a (1 + conj b), (1 + conj b)(1 - b)) / |1 + b|^2 on component sequences.
 
-    Shared by both directions and by points and columns: each component is
-    an exact or float scalar or a float column.  The steps are those of the
-    ``Hypercomplex`` operations, 1 + b, the running sum of squares and
-    division as multiplication by 1.0/denominator, so a column gets, row by
-    row, the bits of the map at one point.
+    Shared by both directions, by exact points and by float columns: each
+    component is an exact or float scalar or a float column.  The steps are
+    1 + b, the running sum of squares and division as multiplication by
+    1.0/denominator, so a column gets, row by row, the bits of the map on
+    that row's floats.
     """
     one_plus_b = (1 + b[0],) + tuple(0 + c for c in b[1:])
     denom = sum_squares(one_plus_b)
@@ -287,9 +289,9 @@ def cayley_columns(first, second, inverse=False):
 
     Forward, ``(tau1, tau2)`` goes to ``(sigma1, sigma2)``; with ``inverse``,
     ``(sigma1, sigma2)`` goes back.  The components may be float columns, one
-    row per point, and each row has the bits of :func:`cayley` or
-    :func:`cayley_inv` at that point.  Raises ZeroDivisionError if any row is
-    the pole.
+    row per point, and each row has the bits of this function on that row's
+    Python floats; on exact components it is :func:`cayley` or
+    :func:`cayley_inv`.  Raises ZeroDivisionError if any row is the pole.
     """
     if inverse:
         return _cayley_map(first, second, "sigma2")
@@ -301,19 +303,15 @@ def cayley(p):
     if p.alg_dim != 8 or p.n != 1:
         raise ValueError("Cayley transform expects an octonionic point with n=1")
     sigma1, sigma2 = cayley_columns(p.horizontal[0].comps, p.vertical.comps)
-    return BallPoint(Hypercomplex(sigma1, exact=p.exact), Hypercomplex(sigma2, exact=p.exact))
+    return BallPoint(Hypercomplex(sigma1), Hypercomplex(sigma2))
 
 
 def cayley_inv(b):
-    """Unit ball back to the Siegel half space."""
-    sigma1, sigma2 = b.sigma1, b.sigma2
-    if sigma1.dim != 8 or sigma2.dim != 8:
+    """Unit ball back to the Siegel half space; a float ball point raises TypeError."""
+    if b.sigma1.dim != 8 or b.sigma2.dim != 8:
         raise ValueError("inverse Cayley transform expects an octonionic ball point")
-    if sigma1.exact != sigma2.exact:
-        raise TypeError("mixed scalar modes in ball point")
-    exact = sigma1.exact
-    tau1, tau2 = cayley_columns(sigma1.comps, sigma2.comps, inverse=True)
-    return SiegelPoint((Hypercomplex(tau1, exact=exact),), Hypercomplex(tau2, exact=exact))
+    tau1, tau2 = cayley_columns(b.sigma1.comps, b.sigma2.comps, inverse=True)
+    return _point((tau1,), tau2)
 
 
 def rho_length(h):

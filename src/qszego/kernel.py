@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import nu_columns
 from .hypercomplex import Hypercomplex
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
 
@@ -155,23 +156,21 @@ def szego_density(order):
 
 
 def szego_nu(q, omega):
-    """Kernel argument q_{n+1} + conj(omega_{n+1}) - 2 conj(omega') . q'."""
+    """Exact kernel argument q_{n+1} + conj(omega_{n+1}) - 2 conj(omega') . q' (``nu_columns``)."""
     if q.n != omega.n or q.alg_dim != omega.alg_dim:
         raise ValueError("points must share shape")
-    nu = q.vertical + omega.vertical.conj()
-    for qi, wi in zip(q.horizontal, omega.horizontal):
-        nu = nu - (wi.conj() * qi) * 2
-    return nu
+    q1, w1 = (tuple(h.comps for h in p.horizontal) for p in (q, omega))
+    return Hypercomplex(nu_columns(q1, q.vertical.comps, w1, omega.vertical.comps))
 
 
 def szego_eval(order, q, omega):
-    """Full kernel S(q, omega) as a floating quaternion (or dim-2 value)."""
+    """Full kernel S(q, omega) as a floating quaternion; nu is exact and rounded once."""
     if isinstance(order, int):
         order = KernelOrder(order)
     nu = szego_nu(q, omega)
     if nu.is_zero():
         raise ZeroDivisionError("singular point: coincident boundary arguments")
-    return szego_density(order).eval(nu.comps)
+    return szego_density(order).eval(nu.to_float().comps)
 
 
 def complex_szego_closed_form(n, nu):
@@ -192,7 +191,7 @@ def group_kernel(order, h, eps=0.0):
         raise ValueError("expected a quaternionic group element")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    w2 = sum(float(wi.norm_sq()) for wi in h.omega)
+    w2 = float(sum(wi.norm_sq() for wi in h.omega))
     t = [float(ti) for ti in h.t]
     if not w2 + eps and not any(t):
         raise ZeroDivisionError("singular point: identity element with eps = 0")

@@ -486,6 +486,10 @@ class HyperFrac:
         return all(c.k == 0 for c in self.comps)
 
     def __add__(self, other):
+        if not isinstance(other, HyperFrac):
+            return NotImplemented
+        if len(self.comps) != len(other.comps):
+            raise ValueError("component count mismatch")
         return HyperFrac(tuple(a + b for a, b in zip(self.comps, other.comps)))
 
     def scale(self, c):

@@ -21,14 +21,16 @@ from .geometry import (
     boundary_param,
     boundary_unparam,
     cayley_columns,
-    dilate,
+    dilate_columns,
     dilate_element,
     group_inverse,
     group_mul,
     identity_element,
+    nu_columns,
     rho_length,
-    rotate,
+    rotate_columns,
     translate,
+    translate_columns,
 )
 from .hypercomplex import (
     OCTONION_TRIPLES,
@@ -44,7 +46,6 @@ from .kernel import (
     cauchy_kernel,
     complex_szego_closed_form,
     szego_density,
-    szego_nu,
 )
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
 from .quadrature import (
@@ -62,10 +63,6 @@ from .verify import _rand_exact, _rand_fraction, _randint
 SUITE_NAMES = ("all", "algebra", "kernel", "geometry", "props", "reproducing", "octonion")
 
 
-def _rand_float(rng, dim):
-    return Hypercomplex([rng.uniform(-1.0, 1.0) for _ in range(dim)], exact=False)
-
-
 # The float Cayley checks run on blocks of at most this many points, which
 # bounds their memory; the draws of a block are those of drawing its points
 # one at a time.
@@ -76,6 +73,11 @@ _ROUNDTRIP_LOW = [-1.0] * 8 + [0.05] + [-2.0] * 7
 _ROUNDTRIP_HIGH = [1.0] * 8 + [3.0] + [2.0] * 7
 _BOUNDARY_LOW = [-1.0] * 8 + [-2.0] * 7
 _BOUNDARY_HIGH = [1.0] * 8 + [2.0] * 7
+
+
+# bounds of the 28 uniform draws of one pair of the kernel invariance checks
+_INVARIANCE_POINT = [(-1, 1)] * 4 + [(0.2, 2.0)] + [(-1, 1)] * 3
+_INVARIANCE_BOUNDS = _INVARIANCE_POINT * 2 + [(0.5, 2.0)] + [(-1, 1)] * 11
 
 
 def _blocks(total):
@@ -239,40 +241,31 @@ def kernel_suite(seed=0):
             )
         )
 
-    # invariance of the full kernel under the three automorphisms (n = 1)
-    def rand_interior():
-        q1 = _rand_float(rng, 4)
-        h = rng.uniform(0.2, 2.0)
-        vert = Hypercomplex(
-            [float(q1.norm_sq()) + h, rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)],
-            exact=False,
-        )
-        return SiegelPoint((q1,), vert)
+    # invariance of the full kernel under the three automorphisms (n = 1), on
+    # columns of 40 pairs; per pair, in order: q', the height and Im q_2 of
+    # q, the same of w, delta, the rotation u, then omega' and t
+    cols = np.array([[rng.uniform(lo, hi) for lo, hi in _INVARIANCE_BOUNDS] for _ in range(40)]).T
 
-    samples = []
-    for _ in range(40):
-        q, w = rand_interior(), rand_interior()
-        delta = rng.uniform(0.5, 2.0)
-        u = _rand_float(rng, 4)
-        u = u * (1.0 / abs(u))
-        h = GroupElement(
-            (_rand_float(rng, 4),),
-            tuple(rng.uniform(-1, 1) for _ in range(3)),
-        )
-        samples.append((q, w, delta, u, h))
+    def interior(c):
+        return (tuple(c[:4]),), (sum_squares(c[:4]) + c[4],) + tuple(c[5:8])
 
-    def kernel(pairs):
-        """S(q, w) for each pair (q, w), one row each, from one density evaluation."""
-        return szego_density(1).eval_array([szego_nu(q, w).comps for q, w in pairs])
+    q, w, delta = interior(cols[:8]), interior(cols[8:16]), cols[16]
+    inv = 1.0 / np.sqrt(sum_squares(cols[17:21]))
+    u = tuple(c * inv for c in cols[17:21])
+    omega, t = (tuple(cols[21:25]),), tuple(cols[25:28])
 
-    s_qw = kernel((q, w) for q, w, *_ in samples)
+    def kernel(a, b):
+        """S(a, b) for the columns of the points a and b, one row per pair."""
+        return szego_density(1).eval_array(np.stack(nu_columns(*a, *b), axis=-1))
+
+    s_qw = kernel(q, w)
     # each entry should equal s_qw: conj S(w, q), delta^10 S(delta q, delta w), ...
     transformed = {
-        "hermitian": kernel((w, q) for q, w, *_ in samples) * [1.0, -1.0, -1.0, -1.0],
-        "dilation": kernel((dilate(d, q), dilate(d, w)) for q, w, d, *_ in samples)
-        * np.array([[d**10] for _, _, d, *_ in samples]),
-        "rotation": kernel((rotate((u,), q), rotate((u,), w)) for q, w, _, u, _ in samples),
-        "translation": kernel((translate(h, q), translate(h, w)) for q, w, *_, h in samples),
+        "hermitian": kernel(w, q) * [1.0, -1.0, -1.0, -1.0],
+        "dilation": kernel(dilate_columns(delta, *q), dilate_columns(delta, *w))
+        * np.array([[d**10] for d in delta.tolist()]),
+        "rotation": kernel(rotate_columns((u,), *q), rotate_columns((u,), *w)),
+        "translation": kernel(translate_columns(omega, t, *q), translate_columns(omega, t, *w)),
     }
     norm = np.maximum(np.sqrt(np.sum(s_qw * s_qw, axis=1)), 1e-300)
     worst = {key: float(np.max(np.max(np.abs(v - s_qw), axis=1) / norm)) for key, v in transformed.items()}
@@ -395,10 +388,10 @@ def geometry_suite(seed=0):
     bad = []
     for _ in range(300):
         h = GroupElement(
-            (_rand_float(rng, 4),),
-            tuple(rng.uniform(-4, 4) for _ in range(3)),
+            (Hypercomplex([_rand_fraction(rng, 4, 4) for _ in range(4)]),),
+            tuple(_rand_fraction(rng, 16, 4) for _ in range(3)),
         )
-        if abs(rho_length(dilate_element(3.0, h)) - 3.0 * rho_length(h)) > 1e-12 * max(
+        if abs(rho_length(dilate_element(3, h)) - 3.0 * rho_length(h)) > 1e-12 * max(
             1.0, rho_length(h)
         ):
             bad.append("dilation")

@@ -15,15 +15,13 @@ import pytest
 from qszego.geometry import (
     GroupElement,
     SiegelPoint,
-    boundary_param,
-    cayley,
-    cayley_inv,
+    cayley_columns,
     group_inverse,
     group_mul,
     identity_element,
-    translate,
+    translate_columns,
 )
-from qszego.hypercomplex import Hypercomplex
+from qszego.hypercomplex import Hypercomplex, sum_squares
 from qszego.kernel import KernelOrder, PiScaledKernel, szego_density
 from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
 from qszego.quadrature import (
@@ -262,41 +260,28 @@ def test_criterion_08_geometry_suite():
             ok = False
             notes.append(f"identity/inverse {kind} n={n}")
 
-    worst_height = 0.0
-    for _ in range(500):
-        h = GroupElement(
-            (Hypercomplex([rng.uniform(-2, 2) for _ in range(4)], exact=False),),
-            tuple(rng.uniform(-2, 2) for _ in range(3)),
-        )
-        p = boundary_param(
-            GroupElement(
-                (Hypercomplex([rng.uniform(-2, 2) for _ in range(4)], exact=False),),
-                tuple(rng.uniform(-2, 2) for _ in range(3)),
-            )
-        )
-        worst_height = max(worst_height, abs(float(translate(h, p).height())))
+    # 500 pairs (h, g) of float elements, in columns: h's omega and t, then
+    # g's; the point is boundary_param(g) = (g.omega, |g.omega|^2 + e.t)
+    cols = np.array([[rng.uniform(-2, 2) for _ in range(14)] for _ in range(500)]).T
+    g_omega = tuple(cols[7:11])
+    p = ((g_omega,), (sum_squares(g_omega),) + tuple(cols[11:14]))
+    (moved,), vertical = translate_columns((tuple(cols[:4]),), tuple(cols[4:7]), *p)
+    worst_height = float(np.max(np.abs(vertical[0] - sum_squares(moved))))
     if worst_height > 1e-12:
         ok = False
         notes.append(f"height dev {worst_height:.1e}")
 
-    nrng = np.random.default_rng(2)
-    worst_round = 0.0
-    strictly_inside = True
-    for _ in range(10_000):
-        tau1 = Hypercomplex(nrng.uniform(-1, 1, 8), exact=False)
-        vert = np.concatenate(
-            [[float(tau1.norm_sq()) + nrng.uniform(0.05, 3.0)], nrng.uniform(-2, 2, 7)]
-        )
-        p = SiegelPoint((tau1,), Hypercomplex(vert, exact=False))
-        ball = cayley(p)
-        if ball.norm_sq_sum() >= 1.0:
-            strictly_inside = False
-        back = cayley_inv(ball)
-        dev = max(
-            max(abs(a - b) for a, b in zip(back.horizontal[0].comps, p.horizontal[0].comps)),
-            max(abs(a - b) for a, b in zip(back.vertical.comps, p.vertical.comps)),
-        )
-        worst_round = max(worst_round, dev / max(1.0, abs(p.vertical)))
+    # the draws of 10,000 points drawn one at a time: tau1, the height, Im tau2
+    draws = np.random.default_rng(2).uniform(
+        [-1.0] * 8 + [0.05] + [-2.0] * 7, [1.0] * 8 + [3.0] + [2.0] * 7, (10_000, 16)
+    )
+    tau1 = tuple(draws[:, :8].T)
+    tau2 = (sum_squares(tau1) + draws[:, 8],) + tuple(draws[:, 9:].T)
+    sigma1, sigma2 = cayley_columns(tau1, tau2)
+    strictly_inside = bool(np.all(sum_squares(sigma1) + sum_squares(sigma2) < 1.0))
+    back1, back2 = cayley_columns(sigma1, sigma2, inverse=True)
+    dev = np.max(np.abs(np.array(back1 + back2) - np.array(tau1 + tau2)), axis=0)
+    worst_round = float(np.max(dev / np.maximum(1.0, np.sqrt(sum_squares(tau2)))))
     if not strictly_inside or worst_round > 1e-12:
         ok = False
         notes.append(f"cayley dev {worst_round:.1e} inside={strictly_inside}")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import qszego
 from qszego import cli
 from qszego.cli import main
+from qszego.hypercomplex import Hypercomplex
 
 
 def run_cli(args, capsys):
@@ -67,6 +69,19 @@ def test_eval_full_kernel(capsys):
     data = json.loads(out)
     assert abs(data["value"][0] - 3 / (4 * math.pi**4)) < 1e-16
     assert data["nu"] == [2.0, 0.0, 0.0, 0.0]
+
+
+def test_eval_full_kernel_rounds_the_exact_nu_once(capsys):
+    q, omega = "1/3,2/3,-1/3,1/3,2,1/3,0,-2/3", "1/3,-1/3,1/3,2/3,3,0,1/3,1/3"
+    code, out, err = run_cli(["eval", "S", "--q", q, "--omega", omega], capsys)
+    assert code == 0
+    (q1, q2), (w1, w2) = (
+        [Hypercomplex([Fraction(c) for c in text.split(",")[i : i + 4]]) for i in (0, 4)]
+        for text in (q, omega)
+    )
+    nu = q2 + w2.conj() - (w1.conj() * q1) * 2
+    assert nu.exact
+    assert json.loads(out)["nu"] == [float(c) for c in nu.comps]
 
 
 def test_eval_group_kernel(capsys):

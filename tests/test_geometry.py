@@ -1,6 +1,5 @@
 """Heisenberg groups, Siegel points, Cayley transform, homogeneous norm."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -17,17 +16,23 @@ from qszego.geometry import (
     cayley_columns,
     cayley_inv,
     dilate,
+    dilate_columns,
     dilate_element,
     group_inverse,
     group_mul,
     group_mul_with_convention,
     homogeneous_dim,
     identity_element,
+    nu_columns,
     rho_length,
     rotate,
+    rotate_columns,
     translate,
+    translate_columns,
 )
-from qszego.hypercomplex import Hypercomplex
+from qszego.hypercomplex import Hypercomplex, sum_squares
+from qszego.kernel import szego_nu
+from qszego.suites import _ROUNDTRIP_HIGH, _ROUNDTRIP_LOW
 
 
 def q(*comps):
@@ -166,14 +171,12 @@ def test_dilation_factor_of_elements_and_exact_float_delta():
     for delta in (0, -1, 0.0, -0.5):
         with pytest.raises(ValueError):
             dilate_element(delta, h)
-    # a float delta on exact input is taken exactly: 0.5 scales by Fraction(1, 2)
+    # a float delta is taken exactly: 0.5 scales by Fraction(1, 2)
     dh = dilate_element(0.5, h)
-    assert dh.exact
     assert dh.omega[0].comps == (Fraction(1, 2), 1, Fraction(3, 2), 2)
     assert dh.t == (Fraction(1, 4), Fraction(-1, 2), Fraction(3, 4))
     p = SiegelPoint((q(1, -1, 0, 2),), q(8, 4, 0, -4))
     dp = dilate(0.5, p)
-    assert dp.exact
     assert dp.horizontal[0].comps == (Fraction(1, 2), Fraction(-1, 2), 0, 1)
     assert dp.vertical.comps == (2, 1, 0, -1)
     assert all(isinstance(c, (int, Fraction)) for c in dp.horizontal[0].comps + dp.vertical.comps)
@@ -212,10 +215,9 @@ def test_octonionic_boundary_parameterization():
 
 
 def test_cayley_center_and_boundary():
-    center = SiegelPoint((Hypercomplex.zero(8, exact=False),), Hypercomplex.from_real(8, 1.0, exact=False))
+    center = SiegelPoint((Hypercomplex.zero(8),), Hypercomplex.from_real(8, 1))
     b = cayley(center)
-    assert all(abs(c) < 1e-15 for c in b.sigma1.comps)
-    assert all(abs(c) < 1e-15 for c in b.sigma2.comps)
+    assert b.sigma1 == b.sigma2 == Hypercomplex.zero(8)
 
     bp = SiegelPoint((Hypercomplex.zero(8),), e(8, 1))
     ball = cayley(bp)
@@ -224,19 +226,21 @@ def test_cayley_center_and_boundary():
     assert ball.norm_sq_sum() == 1
 
 
+def _norms(comps):
+    return np.sqrt(sum_squares(comps))
+
+
 def test_cayley_roundtrip_random():
-    rng = np.random.default_rng(0)
-    for _ in range(3000):
-        tau1 = Hypercomplex(rng.uniform(-1, 1, 8), exact=False)
-        vert = np.concatenate(
-            [[float(tau1.norm_sq()) + rng.uniform(0.05, 3.0)], rng.uniform(-2, 2, 7)]
-        )
-        p = SiegelPoint((tau1,), Hypercomplex(vert, exact=False))
-        ball = cayley(p)
-        assert ball.in_ball()
-        back = cayley_inv(ball)
-        assert back.horizontal[0].approx_eq(p.horizontal[0], rel=1e-12, abs_tol=1e-12)
-        assert back.vertical.approx_eq(p.vertical, rel=1e-12, abs_tol=1e-12)
+    # the draws of 3,000 points drawn one at a time, as columns
+    draws = np.random.default_rng(0).uniform(_ROUNDTRIP_LOW, _ROUNDTRIP_HIGH, (3000, 16))
+    tau1 = tuple(draws[:, :8].T)
+    tau2 = (sum_squares(tau1) + draws[:, 8],) + tuple(draws[:, 9:].T)
+    sigma1, sigma2 = cayley_columns(tau1, tau2)
+    assert np.all(sum_squares(sigma1) + sum_squares(sigma2) < 1)
+    for back, tau in zip(cayley_columns(sigma1, sigma2, inverse=True), (tau1, tau2)):
+        # Hypercomplex.approx_eq(rel=1e-12, abs_tol=1e-12) on every row
+        diff = np.max(np.abs(np.array(back) - np.array(tau)), axis=0)
+        assert np.all(diff <= np.maximum(1e-12, 1e-12 * np.maximum(_norms(back), _norms(tau))))
 
 
 def test_cayley_pole():
@@ -260,13 +264,13 @@ def test_cayley_columns_match_points_bit_for_bit():
     sigma1, sigma2 = cayley_columns(tuple(tau1.T), tuple(tau2.T))
     back1, back2 = cayley_columns(sigma1, sigma2, inverse=True)
     for i in range(300):
-        p = SiegelPoint((Hypercomplex(tau1[i], exact=False),), Hypercomplex(tau2[i], exact=False))
-        ball = cayley(p)
-        assert _hex(c[i] for c in sigma1) == _hex(ball.sigma1.comps)
-        assert _hex(c[i] for c in sigma2) == _hex(ball.sigma2.comps)
-        back = cayley_inv(ball)
-        assert _hex(c[i] for c in back1) == _hex(back.horizontal[0].comps)
-        assert _hex(c[i] for c in back2) == _hex(back.vertical.comps)
+        # the same function on the row's Python floats
+        ball1, ball2 = cayley_columns(tuple(tau1[i].tolist()), tuple(tau2[i].tolist()))
+        assert _hex(c[i] for c in sigma1) == _hex(ball1)
+        assert _hex(c[i] for c in sigma2) == _hex(ball2)
+        row1, row2 = cayley_columns(ball1, ball2, inverse=True)
+        assert _hex(c[i] for c in back1) == _hex(row1)
+        assert _hex(c[i] for c in back2) == _hex(row2)
     assert _hex(c[0] for c in sigma2) == _hex([0.0, -1.0] + [0.0] * 6)
 
 
@@ -286,8 +290,8 @@ def test_rho_length():
     rng = random.Random(15)
     for _ in range(100):
         h = GroupElement(
-            (Hypercomplex([rng.uniform(-3, 3) for _ in range(4)], exact=False),),
-            tuple(rng.uniform(-3, 3) for _ in range(3)),
+            (Hypercomplex([Fraction(rng.uniform(-3, 3)) for _ in range(4)]),),
+            tuple(Fraction(rng.uniform(-3, 3)) for _ in range(3)),
         )
         assert rho_length(dilate_element(3.0, h)) == pytest.approx(3.0 * rho_length(h), rel=1e-12)
         assert rho_length(group_inverse(h)) == rho_length(h)
@@ -311,3 +315,82 @@ def test_kind_mismatch_raises():
     b = GroupElement((e(8, 1),), (0,) * 7)
     with pytest.raises(ValueError):
         group_mul(a, b)
+
+
+def test_points_and_elements_are_exact():
+    one, half = Hypercomplex.from_real(4, 1), Hypercomplex((0.5, 0.0, 0.0, 0.0))
+    zero8 = Hypercomplex.zero(8)
+    for build in (
+        lambda: SiegelPoint((half,), one),
+        lambda: SiegelPoint((one,), half),
+        lambda: GroupElement((half,), (0, 0, 0)),
+        lambda: GroupElement((one,), (0, 0.5, 0)),
+        lambda: cayley_inv(BallPoint(zero8.to_float(), zero8.to_float())),
+        lambda: cayley_inv(BallPoint(zero8, zero8.to_float())),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert not hasattr(SiegelPoint((one,), one), "exact")
+    assert not hasattr(GroupElement((one,), (0, 0, 0)), "exact")
+
+
+def test_point_needs_a_horizontal_coordinate():
+    # as a group element does: the maps take the algebra's dimension from q'
+    with pytest.raises(ValueError, match="empty horizontal part"):
+        SiegelPoint((), Hypercomplex.from_real(4, 1))
+
+
+def _row(x, i):
+    """Row i of nested sequences of float columns, as Python floats."""
+    return tuple(_row(c, i) for c in x) if isinstance(x, tuple) else float(x[i])
+
+
+def _flat_hex(x):
+    return [h for c in x for h in _flat_hex(c)] if isinstance(x, tuple) else [x.hex()]
+
+
+def test_column_maps_match_each_row_bit_for_bit():
+    rng = np.random.default_rng(5)
+    rows = 40
+
+    def columns(count):
+        return tuple(rng.uniform(-2, 2, (count, rows)))
+
+    q, omega, rotation = ((columns(4), columns(4)) for _ in range(3))
+    v, u, t = columns(4), columns(4), columns(3)
+    delta = rng.uniform(0.5, 2, rows)
+    for c in (q[0][1], q[1][0], v[2], u[3], omega[1][2], t[0], rotation[0][0]):
+        c[::3] = -0.0
+    v[0][1] = -0.0
+    for fn, args in (
+        (translate_columns, (omega, t, q, v)),
+        (dilate_columns, (delta, q, v)),
+        (rotate_columns, (rotation, q, v)),
+        (nu_columns, (q, v, omega, u)),
+    ):
+        out = fn(*args)
+        for i in range(rows):
+            assert _flat_hex(_row(out, i)) == _flat_hex(fn(*_row(args, i))), (fn.__name__, i)
+
+
+def test_column_maps_on_exact_components_are_the_object_maps():
+    rng = random.Random(19)
+
+    def point():
+        return SiegelPoint((rand_quat(rng), rand_quat(rng)), rand_quat(rng))
+
+    def comps(p):
+        return tuple(h.comps for h in p.horizontal), p.vertical.comps
+
+    for _ in range(50):
+        p, w = point(), point()
+        omega = (rand_quat(rng), rand_quat(rng))
+        t = tuple(Fraction(rng.randint(-9, 9), 4) for _ in range(3))
+        rotation = (e(4, rng.randint(0, 3)), -e(4, rng.randint(0, 3)))
+        delta = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        moved = translate(GroupElement(omega, t), p)
+        assert comps(moved) == translate_columns(tuple(h.comps for h in omega), t, *comps(p))
+        assert comps(dilate(delta, p)) == dilate_columns(delta, *comps(p))
+        turned = rotate(rotation, p)
+        assert comps(turned) == rotate_columns(tuple(r.comps for r in rotation), *comps(p))
+        assert szego_nu(p, w).comps == nu_columns(*comps(p), *comps(w))

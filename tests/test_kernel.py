@@ -9,8 +9,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qszego.geometry import GroupElement, SiegelPoint, dilate, rotate, translate
-from qszego.hypercomplex import Hypercomplex
+from qszego.geometry import (
+    GroupElement,
+    SiegelPoint,
+    dilate_columns,
+    nu_columns,
+    rotate_columns,
+    translate,
+    translate_columns,
+)
+from qszego.hypercomplex import Hypercomplex, sum_squares
 from qszego.kernel import (
     KernelOrder,
     PiScaledKernel,
@@ -159,21 +167,23 @@ def test_szego_eval_singular():
 
 
 def _random_interior(rng):
-    q1 = Hypercomplex([rng.uniform(-1, 1) for _ in range(4)], exact=False)
-    vert = Hypercomplex(
-        [float(q1.norm_sq()) + rng.uniform(0.2, 2.0)]
-        + [rng.uniform(-1, 1) for _ in range(3)],
-        exact=False,
-    )
-    return SiegelPoint((q1,), vert)
+    """The float components (q', q_2) of a random interior point, n = 1."""
+    q1 = tuple(rng.uniform(-1, 1) for _ in range(4))
+    vert = (sum_squares(q1) + rng.uniform(0.2, 2.0),) + tuple(rng.uniform(-1, 1) for _ in range(3))
+    return (q1,), vert
+
+
+def _kernel(q, w):
+    """S(q, w) at float components, n = 1."""
+    return szego_density(1).eval(nu_columns(*q, *w))
 
 
 def test_hermitian_symmetry():
     rng = random.Random(13)
     for _ in range(50):
         q, w = _random_interior(rng), _random_interior(rng)
-        lhs = szego_eval(1, q, w)
-        rhs = szego_eval(1, w, q).conj()
+        lhs = _kernel(q, w)
+        rhs = _kernel(w, q).conj()
         assert lhs.approx_eq(rhs, rel=1e-12)
 
 
@@ -181,8 +191,8 @@ def test_dilation_invariance():
     rng = random.Random(15)
     for _ in range(20):
         q, w = _random_interior(rng), _random_interior(rng)
-        base = szego_eval(1, q, w)
-        scaled = szego_eval(1, dilate(2.0, q), dilate(2.0, w)) * 2.0**10
+        base = _kernel(q, w)
+        scaled = _kernel(dilate_columns(2.0, *q), dilate_columns(2.0, *w)) * 2.0**10
         assert scaled.approx_eq(base, rel=1e-10)
 
 
@@ -191,9 +201,9 @@ def test_rotation_invariance():
     for _ in range(20):
         q, w = _random_interior(rng), _random_interior(rng)
         u = Hypercomplex([rng.uniform(-1, 1) for _ in range(4)], exact=False)
-        u = u * (1.0 / abs(u))
-        assert szego_eval(1, rotate((u,), q), rotate((u,), w)).approx_eq(
-            szego_eval(1, q, w), rel=1e-10
+        u = (u * (1.0 / abs(u))).comps
+        assert _kernel(rotate_columns((u,), *q), rotate_columns((u,), *w)).approx_eq(
+            _kernel(q, w), rel=1e-10
         )
 
 
@@ -201,12 +211,10 @@ def test_translation_invariance():
     rng = random.Random(19)
     for _ in range(20):
         q, w = _random_interior(rng), _random_interior(rng)
-        h = GroupElement(
-            (Hypercomplex([rng.uniform(-1, 1) for _ in range(4)], exact=False),),
-            tuple(rng.uniform(-1, 1) for _ in range(3)),
-        )
-        assert szego_eval(1, translate(h, q), translate(h, w)).approx_eq(
-            szego_eval(1, q, w), rel=1e-10
+        omega = (tuple(rng.uniform(-1, 1) for _ in range(4)),)
+        t = tuple(rng.uniform(-1, 1) for _ in range(3))
+        assert _kernel(translate_columns(omega, t, *q), translate_columns(omega, t, *w)).approx_eq(
+            _kernel(q, w), rel=1e-10
         )
 
 
@@ -249,14 +257,14 @@ def test_unified_complex_density_symbolic():
 
 def test_group_kernel_unit_imaginary():
     # s(e1): the e1 component of the density body at (0,1,0,0) is 4
-    h = GroupElement((Hypercomplex.zero(4, exact=False),), (1.0, 0.0, 0.0))
+    h = GroupElement((Hypercomplex.zero(4),), (1, 0, 0))
     v = group_kernel(KernelOrder(1), h, 0.0)
     assert abs(v.comps[1] - 8 / PI**4) < 1e-15
     assert abs(v.comps[0]) < 1e-18
 
 
 def test_group_kernel_identity_with_eps():
-    h = GroupElement((Hypercomplex.zero(4, exact=False),), (0.0, 0.0, 0.0))
+    h = GroupElement((Hypercomplex.zero(4),), (0, 0, 0))
     v = group_kernel(KernelOrder(1), h, 1.0)
     assert abs(v.comps[0] - 24 / PI**4) < 1e-15
     with pytest.raises(ZeroDivisionError):
@@ -267,10 +275,10 @@ def test_group_kernel_dilation_homogeneity():
     rng = random.Random(23)
     d = 10  # 4n + 6 at n = 1
     for _ in range(20):
-        w = Hypercomplex([rng.uniform(-1, 1) for _ in range(4)], exact=False)
-        t = tuple(rng.uniform(-1, 1) for _ in range(3))
+        w = Hypercomplex([Fraction(rng.uniform(-1, 1)) for _ in range(4)])
+        t = tuple(Fraction(rng.uniform(-1, 1)) for _ in range(3))
         h = GroupElement((w,), t)
-        h3 = GroupElement((w * 3.0,), tuple(9.0 * v for v in t))
+        h3 = GroupElement((w * 3,), tuple(9 * v for v in t))
         base = group_kernel(KernelOrder(1), h)
         scaled = group_kernel(KernelOrder(1), h3)
         assert (scaled * 3.0**d).approx_eq(base, rel=1e-12)
@@ -279,15 +287,15 @@ def test_group_kernel_dilation_homogeneity():
 def test_group_kernel_matches_full_kernel():
     # K_eps(h) = S(h(0) + eps e0, 0-boundary-point)
     rng = random.Random(25)
-    origin = SiegelPoint((Hypercomplex.zero(4, exact=False),), Hypercomplex.zero(4, exact=False))
+    origin = SiegelPoint((Hypercomplex.zero(4),), Hypercomplex.zero(4))
     for _ in range(10):
-        w = Hypercomplex([rng.uniform(-1, 1) for _ in range(4)], exact=False)
-        t = tuple(rng.uniform(-1, 1) for _ in range(3))
+        w = Hypercomplex([Fraction(rng.uniform(-1, 1)) for _ in range(4)])
+        t = tuple(Fraction(rng.uniform(-1, 1)) for _ in range(3))
         h = GroupElement((w,), t)
         eps = rng.uniform(0.1, 1.0)
         moved = translate(h, origin)
         shifted = SiegelPoint(
-            moved.horizontal, moved.vertical + Hypercomplex.from_real(4, eps, exact=False)
+            moved.horizontal, moved.vertical + Hypercomplex.from_real(4, Fraction(eps))
         )
         assert group_kernel(KernelOrder(1), h, eps).approx_eq(
             szego_eval(1, shifted, origin), rel=1e-12

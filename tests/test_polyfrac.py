@@ -169,6 +169,18 @@ def test_zero_plus_fraction_is_the_fraction():
             other + f
 
 
+def test_hyperfrac_sum_needs_equal_component_counts():
+    f4 = HyperFrac((newton(),) * 4)
+    f8 = HyperFrac((newton(),) * 8)
+    assert f4 + f4 == HyperFrac((newton() + newton(),) * 4)
+    for a, b in ((f8, f4), (f4, f8)):
+        with pytest.raises(ValueError):
+            a + b
+    for a, b in ((f4, 1), (1, f4), (f4, newton()), (newton(), f4)):
+        with pytest.raises(TypeError):
+            a + b
+
+
 def _quat_product_reference(f, g):
     # the hand-written walk of the multiplication table that the generated
     # product replaced: out[k] accumulates sign * f_i g_j in i-major order
