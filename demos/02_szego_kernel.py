@@ -23,7 +23,7 @@ from qszego import (
 print("the Cauchy kernel E(nu) = conj(nu) / (2 pi^2 |nu|^4):")
 E = cauchy_kernel(4)
 print(f"  coeff = {E.coeff}, pi power = {E.pi_pow}")
-print(f"  E(1) = {E.eval((1, 0, 0, 0)).to_text()}   (= 1/(2 pi^2) = {1/(2*math.pi**2):.6f})")
+print(f"  E(1) = {E.eval((1, 0, 0, 0)).comps}   (= 1/(2 pi^2) = {1/(2*math.pi**2):.6f})")
 print(f"  Dirac derivative of the body vanishes: {E.body.dirac('left').is_zero()}")
 
 for n in (1, 2, 3):
@@ -41,7 +41,7 @@ print(f"  s(2)  = {s1.eval((2,0,0,0)).comps[0]:.9f}   (= s(1)/2^5, degree -5 hom
 
 print("\nfull kernel S(q, w) between two interior points:")
 p = SiegelPoint((Hypercomplex.zero(4),), Hypercomplex.from_real(4, 1))
-print(f"  S((0,1),(0,1)) = {szego_eval(1, p, p).to_text()}")
+print(f"  S((0,1),(0,1)) = {szego_eval(1, p, p).comps}")
 
 print("\nthe m = 2 density reproduces the classical complex kernel:")
 s_c = szego_density(KernelOrder(1, m=2))

@@ -6,7 +6,8 @@ line per check for suites), human summaries go to stderr.  Exit codes:
 evaluation that overflows or divides by zero), 2 usage or I/O error
 (including a ``--budget`` too small for two boundary refinement levels, an
 ``--n`` for which the reproducing test function is outside the Hardy
-membership range, and an ``eval`` or ``export`` ``--n`` above ``MAX_N``).
+membership range, an ``eval`` or ``export`` ``--n`` above ``MAX_N``, and an
+``eval S`` point of negative height).
 """
 
 from __future__ import annotations
@@ -54,10 +55,15 @@ def _parse_components(text, expected=None):
     return comps
 
 
-def _parse_point(text, n):
+def _parse_point(text, n, flag):
+    """The exact point of ``flag``'s components; it must lie in the closed half space."""
     comps = _parse_components(text, expected=4 * (n + 1))
     horizontal = tuple(Hypercomplex(comps[4 * i : 4 * i + 4]) for i in range(n))
-    return SiegelPoint(horizontal, Hypercomplex(comps[4 * n :]))
+    point = SiegelPoint(horizontal, Hypercomplex(comps[4 * n :]))
+    height = point.height()
+    if height < 0:
+        raise UsageError(f"{flag} is outside the Siegel half space: height {height} < 0")
+    return point
 
 
 def _checked(convert, ok, expected):
@@ -146,8 +152,8 @@ def cmd_eval(args):
     if kind == "S":
         if not args.q or not args.omega:
             raise UsageError("S needs --q and --omega")
-        q = _parse_point(args.q, args.n)
-        omega = _parse_point(args.omega, args.n)
+        q = _parse_point(args.q, args.n, "--q")
+        omega = _parse_point(args.omega, args.n, "--omega")
         value = szego_eval(KernelOrder(args.n), q, omega)
         nu = szego_nu(q, omega)
         _emit_value(

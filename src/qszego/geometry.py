@@ -9,14 +9,16 @@ as printed (they differ in the sign and the order of the conjugated factor;
 see :func:`group_mul_with_convention` for testing either convention on
 either group).
 
-Points and group elements are exact: a float component raises
-``TypeError``.  Each map of the half space is one formula over component
-sequences (:func:`translate_columns`, :func:`dilate_columns`,
+Points, group elements and ball points are exact by construction: their
+coordinates are exact ``Hypercomplex`` values, and a float ``t`` component
+raises ``TypeError``.  Each map of the half space is one formula over
+component sequences (:func:`translate_columns`, :func:`dilate_columns`,
 :func:`rotate_columns`, :func:`nu_columns` and :func:`cayley_columns`),
 whose components may be exact or float scalars or float columns, one row
-per point.  The object maps run the formulas on exact components; the float
-checks run them on columns, so a block of points costs one pass of array
-operations, and every row has the bits of the formula on that row's floats.
+per point; the first four also run on ``RatPoly`` components.  The object
+maps run the formulas on exact components; the float checks run them on
+columns, so a block of points costs one pass of array operations, and every
+row has the bits of the formula on that row's floats.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ from fractions import Fraction
 import numpy as np
 
 from .hypercomplex import _PRODUCTS, Hypercomplex, _norm_rat, sum_squares
-
-
-def _require_exact(values):
-    if not all(v.exact for v in values):
-        raise TypeError("points and group elements are exact; floats go through the *_columns maps")
 
 
 def _comps(values):
@@ -54,7 +51,6 @@ class SiegelPoint:
         dim = self.vertical.dim
         if any(h.dim != dim for h in horizontal):
             raise ValueError("mixed algebra dimensions in point")
-        _require_exact((self.vertical, *horizontal))
         if dim == 8 and len(horizontal) != 1:
             raise ValueError("octonionic points have a single horizontal coordinate")
 
@@ -100,7 +96,6 @@ class GroupElement:
         dim = omega[0].dim
         if any(w.dim != dim for w in omega):
             raise ValueError("inconsistent horizontal components")
-        _require_exact(omega)
         expected_t = {4: 3, 8: 7}.get(dim)
         if expected_t is None:
             raise ValueError(f"unsupported algebra dimension {dim}")
@@ -134,10 +129,10 @@ def identity_element(kind, n=1):
 # -- the maps, each one formula over component sequences -------------------
 #
 # A horizontal part is a sequence of coordinates, each a sequence of
-# components; every component is an exact or float scalar or a float column.
-# The float steps are those of the ``Hypercomplex`` operations: sums start
-# from the integer 0, a conjugate is taken before its product, and a scalar
-# multiplies from the right.
+# components; every component is an exact or float scalar, a float column or
+# (outside the Cayley map) a ``RatPoly``.
+# The float steps are fixed: sums start from the integer 0, a conjugate is
+# taken before its product, and a scalar multiplies from the right.
 
 
 def _conj(c):
@@ -307,7 +302,7 @@ def cayley(p):
 
 
 def cayley_inv(b):
-    """Unit ball back to the Siegel half space; a float ball point raises TypeError."""
+    """Unit ball back to the Siegel half space."""
     if b.sigma1.dim != 8 or b.sigma2.dim != 8:
         raise ValueError("inverse Cayley transform expects an octonionic ball point")
     tau1, tau2 = cayley_columns(b.sigma1.comps, b.sigma2.comps, inverse=True)

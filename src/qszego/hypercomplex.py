@@ -1,4 +1,4 @@
-"""Quaternion and octonion arithmetic over exact rationals or floats.
+"""Quaternion and octonion arithmetic over exact rationals.
 
 One component-vector representation covers the complex numbers (dim 2), the
 quaternions (dim 4) and the octonions (dim 8).  Multiplication is table
@@ -9,17 +9,18 @@ product function is generated at import, as ``dataclasses`` generates
 methods: component k is ``0 +- a_i*b_j +- ...`` over the (i, j) with
 e_i e_j = +-e_k, in i-major order.  It runs on any components that take
 ``0 +``, ``+``, ``-`` and ``*``: exact and float scalars, numpy columns
-(:func:`mul_arrays`) and the ``RadialFraction`` components of a symbolic
-``HyperFrac``.  On finite float components its values are those of summing
+(:func:`mul_arrays`), ``RatPoly`` components and the ``RadialFraction``
+components of a symbolic ``HyperFrac``.  On finite float components its values are those of summing
 the table's products term by term from the integer 0 and skipping the zero
 ones, bit for bit, including the sign of a zero.  With an inf or nan
 component a product 0*inf is summed as nan, where skipping it would not;
 the command line rejects non-finite input.
 
-Values are immutable.  Exact mode stores ``int``/``Fraction`` components and
-every operation is exact; floating mode stores ``float``.  The two modes do
-not mix silently: combining an exact value with a floating one raises, and
-conversion is explicit via :meth:`Hypercomplex.to_float`.
+``Hypercomplex`` values are exact and immutable: every component is stored
+as an ``int`` or a ``Fraction`` in lowest terms, and a float (or bool)
+component or scalar raises ``TypeError``.  Float work runs the products on
+columns (:func:`mul_arrays`); a float kernel value at one point is a
+``kernel.KernelValue``.
 """
 
 from __future__ import annotations
@@ -124,112 +125,79 @@ def _norm_rat(x):
 
 
 class Hypercomplex:
-    """An element of a 2/4/8-dimensional real composition algebra."""
+    """An element of a 2/4/8-dimensional real composition algebra, over exact rationals."""
 
-    __slots__ = ("dim", "exact", "comps")
+    __slots__ = ("dim", "comps")
 
-    def __init__(self, components, exact=None):
+    def __init__(self, components):
         comps = tuple(components)
         if len(comps) not in _TABLES:
             raise ValueError(f"dimension {len(comps)} not supported")
-        if exact is None:
-            exact = not any(isinstance(c, float) for c in comps)
-        if not exact:
-            comps = tuple(float(c) for c in comps)
-        elif not all(type(c) is int for c in comps):
+        if not all(type(c) is int for c in comps):
             # bool is not int by type, so it goes to _norm_rat and raises
             comps = tuple(_norm_rat(c) for c in comps)
         _set_dim(self, len(comps))
-        _set_exact(self, bool(exact))
         _set_comps(self, comps)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypercomplex values are immutable")
 
     @classmethod
-    def _make(cls, dim, exact, comps):
+    def _make(cls, dim, comps):
         obj = object.__new__(cls)
         _set_dim(obj, dim)
-        _set_exact(obj, exact)
         _set_comps(obj, tuple(comps))
         return obj
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def basis(cls, dim, index, exact=True):
+    def basis(cls, dim, index):
         if not 0 <= index < dim:
             raise ValueError(f"basis index {index} out of range for dim {dim}")
         comps = [0] * dim
         comps[index] = 1
-        if not exact:
-            comps = [float(c) for c in comps]
-        return cls(comps, exact=exact)
+        return cls(comps)
 
     @classmethod
-    def from_real(cls, dim, value, exact=None):
-        comps = [value] + [0] * (dim - 1)
-        return cls(comps, exact=exact)
+    def from_real(cls, dim, value):
+        return cls([value] + [0] * (dim - 1))
 
     @classmethod
-    def zero(cls, dim, exact=True):
-        return cls.from_real(dim, 0 if exact else 0.0, exact=exact)
+    def zero(cls, dim):
+        return cls.from_real(dim, 0)
 
-    # -- mode handling -----------------------------------------------------
+    # -- arithmetic ---------------------------------------------------------
 
     def _check_same(self, other):
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.exact != other.exact:
-            raise TypeError("cannot mix exact and floating values; convert explicitly")
-
-    def _coerce_scalar(self, x):
-        if self.exact:
-            if isinstance(x, float):
-                raise TypeError("float scalar in exact mode; convert explicitly")
-            return _norm_rat(x)
-        if isinstance(x, (int, float)):
-            return float(x)
-        raise TypeError(f"bad scalar {x!r} for floating mode")
-
-    def to_float(self):
-        if not self.exact:
-            return self
-        return Hypercomplex._make(self.dim, False, tuple(float(c) for c in self.comps))
-
-    # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Hypercomplex):
             return NotImplemented
         self._check_same(other)
-        return Hypercomplex._make(
-            self.dim, self.exact, tuple(a + b for a, b in zip(self.comps, other.comps))
-        )
+        return Hypercomplex._make(self.dim, tuple(a + b for a, b in zip(self.comps, other.comps)))
 
     def __sub__(self, other):
         if not isinstance(other, Hypercomplex):
             return NotImplemented
         self._check_same(other)
-        return Hypercomplex._make(
-            self.dim, self.exact, tuple(a - b for a, b in zip(self.comps, other.comps))
-        )
+        return Hypercomplex._make(self.dim, tuple(a - b for a, b in zip(self.comps, other.comps)))
 
     def __neg__(self):
-        return Hypercomplex._make(self.dim, self.exact, tuple(-a for a in self.comps))
+        return Hypercomplex._make(self.dim, tuple(-a for a in self.comps))
 
     def __mul__(self, other):
         if isinstance(other, Hypercomplex):
             self._check_same(other)
-            return Hypercomplex._make(
-                self.dim, self.exact, _PRODUCTS[self.dim](self.comps, other.comps)
-            )
-        c = self._coerce_scalar(other)
-        return Hypercomplex._make(self.dim, self.exact, tuple(a * c for a in self.comps))
+            return Hypercomplex._make(self.dim, _PRODUCTS[self.dim](self.comps, other.comps))
+        c = _norm_rat(other)
+        return Hypercomplex._make(self.dim, tuple(a * c for a in self.comps))
 
     def conj(self):
         c = self.comps
-        return Hypercomplex._make(self.dim, self.exact, (c[0],) + tuple(-x for x in c[1:]))
+        return Hypercomplex._make(self.dim, (c[0],) + tuple(-x for x in c[1:]))
 
     def norm_sq(self):
         return sum_squares(self.comps)
@@ -241,11 +209,7 @@ class Hypercomplex:
         n2 = self.norm_sq()
         if not n2:
             raise ZeroDivisionError("inverse of zero")
-        if self.exact:
-            scale = _norm_rat(Fraction(1, 1) / Fraction(n2))
-        else:
-            scale = 1.0 / n2
-        return self.conj() * scale
+        return self.conj() * _norm_rat(Fraction(1, 1) / Fraction(n2))
 
     @property
     def re(self):
@@ -262,19 +226,10 @@ class Hypercomplex:
     def __eq__(self, other):
         if not isinstance(other, Hypercomplex):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.exact == other.exact
-            and all(a == b for a, b in zip(self.comps, other.comps))
-        )
+        return self.dim == other.dim and all(a == b for a, b in zip(self.comps, other.comps))
 
     def __hash__(self):
-        return hash((self.dim, self.exact, self.comps))
-
-    def approx_eq(self, other, rel=1e-12, abs_tol=0.0):
-        diff = max(abs(float(a) - float(b)) for a, b in zip(self.comps, other.comps))
-        scale = max(abs(self), abs(other))
-        return diff <= max(abs_tol, rel * scale)
+        return hash((self.dim, self.comps))
 
     # -- rendering ----------------------------------------------------------
 
@@ -283,8 +238,7 @@ class Hypercomplex:
         for i, c in enumerate(self.comps):
             if not c:
                 continue
-            coef = str(c) if self.exact else repr(c)
-            parts.append(coef if i == 0 else f"{coef} e{i}")
+            parts.append(str(c) if i == 0 else f"{c} e{i}")
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -294,7 +248,6 @@ class Hypercomplex:
 # The slot descriptors: setting through them bypasses the immutability guard
 # in ``__setattr__`` at the cost of one call.
 _set_dim = Hypercomplex.dim.__set__
-_set_exact = Hypercomplex.exact.__set__
 _set_comps = Hypercomplex.comps.__set__
 
 
@@ -304,11 +257,10 @@ def associator(x, y, z):
 
 
 def left_mult_matrix(a):
-    """Matrix M with (a*x)_k = sum_j M[k][j] x_j, entries in a's scalar mode."""
+    """Matrix M with (a*x)_k = sum_j M[k][j] x_j, with exact entries."""
     dim = a.dim
     table = _TABLES[dim]
-    zero = 0 if a.exact else 0.0
-    m = [[zero] * dim for _ in range(dim)]
+    m = [[0] * dim for _ in range(dim)]
     for l, al in enumerate(a.comps):
         if not al:
             continue

@@ -8,8 +8,9 @@ exact; powers of pi are kept as a separate integer exponent so that identity
 tests never touch floating point.  Every float value comes from
 ``polyfrac.eval_fractions``, which raises ``FloatingPointError`` on a float
 fault: here through ``eval_array``, of which a one-point evaluation is a
-one-row call, while ``verify.reproducing_check`` and ``verify._kernel_abs``
-call ``eval_fractions`` on the density's components directly.
+one-row call returned as a :class:`KernelValue`, while
+``verify.reproducing_check`` and ``verify._kernel_abs`` call
+``eval_fractions`` on the density's components directly.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import nu_columns
-from .hypercomplex import Hypercomplex
+from .hypercomplex import Hypercomplex, sum_squares
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
 
 
@@ -48,6 +49,16 @@ class KernelOrder:
 
 
 @dataclass(frozen=True)
+class KernelValue:
+    """A float kernel value at one point: the components of one ``eval_array`` row."""
+
+    comps: tuple
+
+    def __abs__(self):
+        return math.sqrt(sum_squares(self.comps))
+
+
+@dataclass(frozen=True)
 class PiScaledKernel:
     """Value = coeff * pi**pi_pow * body(x), with exact coeff and body."""
 
@@ -66,10 +77,10 @@ class PiScaledKernel:
         return float(self.coeff) * math.pi**self.pi_pow
 
     def eval(self, point):
-        """Float value at one point, as a one-row call of :meth:`eval_array`."""
+        """The :class:`KernelValue` at one point, a one-row call of :meth:`eval_array`."""
         if len(point) != self.body.dim:
             raise ValueError("point dimension mismatch")
-        return Hypercomplex(self.eval_array([point])[0].tolist(), exact=False)
+        return KernelValue(tuple(self.eval_array([point])[0].tolist()))
 
     def eval_array(self, x):
         """Float values at points x of shape (..., dim); float faults raise."""
@@ -164,13 +175,13 @@ def szego_nu(q, omega):
 
 
 def szego_eval(order, q, omega):
-    """Full kernel S(q, omega) as a floating quaternion; nu is exact and rounded once."""
+    """Full kernel S(q, omega) as a :class:`KernelValue`; nu is exact and rounded once."""
     if isinstance(order, int):
         order = KernelOrder(order)
     nu = szego_nu(q, omega)
     if nu.is_zero():
         raise ZeroDivisionError("singular point: coincident boundary arguments")
-    return szego_density(order).eval(nu.to_float().comps)
+    return szego_density(order).eval([float(c) for c in nu.comps])
 
 
 def complex_szego_closed_form(n, nu):
@@ -195,14 +206,14 @@ def group_kernel(order, h, eps=0.0):
     t = [float(ti) for ti in h.t]
     if not w2 + eps and not any(t):
         raise ZeroDivisionError("singular point: identity element with eps = 0")
-    return Hypercomplex(group_kernel_array(order, [w2], [t], eps)[0].tolist(), exact=False)
+    return szego_density(order).eval([w2 + eps, *t])
 
 
-def group_kernel_array(order, w_norm_sq, t, eps=0.0):
-    """Vectorized K_eps over arrays |w'|^2 (N,) and t (N, 3)."""
+def group_kernel_array(order, w_norm_sq, t):
+    """Vectorized K_0 over arrays |w'|^2 (N,) and t (N, 3)."""
     if isinstance(order, int):
         order = KernelOrder(order)
     w_norm_sq = np.asarray(w_norm_sq, dtype=float)
     t = np.asarray(t, dtype=float)
-    pts = np.concatenate([(w_norm_sq + eps)[..., None], t], axis=-1)
+    pts = np.concatenate([w_norm_sq[..., None], t], axis=-1)
     return szego_density(order).eval_array(pts)

@@ -122,10 +122,14 @@ class RatPoly:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
 
     def __add__(self, other):
+        """``p + 0`` and ``0 + p`` are ``p``: the generated products and the
+        geometric column maps sum from the integer 0."""
         if not isinstance(other, RatPoly):
-            return NotImplemented
+            return self if type(other) is int and other == 0 else NotImplemented
         self._check_dim(other)
         return RatPoly._make(self.dim, _accumulate(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-other)

@@ -33,6 +33,7 @@ from .geometry import (
     translate_columns,
 )
 from .hypercomplex import (
+    _PRODUCTS,
     OCTONION_TRIPLES,
     QUATERNION_TRIPLES,
     Hypercomplex,
@@ -213,7 +214,7 @@ def kernel_suite(seed=0):
         x0, x1 = RatPoly.variable(2, 0), RatPoly.variable(2, 1)
         re_p, im_p = RatPoly.const(2, 1), RatPoly.zero(2)
         for _ in range(n + 1):
-            re_p, im_p = re_p * x0 - im_p * (-x1), re_p * (-x1) + im_p * x0
+            re_p, im_p = _PRODUCTS[2]((re_p, im_p), (x0, -x1))
         closed = PiScaledKernel(
             Fraction(2 ** (n - 1) * math.factorial(n)),
             -(n + 1),

@@ -410,8 +410,8 @@ def slice_regularity_check(big_f, alpha):
         raise ValueError("polynomial input required")
     if big_f.alg_dim != 4 or big_f.dim != 8:
         raise ValueError("expected 4 components over 8 variables")
-    if alpha.dim != 4 or not alpha.exact:
-        raise ValueError("alpha must be an exact quaternion")
+    if alpha.dim != 4:
+        raise ValueError("alpha must be a quaternion")
     if not big_f.dirac("left", var_indices=(0, 1, 2, 3)).is_zero():
         raise ValueError("input is not left regular in the first variable")
     if not big_f.dirac("left", var_indices=(4, 5, 6, 7)).is_zero():

@@ -80,7 +80,7 @@ def test_eval_full_kernel_rounds_the_exact_nu_once(capsys):
         for text in (q, omega)
     )
     nu = q2 + w2.conj() - (w1.conj() * q1) * 2
-    assert nu.exact
+    assert all(type(c) in (int, Fraction) for c in nu.comps)
     assert json.loads(out)["nu"] == [float(c) for c in nu.comps]
 
 
@@ -107,6 +107,30 @@ def test_eval_quaternionic_kernel_needs_m_4(args, capsys):
     code, out, err = run_cli(args + ["--m", "2"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "--m 4" in err
+
+
+@pytest.mark.parametrize(
+    "q, omega, flag",
+    [
+        ("1,0,0,0,0,0,0,0", "0,0,0,0,1,0,0,0", "--q"),
+        ("0,0,0,0,1,0,0,0", "1/2,0,0,0,1/5,1,0,0", "--omega"),
+    ],
+)
+def test_eval_point_below_the_half_space_is_usage_error(q, omega, flag, capsys):
+    # height Re q_2 - |q'|^2 = -1 (and 1/5 - 1/4 for omega): not a point of the domain
+    code, out, err = run_cli(["eval", "S", "--q", q, "--omega", omega], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_eval_boundary_point_still_evaluates(capsys):
+    # height 0: (e1, 1) is on the boundary, and so is (0, e2)
+    code, out, err = run_cli(
+        ["eval", "S", "--q", "1,0,0,0,1,0,0,0", "--omega", "0,0,0,0,0,0,1,0"], capsys
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["nu"] == [1.0, 0.0, -1.0, 0.0] and all(math.isfinite(v) for v in data["value"])
 
 
 def test_eval_parse_error(capsys):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qszego.geometry import (
-    BallPoint,
     GroupElement,
     SiegelPoint,
     boundary_param,
@@ -32,6 +31,7 @@ from qszego.geometry import (
 )
 from qszego.hypercomplex import Hypercomplex, sum_squares
 from qszego.kernel import szego_nu
+from qszego.polyfrac import RatPoly
 from qszego.suites import _ROUNDTRIP_HIGH, _ROUNDTRIP_LOW
 
 
@@ -238,7 +238,7 @@ def test_cayley_roundtrip_random():
     sigma1, sigma2 = cayley_columns(tau1, tau2)
     assert np.all(sum_squares(sigma1) + sum_squares(sigma2) < 1)
     for back, tau in zip(cayley_columns(sigma1, sigma2, inverse=True), (tau1, tau2)):
-        # Hypercomplex.approx_eq(rel=1e-12, abs_tol=1e-12) on every row
+        # max |a - b| <= max(1e-12, 1e-12 * max(|a|, |b|)) on every row
         diff = np.max(np.abs(np.array(back) - np.array(tau)), axis=0)
         assert np.all(diff <= np.maximum(1e-12, 1e-12 * np.maximum(_norms(back), _norms(tau))))
 
@@ -318,18 +318,22 @@ def test_kind_mismatch_raises():
 
 
 def test_points_and_elements_are_exact():
-    one, half = Hypercomplex.from_real(4, 1), Hypercomplex((0.5, 0.0, 0.0, 0.0))
-    zero8 = Hypercomplex.zero(8)
+    # a float coordinate is refused where its value is built, and the maps
+    # return exact components
+    one = Hypercomplex.from_real(4, 1)
     for build in (
-        lambda: SiegelPoint((half,), one),
-        lambda: SiegelPoint((one,), half),
-        lambda: GroupElement((half,), (0, 0, 0)),
+        lambda: Hypercomplex((0.5, 0.0, 0.0, 0.0)),
         lambda: GroupElement((one,), (0, 0.5, 0)),
-        lambda: cayley_inv(BallPoint(zero8.to_float(), zero8.to_float())),
-        lambda: cayley_inv(BallPoint(zero8, zero8.to_float())),
     ):
         with pytest.raises(TypeError):
             build()
+    h = GroupElement((q(Fraction(1, 2), 0, 1, 0),), (1, Fraction(1, 3), 0))
+    p = translate(h, SiegelPoint((one,), Hypercomplex.from_real(4, 3)))
+    b = cayley(SiegelPoint((Hypercomplex.basis(8, 1) * Fraction(1, 2),), Hypercomplex.from_real(8, 1)))
+    back = cayley_inv(b)
+    for value in (*p.horizontal, p.vertical, b.sigma1, b.sigma2, *back.horizontal, back.vertical):
+        assert all(type(c) in (int, Fraction) for c in value.comps)
+    assert all(type(c) in (int, Fraction) for c in h.t)
     assert not hasattr(SiegelPoint((one,), one), "exact")
     assert not hasattr(GroupElement((one,), (0, 0, 0)), "exact")
 
@@ -371,6 +375,18 @@ def test_column_maps_match_each_row_bit_for_bit():
         out = fn(*args)
         for i in range(rows):
             assert _flat_hex(_row(out, i)) == _flat_hex(fn(*_row(args, i))), (fn.__name__, i)
+
+
+def test_translation_leaves_nu_invariant_as_polynomials():
+    # nu(T_h q, T_h w) - nu(q, w) = 0 identically in the 23 real coordinates of
+    # q', q_2, w', w_2, h' and t (n = 1), run through the same column maps
+    xs = [RatPoly.variable(23, i) for i in range(23)]
+    q1, v, w1, u, h1 = (tuple(xs[4 * i : 4 * i + 4]) for i in range(5))
+    t = tuple(xs[20:])
+    before = nu_columns((q1,), v, (w1,), u)
+    after = nu_columns(*translate_columns((h1,), t, (q1,), v), *translate_columns((h1,), t, (w1,), u))
+    assert not before[0].is_zero()
+    assert all((a - b).is_zero() for a, b in zip(after, before))
 
 
 def test_column_maps_on_exact_components_are_the_object_maps():

@@ -1,14 +1,18 @@
 """Multiplication tables, conjugation, norms and the associator."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qszego
 from qszego.hypercomplex import (
+    _PRODUCTS,
     OCTONION_TRIPLES,
     Hypercomplex,
     associator,
@@ -158,14 +162,30 @@ def test_norm_multiplicativity_property(xs, ys):
 
 
 def test_mode_mixing_raises():
+    # values are exact by type: a float or bool component, or a float scalar, raises
     a = Hypercomplex((1, 0, 0, 0))
-    b = Hypercomplex((1.0, 0, 0, 0))
-    assert a.exact and not b.exact
+    for comps in ((1.0, 0, 0, 0), (1, 0, 0, np.float64(0.5)), (True, 0, 0, 0)):
+        with pytest.raises(TypeError):
+            Hypercomplex(comps)
     with pytest.raises(TypeError):
-        a * b
+        Hypercomplex.from_real(4, 2.5)
     with pytest.raises(TypeError):
         a * 0.5
-    assert (a.to_float() * b).comps[0] == 1.0
+    assert not hasattr(a, "exact")
+
+
+def test_no_value_carries_a_scalar_mode():
+    # exactness is a type, not a flag: no exact= keyword or parameter and no
+    # .exact attribute anywhere in the package
+    found = []
+    for path in sorted(Path(qszego.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                (isinstance(node, (ast.keyword, ast.arg)) and node.arg == "exact")
+                or (isinstance(node, ast.Attribute) and node.attr == "exact")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_exact_storage_normalized():
@@ -175,7 +195,6 @@ def test_exact_storage_normalized():
     w = Hypercomplex([np.int64(3), np.int64(-2), 0, 0])
     assert w.comps == (3, -2, 0, 0) and all(type(c) is int for c in w.comps)
     assert Hypercomplex([1, 2, 3, 4]).comps == (1, 2, 3, 4)
-    assert Hypercomplex([1, 2, 3, 4], exact=False).comps == (1.0, 2.0, 3.0, 4.0)
     # bool is an int subclass but not a scalar component
     for comps in ([True, 0, 0, 0], [0, 0, 0, False]):
         with pytest.raises(TypeError):
@@ -195,14 +214,14 @@ def test_left_mult_matrix_example():
 
 
 def _table_loop_product(a, b):
-    """The product by the nested table loop, skipping zero terms: the reference."""
-    table = mult_table(a.dim)
-    out = [0] * a.dim
-    for i, ai in enumerate(a.comps):
+    """The product of two component tuples by the nested table loop, skipping zero terms: the reference."""
+    table = mult_table(len(a))
+    out = [0] * len(a)
+    for i, ai in enumerate(a):
         if not ai:
             continue
         row = table[i]
-        for j, bj in enumerate(b.comps):
+        for j, bj in enumerate(b):
             if not bj:
                 continue
             k, s = row[j]
@@ -210,8 +229,6 @@ def _table_loop_product(a, b):
                 out[k] = out[k] + ai * bj
             else:
                 out[k] = out[k] - ai * bj
-    if not a.exact:
-        out = [float(v) for v in out]
     return out
 
 
@@ -220,22 +237,18 @@ def _product_operands(rng, dim):
     fracs = [Fraction(0), Fraction(3, 4), Fraction(-5, 3), Fraction(6, 3)]
     # underflowing products (1e-200 squared) add signed zeros that are not skipped
     floats = [0.0, -0.0, 0.0, 1.5, -2.25, 1e-200, -1e-200, 1.0 / 3.0]
+    # exact operands are values, float operands are component tuples
     exact, floating = [], []
     for _ in range(300):
         exact.append(Hypercomplex([rng.choice(ints + fracs) for _ in range(dim)]))
-        floating.append(
-            Hypercomplex([rng.choice(floats + [rng.uniform(-4, 4)]) for _ in range(dim)], exact=False)
-        )
+        floating.append(tuple(rng.choice(floats + [rng.uniform(-4, 4)]) for _ in range(dim)))
     for i in range(dim):
         exact += [Hypercomplex.basis(dim, i), Hypercomplex.basis(dim, i) * Fraction(1, 3)]
-        floating += [Hypercomplex.basis(dim, i, exact=False), -Hypercomplex.basis(dim, i, exact=False)]
+        unit = tuple(float(j == i) for j in range(dim))
+        floating += [unit, tuple(-c for c in unit)]
     exact += [Hypercomplex.from_real(dim, 5), Hypercomplex.from_real(dim, Fraction(-2, 7)), Hypercomplex.zero(dim)]
-    floating += [
-        Hypercomplex.from_real(dim, 2.5),
-        Hypercomplex.from_real(dim, -0.0, exact=False),
-        Hypercomplex.zero(dim, exact=False),
-        Hypercomplex([-0.0] * dim, exact=False),
-    ]
+    rest = (0.0,) * (dim - 1)
+    floating += [(2.5, *rest), (-0.0, *rest), (0.0, *rest), (-0.0,) * dim]
     return exact, floating
 
 
@@ -247,11 +260,11 @@ def test_product_matches_table_loop_bit_for_bit(dim):
         pairs = [(rng.choice(values), rng.choice(values)) for _ in range(2000)]
         pairs += [(a, b) for a in values[-2 * dim - 4 :] for b in values[-2 * dim - 4 :]]
         for a, b in pairs:
-            got, ref = (a * b).comps, _table_loop_product(a, b)
-            if a.exact:
-                assert list(got) == ref
+            if values is exact:
+                assert list((a * b).comps) == _table_loop_product(a.comps, b.comps)
             else:
-                assert [v.hex() for v in got] == [v.hex() for v in ref]
+                got, ref = _PRODUCTS[dim](a, b), _table_loop_product(a, b)
+                assert [v.hex() for v in got] == [float(v).hex() for v in ref]
 
 
 def _mul_arrays_loop(a, b, dim):

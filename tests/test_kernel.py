@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qszego.geometry import (
+    _conj,
     GroupElement,
     SiegelPoint,
     dilate_columns,
@@ -21,6 +22,7 @@ from qszego.geometry import (
 from qszego.hypercomplex import Hypercomplex, sum_squares
 from qszego.kernel import (
     KernelOrder,
+    KernelValue,
     PiScaledKernel,
     cauchy_kernel,
     complex_szego_closed_form,
@@ -116,7 +118,14 @@ def test_one_point_eval_is_an_eval_array_row(m):
         rows = kernel.eval_array(pts)
         for p, row in zip(pts, rows):
             v = kernel.eval(tuple(p))
-            assert not v.exact and v.comps == tuple(row)
+            # a KernelValue: the row's Python floats, and abs() is math.sqrt
+            # of their sum of squares added from the integer 0, bit for bit
+            assert isinstance(v, KernelValue) and all(type(c) is float for c in v.comps)
+            assert [c.hex() for c in v.comps] == [float(c).hex() for c in row]
+            acc = 0
+            for c in row.tolist():
+                acc += c * c
+            assert abs(v).hex() == math.sqrt(acc).hex()
 
 
 def test_szego_density_base_value():
@@ -174,8 +183,18 @@ def _random_interior(rng):
 
 
 def _kernel(q, w):
-    """S(q, w) at float components, n = 1."""
-    return szego_density(1).eval(nu_columns(*q, *w))
+    """The components of S(q, w) at float components, n = 1."""
+    return szego_density(1).eval(nu_columns(*q, *w)).comps
+
+
+def _close(a, b, rel):
+    """max |a_i - b_i| <= rel * max(|a|, |b|) on two component tuples."""
+    diff = max(abs(x - y) for x, y in zip(a, b))
+    return diff <= rel * max(math.sqrt(sum_squares(a)), math.sqrt(sum_squares(b)))
+
+
+def _scaled(c, factor):
+    return tuple(x * factor for x in c)
 
 
 def test_hermitian_symmetry():
@@ -183,8 +202,8 @@ def test_hermitian_symmetry():
     for _ in range(50):
         q, w = _random_interior(rng), _random_interior(rng)
         lhs = _kernel(q, w)
-        rhs = _kernel(w, q).conj()
-        assert lhs.approx_eq(rhs, rel=1e-12)
+        rhs = _conj(_kernel(w, q))
+        assert _close(lhs, rhs, rel=1e-12)
 
 
 def test_dilation_invariance():
@@ -192,18 +211,18 @@ def test_dilation_invariance():
     for _ in range(20):
         q, w = _random_interior(rng), _random_interior(rng)
         base = _kernel(q, w)
-        scaled = _kernel(dilate_columns(2.0, *q), dilate_columns(2.0, *w)) * 2.0**10
-        assert scaled.approx_eq(base, rel=1e-10)
+        scaled = _scaled(_kernel(dilate_columns(2.0, *q), dilate_columns(2.0, *w)), 2.0**10)
+        assert _close(scaled, base, rel=1e-10)
 
 
 def test_rotation_invariance():
     rng = random.Random(17)
     for _ in range(20):
         q, w = _random_interior(rng), _random_interior(rng)
-        u = Hypercomplex([rng.uniform(-1, 1) for _ in range(4)], exact=False)
-        u = (u * (1.0 / abs(u))).comps
-        assert _kernel(rotate_columns((u,), *q), rotate_columns((u,), *w)).approx_eq(
-            _kernel(q, w), rel=1e-10
+        u = [rng.uniform(-1, 1) for _ in range(4)]
+        u = _scaled(u, 1.0 / math.sqrt(sum_squares(u)))
+        assert _close(
+            _kernel(rotate_columns((u,), *q), rotate_columns((u,), *w)), _kernel(q, w), rel=1e-10
         )
 
 
@@ -213,8 +232,10 @@ def test_translation_invariance():
         q, w = _random_interior(rng), _random_interior(rng)
         omega = (tuple(rng.uniform(-1, 1) for _ in range(4)),)
         t = tuple(rng.uniform(-1, 1) for _ in range(3))
-        assert _kernel(translate_columns(omega, t, *q), translate_columns(omega, t, *w)).approx_eq(
-            _kernel(q, w), rel=1e-10
+        assert _close(
+            _kernel(translate_columns(omega, t, *q), translate_columns(omega, t, *w)),
+            _kernel(q, w),
+            rel=1e-10,
         )
 
 
@@ -279,9 +300,9 @@ def test_group_kernel_dilation_homogeneity():
         t = tuple(Fraction(rng.uniform(-1, 1)) for _ in range(3))
         h = GroupElement((w,), t)
         h3 = GroupElement((w * 3,), tuple(9 * v for v in t))
-        base = group_kernel(KernelOrder(1), h)
-        scaled = group_kernel(KernelOrder(1), h3)
-        assert (scaled * 3.0**d).approx_eq(base, rel=1e-12)
+        base = group_kernel(KernelOrder(1), h).comps
+        scaled = group_kernel(KernelOrder(1), h3).comps
+        assert _close(_scaled(scaled, 3.0**d), base, rel=1e-12)
 
 
 def test_group_kernel_matches_full_kernel():
@@ -297,9 +318,9 @@ def test_group_kernel_matches_full_kernel():
         shifted = SiegelPoint(
             moved.horizontal, moved.vertical + Hypercomplex.from_real(4, Fraction(eps))
         )
-        assert group_kernel(KernelOrder(1), h, eps).approx_eq(
-            szego_eval(1, shifted, origin), rel=1e-12
-        )
+        got, want = group_kernel(KernelOrder(1), h, eps), szego_eval(1, shifted, origin)
+        assert isinstance(got, KernelValue) and isinstance(want, KernelValue)
+        assert _close(got.comps, want.comps, rel=1e-12)
 
 
 def test_kernel_json_roundtrip(tmp_path):

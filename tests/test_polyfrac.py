@@ -169,6 +169,17 @@ def test_zero_plus_fraction_is_the_fraction():
             other + f
 
 
+def test_zero_plus_polynomial_is_the_polynomial():
+    # on either side, as the generated products and the geometric maps add it
+    p = x(0) * x(1)
+    assert (p + 0) is p and (0 + p) is p
+    for other in (1, -1, 0.0, Fraction(0), 2.5, False):
+        with pytest.raises(TypeError):
+            p + other
+        with pytest.raises(TypeError):
+            other + p
+
+
 def test_hyperfrac_sum_needs_equal_component_counts():
     f4 = HyperFrac((newton(),) * 4)
     f8 = HyperFrac((newton(),) * 8)
@@ -279,7 +290,7 @@ def test_substitute_rejects_rational_part():
 def test_hyperfrac_eval_modes():
     f = identity_map()
     v = f.eval((1, 2, 3, 4))
-    assert v.exact and v.comps == (1, 2, 3, 4)
+    assert v.comps == (1, 2, 3, 4) and all(type(c) is int for c in v.comps)
     # eval is the exact oracle; float points belong to eval_array
     for exact_eval in (f.eval, f.comps[0].eval, f.comps[0].num.eval, newton().eval):
         with pytest.raises(TypeError):
