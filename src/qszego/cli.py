@@ -3,11 +3,12 @@
 Output is machine-first: values and check reports go to stdout as JSON (one
 line per check for suites), human summaries go to stderr.  Exit codes:
 0 success, 1 check or evaluation failure (a singular point, or a float
-evaluation that overflows or divides by zero), 2 usage or I/O error
-(including a ``--budget`` too small for two boundary refinement levels, an
-``--n`` for which the reproducing test function is outside the Hardy
-membership range, an ``eval`` or ``export`` ``--n`` above ``MAX_N``, and an
-``eval S`` point of negative height).
+evaluation that overflows or divides by zero), 2 usage or I/O error, a
+``report.UsageError`` or an argparse error (including a ``--budget`` too
+small for two boundary refinement levels, an ``--n`` for which the
+reproducing test function is outside the Hardy membership range, an
+``eval`` or ``export`` ``--n`` above ``MAX_N``, an empty field in a
+component list, and an ``eval S`` point of negative height).
 """
 
 from __future__ import annotations
@@ -28,29 +29,23 @@ from .kernel import (
     KernelOrder,
     cauchy_kernel,
     group_kernel,
-    group_kernel_array,
     szego_density,
     szego_eval,
     szego_nu,
 )
-from .quadrature import BudgetTooSmallError
+from .report import UsageError
 from .suites import SUITE_NAMES, run_suite
-from .verify import OutsideHardyRangeError
 
 
-class UsageError(Exception):
-    pass
-
-
-def _parse_components(text, expected=None):
-    """The exact components of a comma-separated list; each must have a float value."""
+def _parse_components(text, expected):
+    """Exact components of a comma-separated list (none for blank text); each must fit a float."""
     try:
-        comps = [Fraction(part) for part in text.split(",") if part.strip() != ""]
+        comps = [Fraction(part) for part in text.split(",")] if text.strip() else []
         for c in comps:
             float(c)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise UsageError(f"cannot parse component list {text!r}: {exc}") from None
-    if expected is not None and len(comps) != expected:
+    if len(comps) != expected:
         raise UsageError(f"expected {expected} components, got {len(comps)} in {text!r}")
     return comps
 
@@ -212,9 +207,9 @@ def cmd_export(args):
             raise UsageError("the K-decay table is the quaternionic group kernel; it needs --m 4")
         d = homogeneous_dim(args.n)
         rhos = [10 ** (-1 + 3.0 * i / max(1, args.points - 1)) for i in range(args.points)]
-        vals = group_kernel_array(
-            KernelOrder(args.n), [rho * rho for rho in rhos], [(0.0, 0.0, 0.0)] * args.points
-        )
+        pts = np.zeros((args.points, 4))
+        pts[:, 0] = [rho * rho for rho in rhos]
+        vals = szego_density(KernelOrder(args.n)).eval_array(pts)
         absk = np.sqrt(np.sum(vals * vals, axis=1)).tolist()
         rows = [("rho", "absK", "absK_times_rho_d")]
         rows += [(rho, a, a * rho**d) for rho, a in zip(rhos, absk)]
@@ -286,7 +281,7 @@ def main(argv=None):
         return args.run(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (UsageError, BudgetTooSmallError, OutsideHardyRangeError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

@@ -8,8 +8,9 @@ exact; powers of pi are kept as a separate integer exponent so that identity
 tests never touch floating point.  Every float value comes from
 ``polyfrac.eval_fractions``, which raises ``FloatingPointError`` on a float
 fault: here through ``eval_array``, of which a one-point evaluation is a
-one-row call returned as a :class:`KernelValue`, while
-``verify.reproducing_check`` and ``verify._kernel_abs`` call
+one-row call returned as a :class:`KernelValue` (many points, such as a
+table of the group kernel, are one ``szego_density(order).eval_array``
+call), while ``verify.reproducing_check`` and ``verify._kernel_abs`` call
 ``eval_fractions`` on the density's components directly.
 """
 
@@ -20,8 +21,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .geometry import nu_columns
 from .hypercomplex import Hypercomplex, sum_squares
@@ -176,8 +175,6 @@ def szego_nu(q, omega):
 
 def szego_eval(order, q, omega):
     """Full kernel S(q, omega) as a :class:`KernelValue`; nu is exact and rounded once."""
-    if isinstance(order, int):
-        order = KernelOrder(order)
     nu = szego_nu(q, omega)
     if nu.is_zero():
         raise ZeroDivisionError("singular point: coincident boundary arguments")
@@ -208,12 +205,3 @@ def group_kernel(order, h, eps=0.0):
         raise ZeroDivisionError("singular point: identity element with eps = 0")
     return szego_density(order).eval([w2 + eps, *t])
 
-
-def group_kernel_array(order, w_norm_sq, t):
-    """Vectorized K_0 over arrays |w'|^2 (N,) and t (N, 3)."""
-    if isinstance(order, int):
-        order = KernelOrder(order)
-    w_norm_sq = np.asarray(w_norm_sq, dtype=float)
-    t = np.asarray(t, dtype=float)
-    pts = np.concatenate([w_norm_sq[..., None], t], axis=-1)
-    return szego_density(order).eval_array(pts)

@@ -9,8 +9,8 @@ per level.  The boundary budget counts rule points, ``n_evals`` the points
 evaluated.  Both place their Gauss nodes through the same coordinate maps,
 :meth:`ExpDecay.map` and :meth:`PowerDecay.map`, refine through the same
 loop, and pass their integrands coordinate columns that broadcast (the
-spherical rule x1, x2, x3 of a group of radial nodes, the boundary rule r
-and the t grid's axes), so a power of a coordinate is taken once per axis
+spherical rule x1, x2, x3 of a group of radial nodes, the boundary rule
+the t grid's three axes), so a power of a coordinate is taken once per axis
 value; an integrand returns one value or a trailing axis of values per
 point.  Both return a :class:`QuadratureResult` whether or not refinement
 converged, and every check that integrates puts its ``converged`` flag into
@@ -38,7 +38,7 @@ import numpy as np
 
 from .kernel import newton_derivative
 from .polyfrac import _ROWS, eval_fractions
-from .report import CheckReport
+from .report import CheckReport, UsageError
 
 
 # ----------------------------------------------------------------------
@@ -368,18 +368,16 @@ def sphere_surface(dim):
 class BoundaryIntegrand:
     """A rotation-invariant integrand over the Siegel boundary, homogeneous of a declared degree.
 
-    The boundary is parameterized by (w', t) in R^(4n) x R^3.  ``fn(r, t)``
-    depends on r = |w'| only through 1 + r^2 and is homogeneous of exactly
-    ``degree`` jointly in (1 + r^2, t).  It receives r as a (1, 1, 1) array
-    and t as the vertical grid's axis columns, of shapes (n_t, 1, 1),
-    (1, n_t, 1) and (1, 1, n_t), so a power of a coordinate is taken once
-    per axis value; it returns shape (n_t, n_t, n_t), or (n_t, n_t, n_t, c)
-    for a hypercomplex integrand.  r is an array because numpy rounds a
-    scalar's power differently from an array's, and a value must not depend
-    on the grid's form.  The integrand decays like (1 + |w'|^2 + |t|)^degree,
-    and the engine refuses a degree at which that cannot be absolutely
-    integrable.  Every axis uses the rational compactification of
-    :meth:`PowerDecay.map`.
+    The boundary is parameterized by (w', t) in R^(4n) x R^3.  The integrand
+    depends on w' only through 1 + |w'|^2 and is homogeneous of exactly
+    ``degree`` jointly in (1 + |w'|^2, t), so the rule evaluates it at
+    w' = 0 only: ``fn(t1, t2, t3)`` receives the vertical grid's axis
+    columns, of shapes (n_t, 1, 1), (1, n_t, 1) and (1, 1, n_t), so a power
+    of a coordinate is taken once per axis value; it returns shape
+    (n_t, n_t, n_t), or (n_t, n_t, n_t, c) for a hypercomplex integrand.
+    The integrand decays like (1 + |w'|^2 + |t|)^degree, and the engine
+    refuses a degree at which that cannot be absolutely integrable.  Every
+    axis uses the rational compactification of :meth:`PowerDecay.map`.
     """
 
     n: int
@@ -392,10 +390,6 @@ class BoundaryIntegrand:
                 "degree {} cannot be absolutely integrable over the boundary "
                 "(needs < {})".format(self.degree, -(2 * self.n + 3))
             )
-
-
-class BudgetTooSmallError(ValueError):
-    """The evaluation budget cannot pay for the two levels a convergence test needs."""
 
 
 def _axis_rule(n, half_line=False):
@@ -415,17 +409,17 @@ def _t_grid(n_t):
 def _boundary_level_radial(integrand, n_r, n_t):
     """One level of n_r * n_t^3 rule points, the horizontal factor reduced to the radius.
 
-    The vertical window grows like 1 + r^2, so ``fn`` runs once at r = 0 and
-    each radial node weighs in by (1 + r^2)^(degree + 3): the degree from
+    The vertical window grows like 1 + r^2, so ``fn`` runs once, at w' = 0,
+    and each radial node weighs in by (1 + r^2)^(degree + 3): the degree from
     homogeneity, 3 from the grown window.  Returns (value, points evaluated).
     """
     n = integrand.n
     r, wr = _axis_rule(n_r, half_line=True)
     t1, wt = _t_grid(n_t)
-    axes = (t1[:, None, None], t1[None, :, None], t1[None, None, :])
 
     area = sphere_surface(4 * n)
-    vals = np.reshape(integrand.fn(np.zeros((1, 1, 1)), axes), (len(wt), -1))
+    vals = integrand.fn(t1[:, None, None], t1[None, :, None], t1[None, None, :])
+    vals = np.reshape(vals, (len(wt), -1))
     radial = np.sum(area * wr * r ** (4 * n - 1) * (1.0 + r * r) ** (integrand.degree + 3))
     return _finite(radial * (wt @ vals), len(wt))
 
@@ -435,15 +429,16 @@ def integrate_boundary(integrand, tol=1e-6, budget=2.0e7):
 
     The boundary is identified with R^(4n) x R^3 carrying Lebesgue measure;
     the integrand's rotational symmetry in w' collapses the horizontal factor
-    to one radial dimension.  Starting from 12 radial and 8^3 vertical nodes,
-    refinement grows every axis by half while the cumulative count of rule
-    points, n_r * n_t^3 per level, fits the budget; the result is
-    deterministic for a fixed budget.  ``n_evals`` counts the points
-    evaluated, n_t^3 per level.  The value is the array of the integrand's
-    components, one entry for a scalar integrand.  When the budget runs out
-    before two levels agree, the result carries ``converged=False`` and the
-    last level's value.  Raises
-    :class:`BudgetTooSmallError` when the budget cannot pay for two levels.
+    to one radial dimension, and ``fn`` is evaluated at w' = 0 on the
+    vertical grid's axis columns (:class:`BoundaryIntegrand`).  Starting from
+    12 radial and 8^3 vertical nodes, refinement grows every axis by half
+    while the cumulative count of rule points, n_r * n_t^3 per level, fits
+    the budget; the result is deterministic for a fixed budget.  ``n_evals``
+    counts the points evaluated, n_t^3 per level.  The value is the array of
+    the integrand's components, one entry for a scalar integrand.  When the
+    budget runs out before two levels agree, the result carries
+    ``converged=False`` and the last level's value.  Raises
+    :class:`~qszego.report.UsageError` when the budget cannot pay for two levels.
     """
     integrand.check_integrable()
 
@@ -456,5 +451,5 @@ def integrate_boundary(integrand, tol=1e-6, budget=2.0e7):
 
     result, levels = _refine(lambda a, b: _boundary_level_radial(integrand, a, b), sizes(), tol, 1e-300)
     if levels < 2:
-        raise BudgetTooSmallError(f"budget {budget:g} too small for two refinement levels")
+        raise UsageError(f"budget {budget:g} too small for two refinement levels")
     return result

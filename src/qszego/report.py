@@ -3,7 +3,8 @@
 Every check ends as one :class:`CheckReport`.  Exact checks build theirs
 with :meth:`CheckReport.from_flag`, float checks with
 :meth:`CheckReport.within`, whose ``ok`` carries any condition beyond the
-deviation, such as a quadrature rule's ``converged`` flag.
+deviation, such as a quadrature rule's ``converged`` flag.  A request that
+cannot run as asked raises :class:`UsageError`, the CLI's exit code 2.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ def _jsonable(v):
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     return str(v)
+
+
+class UsageError(ValueError):
+    """Bad input, a budget too small, or a test function outside the Hardy range."""
 
 
 @dataclass

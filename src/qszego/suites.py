@@ -50,7 +50,6 @@ from .kernel import (
 )
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
 from .quadrature import (
-    BudgetTooSmallError,
     ExpDecay,
     SqrtPiRational,
     exponential_moment_closed_form,
@@ -58,7 +57,7 @@ from .quadrature import (
     integrate_r3,
     parseval_identity_check,
 )
-from .report import CheckReport
+from .report import CheckReport, UsageError
 from .verify import _rand_exact, _rand_fraction, _randint
 
 SUITE_NAMES = ("all", "algebra", "kernel", "geometry", "props", "reproducing", "octonion")
@@ -325,20 +324,14 @@ def geometry_suite(seed=0):
 
     bad = []
     for _ in range(200):
-        h = GroupElement(
-            (_rand_exact(rng, 4, 4),),
-            tuple(Fraction(_randint(rng, -5, 5)) for _ in range(3)),
-        )
-        p = SiegelPoint((_rand_exact(rng, 4, 4),), _rand_exact(rng, 4, 4))
-        if translate(h, p).height() != p.height():
-            bad.append("quaternionic")
-        ho = GroupElement(
-            (_rand_exact(rng, 8, 4),),
-            tuple(Fraction(_randint(rng, -5, 5)) for _ in range(7)),
-        )
-        po = SiegelPoint((_rand_exact(rng, 8, 4),), _rand_exact(rng, 8, 4))
-        if translate(ho, po).height() != po.height():
-            bad.append("octonionic")
+        for kind, dim in (("quaternionic", 4), ("octonionic", 8)):
+            h = GroupElement(
+                (_rand_exact(rng, dim, 4),),
+                tuple(Fraction(_randint(rng, -5, 5)) for _ in range(dim - 1)),
+            )
+            p = SiegelPoint((_rand_exact(rng, dim, 4),), _rand_exact(rng, dim, 4))
+            if translate(h, p).height() != p.height():
+                bad.append(kind)
     reports.append(_report_counterexamples("translation-height-invariance", {}, bad, 400))
 
     bad = []
@@ -551,8 +544,8 @@ def run_suite(name, n=1, tol=1e-3, budget=2.0e7, seed=0, elapsed=None):
 
     A suite that raises adds one failing ``suite-error`` report, whose
     ``error`` field holds the exception's type and message, and the other
-    suites still run.  Usage errors still raise: a budget too small for two
-    boundary refinement levels, and an ``n`` outside the Hardy range.  If
+    suites still run.  A ``UsageError`` still raises: a budget too small for
+    two boundary refinement levels, or an ``n`` outside the Hardy range.  If
     ``elapsed`` is a dict, it receives each suite's wall time in seconds,
     in the order the suites ran.
     """
@@ -573,7 +566,7 @@ def run_suite(name, n=1, tol=1e-3, budget=2.0e7, seed=0, elapsed=None):
         start = time.perf_counter()
         try:
             reports += run()
-        except (BudgetTooSmallError, verify.OutsideHardyRangeError):
+        except UsageError:
             raise
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"

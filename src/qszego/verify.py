@@ -37,7 +37,7 @@ from .quadrature import (
     integrate_boundary,
     sphere_moment,
 )
-from .report import CheckReport
+from .report import CheckReport, UsageError
 
 
 # ----------------------------------------------------------------------
@@ -73,10 +73,6 @@ def _rand_fraction(rng, span, den):
 
 # ----------------------------------------------------------------------
 # the test-function family
-
-
-class OutsideHardyRangeError(ValueError):
-    """The test function's order is outside the Hardy membership range for its n."""
 
 
 @dataclass(frozen=True)
@@ -216,15 +212,15 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     integrand is rotation invariant in w', so the horizontal factor reduces
     to a radial one.  The integrand is homogeneous in (1 + |w'|^2, t) of
     degree D = deg S + deg F, both read off the exact fractions, so the
-    boundary rule evaluates it once per level.
+    boundary rule evaluates it once per level, at w' = 0.
     A boundary rule that runs out of budget before it converges yields a
-    failing report carrying its best value.  A test
-    function that vanishes at (0,1) raises ``ValueError`` before any
-    integration: the relative deviation and the relative refinement both
-    need a nonzero value.
+    failing report carrying its best value.  A spec outside the Hardy
+    membership range raises ``UsageError``; a test function that vanishes
+    at (0,1) raises ``ValueError`` before any integration: the relative
+    deviation and the relative refinement both need a nonzero value.
     """
     if not spec.in_hardy_range():
-        raise OutsideHardyRangeError("spec outside the Hardy membership range")
+        raise UsageError("spec outside the Hardy membership range")
     n = spec.n
     direct = hardy_test_function(
         spec, SiegelPoint(tuple(Hypercomplex.zero(4) for _ in range(n)), Hypercomplex.from_real(4, 1))
@@ -235,12 +231,11 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     density = szego_density(KernelOrder(n))
     comps = hardy_test_function_components(spec.t).comps
 
-    def fn(r, t):
-        # r and the t axes are arrays that broadcast to the grid, so each
-        # power is taken once per axis value (see BoundaryIntegrand)
-        base = 1.0 + r * r
-        s_vals = eval_fractions(density.body.comps, (base, -t[0], -t[1], -t[2])) * density.prefactor()
-        f_vals = eval_fractions(comps, (base, *t))
+    def fn(t1, t2, t3):
+        # the t axes broadcast to the grid, so each power is taken once per
+        # axis value; 1.0 is 1 + |w'|^2 at w' = 0 (see BoundaryIntegrand)
+        s_vals = eval_fractions(density.body.comps, (1.0, -t1, -t2, -t3)) * density.prefactor()
+        f_vals = eval_fractions(comps, (1.0, t1, t2, t3))
         return mul_arrays(s_vals, f_vals, 4)
 
     degree = _homogeneous_degree(density.body.comps) + _homogeneous_degree(comps)

@@ -139,6 +139,23 @@ def test_eval_parse_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("nu", ["1,,0,0,0", ",1,0,0,0"])
+def test_empty_component_is_usage_error(nu, capsys):
+    # five fields, one empty: an error, not the value at the other four
+    code, out, err = run_cli(["eval", "s", "--nu", nu], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_component_list_blanks(capsys):
+    # a missing flag is a list of no components; spaces around a field are allowed
+    code, out, err = run_cli(["eval", "s"], capsys)
+    assert (code, out) == (2, "") and err.strip() == "error: expected 4 components, got 0 in ''"
+    code, out, _ = run_cli(["eval", "s", "--nu", " 1, 0,0 ,0"], capsys)
+    assert code == 0
+    assert out == run_cli(["eval", "s", "--nu", "1,0,0,0"], capsys)[1]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -177,6 +194,20 @@ def test_verify_all_seed_0_is_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "a1c9f6c28d23e1485abb73fb25fc016cee3bc111e356f5aa66edd36b1fa191fc"
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        ("2", "0854026b8c136aa79ad884ea1c4900db9a65335b655ed271c7212471e1cfc9b2"),
+        ("3", "51a2e70d9d196737056838d0a9168a38169a92cdc0de6aae93c4965605754039"),
+    ],
+)
+def test_verify_reproducing_is_pinned_above_n_1(n, want, capsys):
+    # the boundary rule at n >= 2, bit for bit; n = 1 is pinned by verify all
+    code, out, _ = run_cli(["verify", "reproducing", "--n", n], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_verify_unknown_suite(capsys):
@@ -244,7 +275,7 @@ def test_n_above_cap_is_usage_error(args, tmp_path, monkeypatch, capsys):
     def must_not_run(*a, **k):
         raise AssertionError("started work on an --n above the cap")
 
-    for name in ("szego_density", "szego_eval", "group_kernel", "group_kernel_array"):
+    for name in ("szego_density", "szego_eval", "group_kernel"):
         monkeypatch.setattr(cli, name, must_not_run)
     monkeypatch.chdir(tmp_path)
     assert cli.MAX_N == 24

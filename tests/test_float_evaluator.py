@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qszego.kernel import KernelOrder, group_kernel_array, newton_derivative, szego_density
+from qszego.kernel import KernelOrder, newton_derivative, szego_density
 from qszego.polyfrac import _ROWS, HyperFrac, RadialFraction, RatPoly, eval_fractions
 from qszego.verify import hardy_test_function_components
 
@@ -139,7 +139,7 @@ def test_grid_fault_raises():
     with pytest.raises(FloatingPointError):
         szego_density(KernelOrder(1)).eval_array([[1e60, 0, 0, 0], [1e-60, 0, 0, 0]])
     with pytest.raises(FloatingPointError):
-        group_kernel_array(1, [1e-130], [[0.0, 0.0, 0.0]])
+        szego_density(KernelOrder(1)).eval_array([[1e-130, 0, 0, 0]])
 
 
 def test_grid_zeros_of_both_signs_sum_to_positive_zero():

@@ -41,11 +41,10 @@ def _cut_levels(monkeypatch, count):
 
 
 def _g(a):
-    """g = ((1 + r^2)^2 + |t|^2)^(-a) on the boundary, homogeneous of degree -2a."""
+    """g = ((1 + r^2)^2 + |t|^2)^(-a) on the boundary, homogeneous of degree -2a, at r = 0."""
 
-    def fn(r, t):
-        s = 1.0 + r * r
-        return (s * s + t[0] * t[0] + t[1] * t[1] + t[2] * t[2]) ** (-float(a))
+    def fn(t1, t2, t3):
+        return (1.0 + t1 * t1 + t2 * t2 + t3 * t3) ** (-float(a))
 
     return fn
 
@@ -490,14 +489,13 @@ def test_coordinate_maps_pinned_bit_for_bit():
 
     # the reproducing integrand S((0,1), w) F(w) of verify.reproducing_check
     # at n = 1, t = (2, 0, 0, 1): four components, homogeneous of degree
-    # -5 - 6, evaluated once at r = 0
+    # -5 - 6, evaluated once at r = 0, where 1 + r^2 is the column 1.0
     density = szego_density(KernelOrder(1))
     comps = hardy_test_function_components((2, 0, 0, 1))
 
-    def reproducing(r, t):
-        base = 1.0 + r * r
-        s = eval_fractions(density.body.comps, (base, -t[0], -t[1], -t[2])) * density.prefactor()
-        f = eval_fractions(comps.comps, (base, *t))
+    def reproducing(t1, t2, t3):
+        s = eval_fractions(density.body.comps, (1.0, -t1, -t2, -t3)) * density.prefactor()
+        f = eval_fractions(comps.comps, (1.0, t1, t2, t3))
         return mul_arrays(s, f, 4)
 
     bi = BoundaryIntegrand(n=1, fn=reproducing, degree=-11)
@@ -511,8 +509,9 @@ def test_coordinate_maps_pinned_bit_for_bit():
 def test_reproducing_integrand_columns_equal_points():
     # the reproducing integrand of verify.reproducing_check at n = 1,
     # t = (3, 0, 0, 1), homogeneous of degree D = -5 - 7.  At the one node
-    # the level evaluates, r = 0, the column contract gives, bit for bit, the
-    # values of a reference that builds every point; n_t is odd, so every t
+    # the level evaluates, r = 0, the axis columns (with 1 + r^2 the scalar
+    # column 1.0, as verify passes it) give, bit for bit, the values of a
+    # reference that builds every point; n_t is odd, so every t
     # axis holds a 0 and -t holds -0.0.  The per-node reference, its
     # t-window grown to 1 + r^2, has the same bits in columns and points at
     # every node, each node holds (1 + r^2)^D times the r = 0 values, and
@@ -534,8 +533,8 @@ def test_reproducing_integrand_columns_equal_points():
 
     calls = []
 
-    def recorded(r, t):
-        calls.append((r, columns(r, t)))
+    def recorded(*axes):
+        calls.append((axes, columns(0.0, axes)))
         return calls[-1][1]
 
     n_r, n_t = 12, 9
@@ -547,8 +546,9 @@ def test_reproducing_integrand_columns_equal_points():
     t1, wt = _t_grid(n_t)
     tt = np.stack(np.meshgrid(t1, t1, t1, indexing="ij"), axis=-1).reshape(-1, 3)
     axes = (t1[:, None, None], t1[None, :, None], t1[None, None, :])
-    r_at, node0 = calls[0]
-    assert r_at.shape == (1, 1, 1) and not r_at.any()
+    got_axes, node0 = calls[0]
+    assert [a.shape for a in got_axes] == [a.shape for a in axes]
+    assert all(np.array_equal(a, b) for a, b in zip(got_axes, axes))
     assert node0.shape == (n_t, n_t, n_t, 4)
     at_zero = points(np.zeros(len(tt)), tt)
     assert np.array_equal(node0.reshape(-1, 4).view(np.uint64), at_zero.view(np.uint64))

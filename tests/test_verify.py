@@ -10,10 +10,11 @@ import pytest
 
 from qszego.geometry import SiegelPoint
 from qszego.hypercomplex import Hypercomplex
-from qszego.kernel import KernelOrder, group_kernel_array, szego_density
+from qszego.kernel import KernelOrder, szego_density
 from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
 from qszego import verify
-from qszego.quadrature import BudgetTooSmallError, QuadratureResult, SqrtPiRational, gamma_half, sphere_moment
+from qszego.quadrature import QuadratureResult, SqrtPiRational, gamma_half, sphere_moment
+from qszego.report import UsageError
 from qszego.verify import (
     TestFunctionSpec,
     _homogeneous_degree,
@@ -134,7 +135,7 @@ def test_reproducing_property_quick():
 
 
 def test_reproducing_rejects_out_of_range():
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError, match="Hardy"):
         reproducing_check(TestFunctionSpec(4, (0, 0, 0, 1)), tol=1e-2)
 
 
@@ -194,7 +195,7 @@ def test_reproducing_budget_counts_rule_points():
     # two levels cost 12 x 8^3 + 18 x 12^3 = 37,248 rule points, although
     # only 8^3 + 12^3 points are evaluated
     spec = TestFunctionSpec(1, (2, 0, 0, 1))
-    with pytest.raises(BudgetTooSmallError):
+    with pytest.raises(UsageError, match="budget 37247 too small"):
         reproducing_check(spec, budget=37247)
     rep = reproducing_check(spec, budget=37248)
     assert rep.n_evals == 8**3 + 12**3
@@ -446,9 +447,7 @@ def test_density_partials_match_central_differences(n):
             step = np.zeros_like(pts)
             step[:, i] = h
             plus, minus = pts + step, pts - step
-            diff = group_kernel_array(order, plus[:, 0], plus[:, 1:]) - group_kernel_array(
-                order, minus[:, 0], minus[:, 1:]
-            )
+            diff = density.eval_array(plus) - density.eval_array(minus)
             central = diff / (2 * h[:, None])
             dev = np.linalg.norm(central - exact, axis=1) / np.linalg.norm(exact, axis=1)
             assert np.max(dev) <= 1e-5, (rho_lo, i, np.max(dev))
@@ -479,11 +478,9 @@ def test_kernel_decay_small_sample():
 
 def test_kernel_decay_pure_vertical_axis():
     # on the t1 axis K = s(e1 t1), so |K| |t1|^(d/2) is constant
-    from qszego.kernel import KernelOrder, group_kernel_array
-
     t1 = np.array([0.5, 1.0, 2.0, 5.0, 25.0])
-    t = np.stack([t1, np.zeros(5), np.zeros(5)], axis=-1)
-    vals = group_kernel_array(KernelOrder(1), np.zeros(5), t)
+    pts = np.stack([np.zeros(5), t1, np.zeros(5), np.zeros(5)], axis=-1)
+    vals = szego_density(KernelOrder(1)).eval_array(pts)
     mods = np.sqrt(np.sum(vals * vals, axis=1)) * t1 ** 5.0
     assert np.ptp(mods) <= 1e-12 * mods[0]
 
