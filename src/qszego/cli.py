@@ -130,9 +130,10 @@ def _emit_value(args, payload):
 def cmd_eval(args):
     kind = args.kind
     if kind in ("s", "E"):
-        nu = [float(c) for c in _parse_components(args.nu, expected=args.m)]
-        if not any(nu):
+        comps = _parse_components(args.nu, expected=args.m)
+        if not any(comps):  # on the exact input: a nonzero nu may round to 0.0
             raise ZeroDivisionError("singular point nu = 0")
+        nu = [float(c) for c in comps]
         if kind == "s":
             kernel = szego_density(KernelOrder(args.n, m=args.m))
             payload = {"kind": "szego-density", "n": args.n}
@@ -182,10 +183,7 @@ def cmd_eval(args):
 
 
 def cmd_verify(args):
-    elapsed = {}
-    reports = run_suite(
-        args.suite, n=args.n, tol=args.tol, budget=args.budget, seed=args.seed, elapsed=elapsed
-    )
+    reports, elapsed = run_suite(args.suite, args.n, args.tol, args.budget, args.seed)
     _emit(args.output, "".join(r.to_json_line() + "\n" for r in reports))
     for suite, seconds in elapsed.items():
         print(f"{suite}: {seconds:.3f} s", file=sys.stderr)

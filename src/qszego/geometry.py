@@ -253,15 +253,20 @@ def boundary_unparam(p):
     return GroupElement(p.horizontal, p.vertical.comps[1:])
 
 
-def _cayley_map(a, b, pole):
-    """(a (1 + conj b), (1 + conj b)(1 - b)) / |1 + b|^2 on component sequences.
+def cayley_columns(first, second, inverse=False):
+    """The Cayley transform of points given as two sequences of 8 components.
 
-    Shared by both directions, by exact points and by float columns: each
-    component is an exact or float scalar or a float column.  The steps are
-    1 + b, the running sum of squares and division as multiplication by
-    1.0/denominator, so a column gets, row by row, the bits of the map on
-    that row's floats.
+    Forward, ``(tau1, tau2)`` goes to ``(sigma1, sigma2)``; with ``inverse``,
+    ``(sigma1, sigma2)`` goes back.  Both are the one map (a (1 + conj b),
+    (1 + conj b)(1 - b)) / |1 + b|^2, of (a, b) = (2 tau1, tau2) forward and
+    (sigma1, sigma2) back.  :func:`cayley` and :func:`cayley_inv` run it on
+    exact components, the float checks on float columns, one row per point.
+    The steps are 1 + b, the running sum of squares and division as
+    multiplication by 1.0/denominator, so each row has the bits of this
+    function on that row's Python floats.  Raises ZeroDivisionError if any
+    row is the pole.
     """
+    a, b, pole = (first, second, "sigma2") if inverse else (tuple(c * 2 for c in first), second, "tau2")
     one_plus_b = (1 + b[0],) + tuple(0 + c for c in b[1:])
     denom = sum_squares(one_plus_b)
     if not np.all(denom):
@@ -277,20 +282,6 @@ def _cayley_map(a, b, pole):
         tuple(c * inv for c in mul(a, factor)),
         tuple(c * inv for c in mul(factor, one_minus_b)),
     )
-
-
-def cayley_columns(first, second, inverse=False):
-    """The Cayley transform of points given as two sequences of 8 components.
-
-    Forward, ``(tau1, tau2)`` goes to ``(sigma1, sigma2)``; with ``inverse``,
-    ``(sigma1, sigma2)`` goes back.  The components may be float columns, one
-    row per point, and each row has the bits of this function on that row's
-    Python floats; on exact components it is :func:`cayley` or
-    :func:`cayley_inv`.  Raises ZeroDivisionError if any row is the pole.
-    """
-    if inverse:
-        return _cayley_map(first, second, "sigma2")
-    return _cayley_map(tuple(c * 2 for c in first), second, "tau2")
 
 
 def cayley(p):

@@ -199,9 +199,8 @@ def group_kernel(order, h, eps=0.0):
         raise ValueError("expected a quaternionic group element")
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    w2 = float(sum(wi.norm_sq() for wi in h.omega))
-    t = [float(ti) for ti in h.t]
-    if not w2 + eps and not any(t):
+    w2 = sum(wi.norm_sq() for wi in h.omega)
+    if not w2 and not eps and not any(h.t):  # exact: a nonzero h may round to 0.0
         raise ZeroDivisionError("singular point: identity element with eps = 0")
-    return szego_density(order).eval([w2 + eps, *t])
+    return szego_density(order).eval([float(w2) + eps, *(float(ti) for ti in h.t)])
 

@@ -9,7 +9,7 @@ Sums are not reduced; equality, zero and degree tests (Dirac annihilation,
 homogeneity) do not depend on it.
 ``HyperFrac`` is a vector of radial fractions acting as hypercomplex
 components; the left Dirac operator and linear variable substitutions act
-on it.
+on it, and ``degree`` is the one home of its degree of homogeneity.
 
 ``eval`` is exact and rejects floats: it is the oracle that the one float
 evaluator, ``eval_fractions``, is checked against.  It takes one coordinate
@@ -488,6 +488,15 @@ class HyperFrac:
 
     def is_polynomial(self):
         return all(c.k == 0 for c in self.comps)
+
+    def degree(self):
+        """deg(P) - 2k if every nonzero component P/|x|^(2k) has that one degree, else None."""
+        degs = set()
+        for c in self.comps:
+            if not c.is_zero():
+                d = c.num.homogeneous_degree()
+                degs.add(None if d is None else d - 2 * c.k)
+        return degs.pop() if len(degs) == 1 else None
 
     def __add__(self, other):
         if not isinstance(other, HyperFrac):

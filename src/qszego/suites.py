@@ -25,6 +25,7 @@ from .geometry import (
     dilate_element,
     group_inverse,
     group_mul,
+    homogeneous_dim,
     identity_element,
     nu_columns,
     rho_length,
@@ -58,7 +59,7 @@ from .quadrature import (
     parseval_identity_check,
 )
 from .report import CheckReport, UsageError
-from .verify import _rand_exact, _rand_fraction, _randint
+from .verify import _multi_indices, _rand_exact, _rand_fraction, _randint
 
 SUITE_NAMES = ("all", "algebra", "kernel", "geometry", "props", "reproducing", "octonion")
 
@@ -83,6 +84,12 @@ _INVARIANCE_BOUNDS = _INVARIANCE_POINT * 2 + [(0.5, 2.0)] + [(-1, 1)] * 11
 def _blocks(total):
     """Sizes of the blocks of at most CAYLEY_BLOCK points that make up ``total``."""
     return [min(CAYLEY_BLOCK, total - start) for start in range(0, total, CAYLEY_BLOCK)]
+
+
+def _row_deviation(got, want):
+    """The largest max|got - want| of a row, over the norm of that row of ``want`` (at least 1e-300)."""
+    norm = np.maximum(np.sqrt(np.sum(want * want, axis=1)), 1e-300)
+    return float(np.max(np.max(np.abs(got - want), axis=1) / norm))
 
 
 def _report_counterexamples(name, inputs, bad, count):
@@ -182,18 +189,13 @@ def kernel_suite(seed=0):
         )
 
         deg_target = -(2 * n + 3)
-        sym_ok = all(
-            c.is_zero() or c.num.homogeneous_degree() == 2 * c.k + deg_target
-            for c in density.body.comps
-        )
+        sym_ok = density.body.degree() == deg_target
         nus = np.array([rng.uniform(-2, 2) for _ in range(4 * 25)]).reshape(25, 4)
         nus = nus[np.sum(nus * nus, axis=1) >= 0.1]
         base = density.eval_array(nus)
-        norm = np.maximum(np.sqrt(np.sum(base * base, axis=1)), 1e-300)
-        worst = 0.0
-        for t in (0.5, 2.0, 5.0):
-            dev = np.max(np.abs(density.eval_array(t * nus) * t ** (2 * n + 3) - base), axis=1)
-            worst = max(worst, float(np.max(dev / norm)))
+        worst = max(
+            _row_deviation(density.eval_array(t * nus) * t ** (2 * n + 3), base) for t in (0.5, 2.0, 5.0)
+        )
         reports.append(
             CheckReport.within(
                 "density-homogeneity", {"n": n, "degree": deg_target}, worst, 1e-12,
@@ -259,16 +261,16 @@ def kernel_suite(seed=0):
         return szego_density(1).eval_array(np.stack(nu_columns(*a, *b), axis=-1))
 
     s_qw = kernel(q, w)
-    # each entry should equal s_qw: conj S(w, q), delta^10 S(delta q, delta w), ...
+    # each entry should equal s_qw: conj S(w, q), delta^Q S(delta q, delta w)
+    # with Q = 10 the homogeneous dimension, ...
     transformed = {
         "hermitian": kernel(w, q) * [1.0, -1.0, -1.0, -1.0],
         "dilation": kernel(dilate_columns(delta, *q), dilate_columns(delta, *w))
-        * np.array([[d**10] for d in delta.tolist()]),
+        * np.array([[d ** homogeneous_dim(1)] for d in delta.tolist()]),
         "rotation": kernel(rotate_columns((u,), *q), rotate_columns((u,), *w)),
         "translation": kernel(translate_columns(omega, t, *q), translate_columns(omega, t, *w)),
     }
-    norm = np.maximum(np.sqrt(np.sum(s_qw * s_qw, axis=1)), 1e-300)
-    worst = {key: float(np.max(np.max(np.abs(v - s_qw), axis=1) / norm)) for key, v in transformed.items()}
+    worst = {key: _row_deviation(v, s_qw) for key, v in transformed.items()}
     for key, tol in (("hermitian", 1e-12), ("dilation", 1e-10), ("rotation", 1e-10), ("translation", 1e-10)):
         reports.append(
             CheckReport.within(
@@ -414,12 +416,7 @@ def props_suite(seed=0):
     worst = 0.0
     count = 0
     converged = True
-    tuples = []
-    for l0 in range(4):
-        for l1 in range(0, 4 - l0, 2):
-            for l2 in range(0, 4 - l0 - l1, 2):
-                for l3 in range(0, 4 - l0 - l1 - l2, 2):
-                    tuples.append((l0, l1, l2, l3))
+    tuples = [t for t in _multi_indices(3) if not any(v % 2 for v in t[1:])]
     for _ in range(5):
         tuples.append((_randint(rng, 0, 2), *(2 * _randint(rng, 0, 1) for _ in range(3))))
     for a in (1.0, 2.0, 4.0):
@@ -441,13 +438,7 @@ def props_suite(seed=0):
         )
     )
 
-    multi = [
-        (p0, p1, p2, p3)
-        for p0 in range(3)
-        for p1 in range(3 - p0)
-        for p2 in range(3 - p0 - p1)
-        for p3 in range(3 - p0 - p1 - p2)
-    ]
+    multi = _multi_indices(2)
     failures = []
     count = 0
     for x0 in (0.5, 1.0):
@@ -528,7 +519,7 @@ def octonion_suite(seed=0):
 # ----------------------------------------------------------------------
 
 
-def reproducing_suite(n=1, tol=1e-3, budget=2.0e7):
+def reproducing_suite(n, tol, budget):
     reports = []
     for t in ((2, 0, 0, 1), (3, 0, 0, 1)):
         spec = verify.TestFunctionSpec(n, t)
@@ -539,15 +530,15 @@ def reproducing_suite(n=1, tol=1e-3, budget=2.0e7):
 # ----------------------------------------------------------------------
 
 
-def run_suite(name, n=1, tol=1e-3, budget=2.0e7, seed=0, elapsed=None):
-    """Run one named suite (or all of them); reports sorted by check name.
+def run_suite(name, n, tol, budget, seed):
+    """Run one named suite (or all of them); returns ``(reports, elapsed)``.
 
-    A suite that raises adds one failing ``suite-error`` report, whose
-    ``error`` field holds the exception's type and message, and the other
-    suites still run.  A ``UsageError`` still raises: a budget too small for
-    two boundary refinement levels, or an ``n`` outside the Hardy range.  If
-    ``elapsed`` is a dict, it receives each suite's wall time in seconds,
-    in the order the suites ran.
+    The reports are sorted by check name; ``elapsed`` maps each suite that
+    ran to its wall time in seconds, in the order the suites ran.  A suite
+    that raises adds one failing ``suite-error`` report, whose ``error``
+    field holds the exception's type and message, and the other suites
+    still run.  A ``UsageError`` still raises: a budget too small for two
+    boundary refinement levels, or an ``n`` outside the Hardy range.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -559,7 +550,7 @@ def run_suite(name, n=1, tol=1e-3, budget=2.0e7, seed=0, elapsed=None):
         "octonion": lambda: octonion_suite(seed=seed),
         "reproducing": lambda: reproducing_suite(n=n, tol=tol, budget=budget),
     }
-    reports = []
+    reports, elapsed = [], {}
     for suite, run in suites.items():
         if name not in ("all", suite):
             continue
@@ -571,7 +562,6 @@ def run_suite(name, n=1, tol=1e-3, budget=2.0e7, seed=0, elapsed=None):
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             reports.append(CheckReport.from_flag("suite-error", {"suite": suite}, False, error=error))
-        if elapsed is not None:
-            elapsed[suite] = time.perf_counter() - start
+        elapsed[suite] = time.perf_counter() - start
     reports.sort(key=lambda r: (r.name, str(r.inputs)))
-    return reports
+    return reports, elapsed

@@ -75,6 +75,11 @@ def _rand_fraction(rng, span, den):
 # the test-function family
 
 
+def _multi_indices(max_total):
+    """Every 4-tuple of nonnegative integers with sum <= ``max_total``, in lexicographic order."""
+    return [t for t in itertools.product(range(max_total + 1), repeat=4) if sum(t) <= max_total]
+
+
 @dataclass(frozen=True)
 class TestFunctionSpec:
     """Derivative orders (t0, t1, t2, t3) of a Hardy-space test function."""
@@ -169,9 +174,9 @@ def closed_form_agreement_check():
     )
     checked = 0
     worst = None
-    for t in itertools.product(range(max_order + 1), repeat=4):
+    for t in _multi_indices(max_order):
         spec = TestFunctionSpec(1, t)
-        if spec.order > max_order or not spec.closed_form_parity():
+        if not spec.closed_form_parity():
             continue
         direct = hardy_test_function(spec, origin)
         closed = hardy_test_function_closed_form(spec)
@@ -192,18 +197,6 @@ def closed_form_agreement_check():
 # the reproducing property
 
 
-def _homogeneous_degree(fracs):
-    """deg(num) - 2k, shared by every nonzero num / |x|^(2k) in ``fracs``; else ``ValueError``."""
-    degs = set()
-    for c in fracs:
-        if not c.is_zero():
-            d = c.num.homogeneous_degree()
-            degs.add(None if d is None else d - 2 * c.k)
-    if len(degs) != 1 or None in degs:
-        raise ValueError(f"fractions are not homogeneous of one degree: {sorted(degs, key=str)}")
-    return degs.pop()
-
-
 def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     """Compare the test function at (0,1) with its boundary reproduction.
 
@@ -211,13 +204,15 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     parameterization with the quaternion product in exactly that order; the
     integrand is rotation invariant in w', so the horizontal factor reduces
     to a radial one.  The integrand is homogeneous in (1 + |w'|^2, t) of
-    degree D = deg S + deg F, both read off the exact fractions, so the
-    boundary rule evaluates it once per level, at w' = 0.
+    degree D = deg S + deg F, both read off the exact fractions by
+    ``HyperFrac.degree``, so the boundary rule evaluates it once per level,
+    at w' = 0.
     A boundary rule that runs out of budget before it converges yields a
     failing report carrying its best value.  A spec outside the Hardy
-    membership range raises ``UsageError``; a test function that vanishes
-    at (0,1) raises ``ValueError`` before any integration: the relative
-    deviation and the relative refinement both need a nonzero value.
+    membership range raises ``UsageError``.  A test function that vanishes
+    at (0,1) raises ``ValueError`` before any integration, since the
+    relative deviation and the relative refinement both need a nonzero
+    value; so does a fraction without one degree.
     """
     if not spec.in_hardy_range():
         raise UsageError("spec outside the Hardy membership range")
@@ -238,8 +233,10 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
         f_vals = eval_fractions(comps, (1.0, t1, t2, t3))
         return mul_arrays(s_vals, f_vals, 4)
 
-    degree = _homogeneous_degree(density.body.comps) + _homogeneous_degree(comps)
-    integrand = BoundaryIntegrand(n=n, fn=fn, degree=degree)
+    degrees = (density.body.degree(), hardy_test_function_components(spec.t).degree())
+    if None in degrees:
+        raise ValueError(f"fractions are not homogeneous of one degree: {degrees}")
+    integrand = BoundaryIntegrand(n=n, fn=fn, degree=sum(degrees))
     res = integrate_boundary(integrand, tol=tol / 3.0, budget=budget)
     integral = np.asarray(res.value)
     deviation = float(np.max(np.abs(integral - direct_f)))

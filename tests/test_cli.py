@@ -45,6 +45,36 @@ def test_eval_singular_point(capsys):
     assert "singular" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["eval", "E", "--nu", "0,0,0,0"], "singular point nu = 0"),
+        (["eval", "K", "--omega", "0,0,0,0", "--t", "0,0,0"], "singular point: identity element"),
+    ],
+)
+def test_eval_singular_point_of_each_kernel(args, message, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "s", "--nu", "1e-400,0,0,0"],
+        ["eval", "E", "--nu", "1e-400,0,0,0"],
+        ["eval", "K", "--omega", "0,0,0,0", "--t", "1e-400,0,0"],
+        ["eval", "K", "--omega", "1e-400,0,0,0", "--t", "0,0,0"],
+    ],
+)
+def test_eval_nonzero_point_that_rounds_to_zero_is_not_singular(args, capsys):
+    # the singular test reads the exact input; its floats are all 0.0, so the
+    # float evaluation fails, as on any value it cannot represent
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "singular" not in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("nu", ["1e-60,0,0,0", "1e60,0,0,0"])
 def test_eval_float_fault_is_one_error_line(nu, capsys):
     # the float evaluation over- or underflows: exit 1 and one error line
@@ -208,6 +238,50 @@ def test_verify_reproducing_is_pinned_above_n_1(n, want, capsys):
     code, out, _ = run_cli(["verify", "reproducing", "--n", n], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        (["eval", "s", "--n", "1", "--nu", "1,0,0,0"], "eea1148024cfaee71a8e0cbae339cf118861f9cc3d6e2721f174d4e16ad27eb6"),
+        (["eval", "E", "--m", "4", "--nu", "1,0,0,0"], "6d2e52966358c745036423af441172376f04d953c6cf0def515b9e2828945237"),
+        (
+            ["eval", "S", "--n", "1", "--q", "0,0,0,0,1,0,0,0", "--omega", "0,0,0,0,1,0,0,0"],
+            "0b34c9eb4be73431665fc97a3fb9deee11d23932ae285b338ae0b9fc1e09fa25",
+        ),
+        (
+            ["eval", "K", "--n", "1", "--omega", "0,0,0,0", "--t", "1,0,0", "--eps", "0"],
+            "208dc341d633193d53d9fa0cb34508c17a9bd95d382cba14678a5a691d38fbcc",
+        ),
+        (["export", "kernel", "--n", "2"], "20e56e70f33097a56ff8266cebb9b1d474f08ffdadc6a9180af20a7056ef0e38"),
+        (
+            ["export", "table", "--what", "K-decay", "--n", "1"],
+            "124582ead393b48300388315cb8be625b26794758c28c4f05b243a85cc40ef59",
+        ),
+        (
+            ["export", "table", "--what", "s-ray", "--n", "1"],
+            "b8f5fffdd8258bafa06459528305f091b247d38effebcd5cd4720c5b8d620543",
+        ),
+    ],
+    ids=["eval-s", "eval-E", "eval-S", "eval-K", "export-kernel", "export-K-decay", "export-s-ray"],
+)
+def test_readme_outputs_are_pinned(args, want, tmp_path, capsys):
+    # the README's commands, bit for bit: eval's stdout, export's file
+    if args[0] == "export":
+        path = tmp_path / "out"
+        code, _, _ = run_cli(args + ["-o", str(path)], capsys)
+        data = path.read_bytes()
+    else:
+        code, out, _ = run_cli(args, capsys)
+        data = out.encode()
+    assert code == 0
+    assert hashlib.sha256(data).hexdigest() == want
+
+
+def test_run_suite_returns_reports_and_timings():
+    reports, elapsed = cli.run_suite("reproducing", 1, 1e-3, 2.0e7, 0)
+    assert [r.name for r in reports] == ["reproducing-property"] * 2
+    assert list(elapsed) == ["reproducing"] and elapsed["reproducing"] > 0
 
 
 def test_verify_unknown_suite(capsys):

@@ -34,6 +34,7 @@ from qszego.kernel import (
     szego_nu,
 )
 from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
+from qszego.verify import _multi_indices
 
 PI = math.pi
 
@@ -154,6 +155,17 @@ def test_density_body_homogeneous(n):
     for c in s.body.comps:
         if not c.is_zero():
             assert c.num.homogeneous_degree() == 2 * c.k - (2 * n + 3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_density_degree(n):
+    assert szego_density(KernelOrder(n)).body.degree() == -(2 * n + 3)
+
+
+def test_newton_derivative_degree():
+    # a partial of order |a| of |x|^-2 has degree -(|a| + 2)
+    for a in _multi_indices(4):
+        assert HyperFrac((newton_derivative(a), RadialFraction.zero(4))).degree() == -(sum(a) + 2)
 
 
 def test_density_rejects_octonionic_order():

@@ -17,7 +17,7 @@ from qszego.quadrature import QuadratureResult, SqrtPiRational, gamma_half, sphe
 from qszego.report import UsageError
 from qszego.verify import (
     TestFunctionSpec,
-    _homogeneous_degree,
+    _multi_indices,
     _sample_shell,
     action_compatibility_check,
     coefficient_system_check,
@@ -25,6 +25,7 @@ from qszego.verify import (
     cr_corpus,
     hardy_test_function,
     hardy_test_function_closed_form,
+    hardy_test_function_components,
     kernel_decay_check,
     o_analytic_corpus,
     reproducing_check,
@@ -173,13 +174,38 @@ def test_reproducing_degree_read_off_the_fractions(n, monkeypatch):
         assert seen[-1].degree == degree
 
 
-def test_homogeneous_degree_rejects_inhomogeneous_fractions():
+def test_homogeneous_degree_rejects_inhomogeneous_fractions(monkeypatch):
+    # HyperFrac.degree skips zero components, and is None on an inhomogeneous
+    # component, on mixed degrees and on all-zero components
     x0, x1 = RatPoly.variable(4, 0), RatPoly.variable(4, 1)
-    assert _homogeneous_degree([RadialFraction(x0 * x1, 2), RadialFraction.zero(4), RadialFraction(x1 * x1, 2)]) == -2
+    zero = RadialFraction.zero(4)
+    assert HyperFrac((RadialFraction(x0 * x1, 2), zero, RadialFraction(x1 * x1, 2), zero)).degree() == -2
+    assert HyperFrac((RadialFraction(x0 * x1 + x0, 2), zero)).degree() is None
+    assert HyperFrac((RadialFraction(x0, 1), RadialFraction(x0 * x1, 1))).degree() is None
+    assert HyperFrac((zero, zero)).degree() is None
+
+    # reproducing_check refuses a test function without one degree before it integrates
+    def must_not_run(*a, **k):
+        raise AssertionError("integrated a fraction without one degree")
+
+    inhomogeneous = HyperFrac((RadialFraction(x0 * x1 + x0, 2), zero, zero, zero))
+    monkeypatch.setattr(verify, "hardy_test_function_components", lambda t: inhomogeneous)
+    monkeypatch.setattr(verify, "integrate_boundary", must_not_run)
     with pytest.raises(ValueError, match="homogeneous"):
-        _homogeneous_degree([RadialFraction(x0 * x1 + x0, 2)])
-    with pytest.raises(ValueError, match="homogeneous"):
-        _homogeneous_degree([RadialFraction(x0, 1), RadialFraction(x0 * x1, 1)])
+        reproducing_check(TestFunctionSpec(1, (2, 0, 0, 1)))
+
+
+def test_test_function_degree():
+    # F_t combines partials of order |t| + 1 of |x|^-2: degree -(|t| + 3)
+    for t in _multi_indices(4):
+        assert hardy_test_function_components(t).degree() == -(sum(t) + 3)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_multi_indices_are_the_filtered_product_in_order(k):
+    want = sorted(t for t in itertools.product(range(k + 1), repeat=4) if sum(t) <= k)
+    assert _multi_indices(k) == want
+    assert len(want) == math.comb(k + 4, 4)
 
 
 @pytest.mark.parametrize("t, n_evals", [((2, 0, 0, 1), 8**3 + 12**3 + 18**3), ((3, 0, 0, 1), 27755)])
