@@ -29,11 +29,24 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hypercomplex import _PRODUCTS, Hypercomplex, _norm_rat, sum_squares
+from .hypercomplex import _PRODUCTS, Hypercomplex, _norm_rat, conj, sum_squares
 
 
 def _comps(values):
     return tuple(v.comps for v in values)
+
+
+def _horizontal_part(part, dim=None):
+    """``part`` as a tuple: not empty, of one algebra dimension (``dim`` if given), octonionic only alone."""
+    part = tuple(part)
+    if not part:
+        raise ValueError("empty horizontal part")
+    dim = part[0].dim if dim is None else dim
+    if any(h.dim != dim for h in part):
+        raise ValueError("mixed algebra dimensions in horizontal part")
+    if dim == 8 and len(part) != 1:
+        raise ValueError("an octonionic horizontal part has a single coordinate")
+    return part
 
 
 @dataclass(frozen=True)
@@ -44,15 +57,7 @@ class SiegelPoint:
     vertical: Hypercomplex
 
     def __post_init__(self):
-        horizontal = tuple(self.horizontal)
-        if not horizontal:
-            raise ValueError("empty horizontal part")
-        object.__setattr__(self, "horizontal", horizontal)
-        dim = self.vertical.dim
-        if any(h.dim != dim for h in horizontal):
-            raise ValueError("mixed algebra dimensions in point")
-        if dim == 8 and len(horizontal) != 1:
-            raise ValueError("octonionic points have a single horizontal coordinate")
+        object.__setattr__(self, "horizontal", _horizontal_part(self.horizontal, self.vertical.dim))
 
     @property
     def n(self):
@@ -90,17 +95,11 @@ class GroupElement:
     t: tuple
 
     def __post_init__(self):
-        omega = tuple(self.omega)
-        if not omega:
-            raise ValueError("empty horizontal part")
+        omega = _horizontal_part(self.omega)
         dim = omega[0].dim
-        if any(w.dim != dim for w in omega):
-            raise ValueError("inconsistent horizontal components")
         expected_t = {4: 3, 8: 7}.get(dim)
         if expected_t is None:
             raise ValueError(f"unsupported algebra dimension {dim}")
-        if dim == 8 and len(omega) != 1:
-            raise ValueError("octonionic elements have a single horizontal coordinate")
         t = tuple(_norm_rat(v) for v in self.t)  # a float raises TypeError
         if len(t) != expected_t:
             raise ValueError(f"t must have {expected_t} components")
@@ -135,16 +134,12 @@ def identity_element(kind, n=1):
 # taken before its product, and a scalar multiplies from the right.
 
 
-def _conj(c):
-    return (c[0],) + tuple(-x for x in c[1:])
-
-
 def _pairing(a, b):
     """sum_i conj(a_i) b_i over two horizontal parts, summed from the integer 0."""
     mul = _PRODUCTS[len(b[0])]
     acc = (0,) * len(b[0])
     for ai, bi in zip(a, b):
-        acc = tuple(s + c for s, c in zip(acc, mul(_conj(ai), bi)))
+        acc = tuple(s + c for s, c in zip(acc, mul(conj(ai), bi)))
     return acc
 
 
@@ -172,7 +167,7 @@ def rotate_columns(rotation, q, v):
 
 def nu_columns(q, v, omega, u):
     """The kernel argument v + conj(u) - 2 sum_i conj(omega_i) q_i of (q, v) and (omega, u)."""
-    return tuple((a + b) - c * 2 for a, b, c in zip(v, _conj(u), _pairing(omega, q)))
+    return tuple((a + b) - c * 2 for a, b, c in zip(v, conj(u), _pairing(omega, q)))
 
 
 def group_mul_with_convention(a, b, convention):

@@ -101,6 +101,11 @@ def sum_squares(comps):
     return acc
 
 
+def conj(comps):
+    """(c0, -c1, -c2, ...): the one conjugate, of any components with unary minus."""
+    return (comps[0],) + tuple(-x for x in comps[1:])
+
+
 def mult_table(dim):
     """The (index, sign) multiplication table for the given dimension."""
     try:
@@ -196,8 +201,7 @@ class Hypercomplex:
         return Hypercomplex._make(self.dim, tuple(a * c for a in self.comps))
 
     def conj(self):
-        c = self.comps
-        return Hypercomplex._make(self.dim, (c[0],) + tuple(-x for x in c[1:]))
+        return Hypercomplex._make(self.dim, conj(self.comps))
 
     def norm_sq(self):
         return sum_squares(self.comps)

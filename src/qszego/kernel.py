@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import nu_columns
-from .hypercomplex import Hypercomplex, sum_squares
+from .hypercomplex import Hypercomplex, conj, sum_squares
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
 
 
@@ -124,12 +124,11 @@ def newton_derivative(orders):
 
 
 def cauchy_kernel(m=4):
-    """conj(x)/|x|^m normalized by the surface measure constant."""
+    """conj(x)/|x|^m normalized by the surface measure constant; the body is
+    ``hypercomplex.conj`` of the components x_i/|x|^m."""
     if m not in (2, 4):
         raise ValueError(f"unsupported algebra dimension m={m}")
-    body = HyperFrac(
-        tuple(RadialFraction(RatPoly.variable(m, i).scale(-1 if i else 1), m // 2) for i in range(m))
-    )
+    body = HyperFrac(conj([RadialFraction(RatPoly.variable(m, i), m // 2) for i in range(m)]))
     return PiScaledKernel(Fraction(1, 2), -(m // 2), body)
 
 

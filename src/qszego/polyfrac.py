@@ -69,24 +69,15 @@ def _checked_items(dim, items):
             yield exps, c
 
 
-def _clean_terms(dim, items):
-    return _accumulate({}, _checked_items(dim, items))
-
-
 class RatPoly:
     """Sparse polynomial with exact rational coefficients."""
 
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim, terms=None):
+        items = terms.items() if isinstance(terms, dict) else terms or ()
         object.__setattr__(self, "dim", int(dim))
-        if terms is None:
-            cleaned = {}
-        elif isinstance(terms, dict):
-            cleaned = _clean_terms(dim, terms.items())
-        else:
-            cleaned = _clean_terms(dim, terms)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", _accumulate({}, _checked_items(dim, items)))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly values are immutable")
@@ -140,20 +131,12 @@ class RatPoly:
     def __mul__(self, other):
         if isinstance(other, RatPoly):
             self._check_dim(other)
-            out = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    k = tuple(a + b for a, b in zip(ka, kb))
-                    c = ca * cb
-                    acc = out.get(k)
-                    if acc is None:
-                        out[k] = c
-                    else:
-                        acc = acc + c
-                        if acc:
-                            out[k] = acc
-                        else:
-                            del out[k]
+            products = (
+                (tuple(a + b for a, b in zip(ka, kb)), ca * cb)
+                for ka, ca in self.terms.items()
+                for kb, cb in other.terms.items()
+            )
+            out = _accumulate({}, products)
             if out and any(e >= MAX_EXPONENT for k in out for e in k):
                 raise ValueError("exponent overflow in product")
             return RatPoly._make(self.dim, out)

@@ -10,16 +10,18 @@ cannot run as asked raises :class:`UsageError`, the CLI's exit code 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
 def _jsonable(v):
+    """``v`` as strict JSON data: a non-finite float (inf, nan) becomes None, JSON's ``null``."""
     if isinstance(v, bool) or v is None or isinstance(v, str):
         return v
     if isinstance(v, int):
         return int(v)
     if isinstance(v, float):
-        return float(v)
+        return float(v) if math.isfinite(v) else None
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -77,14 +79,17 @@ class CheckReport:
         )
 
     def to_json(self):
+        """The report as strict JSON data (RFC 8259): every non-finite float,
+        such as the infinite deviation of a failing exact report or a NaN
+        side, is written as ``null``; the report itself keeps it."""
         out = {
             "name": self.name,
             "inputs": _jsonable(self.inputs),
             "lhs": _jsonable(self.lhs),
             "rhs": _jsonable(self.rhs),
-            "abs_deviation": float(self.abs_deviation),
-            "rel_deviation": float(self.rel_deviation),
-            "tolerance": float(self.tolerance),
+            "abs_deviation": _jsonable(float(self.abs_deviation)),
+            "rel_deviation": _jsonable(float(self.rel_deviation)),
+            "tolerance": _jsonable(float(self.tolerance)),
             "passed": bool(self.passed),
             "n_evals": int(self.n_evals),
         }
@@ -93,5 +98,5 @@ class CheckReport:
         return out
 
     def to_json_line(self):
-        return json.dumps(self.to_json(), sort_keys=True)
+        return json.dumps(self.to_json(), sort_keys=True, allow_nan=False)
 

@@ -538,17 +538,19 @@ def run_suite(name, n, tol, budget, seed):
     that raises adds one failing ``suite-error`` report, whose ``error``
     field holds the exception's type and message, and the other suites
     still run.  A ``UsageError`` still raises: a budget too small for two
-    boundary refinement levels, or an ``n`` outside the Hardy range.
+    boundary refinement levels, or an ``n`` outside the Hardy range.  Only
+    the reproducing suite reads ``n``, ``tol`` and ``budget``, so it runs
+    first: a usage error ends the call before any other suite has run.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     suites = {
+        "reproducing": lambda: reproducing_suite(n=n, tol=tol, budget=budget),
         "algebra": lambda: algebra_suite(seed=seed),
         "kernel": lambda: kernel_suite(seed=seed),
         "geometry": lambda: geometry_suite(seed=seed),
         "props": lambda: props_suite(seed=seed),
         "octonion": lambda: octonion_suite(seed=seed),
-        "reproducing": lambda: reproducing_suite(n=n, tol=tol, budget=budget),
     }
     reports, elapsed = [], {}
     for suite, run in suites.items():

@@ -27,7 +27,7 @@ from .geometry import (
     homogeneous_dim,
     translate,
 )
-from .hypercomplex import _PRODUCTS, Hypercomplex, left_mult_matrix, mul_arrays
+from .hypercomplex import _PRODUCTS, Hypercomplex, conj, left_mult_matrix, mul_arrays
 from .kernel import KernelOrder, newton_derivative, szego_density
 from .polyfrac import HyperFrac, RadialFraction, RatPoly, dirac_from_partials, eval_fractions
 from .quadrature import (
@@ -113,16 +113,13 @@ class TestFunctionSpec:
 
 @lru_cache(maxsize=None)
 def hardy_test_function_components(t):
-    """The four Newton-derivative components as a quaternionic HyperFrac."""
-    t0, t1, t2, t3 = t
-    return HyperFrac(
-        (
-            newton_derivative((t0 + 1, t1, t2, t3)),
-            -newton_derivative((t0, t1 + 1, t2, t3)),
-            -newton_derivative((t0, t1, t2 + 1, t3)),
-            -newton_derivative((t0, t1, t2, t3 + 1)),
-        )
-    )
+    """F_t = conj grad(d^t N), N = 1/|x|^2, as a quaternionic HyperFrac: the
+    conjugate of the four Newton derivatives d^(t + e_i) N."""
+    return HyperFrac(conj([newton_derivative(t[:i] + (t[i] + 1,) + t[i + 1 :]) for i in range(4)]))
+
+
+# nu = 1 + q_{n+1} at the base point (0, 1), where the checks read the test function
+_BASE_NU = (2, 0, 0, 0)
 
 
 def hardy_test_function(spec, point):
@@ -169,16 +166,13 @@ def closed_form_agreement_check():
     rationals at the base point (0, 1).
     """
     max_order = 6
-    origin = SiegelPoint(
-        (Hypercomplex.zero(4),), Hypercomplex.from_real(4, 1)
-    )
     checked = 0
     worst = None
     for t in _multi_indices(max_order):
         spec = TestFunctionSpec(1, t)
         if not spec.closed_form_parity():
             continue
-        direct = hardy_test_function(spec, origin)
+        direct = hardy_test_function_components(t).eval(_BASE_NU)
         closed = hardy_test_function_closed_form(spec)
         checked += 1
         if direct != closed:
@@ -217,23 +211,21 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
     if not spec.in_hardy_range():
         raise UsageError("spec outside the Hardy membership range")
     n = spec.n
-    direct = hardy_test_function(
-        spec, SiegelPoint(tuple(Hypercomplex.zero(4) for _ in range(n)), Hypercomplex.from_real(4, 1))
-    )
+    test_function = hardy_test_function_components(spec.t)
+    direct = test_function.eval(_BASE_NU)
     if direct.is_zero():
         raise ValueError("test function vanishes at (0,1): no relative deviation to test")
     direct_f = np.array([float(c) for c in direct.comps])
     density = szego_density(KernelOrder(n))
-    comps = hardy_test_function_components(spec.t).comps
 
     def fn(t1, t2, t3):
         # the t axes broadcast to the grid, so each power is taken once per
         # axis value; 1.0 is 1 + |w'|^2 at w' = 0 (see BoundaryIntegrand)
         s_vals = eval_fractions(density.body.comps, (1.0, -t1, -t2, -t3)) * density.prefactor()
-        f_vals = eval_fractions(comps, (1.0, t1, t2, t3))
+        f_vals = eval_fractions(test_function.comps, (1.0, t1, t2, t3))
         return mul_arrays(s_vals, f_vals, 4)
 
-    degrees = (density.body.degree(), hardy_test_function_components(spec.t).degree())
+    degrees = (density.body.degree(), test_function.degree())
     if None in degrees:
         raise ValueError(f"fractions are not homogeneous of one degree: {degrees}")
     integrand = BoundaryIntegrand(n=n, fn=fn, degree=sum(degrees))
@@ -329,7 +321,7 @@ def stein_weiss_check(f):
     d = f.dim
     if f.alg_dim != d:
         raise ValueError("component count must match variable count")
-    mu = [f.comps[0]] + [-c for c in f.comps[1:]]
+    mu = conj(f.comps)
     violations = []
     div = RadialFraction.zero(d)
     for i in range(d):
@@ -603,10 +595,7 @@ def action_compatibility_check(seed=0):
 
 def _conjugate_gradient_system(h_poly):
     """conj of the gradient of a harmonic polynomial: f = d0 H - sum di H e_i."""
-    d = h_poly.dim
-    comps = [RadialFraction.from_poly(h_poly.deriv(0))]
-    comps += [RadialFraction.from_poly(-h_poly.deriv(i)) for i in range(1, d)]
-    return HyperFrac(tuple(comps))
+    return HyperFrac.from_polys(conj([h_poly.deriv(i) for i in range(h_poly.dim)]))
 
 
 def _x(i):

@@ -226,6 +226,14 @@ def test_verify_all_seed_0_is_pinned(capsys):
     assert digest == "a1c9f6c28d23e1485abb73fb25fc016cee3bc111e356f5aa66edd36b1fa191fc"
 
 
+def test_verify_octonion_seed_3_is_pinned(capsys):
+    # the Stein-Weiss input and the corpus' conjugate gradients at a second seed
+    code, out, _ = run_cli(["verify", "octonion", "--seed", "3"], capsys)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "969733ccf065b2026c5e291011144366fb5ecf586866061c02336a65166b0ae2"
+
+
 @pytest.mark.parametrize(
     "n, want",
     [
@@ -384,6 +392,42 @@ def test_raising_suite_is_a_failing_report(monkeypatch, capsys):
     assert error["passed"] is False
     assert all("error" not in l for l in lines[:-1])
     assert "5/6 checks passed" in err
+
+
+@pytest.mark.parametrize("flag", [["--n", "6"], ["--budget", "1e4"]], ids=["n-outside-hardy-range", "budget"])
+def test_verify_all_usage_error_runs_no_other_suite(flag, monkeypatch, capsys):
+    # the reproducing suite raises the usage error, and it runs first
+    from qszego import suites
+
+    started = []
+    for name in ("algebra", "kernel", "geometry", "props", "octonion"):
+        monkeypatch.setattr(suites, f"{name}_suite", lambda name=name, **k: started.append(name) or [])
+    code, out, err = run_cli(["verify", "all"] + flag, capsys)
+    assert code == 2 and out == "" and started == []
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_verify_output_is_strict_json(monkeypatch, capsys):
+    # a failing exact report and a suite-error carry infinite deviations: written as null
+    from qszego import suites
+    from qszego.report import CheckReport
+
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    def raising(seed=0):
+        raise RuntimeError("boom")
+
+    for name in ("algebra", "kernel", "geometry", "octonion", "reproducing"):
+        stub = lambda name=name, **k: [CheckReport.from_flag(f"{name}-stub", {}, name != "kernel")]
+        monkeypatch.setattr(suites, f"{name}_suite", stub)
+    monkeypatch.setattr(suites, "props_suite", raising)
+    code, out, err = run_cli(["verify", "all"], capsys)
+    assert code == 1
+    lines = [json.loads(line, parse_constant=refuse) for line in out.splitlines()]
+    failing = [l for l in lines if not l["passed"]]
+    assert [l["name"] for l in failing] == ["kernel-stub", "suite-error"]
+    assert all(l["abs_deviation"] is None and l["rel_deviation"] is None for l in failing)
 
 
 def test_verify_prints_each_suite_time_on_stderr(monkeypatch, capsys):

@@ -344,6 +344,22 @@ def test_point_needs_a_horizontal_coordinate():
         SiegelPoint((), Hypercomplex.from_real(4, 1))
 
 
+@pytest.mark.parametrize(
+    "horizontal, dim, message",
+    [
+        ((), 4, "empty horizontal part"),
+        ((Hypercomplex.zero(4), Hypercomplex.zero(8)), 4, "mixed algebra dimensions"),
+        ((Hypercomplex.zero(8), Hypercomplex.zero(8)), 8, "single coordinate"),
+    ],
+    ids=["empty", "mixed", "two-octonionic"],
+)
+def test_points_and_elements_check_the_horizontal_part_alike(horizontal, dim, message):
+    with pytest.raises(ValueError, match=message):
+        SiegelPoint(horizontal, Hypercomplex.from_real(dim, 1))
+    with pytest.raises(ValueError, match=message):
+        GroupElement(horizontal, (0,) * (dim - 1))
+
+
 def _row(x, i):
     """Row i of nested sequences of float columns, as Python floats."""
     return tuple(_row(c, i) for c in x) if isinstance(x, tuple) else float(x[i])

@@ -16,10 +16,12 @@ from qszego.hypercomplex import (
     OCTONION_TRIPLES,
     Hypercomplex,
     associator,
+    conj,
     left_mult_matrix,
     mul_arrays,
     mult_table,
 )
+from qszego.polyfrac import RadialFraction, RatPoly
 
 
 def basis(dim, i):
@@ -109,6 +111,26 @@ def test_conjugation_antiautomorphism_10k(dim):
     for _ in range(10_000):
         a, b = _rand(rng, dim, 5), _rand(rng, dim, 5)
         assert (a * b).conj() == b.conj() * a.conj()
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_conj_of_components_is_the_hypercomplex_conjugate(dim):
+    rng = random.Random(7)
+    for _ in range(200):
+        a = Hypercomplex([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(dim)])
+        assert conj(a.comps) == a.conj().comps
+        assert Hypercomplex(conj(a.comps)) == a.conj()
+    assert conj((1, 2.5, -3.0)) == (1, -2.5, 3.0)
+
+
+def test_conj_acts_on_symbolic_components():
+    polys = [RatPoly.variable(4, i) * RatPoly.variable(4, 0) for i in range(4)]
+    assert conj(polys) == (polys[0], -polys[1], -polys[2], -polys[3])
+    assert conj(polys)[1].terms == {(1, 1, 0, 0): -1}
+    fracs = [RadialFraction(p, 2) for p in polys]
+    got = conj(fracs)
+    assert got[0] is fracs[0]
+    assert all(g.num == -f.num and g.k == 2 for g, f in zip(got[1:], fracs[1:]))
 
 
 @pytest.mark.parametrize("dim", [4, 8])

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from qszego.geometry import (
-    _conj,
     GroupElement,
     SiegelPoint,
     dilate_columns,
@@ -19,7 +18,7 @@ from qszego.geometry import (
     translate,
     translate_columns,
 )
-from qszego.hypercomplex import Hypercomplex, sum_squares
+from qszego.hypercomplex import Hypercomplex, conj, sum_squares
 from qszego.kernel import (
     KernelOrder,
     KernelValue,
@@ -214,7 +213,7 @@ def test_hermitian_symmetry():
     for _ in range(50):
         q, w = _random_interior(rng), _random_interior(rng)
         lhs = _kernel(q, w)
-        rhs = _conj(_kernel(w, q))
+        rhs = conj(_kernel(w, q))
         assert _close(lhs, rhs, rel=1e-12)
 
 

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qszego.hypercomplex import _PRODUCTS, Hypercomplex, left_mult_matrix, mult_table
-from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly, dirac_from_partials, radius_sq
+from qszego.polyfrac import (
+    MAX_EXPONENT,
+    HyperFrac,
+    RadialFraction,
+    RatPoly,
+    dirac_from_partials,
+    radius_sq,
+)
 
 
 def x(i, d=4):
@@ -22,6 +29,34 @@ def test_poly_ring_examples():
     assert prod.terms == {(1, 1, 0, 0): 1}
     scaled = (x(0) * x(0)).scale(Fraction(3, 2))
     assert scaled.terms == {(2, 0, 0, 0): Fraction(3, 2)}
+
+
+def test_poly_from_pairs_and_from_dict_agree():
+    terms = {(2, 0, 0, 0): Fraction(3, 2), (0, 1, 1, 0): -4, (0, 0, 0, 0): 0}
+    a, b = RatPoly(4, terms), RatPoly(4, list(terms.items()))
+    assert a == b and a.terms == b.terms
+    assert list(a.terms) == [(2, 0, 0, 0), (0, 1, 1, 0)]  # the zero coefficient is dropped
+    # a repeated key adds up in order; a sum that cancels deletes the key
+    pairs = [((1, 0, 0, 0), 2), ((0, 1, 0, 0), 5), ((1, 0, 0, 0), -2), ((0, 1, 0, 0), 1)]
+    assert RatPoly(4, pairs).terms == {(0, 1, 0, 0): 6}
+    assert RatPoly(4, None) == RatPoly(4, []) == RatPoly(4, {}) == RatPoly.zero(4)
+
+
+@pytest.mark.parametrize("key, message", [((1, 0, 0), "key length"), ((MAX_EXPONENT, 0, 0, 0), "exponent")])
+def test_poly_rejects_bad_keys_in_either_form(key, message):
+    with pytest.raises(ValueError, match=message):
+        RatPoly(4, {key: 1})
+    with pytest.raises(ValueError, match=message):
+        RatPoly(4, [(key, 1)])
+
+
+def test_poly_product_cancels_and_checks_exponents():
+    a = x(0) + x(1)
+    b = x(0) - x(1)
+    assert (a * b).terms == {(2, 0, 0, 0): 1, (0, 2, 0, 0): -1}  # the x0*x1 terms cancel
+    big = RatPoly(4, {(MAX_EXPONENT - 1, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="exponent overflow"):
+        big * x(0)
 
 
 def test_poly_dimension_mismatch():

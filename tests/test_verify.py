@@ -10,7 +10,7 @@ import pytest
 
 from qszego.geometry import SiegelPoint
 from qszego.hypercomplex import Hypercomplex
-from qszego.kernel import KernelOrder, szego_density
+from qszego.kernel import KernelOrder, cauchy_kernel, newton_derivative, szego_density
 from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
 from qszego import verify
 from qszego.quadrature import QuadratureResult, SqrtPiRational, gamma_half, sphere_moment
@@ -199,6 +199,27 @@ def test_test_function_degree():
     # F_t combines partials of order |t| + 1 of |x|^-2: degree -(|t| + 3)
     for t in _multi_indices(4):
         assert hardy_test_function_components(t).degree() == -(sum(t) + 3)
+
+
+def test_test_function_is_the_conjugate_gradient_of_a_newton_derivative():
+    # F_t = conj grad(d^t N): component 0 is d^(t+e0) N, component i is -d^(t+e_i) N
+    for t in _multi_indices(2):
+        comps = hardy_test_function_components(t).comps
+        for i, c in enumerate(comps):
+            partial = newton_derivative(tuple(v + (j == i) for j, v in enumerate(t)))
+            assert c == (partial if i == 0 else -partial)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_szego_density_is_a_test_function(n):
+    # the m = 4 density body is -1/2 F_(2n,0,0,0), exactly
+    want = hardy_test_function_components((2 * n, 0, 0, 0)).scale(Fraction(-1, 2))
+    assert szego_density(KernelOrder(n)).body == want
+
+
+def test_cauchy_kernel_is_a_test_function():
+    # conj(x)/|x|^4 = -1/2 conj grad(1/|x|^2) = -1/2 F_0
+    assert cauchy_kernel(4).body == hardy_test_function_components((0, 0, 0, 0)).scale(Fraction(-1, 2))
 
 
 @pytest.mark.parametrize("k", range(7))
