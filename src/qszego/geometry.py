@@ -15,10 +15,12 @@ raises ``TypeError``.  Each map of the half space is one formula over
 component sequences (:func:`translate_columns`, :func:`dilate_columns`,
 :func:`rotate_columns`, :func:`nu_columns` and :func:`cayley_columns`),
 whose components may be exact or float scalars or float columns, one row
-per point; the first four also run on ``RatPoly`` components.  The object
-maps run the formulas on exact components; the float checks run them on
-columns, so a block of points costs one pass of array operations, and every
-row has the bits of the formula on that row's floats.
+per point; the first four also run on ``RatPoly`` components.  The group
+law is one such formula too, :func:`group_mul_columns`, which also runs on
+numpy object columns of exact values.  The object maps run the formulas on
+exact components; the float checks run them on columns, so a block of
+points costs one pass of array operations, and every row has the bits of
+the formula on that row's floats.
 """
 
 from __future__ import annotations
@@ -119,9 +121,15 @@ class GroupElement:
         return self.omega[0].dim
 
 
+# the algebra dimension and the printed t-part convention of each group
+_GROUP_DIM = {"quaternionic": 4, "octonionic": 8}
+_PRINTED_CONVENTION = {"quaternionic": "minus_conj_beta_alpha", "octonionic": "plus_conj_alpha_beta"}
+
+
 def identity_element(kind, n=1):
-    dim = 4 if kind == "quaternionic" else 8
-    n = 1 if kind == "octonionic" else n
+    if kind not in _GROUP_DIM:
+        raise ValueError(f"unknown group kind {kind!r}; choose 'quaternionic' or 'octonionic'")
+    dim = _GROUP_DIM[kind]
     return GroupElement(tuple(Hypercomplex.zero(dim) for _ in range(n)), (0,) * (dim - 1))
 
 
@@ -170,32 +178,40 @@ def nu_columns(q, v, omega, u):
     return tuple((a + b) - c * 2 for a, b, c in zip(v, conj(u), _pairing(omega, q)))
 
 
-def group_mul_with_convention(a, b, convention):
-    """Product [alpha,t][beta,s] with an explicit t-part convention.
+def group_mul_columns(alpha, t, beta, s, convention):
+    """The product [alpha, t][beta, s] of group elements given as horizontal
+    parts and t sequences, with an explicit t-part convention:
 
     ``minus_conj_beta_alpha``: t_i + s_i - 2 Im_i(conj(beta) . alpha)
     ``plus_conj_alpha_beta``:  t_i + s_i + 2 Im_i(conj(alpha) . beta)
 
     The two agree identically because conj(beta).alpha and conj(alpha).beta
     are conjugates of each other; both are kept so the compatibility suite
-    can exercise each printed form.
+    can exercise each printed form.  Returns the horizontal part and the t
+    sequence of the product.
     """
-    if a.kind != b.kind or a.n != b.n:
-        raise ValueError("group kind/shape mismatch")
     if convention == "minus_conj_beta_alpha":
-        inner = tuple(-c for c in _pairing(_comps(b.omega), _comps(a.omega)))
+        inner = tuple(-c for c in _pairing(beta, alpha))
     elif convention == "plus_conj_alpha_beta":
-        inner = _pairing(_comps(a.omega), _comps(b.omega))
+        inner = _pairing(alpha, beta)
     else:
         raise ValueError(f"unknown convention {convention!r}")
-    omega = tuple(wa + wb for wa, wb in zip(a.omega, b.omega))
-    return GroupElement(omega, tuple(ta + sb + c * 2 for ta, sb, c in zip(a.t, b.t, inner[1:])))
+    omega = tuple(tuple(a + b for a, b in zip(wa, wb)) for wa, wb in zip(alpha, beta))
+    return omega, tuple(ta + sb + c * 2 for ta, sb, c in zip(t, s, inner[1:]))
+
+
+def group_mul_with_convention(a, b, convention):
+    """Product [alpha,t][beta,s] of two elements of one group, with an
+    explicit t-part convention (see :func:`group_mul_columns`)."""
+    if a.kind != b.kind or a.n != b.n:
+        raise ValueError("group kind/shape mismatch")
+    omega, t = group_mul_columns(_comps(a.omega), a.t, _comps(b.omega), b.t, convention)
+    return GroupElement(tuple(Hypercomplex(w) for w in omega), t)
 
 
 def group_mul(a, b):
     """Heisenberg product, using each group's printed convention."""
-    conv = "minus_conj_beta_alpha" if a.kind == "quaternionic" else "plus_conj_alpha_beta"
-    return group_mul_with_convention(a, b, conv)
+    return group_mul_with_convention(a, b, _PRINTED_CONVENTION[a.kind])
 
 
 def group_inverse(h):

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import verify
 from .geometry import (
+    _PRINTED_CONVENTION,
     GroupElement,
     SiegelPoint,
     boundary_param,
@@ -25,6 +26,7 @@ from .geometry import (
     dilate_element,
     group_inverse,
     group_mul,
+    group_mul_columns,
     homogeneous_dim,
     identity_element,
     nu_columns,
@@ -38,7 +40,7 @@ from .hypercomplex import (
     OCTONION_TRIPLES,
     QUATERNION_TRIPLES,
     Hypercomplex,
-    associator,
+    conj,
     mult_table,
     sum_squares,
 )
@@ -59,15 +61,17 @@ from .quadrature import (
     parseval_identity_check,
 )
 from .report import CheckReport, UsageError
-from .verify import _multi_indices, _rand_exact, _rand_fraction, _randint
+from .verify import _multi_indices, _rand_exact, _rand_fraction, _randint, _randints
 
 SUITE_NAMES = ("all", "algebra", "kernel", "geometry", "props", "reproducing", "octonion")
 
 
-# The float Cayley checks run on blocks of at most this many points, which
-# bounds their memory; the draws of a block are those of drawing its points
-# one at a time.
-CAYLEY_BLOCK = 1000
+# The sampled checks run on blocks of at most this many samples, which
+# bounds their memory; the draws of a block are those of drawing its samples
+# one at a time.  The group-law blocks hold Python ints and Fractions, so
+# they are smaller.
+SAMPLE_BLOCK = 1000
+GROUP_BLOCK = 200
 # bounds of the uniform draws, per column: tau1, the height (round trip
 # only), then Im tau2
 _ROUNDTRIP_LOW = [-1.0] * 8 + [0.05] + [-2.0] * 7
@@ -81,15 +85,48 @@ _INVARIANCE_POINT = [(-1, 1)] * 4 + [(0.2, 2.0)] + [(-1, 1)] * 3
 _INVARIANCE_BOUNDS = _INVARIANCE_POINT * 2 + [(0.5, 2.0)] + [(-1, 1)] * 11
 
 
-def _blocks(total):
-    """Sizes of the blocks of at most CAYLEY_BLOCK points that make up ``total``."""
-    return [min(CAYLEY_BLOCK, total - start) for start in range(0, total, CAYLEY_BLOCK)]
+def _blocks(total, block=SAMPLE_BLOCK):
+    """Sizes of the blocks of at most ``block`` samples that make up ``total``."""
+    return [min(block, total - start) for start in range(0, total, block)]
 
 
 def _row_deviation(got, want):
     """The largest max|got - want| of a row, over the norm of that row of ``want`` (at least 1e-300)."""
     norm = np.maximum(np.sqrt(np.sum(want * want, axis=1)), 1e-300)
     return float(np.max(np.max(np.abs(got - want), axis=1) / norm))
+
+
+def _exact_columns(rng, size, factors, dim, span=9):
+    """The int64 component columns of ``size`` samples of ``factors``
+    elements each, one tuple of ``dim`` columns per factor, drawn as
+    ``_rand_exact(rng, dim, span)`` draws them sample by sample."""
+    draws = _randints(rng, -span, span, size * factors * dim).reshape(size, factors, dim)
+    return [tuple(draws[:, f, i] for i in range(dim)) for f in range(factors)]
+
+
+def _element_columns(draws, n, dim):
+    """The horizontal part and t columns of the group elements whose draws are
+    the rows of ``draws``: n * dim components, then the t components."""
+    omega = tuple(tuple(draws[:, i : i + dim].T) for i in range(0, n * dim, dim))
+    return omega, tuple(draws[:, n * dim :].T)
+
+
+def _element_comps(omega, t):
+    """The components of a group element's horizontal part, then its t components."""
+    return [c for w in omega for c in w] + list(t)
+
+
+def _differ(lhs, rhs):
+    """Per row: whether any component column of ``lhs`` differs from that of ``rhs``."""
+    return np.any(np.stack(lhs) != np.stack(rhs), axis=0)
+
+
+def _failing_samples(failing, *factors):
+    """The to_text() of each factor, per sample where ``failing`` holds, in sample order."""
+    return [
+        tuple(Hypercomplex([int(c[row]) for c in f]).to_text() for f in factors)
+        for row in np.flatnonzero(failing)
+    ]
 
 
 def _report_counterexamples(name, inputs, bad, count):
@@ -124,38 +161,43 @@ def algebra_suite(seed=0):
                 bad.append((dim, i, i))
     reports.append(_report_counterexamples("mult-table-generators", {}, bad, 7 * 3 * 2 + 32))
 
+    # The sampled identities run on int64 component columns, one block of
+    # samples at a time, through the product, conjugate and sum of squares
+    # that Hypercomplex runs.  They are exact: the components lie in [-9, 9]
+    # and there are at most three factors, so no intermediate exceeds
+    # 8 * (8 * 81) * 9 = 46,656 (that of (xx)y), nor a squared norm
+    # 8 * 648^2 < 3.4e6, far below 2^63.
     for dim in (4, 8):
-        bad = []
-        for _ in range(2000):
-            a, b = _rand_exact(rng, dim), _rand_exact(rng, dim)
-            if (a * b).norm_sq() != a.norm_sq() * b.norm_sq():
-                bad.append((a.to_text(), b.to_text()))
+        mul, bad = _PRODUCTS[dim], []
+        for size in _blocks(2000):
+            a, b = _exact_columns(rng, size, 2, dim)
+            bad += _failing_samples(sum_squares(mul(a, b)) != sum_squares(a) * sum_squares(b), a, b)
         reports.append(
             _report_counterexamples("norm-multiplicativity", {"dim": dim}, bad, 2000)
         )
 
     for dim in (4, 8):
-        bad = []
-        for _ in range(10_000):
-            a, b = _rand_exact(rng, dim, span=5), _rand_exact(rng, dim, span=5)
-            if (a * b).conj() != b.conj() * a.conj():
-                bad.append((a.to_text(), b.to_text()))
+        mul, bad = _PRODUCTS[dim], []
+        for size in _blocks(10_000):
+            a, b = _exact_columns(rng, size, 2, dim, span=5)
+            bad += _failing_samples(_differ(conj(mul(a, b)), mul(conj(b), conj(a))), a, b)
         reports.append(
             _report_counterexamples("conjugation-antiautomorphism", {"dim": dim}, bad, 10_000)
         )
 
-    bad = []
-    for _ in range(1000):
-        a, b, c = (_rand_exact(rng, 4) for _ in range(3))
-        if (a * b) * c != a * (b * c):
-            bad.append((a.to_text(), b.to_text(), c.to_text()))
+    mul, bad = _PRODUCTS[4], []
+    for size in _blocks(1000):
+        a, b, c = _exact_columns(rng, size, 3, 4)
+        bad += _failing_samples(_differ(mul(mul(a, b), c), mul(a, mul(b, c))), a, b, c)
     reports.append(_report_counterexamples("quaternion-associativity", {}, bad, 1000))
 
-    bad = []
-    for _ in range(1000):
-        x, y = _rand_exact(rng, 8), _rand_exact(rng, 8)
-        if not associator(x, x, y).is_zero() or not associator(x.conj(), x, y).is_zero():
-            bad.append((x.to_text(), y.to_text()))
+    mul, bad = _PRODUCTS[8], []
+    for size in _blocks(1000):
+        x, y = _exact_columns(rng, size, 2, 8)
+        xy, xc = mul(x, y), conj(x)
+        # the associators (x, x, y) and (conj x, x, y)
+        failing = _differ(mul(mul(x, x), y), mul(x, xy)) | _differ(mul(mul(xc, x), y), mul(xc, xy))
+        bad += _failing_samples(failing, x, y)
     reports.append(_report_counterexamples("octonion-alternativity", {}, bad, 1000))
 
     bad = []
@@ -295,19 +337,29 @@ def geometry_suite(seed=0):
         ("quaternionic", 4, 3, 2),
         ("octonionic", 8, 7, 1),
     ):
+        def rand_draws():
+            """One element's draws: its n * dim components, then its t components."""
+            return [_randint(rng, -4, 4) for _ in range(n * dim)] + [
+                _rand_fraction(rng, 6, 3) for _ in range(tn)
+            ]
+
         def rand_el():
+            draws = rand_draws()
             return GroupElement(
-                tuple(_rand_exact(rng, dim, 4) for _ in range(n)),
-                tuple(_rand_fraction(rng, 6, 3) for _ in range(tn)),
+                tuple(Hypercomplex(draws[i : i + dim]) for i in range(0, n * dim, dim)), draws[n * dim :]
             )
 
-        bad = []
+        # associativity runs the group law on object columns of exact ints
+        # and Fractions (t is rational, so it cannot be int64)
+        conv, associative = _PRINTED_CONVENTION[kind], True
+        for size in _blocks(1000, GROUP_BLOCK):
+            draws = np.array([[rand_draws() for _ in range(3)] for _ in range(size)], dtype=object)
+            a, b, c = (_element_columns(draws[:, f], n, dim) for f in range(3))
+            lhs = group_mul_columns(*group_mul_columns(*a, *b, conv), *c, conv)
+            rhs = group_mul_columns(*a, *group_mul_columns(*b, *c, conv), conv)
+            associative = associative and not np.any(_differ(_element_comps(*lhs), _element_comps(*rhs)))
+        bad = [] if associative else ["associativity"]
         ident = identity_element(kind, n)
-        for _ in range(1000):
-            a, b, c = rand_el(), rand_el(), rand_el()
-            if group_mul(group_mul(a, b), c) != group_mul(a, group_mul(b, c)):
-                bad.append("associativity")
-                break
         for _ in range(100):
             a = rand_el()
             if group_mul(a, ident) != a or group_mul(ident, a) != a:

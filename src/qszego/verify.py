@@ -60,6 +60,35 @@ def _randint(rng, low, high):
     return low + r
 
 
+def _randints(rng, low, high, count):
+    """``count`` integers as an int64 array, drawn as ``count`` calls of
+    :func:`_randint` draw them, and leaving ``rng`` in the same state.
+
+    For k <= 32, ``getrandbits(k)`` is one 32-bit Mersenne word shifted right
+    by 32 - k, and ``getrandbits(32 * m)`` is m such words, the first the
+    least significant.  So m words, shifted, give the candidates of the
+    scalar loop in order; the ones below the range size are its draws.  Each
+    draw takes at least one word, so taking one word per missing draw never
+    takes a word past the last draw.  An empty range raises ``ValueError``
+    before any draw."""
+    n = high - low + 1
+    if n < 1:
+        raise ValueError(f"empty range for _randints({low}, {high})")
+    k = n.bit_length()
+    if k > 32:
+        raise ValueError(f"range of _randints({low}, {high}) wider than 2**32 values")
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        need = count - done
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
+        kept = words >> (32 - k)
+        kept = kept[kept < n]
+        out[done : done + len(kept)] = kept
+        done += len(kept)
+    return out + low
+
+
 def _rand_exact(rng, dim, span=9):
     """Components drawn as ``rng.randint(-span, span)`` draws them."""
     return Hypercomplex([_randint(rng, -span, span) for _ in range(dim)])

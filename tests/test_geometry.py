@@ -19,6 +19,7 @@ from qszego.geometry import (
     dilate_element,
     group_inverse,
     group_mul,
+    group_mul_columns,
     group_mul_with_convention,
     homogeneous_dim,
     identity_element,
@@ -308,6 +309,46 @@ def test_octonionic_translation_height():
         h = GroupElement((rand_oct(rng),), tuple(rng.randint(-4, 4) for _ in range(7)))
         p = SiegelPoint((rand_oct(rng),), rand_oct(rng))
         assert translate(h, p).height() == p.height()
+
+
+def test_identity_element_checks_its_kind_and_n():
+    for kind in ("quaternonic", "Quaternionic", "complex"):
+        with pytest.raises(ValueError, match="'quaternionic' or 'octonionic'"):
+            identity_element(kind, 1)
+    with pytest.raises(ValueError, match="single coordinate"):
+        identity_element("octonionic", 3)
+    assert identity_element("octonionic").n == 1
+    assert identity_element("quaternionic", 2) == GroupElement((Hypercomplex.zero(4),) * 2, (0, 0, 0))
+
+
+@pytest.mark.parametrize("kind, n", [("quaternionic", 1), ("quaternionic", 2), ("octonionic", 1)])
+def test_group_mul_columns_on_object_columns_is_the_object_product(kind, n):
+    rng = random.Random(23)
+    dim, rows = (4 if kind == "quaternionic" else 8), 30
+
+    def element():
+        return GroupElement(
+            tuple(Hypercomplex([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(n)),
+            tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(dim - 1)),
+        )
+
+    def columns(elements):
+        omega = tuple(
+            tuple(np.array([h.omega[j].comps[i] for h in elements], dtype=object) for i in range(dim))
+            for j in range(n)
+        )
+        return omega, tuple(np.array([h.t[i] for h in elements], dtype=object) for i in range(dim - 1))
+
+    a, b = [element() for _ in range(rows)], [element() for _ in range(rows)]
+    for conv in ("minus_conj_beta_alpha", "plus_conj_alpha_beta"):
+        omega, t = group_mul_columns(*columns(a), *columns(b), conv)
+        for row in range(rows):
+            got = GroupElement(
+                tuple(Hypercomplex([c[row] for c in w]) for w in omega), tuple(c[row] for c in t)
+            )
+            assert got == group_mul_with_convention(a[row], b[row], conv)
+    with pytest.raises(ValueError, match="unknown convention"):
+        group_mul_columns(*columns(a), *columns(b), "conj_alpha_beta")
 
 
 def test_kind_mismatch_raises():

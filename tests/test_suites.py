@@ -2,18 +2,26 @@
 draw in the package goes through them."""
 
 import ast
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import qszego
-from qszego import verify
-from qszego.hypercomplex import Hypercomplex
+from qszego import hypercomplex, suites, verify
+from qszego.hypercomplex import Hypercomplex, associator
 from qszego.polyfrac import HyperFrac, RatPoly
-from qszego.verify import _rand_exact, _rand_fraction, _randint, _random_rational_hypercomplex
+from qszego.verify import (
+    _rand_exact,
+    _rand_fraction,
+    _randint,
+    _randints,
+    _random_rational_hypercomplex,
+)
 
 SOURCES = sorted(Path(qszego.__file__).parent.glob("*.py"))
 
@@ -50,6 +58,18 @@ def _reference_random_functions(rng):
     return funcs
 
 
+def _recording_random(monkeypatch, module):
+    """Make ``module.random.Random`` record each generator it makes; returns the list."""
+    made = []
+
+    def recorded(s):
+        made.append(random.Random(s))
+        return made[-1]
+
+    monkeypatch.setattr(module, "random", SimpleNamespace(Random=recorded))
+    return made
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_seeded_draws_follow_the_randint_stream(seed, monkeypatch):
     # rationals draw the numerator, then the denominator, as
@@ -67,13 +87,7 @@ def test_seeded_draws_follow_the_randint_stream(seed, monkeypatch):
     assert fast.getstate() == reference.getstate()
 
     # cr_corpus draws its random functions from its own generator
-    made = []
-
-    def recorded(s):
-        made.append(random.Random(s))
-        return made[-1]
-
-    monkeypatch.setattr(verify, "random", SimpleNamespace(Random=recorded))
+    made = _recording_random(monkeypatch, verify)
     corpus = verify.cr_corpus(seed)
     reference = random.Random(seed)
     expected = _reference_random_functions(reference)
@@ -95,6 +109,7 @@ def test_every_integer_draw_goes_through_the_verify_helpers():
                 calls.append(f"{path.name}:{node.lineno}")
             if isinstance(node, ast.FunctionDef) and node.name in (
                 "_randint",
+                "_randints",
                 "_rand_exact",
                 "_rand_fraction",
             ):
@@ -104,7 +119,91 @@ def test_every_integer_draw_goes_through_the_verify_helpers():
         ("verify.py", "_rand_exact"),
         ("verify.py", "_rand_fraction"),
         ("verify.py", "_randint"),
+        ("verify.py", "_randints"),
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_bulk_draws_are_the_scalar_draws(seed):
+    # values and the stream left behind, including a one-value range
+    for low, high in ((-9, 9), (-5, 5), (-4, 4), (1, 3), (0, 0)):
+        for count in (0, 1, 160_000):
+            bulk, scalar = random.Random(seed), random.Random(seed)
+            got = _randints(bulk, low, high, count)
+            assert got.dtype == np.int64
+            assert got.tolist() == [_randint(scalar, low, high) for _ in range(count)]
+            assert bulk.getstate() == scalar.getstate()
+    # a wider range is not one shifted word per candidate
+    with pytest.raises(ValueError, match=r"wider than 2\*\*32"):
+        _randints(random.Random(seed), 0, 2**32, 1)
+
+
+# sha256 of repr(getstate()) of the suite's generator after a passing run
+_SUITE_STREAMS = {
+    ("algebra_suite", 0): "cf7f0f888a86a21650e02ea4d4597c0ceb3fea4f553d085dcbfbb290b29f184f",
+    ("algebra_suite", 7): "dff1d07bddcd060f6c9976c713975389d59d7d4c8635231e74b9539a65035e2e",
+    ("geometry_suite", 0): "a35ef0f8700d7cbe200dd5b177c91b91937a689b6cdbaeffc28188f4858ef5d4",
+    ("geometry_suite", 7): "fa2919f62e7758d1b44fbbc83e9acbb9f02c5a2983a013f50584b0aec81f1462",
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(_SUITE_STREAMS))
+def test_suites_keep_their_draws(suite, seed, monkeypatch):
+    # a passing report does not show its samples, so the stream is pinned:
+    # every check draws as many values, in the same order, as the scalar loops
+    made = _recording_random(monkeypatch, suites)
+    assert all(r.passed for r in getattr(suites, suite)(seed))
+    assert len(made) == 1
+    assert hashlib.sha256(repr(made[0].getstate()).encode()).hexdigest() == _SUITE_STREAMS[suite, seed]
+
+
+def _scalar_counterexamples(seed):
+    """The rhs of algebra_suite's sampled integer identities, keyed by name and
+    dim, from scalar loops over Hypercomplex values on the suite's draws."""
+    rng = random.Random(seed)
+    found = {}
+    for dim in (4, 8):
+        bad = []
+        for _ in range(2000):
+            a, b = _rand_exact(rng, dim), _rand_exact(rng, dim)
+            if (a * b).norm_sq() != a.norm_sq() * b.norm_sq():
+                bad.append((a.to_text(), b.to_text()))
+        found["norm-multiplicativity", dim] = bad
+    for dim in (4, 8):
+        bad = []
+        for _ in range(10_000):
+            a, b = _rand_exact(rng, dim, span=5), _rand_exact(rng, dim, span=5)
+            if (a * b).conj() != b.conj() * a.conj():
+                bad.append((a.to_text(), b.to_text()))
+        found["conjugation-antiautomorphism", dim] = bad
+    bad = []
+    for _ in range(1000):
+        a, b, c = (_rand_exact(rng, 4) for _ in range(3))
+        if (a * b) * c != a * (b * c):
+            bad.append((a.to_text(), b.to_text(), c.to_text()))
+    found["quaternion-associativity", None] = bad
+    bad = []
+    for _ in range(1000):
+        x, y = _rand_exact(rng, 8), _rand_exact(rng, 8)
+        if not associator(x, x, y).is_zero() or not associator(x.conj(), x, y).is_zero():
+            bad.append((x.to_text(), y.to_text()))
+    found["octonion-alternativity", None] = bad
+    return {key: bad or "holds" for key, bad in found.items()}
+
+
+@pytest.mark.parametrize("dim, check", [(8, "octonion-alternativity"), (4, "quaternion-associativity")])
+def test_column_checks_catch_a_wrong_product_and_report_it_as_the_scalar_loop(dim, check, monkeypatch):
+    # e1 e2 = -e3 in place of e3: a product that is no longer alternative
+    # (dim 8) or associative (dim 4)
+    table = [list(row) for row in hypercomplex._TABLES[dim]]
+    k, sign = table[1][2]
+    table[1][2] = (k, -sign)
+    monkeypatch.setitem(hypercomplex._TABLES, dim, tuple(tuple(row) for row in table))
+    monkeypatch.setitem(hypercomplex._PRODUCTS, dim, hypercomplex._make_product(dim))
+    reports = {(r.name, r.inputs.get("dim")): r for r in suites.algebra_suite(0)}
+    assert not reports[check, None].passed
+    expected = _scalar_counterexamples(0)
+    assert {key: reports[key].rhs for key in expected} == expected
 
 
 class _BoundedBits:
@@ -127,6 +226,8 @@ def test_randint_rejects_an_empty_range_before_drawing(low, high):
     rng = _BoundedBits()
     with pytest.raises(ValueError, match="empty range"):
         _randint(rng, low, high)
+    with pytest.raises(ValueError, match="empty range"):
+        _randints(rng, low, high, 5)
     assert rng.calls == 0
     with pytest.raises(ValueError, match="empty range"):
         random.Random(0).randint(low, high)
