@@ -17,6 +17,7 @@ call), while ``verify.reproducing_check`` and ``verify._kernel_abs`` call
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +55,16 @@ class KernelValue:
     comps: tuple
 
     def __abs__(self):
-        return math.sqrt(sum_squares(self.comps))
+        """sqrt(c0*c0 + c1*c1 + ...).  Only when that sum of squares overflows
+        or falls below the normal floats are the components first scaled by
+        an exact power of two, so a value in the ordinary range keeps the bits
+        of the plain formula; a modulus beyond the float range raises
+        ``OverflowError``."""
+        total = sum_squares(self.comps)
+        if sys.float_info.min <= total < math.inf:
+            return math.sqrt(total)
+        e = math.frexp(max(abs(c) for c in self.comps))[1]
+        return math.ldexp(math.sqrt(sum_squares([math.ldexp(c, -e) for c in self.comps])), e)
 
 
 @dataclass(frozen=True)

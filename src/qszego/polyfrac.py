@@ -19,13 +19,12 @@ axis value instead of once per point.  It evaluates any number of fractions
 in one pass that shares each power x_i**e, |x|^2 and |x|^(2k) across them,
 in blocks of at most ``_ROWS`` points, with the term-by-term loop's values
 bit for bit; a float fault raises ``FloatingPointError``, on a grid as at
-one point.  numpy's power of a value does not depend on the array holding
-it, so an axis column gives the bits of the whole-grid power; a numpy or
-Python scalar does not (its power is another routine, which rounds
-differently), so the evaluator turns every column into an array, and a
-caller must not raise a coordinate to a power as a scalar before passing
-it.  ``eval_array`` of a fraction or a ``HyperFrac`` passes its points
-array as columns.
+one point.  Every power is a chain of IEEE products, x^e = x^(e//2) *
+x^(e - e//2), so its bits depend on the value alone: an axis column, a
+one-element column and a scalar give the bits of the whole-grid power,
+and scaling a point by 2^j scales each power by 2^(je) exactly while
+nothing overflows or underflows.  ``eval_array`` of a fraction or a
+``HyperFrac`` passes its points array as columns.
 
 All values are immutable, all operations are pure.
 """
@@ -377,6 +376,15 @@ class RadialFraction:
 _ROWS = 4096
 
 
+def _power(table, e):
+    """x**e as x**(e // 2) * x**(e - e // 2), for a ``table`` that holds x
+    under the key 1; every power the rule forms is stored in ``table``."""
+    p = table.get(e)
+    if p is None:
+        p = table[e] = _power(table, e // 2) * _power(table, e - e // 2)
+    return p
+
+
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def eval_fractions(fracs, cols):
     """Float values of the fractions ``fracs`` at the points given by ``cols``.
@@ -391,12 +399,14 @@ def eval_fractions(fracs, cols):
     |x|^2 = ((x_0^2 + x_1^2) + x_2^2) + ... (the order of
     ``np.sum(x * x, axis=-1)`` for dim < 8, which holds every fraction with
     k > 0 evaluated in floats here) and |x|^(2k) once; all are shared by all
-    terms of all fractions.  Each term is c * x_i**e * ... in key order, each
-    partial product on its own broadcast shape, the terms are summed in
-    order from +0.0 and the sum is divided by |x|^(2k), so the values are
-    those of evaluating every term at every point, bit for bit.  A column
-    that is a scalar becomes a one-element array before any power is taken
-    (see the module docstring).
+    terms of all fractions.  Both kinds of power follow one rule, x^e =
+    x^(e//2) * x^(e - e//2), with every intermediate power kept in the
+    block's table, so x^e is within (e - 1) * 2^-53 relative of the exact
+    power and does not depend on numpy's ``**``.  Each term is
+    c * x_i**e * ... in key order, each partial product on its own
+    broadcast shape, the terms are summed in order from +0.0 and the sum is
+    divided by |x|^(2k), so the values are those of evaluating every term
+    at every point, bit for bit.
     """
     cols = [np.asarray(c, dtype=float) for c in cols]
     true_shape = np.broadcast_shapes(*(c.shape for c in cols))
@@ -415,20 +425,23 @@ def eval_fractions(fracs, cols):
     step = max(1, _ROWS // max(1, math.prod(shape[1:])))
     for start in range(0, shape[0], step):
         block = [np.ascontiguousarray(c if len(c) == 1 else c[start : start + step]) for c in cols]
-        pw = {(i, 1): c for i, c in enumerate(block)}
-        pw.update(((i, e), block[i] ** e) for i, e in powers)
+        pw = [{1: c} for c in block]
+        for i, e in powers:
+            _power(pw[i], e)
         if radial:
             r2 = block[0] * block[0]
             for c in block[1:]:
                 r2 = r2 + c * c
-            r2k = {k: r2**k for k in radial}
+            r2k = {1: r2}
+            for k in radial:
+                _power(r2k, k)
         rows = out[start : start + step]
         for j, (k, terms) in enumerate(plans):
             acc = np.zeros(rows.shape[:-1])
             for c, factors in terms:
                 term = c
-                for ie in factors:
-                    term = term * pw[ie]
+                for i, e in factors:
+                    term = term * pw[i][e]
                 acc += term
             if k:
                 np.divide(acc, r2k[k], out=rows[..., j])

@@ -520,7 +520,10 @@ def kernel_decay_check(n=1, samples=100_000, seed=0):
     sample shells 1 <= rho <= 10 and 10 <= rho <= 100; stability (ratio < 2)
     is the verdict.  The derivatives are exact: K(y, t) = s(|y|^2, t), so
     dK/dy_i = 2 y_i d_0 s and dK/dt_j = d_(j+1) s, with the partials of the
-    density body s taken symbolically once.
+    density body s taken symbolically once.  The report's inputs are what
+    the check is given (n, samples, the shells); ``lhs`` holds what it
+    measures (the suprema, their ratios, the dilation deviation) and
+    ``rhs`` the bounds the verdict compares them with.
     """
     order = KernelOrder(n)
     d = homogeneous_dim(n)
@@ -540,8 +543,9 @@ def kernel_decay_check(n=1, samples=100_000, seed=0):
         worst_inv = max(worst_inv, dev)
         inv_ok = inv_ok and dev <= 1e-12
 
+    shells = [[1.0, 10.0], [10.0, 100.0]]
     sups = []
-    for rho_lo, rho_hi in ((1.0, 10.0), (10.0, 100.0)):
+    for rho_lo, rho_hi in shells:
         y, tau, rho = _sample_shell(rng, n, rho_lo, rho_hi, samples)
         k, ds0, *ds_t = _kernel_abs(fracs, scale, y, tau)
         k_sup = float(np.max(k * rho**d))
@@ -557,9 +561,9 @@ def kernel_decay_check(n=1, samples=100_000, seed=0):
     # not ``within``: the verdict is the strict ratio < 2 on every shell pair
     return CheckReport(
         name="kernel-decay",
-        inputs={"n": n, "samples": samples, "suprema": sups, "ratios": ratios, "dilation_dev": worst_inv},
-        lhs=sups[0],
-        rhs=sups[1],
+        inputs={"n": n, "samples": samples, "shells": shells},
+        lhs={"suprema": sups, "ratios": ratios, "dilation_dev": worst_inv},
+        rhs={"ratios": 2.0, "dilation_dev": 1e-12},
         abs_deviation=max(ratios.values()) - 1.0,
         rel_deviation=max(ratios.values()) - 1.0,
         tolerance=1.0,

@@ -354,12 +354,12 @@ def test_criterion_10_projection_kernel_estimates():
     t0 = time.time()
     rep = kernel_decay_check(1, samples=100_000, seed=5)
     elapsed = time.time() - t0
-    ratios = rep.inputs["ratios"]
+    ratios = rep.lhs["ratios"]
     assert _report(
         10,
         "projection kernel size estimates stable across shells",
         rep.passed,
         f"ratios K={ratios['K']:.3f} dy={ratios['dK_dy']:.3f} dt={ratios['dK_dt']:.3f}, "
-        f"dilation dev {rep.inputs['dilation_dev']:.1e}, {elapsed:.0f}s",
+        f"dilation dev {rep.lhs['dilation_dev']:.1e}, {elapsed:.0f}s",
     )
     assert elapsed < 120

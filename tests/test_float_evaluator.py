@@ -12,27 +12,24 @@ from qszego.polyfrac import _ROWS, HyperFrac, RadialFraction, RatPoly, eval_frac
 from qszego.verify import hardy_test_function_components
 
 
-def _per_term(frac, x):
-    """One fraction evaluated term by term, powers recomputed for each term.
+def _product_power(x, e):
+    """x**e as x**(e // 2) * x**(e - e // 2), the evaluator's rule, written
+    out here so that the reference does not share its code."""
+    return x if e == 1 else _product_power(x, e // 2) * _product_power(x, e - e // 2)
 
-    A single point (shape (dim,)) is taken as a one-row array: as a 0-d
-    value, |x|^2 ** k would be a numpy scalar power, which rounds differently
-    from the array power in the last bit for some k >= 3.
-    """
+
+def _per_term(frac, x):
+    """One fraction evaluated term by term, powers recomputed for each term."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return _per_term(frac, x[None])[0]
     out = np.zeros(x.shape[:-1], dtype=float)
     for k, c in frac.num.terms.items():
         term = np.full(x.shape[:-1], float(c))
         for i, e in enumerate(k):
-            if e == 1:
-                term = term * x[..., i]
-            elif e:
-                term = term * x[..., i] ** e
+            if e:
+                term = term * _product_power(x[..., i], e)
         out += term
     if frac.k:
-        out = out / np.sum(x * x, axis=-1) ** frac.k
+        out = out / _product_power(np.sum(x * x, axis=-1), frac.k)
     return out
 
 
@@ -165,10 +162,12 @@ def test_mixed_sign_power_overflow_raises():
 
 @pytest.mark.parametrize("e", range(2, 10))
 def test_numpy_power_depends_on_the_element_alone(e):
-    # the premise of the column contract of eval_fractions: numpy's array
-    # power of a value does not depend on the array that holds it, so an
-    # axis column, or a one-element or (1, 1, 1) column, gives the bits of
-    # the power taken on every point
+    # numpy's array power of a value does not depend on the array that
+    # holds it, so an integrand that raises the sphere rule's columns to
+    # powers itself (the exponential-moment integrand of props_suite) gets
+    # the bits of the power taken on every point, and the rule's value does
+    # not depend on how it groups radial nodes; the evaluator's powers are
+    # products and need no such premise
     rng = np.random.default_rng(e)
     mags = 10.0 ** rng.uniform(-3, 3, 5000)
     x = np.where(rng.random(5000) < 0.5, -mags, mags)
@@ -186,6 +185,38 @@ def test_numpy_power_depends_on_the_element_alone(e):
         assert _same_bits((x.reshape(shape) ** e).ravel(), want)
     grid = np.broadcast_to(x[:40, None, None], (40, 40, 40))
     assert _same_bits(np.ascontiguousarray(grid) ** e, np.broadcast_to(want[:40, None, None], grid.shape))
+
+
+@pytest.mark.parametrize("e", range(2, 50))
+def test_powers_are_the_product_rule(e):
+    # on values of both signs over six decades, with +-0.0 and +-1.0, x**e
+    # is x**(e // 2) * x**(e - e // 2), bit for bit; the monomial's value is
+    # that power added to +0.0, so an odd power of -0.0 reads +0.0.  A
+    # product adds one rounding of at most 2**-53 to the relative errors of
+    # its factors, so x**e lies within (e - 1) * 2**-53 relative of the
+    # exact power
+    rng = np.random.default_rng(e)
+    mags = 10.0 ** rng.uniform(-3, 3, 300)
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0], np.where(rng.random(300) < 0.5, -mags, mags)])
+    got = RadialFraction(RatPoly(1, {(e,): 1})).eval_array(x[:, None])
+    assert _same_bits(got, 0.0 + _product_power(x, e))
+    for v, exact in zip(got.tolist(), (Fraction(c) ** e for c in x.tolist())):
+        assert abs(Fraction(v) - exact) <= (e - 1) * Fraction(1, 2**53) * abs(exact)
+
+
+def test_power_of_two_scaling_is_exact():
+    # a homogeneous fraction of degree d at x * 2**j is ldexp(value, j * d)
+    # bit for bit, for j chosen per point so that max|x_i| lands in
+    # [1/2, 1): every product, sum and quotient scales exactly
+    newton = [newton_derivative(o) for o in itertools.product(range(4), repeat=4) if sum(o) <= 3]
+    density = [c for n in (1, 2, 3) for c in szego_density(KernelOrder(n)).body.comps]
+    fracs = newton + density
+    assert len(newton) == 35
+    degrees = np.array([f.num.homogeneous_degree() - 2 * f.k for f in fracs])
+    x = _points((100_000, 4), seed=11)
+    j = -np.frexp(np.max(np.abs(x), axis=1))[1]
+    want = np.ldexp(eval_fractions(fracs, x.T), j[:, None] * degrees)
+    assert _same_bits(eval_fractions(fracs, np.ldexp(x, j[:, None]).T), want)
 
 
 def _fractions(dim):
@@ -225,8 +256,9 @@ def test_axis_columns_equal_the_points_array(dim):
 def test_one_element_columns_equal_full_columns(dim):
     # x0 as a one-element, a (1, 1, 1) and a scalar column, beside full
     # columns of several leading-axis blocks, gives the values of a full x0
-    # column; the scalar becomes an array, since a numpy scalar power can
-    # differ from the array power in the last bit (1.1**7 does on x86-64
+    # column: each power is a chain of IEEE products, whose bits depend on
+    # the value alone, whatever holds it (numpy's own scalar power can
+    # differ from its array power in the last bit: 1.1**7 does on x86-64
     # with numpy 2.4)
     fracs = _fractions(dim)
     pts = _points((2 * _ROWS + 7, dim), seed=dim)

@@ -128,6 +128,22 @@ def test_one_point_eval_is_an_eval_array_row(m):
             assert abs(v).hex() == math.sqrt(acc).hex()
 
 
+def test_abs_beyond_the_square_range():
+    # at |nu| = 1e-40 and 1e31 the only nonzero component is 2.46e199 and
+    # 2.46e-156, whose squares overflow and fall below the normal floats;
+    # the modulus is that component, bit for bit
+    density = szego_density(KernelOrder(1))
+    for x0, square in ((1e-40, math.inf), (1e31, 6.0704e-312)):
+        v = density.eval([x0, 0, 0, 0])
+        assert v.comps[1:] == (0.0, 0.0, 0.0)
+        assert v.comps[0] * v.comps[0] == pytest.approx(square, rel=1e-4)
+        assert abs(v) == v.comps[0]
+    for e in (700, -700):
+        assert abs(KernelValue((math.ldexp(3, e), math.ldexp(-4, e), 0.0, 0.0))) == math.ldexp(5, e)
+    with pytest.raises(OverflowError):
+        abs(KernelValue((1e308, 1e308, -1e308, 1e308)))
+
+
 def test_szego_density_base_value():
     # two quotient-rule passes on x0/|x|^4 give 12 at e0; times (4/pi^2)/(2 pi^2)
     s = szego_density(KernelOrder(1))
