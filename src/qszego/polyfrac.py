@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -131,13 +133,15 @@ class RatPoly:
         if isinstance(other, RatPoly):
             self._check_dim(other)
             products = (
-                (tuple(a + b for a, b in zip(ka, kb)), ca * cb)
+                (tuple(map(add, ka, kb)), ca * cb)
                 for ka, ca in self.terms.items()
                 for kb, cb in other.terms.items()
             )
             out = _accumulate({}, products)
-            if out and any(e >= MAX_EXPONENT for k in out for e in k):
-                raise ValueError("exponent overflow in product")
+            # an output exponent can reach the limit only if the factors' largest ones sum to it
+            if out and self.dim and max(map(max, self.terms)) + max(map(max, other.terms)) >= MAX_EXPONENT:
+                if any(e >= MAX_EXPONENT for k in out for e in k):
+                    raise ValueError("exponent overflow in product")
             return RatPoly._make(self.dim, out)
         return self.scale(other)
 
@@ -212,27 +216,36 @@ class RatPoly:
         ``rows`` has one row per old variable; the number of columns sets the
         dimension of the resulting polynomial.
         """
-        rows = [tuple(_norm_rat(v) for v in r) for r in rows]
-        if len(rows) != self.dim:
-            raise ValueError(f"need {self.dim} rows, got {len(rows)}")
-        new_dim = len(rows[0])
-        if any(len(r) != new_dim for r in rows):
-            raise ValueError("ragged substitution matrix")
-        units = [tuple(int(j == m) for m in range(new_dim)) for j in range(new_dim)]
-        forms = [RatPoly._make(new_dim, {u: v for u, v in zip(units, row) if v}) for row in rows]
-        power_cache = [{0: RatPoly.const(new_dim, 1)} for _ in range(self.dim)]
+        return _linear_substitution(self.dim, rows)(self)
 
-        def form_pow(i, e):
-            cache = power_cache[i]
-            if e not in cache:
-                cache[e] = form_pow(i, e - 1) * forms[i]
-            return cache[e]
 
+def _linear_substitution(dim, rows):
+    """Checks ``rows`` and returns the map x -> Ax on polynomials of ``dim``
+    variables; the linear forms and their powers are built once and shared
+    by every polynomial the map is applied to."""
+    rows = [tuple(_norm_rat(v) for v in r) for r in rows]
+    if len(rows) != dim:
+        raise ValueError(f"need {dim} rows, got {len(rows)}")
+    new_dim = len(rows[0])
+    if any(len(r) != new_dim for r in rows):
+        raise ValueError("ragged substitution matrix")
+    units = [tuple(int(j == m) for m in range(new_dim)) for j in range(new_dim)]
+    # power_cache[i][e] is the e-th power of the linear form of row i
+    power_cache = [{1: RatPoly._make(new_dim, {u: v for u, v in zip(units, row) if v})} for row in rows]
+
+    def form_pow(i, e):
+        cache = power_cache[i]
+        if e not in cache:
+            cache[e] = form_pow(i, e - 1) * cache[1]
+        return cache[e]
+
+    one = (0,) * new_dim
+
+    def substitute(poly):
         # one dict takes every term, in the order and with the cancellations
         # of summing them pairwise
-        one = (0,) * new_dim
         out = {}
-        for k, c in self.terms.items():
+        for k, c in poly.terms.items():
             term = RatPoly._make(new_dim, {one: _norm_rat(c)})
             for i, e in enumerate(k):
                 if e:
@@ -240,16 +253,13 @@ class RatPoly:
             _accumulate(out, term.terms.items())
         return RatPoly._make(new_dim, out)
 
+    return substitute
 
+
+@lru_cache(maxsize=None)
 def radius_sq(dim):
-    """The polynomial sum_i x_i^2."""
-    key0 = [0] * dim
-    terms = {}
-    for i in range(dim):
-        k = list(key0)
-        k[i] = 2
-        terms[tuple(k)] = 1
-    return RatPoly(dim, terms)
+    """The polynomial sum_i x_i^2 (one shared value per dimension)."""
+    return RatPoly(dim, {tuple(2 * (j == i) for j in range(dim)): 1 for i in range(dim)})
 
 
 class RadialFraction:
@@ -292,14 +302,14 @@ class RadialFraction:
             return NotImplemented
         self._check_dim(other)
         k = max(self.k, other.k)
-        a, b = self.num, other.num
-        if self.k != other.k:
-            rsq = radius_sq(self.dim)
-            for _ in range(k - self.k):
-                a = a * rsq
-            for _ in range(k - other.k):
-                b = b * rsq
-        return RadialFraction(a + b, k)
+        return RadialFraction(self._over(k) + other._over(k), k)
+
+    def _over(self, k):
+        """The numerator of this fraction written over |x|^(2k), for k >= self.k."""
+        num = self.num
+        for _ in range(k - self.k):
+            num = num * radius_sq(self.dim)
+        return num
 
     def __radd__(self, other):
         """``0 + f`` is ``f``: the generated hypercomplex products sum from the integer 0."""
@@ -530,6 +540,12 @@ class HyperFrac:
         functions, and no other side is implemented.  ``var_indices`` selects
         which variables pair with e_0, e_1, ...; by default the variable
         dimension must equal the component count.
+
+        Every partial of P_j/|x|^(2k) is (|x|^2 dP_j/dx_v - 2k x_v P_j) /
+        |x|^(2k+2), so on the components' common k the quotient rule is
+        applied once per output component, to A = D(P) and B = the same sum
+        of the x_v P_j, instead of once per partial.  The result equals the
+        Dirac operator of the partials by value.
         """
         if side != "left":
             raise ValueError(f"only the left Dirac operator is implemented, not {side!r}")
@@ -540,13 +556,30 @@ class HyperFrac:
                     " pass var_indices explicitly"
                 )
             var_indices = range(self.alg_dim)
-        return dirac_from_partials([self.deriv(vi) for vi in var_indices])
+        var_indices = tuple(var_indices)
+        k = max(c.k for c in self.comps)
+        nums = [c._over(k) for c in self.comps]
+
+        def dirac_of(partial):
+            partials = [HyperFrac.from_polys(partial(v, p) for p in nums) for v in var_indices]
+            return dirac_from_partials(partials)
+
+        a = dirac_of(lambda v, p: p.deriv(v))
+        if not k:
+            return a
+        b = dirac_of(lambda v, p: RatPoly.variable(self.dim, v) * p)
+        rsq = radius_sq(self.dim)
+        return HyperFrac(
+            RadialFraction(ca.num * rsq + cb.num.scale(-2 * k), k + 1) for ca, cb in zip(a.comps, b.comps)
+        )
 
     def substitute_linear(self, rows):
-        """Component-wise x -> Ax substitution; polynomial inputs only."""
+        """Component-wise x -> Ax substitution; polynomial inputs only.  The
+        linear forms and their powers are built once for all components."""
         if not self.is_polynomial():
             raise ValueError("substitution requires polynomial components")
-        return HyperFrac.from_polys(tuple(c.num.substitute_linear(rows) for c in self.comps))
+        substitute = _linear_substitution(self.dim, rows)
+        return HyperFrac.from_polys(substitute(c.num) for c in self.comps)
 
     def to_json(self):
         return {"components": [c.to_json() for c in self.comps]}

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qszego.hypercomplex import _PRODUCTS, Hypercomplex, left_mult_matrix, mult_table
+from qszego.kernel import KernelOrder, szego_density
 from qszego.polyfrac import (
     MAX_EXPONENT,
     HyperFrac,
     RadialFraction,
     RatPoly,
+    _accumulate,
     dirac_from_partials,
     radius_sq,
 )
@@ -57,6 +59,55 @@ def test_poly_product_cancels_and_checks_exponents():
     big = RatPoly(4, {(MAX_EXPONENT - 1, 0, 0, 0): 1})
     with pytest.raises(ValueError, match="exponent overflow"):
         big * x(0)
+    half = RatPoly(4, {(MAX_EXPONENT // 2, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="exponent overflow"):
+        half * half
+    # the limit is reached by one term only, not by the factors' first terms
+    with pytest.raises(ValueError, match="exponent overflow"):
+        (x(1) + big) * (x(2) + x(0))
+    just_below = RatPoly(4, {(MAX_EXPONENT // 2 - 1, 0, 0, 0): 1})
+    assert (half * just_below).terms == {(MAX_EXPONENT - 1, 0, 0, 0): 1}
+    # the factors' largest exponents sum to the limit, but in different variables
+    assert (big * x(1)).terms == {(MAX_EXPONENT - 1, 1, 0, 0): 1}
+    assert (RatPoly.const(4, 3) * big).terms == {(MAX_EXPONENT - 1, 0, 0, 0): 3}
+
+
+def _mul_reference(a, b):
+    """The product as the sum of all term pairs in a-major order, one key at a time."""
+    products = (
+        (tuple(p + q for p, q in zip(ka, kb)), ca * cb)
+        for ka, ca in a.terms.items()
+        for kb, cb in b.terms.items()
+    )
+    return _accumulate({}, products)
+
+
+def test_poly_product_keeps_term_order_and_cancellations():
+    rng = random.Random(29)
+    cancelled = 0
+    for dim in (1, 4, 8):
+        for _ in range(60):
+            # two variables at most and small exponents: many pairs land on one key, and some cancel
+            a, b = (_random_poly(rng, dim, min(dim, 2), 6) for _ in range(2))
+            for p, q in ((a, b), (b, a), (a, a), (a, RatPoly.zero(dim))):
+                got = p * q
+                assert list(got.terms.items()) == list(_mul_reference(p, q).items())
+                keys = {tuple(map(sum, zip(ka, kb))) for ka in p.terms for kb in q.terms}
+                cancelled += len(got.terms) < len(keys)
+    assert cancelled > 20
+
+
+def _random_key(rng, dim, n_vars=None, degree=3):
+    """A monomial of degree at most ``degree`` in the first ``n_vars`` variables (default all)."""
+    key = [0] * dim
+    for _ in range(rng.randint(0, degree)):
+        key[rng.randrange(n_vars or dim)] += 1
+    return tuple(key)
+
+
+def _random_poly(rng, dim, n_vars=None, n_terms=3):
+    coefs = (Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n_terms))
+    return RatPoly(dim, [(_random_key(rng, dim, n_vars), c) for c in coefs])
 
 
 def test_poly_dimension_mismatch():
@@ -186,6 +237,53 @@ def test_conjugated_dirac_is_laplacian_on_polynomials():
         assert lhs == HyperFrac(tuple(lap))
         second = [f.deriv(i).deriv(i) for i in range(dim)]
         assert sum(second[1:], second[0]) == HyperFrac(tuple(lap))
+
+
+def _random_mixed_hyperfrac(rng, dim, alg_dim):
+    """Components P/|x|^(2k) with k in 0..3, about a quarter of them zero."""
+    comps = []
+    for _ in range(alg_dim):
+        if rng.random() < 0.25:
+            comps.append(RadialFraction.zero(dim))
+            continue
+        comps.append(RadialFraction(_random_poly(rng, dim), rng.randint(0, 3)))
+    return HyperFrac(tuple(comps))
+
+
+@pytest.mark.parametrize(
+    "dim, alg_dim, var_indices",
+    [(4, 4, None), (8, 8, None), (8, 4, (0, 1, 2, 3)), (8, 4, (4, 5, 6, 7)), (8, 4, "generator")],
+)
+def test_dirac_equals_dirac_of_the_partials(dim, alg_dim, var_indices):
+    # the quotient rule once per output component, on the common k, against
+    # the Dirac sum of the partials, each with its own quotient rule
+    rng = random.Random(dim * 10 + alg_dim)
+    for _ in range(15):
+        f = _random_mixed_hyperfrac(rng, dim, alg_dim)
+        wanted = range(alg_dim) if var_indices in (None, "generator") else var_indices
+        want = dirac_from_partials([f.deriv(v) for v in wanted])
+        if var_indices == "generator":
+            got = f.dirac("left", (v for v in range(alg_dim)))
+        else:
+            got = f.dirac("left", var_indices)
+        assert got == want
+        assert got.is_zero() == want.is_zero()
+
+
+def test_dirac_multiplies_by_radius_sq_once_per_component(monkeypatch):
+    density = szego_density(KernelOrder(3)).body
+    rsq = radius_sq(4)
+    mul = RatPoly.__mul__
+    calls = []
+
+    def counting_mul(a, b):
+        if rsq == a or (isinstance(b, RatPoly) and rsq == b):
+            calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RatPoly, "__mul__", counting_mul)
+    assert density.dirac("left").is_zero()
+    assert len(calls) == 4  # one per component, where the per-partial quotient rule made 16
 
 
 def test_dirac_is_left_only():
@@ -320,6 +418,26 @@ def test_substitute_rejects_rational_part():
     f = HyperFrac((newton(), newton(), newton(), newton()))
     with pytest.raises(ValueError):
         f.substitute_linear(tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))
+
+
+def test_hyperfrac_substitute_rejects_bad_matrices():
+    f = identity_map()
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    with_float = [row[:] for row in ident]
+    with_float[3][2] = 0.5
+    with pytest.raises(TypeError):
+        f.substitute_linear(with_float)
+    ragged = [row[:] for row in ident]
+    ragged[2] = ragged[2][:3]
+    with pytest.raises(ValueError, match="ragged"):
+        f.substitute_linear(ragged)
+    for rows in (ident[:3], ident + [[0, 0, 0, 0]]):
+        with pytest.raises(ValueError, match="need 4 rows"):
+            f.substitute_linear(rows)
+    mixed = HyperFrac((RadialFraction(x(0), 0), newton(), RadialFraction.zero(4), RadialFraction(x(1), 0)))
+    with pytest.raises(ValueError, match="polynomial components"):
+        mixed.substitute_linear(ident)
+    assert f.substitute_linear(ident) == f
 
 
 def test_hyperfrac_eval_modes():
