@@ -16,11 +16,13 @@ component sequences (:func:`translate_columns`, :func:`dilate_columns`,
 :func:`rotate_columns`, :func:`nu_columns` and :func:`cayley_columns`),
 whose components may be exact or float scalars or float columns, one row
 per point; the first four also run on ``RatPoly`` components.  The group
-law is one such formula too, :func:`group_mul_columns`, which also runs on
-numpy object columns of exact values.  The object maps run the formulas on
-exact components; the float checks run them on columns, so a block of
-points costs one pass of array operations, and every row has the bits of
-the formula on that row's floats.
+law is one such formula too, :func:`group_mul_columns`.  The object maps run
+the formulas on exact components; the float checks run them on columns, so
+a block of points costs one pass of array operations, and every row has the
+bits of the formula on that row's floats.  The sampled exact checks of the
+group law and of translation run them on int64 columns of their samples
+dilated by 6 (:func:`dilate_columns`), which clears the denominators: the
+dilation is an automorphism of either law and commutes with translation.
 """
 
 from __future__ import annotations

@@ -25,10 +25,8 @@ from .geometry import (
     dilate_columns,
     dilate_element,
     group_inverse,
-    group_mul,
     group_mul_columns,
     homogeneous_dim,
-    identity_element,
     nu_columns,
     rho_length,
     rotate_columns,
@@ -61,17 +59,25 @@ from .quadrature import (
     parseval_identity_check,
 )
 from .report import CheckReport, UsageError
-from .verify import _multi_indices, _rand_exact, _rand_fraction, _randint, _randints
+from .verify import (
+    _differ,
+    _element_columns,
+    _elements_differ,
+    _multi_indices,
+    _rand_dilated,
+    _rand_exact,
+    _rand_fraction,
+    _randint,
+    _randints,
+)
 
 SUITE_NAMES = ("all", "algebra", "kernel", "geometry", "props", "reproducing", "octonion")
 
 
 # The sampled checks run on blocks of at most this many samples, which
 # bounds their memory; the draws of a block are those of drawing its samples
-# one at a time.  The group-law blocks hold Python ints and Fractions, so
-# they are smaller.
+# one at a time.
 SAMPLE_BLOCK = 1000
-GROUP_BLOCK = 200
 # bounds of the uniform draws, per column: tau1, the height (round trip
 # only), then Im tau2
 _ROUNDTRIP_LOW = [-1.0] * 8 + [0.05] + [-2.0] * 7
@@ -85,9 +91,9 @@ _INVARIANCE_POINT = [(-1, 1)] * 4 + [(0.2, 2.0)] + [(-1, 1)] * 3
 _INVARIANCE_BOUNDS = _INVARIANCE_POINT * 2 + [(0.5, 2.0)] + [(-1, 1)] * 11
 
 
-def _blocks(total, block=SAMPLE_BLOCK):
-    """Sizes of the blocks of at most ``block`` samples that make up ``total``."""
-    return [min(block, total - start) for start in range(0, total, block)]
+def _blocks(total):
+    """Sizes of the blocks of at most SAMPLE_BLOCK samples that make up ``total``."""
+    return [min(SAMPLE_BLOCK, total - start) for start in range(0, total, SAMPLE_BLOCK)]
 
 
 def _row_deviation(got, want):
@@ -102,23 +108,6 @@ def _exact_columns(rng, size, factors, dim, span=9):
     ``_rand_exact(rng, dim, span)`` draws them sample by sample."""
     draws = _randints(rng, -span, span, size * factors * dim).reshape(size, factors, dim)
     return [tuple(draws[:, f, i] for i in range(dim)) for f in range(factors)]
-
-
-def _element_columns(draws, n, dim):
-    """The horizontal part and t columns of the group elements whose draws are
-    the rows of ``draws``: n * dim components, then the t components."""
-    omega = tuple(tuple(draws[:, i : i + dim].T) for i in range(0, n * dim, dim))
-    return omega, tuple(draws[:, n * dim :].T)
-
-
-def _element_comps(omega, t):
-    """The components of a group element's horizontal part, then its t components."""
-    return [c for w in omega for c in w] + list(t)
-
-
-def _differ(lhs, rhs):
-    """Per row: whether any component column of ``lhs`` differs from that of ``rhs``."""
-    return np.any(np.stack(lhs) != np.stack(rhs), axis=0)
 
 
 def _failing_samples(failing, *factors):
@@ -200,15 +189,18 @@ def algebra_suite(seed=0):
         bad += _failing_samples(failing, x, y)
     reports.append(_report_counterexamples("octonion-alternativity", {}, bad, 1000))
 
-    bad = []
-    one4, one8 = Hypercomplex.from_real(4, 1), Hypercomplex.from_real(8, 1)
-    for _ in range(200):
-        for dim, one in ((4, one4), (8, one8)):
-            a = _rand_exact(rng, dim)
-            if a.is_zero():
-                continue
-            if a * a.inverse() != one or a.inverse() * a != one:
-                bad.append(a.to_text())
+    # a a^-1 = a^-1 a = 1 with a^-1 = conj(a) / |a|^2, multiplied through by
+    # |a|^2: a conj(a) = conj(a) a = |a|^2, on a quaternion then an octonion
+    # per sample (a zero sample, which has no inverse, passes)
+    draws = _randints(rng, -9, 9, 200 * 12).reshape(200, 12)
+    samples, failing = (draws[:, :4], draws[:, 4:]), []
+    for sample in samples:
+        a, mul = tuple(sample.T), _PRODUCTS[sample.shape[1]]
+        scalar = (sum_squares(a),) + (0,) * (len(a) - 1)
+        failing.append(_differ(mul(a, conj(a)), scalar) | _differ(mul(conj(a), a), scalar))
+    # in sample order, the quaternion before the octonion
+    rows = np.argwhere(np.stack(failing, axis=1))
+    bad = [Hypercomplex(samples[k][row].tolist()).to_text() for row, k in rows]
     reports.append(_report_counterexamples("two-sided-inverse", {}, bad, 400))
 
     return reports
@@ -337,42 +329,38 @@ def geometry_suite(seed=0):
         ("quaternionic", 4, 3, 2),
         ("octonionic", 8, 7, 1),
     ):
+        # The axioms run on int64 columns of the samples dilated by 6,
+        # [6 omega, 36 t]: the dilation is an automorphism of the group law
+        # (every t term has degree 2), so an axiom holds on a sample exactly
+        # when it holds on its image, whose t denominators (at most 3) clear.
+        # With |omega| <= 24 and |t| <= 216 no intermediate exceeds about 3e4.
         def rand_draws():
-            """One element's draws: its n * dim components, then its t components."""
-            return [_randint(rng, -4, 4) for _ in range(n * dim)] + [
-                _rand_fraction(rng, 6, 3) for _ in range(tn)
+            """One element dilated by 6: 6 times its n * dim components, then 36 times its t components."""
+            return [6 * _randint(rng, -4, 4) for _ in range(n * dim)] + [
+                _rand_dilated(rng, 6, 3, 36) for _ in range(tn)
             ]
 
-        def rand_el():
-            draws = rand_draws()
-            return GroupElement(
-                tuple(Hypercomplex(draws[i : i + dim]) for i in range(0, n * dim, dim)), draws[n * dim :]
-            )
+        def mul(x, y, conv=_PRINTED_CONVENTION[kind]):
+            return group_mul_columns(*x, *y, conv)
 
-        # associativity runs the group law on object columns of exact ints
-        # and Fractions (t is rational, so it cannot be int64)
-        conv, associative = _PRINTED_CONVENTION[kind], True
-        for size in _blocks(1000, GROUP_BLOCK):
-            draws = np.array([[rand_draws() for _ in range(3)] for _ in range(size)], dtype=object)
-            a, b, c = (_element_columns(draws[:, f], n, dim) for f in range(3))
-            lhs = group_mul_columns(*group_mul_columns(*a, *b, conv), *c, conv)
-            rhs = group_mul_columns(*a, *group_mul_columns(*b, *c, conv), conv)
-            associative = associative and not np.any(_differ(_element_comps(*lhs), _element_comps(*rhs)))
-        bad = [] if associative else ["associativity"]
-        ident = identity_element(kind, n)
-        for _ in range(100):
-            a = rand_el()
-            if group_mul(a, ident) != a or group_mul(ident, a) != a:
-                bad.append("identity")
-                break
-            if group_mul(a, group_inverse(a)) != ident:
-                bad.append("inverse")
-                break
-        reports.append(
-            _report_counterexamples(
-                "group-axioms", {"kind": kind, "n": n}, bad, 1100
-            )
-        )
+        draws = np.array([[rand_draws() for _ in range(3)] for _ in range(1000)], dtype=np.int64)
+        a, b, c = (_element_columns(draws[:, f], n, dim) for f in range(3))
+        bad = ["associativity"] if np.any(_elements_differ(mul(mul(a, b), c), mul(a, mul(b, c)))) else []
+
+        # [a][0] = [0][a] = a, then [a][a^-1] = 0, with a^-1 = [-omega, -t]
+        state = rng.getstate()
+        draws = np.array([rand_draws() for _ in range(100)], dtype=np.int64)
+        a, inverse = _element_columns(draws, n, dim), _element_columns(-draws, n, dim)
+        zero = (((0,) * dim,) * n, (0,) * tn)
+        identity = _elements_differ(mul(a, zero), a) | _elements_differ(mul(zero, a), a)
+        failing = identity | _elements_differ(mul(a, inverse), zero)
+        if np.any(failing):
+            first = int(np.argmax(failing))
+            bad.append("identity" if identity[first] else "inverse")
+            # the draws stop at the first failing sample
+            rng.setstate(state)
+            [rand_draws() for _ in range(first + 1)]
+        reports.append(_report_counterexamples("group-axioms", {"kind": kind, "n": n}, bad, 1100))
 
     reports.append(verify.action_compatibility_check(seed=seed))
 

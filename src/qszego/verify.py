@@ -20,13 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (
-    GroupElement,
-    SiegelPoint,
-    group_mul_with_convention,
-    homogeneous_dim,
-    translate,
-)
+from .geometry import group_mul_columns, homogeneous_dim, translate_columns
 from .hypercomplex import _PRODUCTS, Hypercomplex, conj, left_mult_matrix, mul_arrays
 from .kernel import KernelOrder, newton_derivative, szego_density
 from .polyfrac import HyperFrac, RadialFraction, RatPoly, dirac_from_partials, eval_fractions
@@ -98,6 +92,34 @@ def _rand_fraction(rng, span, den):
     """A rational with numerator in [-span, span] and denominator in [1, den],
     the numerator drawn first."""
     return Fraction(_randint(rng, -span, span), _randint(rng, 1, den))
+
+
+def _rand_dilated(rng, span, den, scale):
+    """``scale`` times the rational that ``_rand_fraction(rng, span, den)``
+    draws, as an int: ``scale`` is a multiple of every denominator up to ``den``."""
+    return _randint(rng, -span, span) * (scale // _randint(rng, 1, den))
+
+
+# ----------------------------------------------------------------------
+# samples as integer columns, one row per sample
+
+
+def _element_columns(draws, n, dim):
+    """The horizontal part and t (or vertical) columns of the elements (or
+    points) whose draws are the rows of ``draws``: n * dim components, then the rest."""
+    omega = tuple(tuple(draws[:, i : i + dim].T) for i in range(0, n * dim, dim))
+    return omega, tuple(draws[:, n * dim :].T)
+
+
+def _differ(lhs, rhs):
+    """Per row: whether any component of ``lhs`` differs from that of ``rhs``;
+    components broadcast, so a scalar stands for a constant column."""
+    return np.any(np.broadcast_arrays(*(a != b for a, b in zip(lhs, rhs))), axis=0)
+
+
+def _elements_differ(x, y):
+    """Per row: whether the group elements (or points) ``x`` and ``y`` differ in any component."""
+    return _differ(*([c for w in omega for c in w] + list(t) for omega, t in (x, y)))
 
 
 # ----------------------------------------------------------------------
@@ -579,35 +601,40 @@ def kernel_decay_check(n=1, samples=100_000, seed=0):
 def action_compatibility_check(seed=0):
     """Does each printed multiplication law make translation an action?
 
-    Both sign conventions are applied to both groups on 40 random exact
+    Both sign conventions are applied to both groups on 40 random rational
     triples each; every verdict is reported.  (The two formulas are conjugate
     expressions of the same element, so all four verdicts agree.)
+
+    It runs on int64 columns of the triples dilated by 6.  The dilation
+    [delta omega, delta^2 t], (delta q', delta^2 v) is an automorphism of
+    either law that commutes with translation (every t and vertical term has
+    degree 2), so a triple composes exactly when its image does; the drawn
+    denominators (at most 3) clear, and no intermediate exceeds about 3e4.
     """
     trials = 40
     rng = random.Random(seed)
     verdicts = {}
     for kind, dim, tn in (("quaternionic", 4, 3), ("octonionic", 8, 7)):
-        def rand_el():
-            return GroupElement(
-                (_random_rational_hypercomplex(rng, dim),),
-                tuple(_rand_fraction(rng, 3, 2) for _ in range(tn)),
-            )
+        # the largest denominator and the scale of each draw of one triple
+        # dilated by 6: a and b as (6 omega, 36 t), then the point as (6 q', 36 v)
+        slots = ([(3, 6)] * dim + [(2, 36)] * tn) * 2 + [(3, 6)] * dim + [(3, 36)] * dim
+        ends = (0, dim + tn, 2 * (dim + tn), len(slots))
+
+        def rand_draws():
+            return [_rand_dilated(rng, 3, den, scale) for den, scale in slots]
 
         for convention in ("minus_conj_beta_alpha", "plus_conj_alpha_beta"):
-            ok = True
-            for _ in range(trials):
-                a = rand_el()
-                b = rand_el()
-                point = SiegelPoint(
-                    (_random_rational_hypercomplex(rng, dim),),
-                    _random_rational_hypercomplex(rng, dim),
-                )
-                composed = translate(a, translate(b, point))
-                direct = translate(group_mul_with_convention(a, b, convention), point)
-                if composed != direct:
-                    ok = False
-                    break
-            verdicts[f"{kind}:{convention}"] = ok
+            state = rng.getstate()
+            draws = np.array([rand_draws() for _ in range(trials)], dtype=np.int64)
+            a, b, point = (_element_columns(draws[:, i:j], 1, dim) for i, j in zip(ends, ends[1:]))
+            composed = translate_columns(*a, *translate_columns(*b, *point))
+            direct = translate_columns(*group_mul_columns(*a, *b, convention), *point)
+            failing = _elements_differ(composed, direct)
+            if np.any(failing):
+                # the draws stop at the first failing triple
+                rng.setstate(state)
+                [rand_draws() for _ in range(int(np.argmax(failing)) + 1)]
+            verdicts[f"{kind}:{convention}"] = not np.any(failing)
     printed = (
         verdicts["quaternionic:minus_conj_beta_alpha"]
         and verdicts["octonionic:plus_conj_alpha_beta"]

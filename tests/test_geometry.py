@@ -446,6 +446,46 @@ def test_translation_leaves_nu_invariant_as_polynomials():
     assert all((a - b).is_zero() for a, b in zip(after, before))
 
 
+def _polynomial_columns(count):
+    """Component sequences of ``count`` coordinates and the dilation factor delta, as RatPoly variables."""
+    xs = [RatPoly.variable(count + 1, i) for i in range(count + 1)]
+    return xs[:count], xs[count]
+
+
+@pytest.mark.parametrize("convention", ["minus_conj_beta_alpha", "plus_conj_alpha_beta"])
+@pytest.mark.parametrize("dim, n", [(4, 1), (4, 2), (8, 1)])
+def test_dilation_is_an_automorphism_of_the_group_law_as_polynomials(dim, n, convention):
+    # delta o ([alpha, t][beta, s]) = (delta o [alpha, t])(delta o [beta, s])
+    # identically in delta and the coordinates of both elements: the sampled
+    # group checks run on their samples dilated by 6
+    size = n * dim + dim - 1
+    xs, delta = _polynomial_columns(2 * size)
+
+    def element(start):
+        comps = xs[start : start + size]
+        return tuple(tuple(comps[i : i + dim]) for i in range(0, n * dim, dim)), tuple(comps[n * dim :])
+
+    a, b = element(0), element(size)
+    omega, t = dilate_columns(delta, *group_mul_columns(*a, *b, convention))
+    want_omega, want_t = group_mul_columns(*dilate_columns(delta, *a), *dilate_columns(delta, *b), convention)
+    assert omega == want_omega and t == want_t
+    # the twisted terms delta^2 alpha_i beta_j are there
+    assert max(sum(key) for c in t for key in c.terms) == 4
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_dilation_commutes_with_translation_as_polynomials(dim):
+    # delta o T_h (q', v) = T_{delta o h} (delta q', delta^2 v) identically in
+    # delta and the coordinates of h and of the point (n = 1)
+    xs, delta = _polynomial_columns(4 * dim - 1)
+    h = ((tuple(xs[:dim]),), tuple(xs[dim : 2 * dim - 1]))
+    p = ((tuple(xs[2 * dim - 1 : 3 * dim - 1]),), tuple(xs[3 * dim - 1 :]))
+    q, v = dilate_columns(delta, *translate_columns(*h, *p))
+    want_q, want_v = translate_columns(*dilate_columns(delta, *h), *dilate_columns(delta, *p))
+    assert q == want_q and v == want_v
+    assert max(sum(key) for key in v[0].terms) == 4
+
+
 def test_column_maps_on_exact_components_are_the_object_maps():
     rng = random.Random(19)
 

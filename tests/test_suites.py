@@ -13,9 +13,19 @@ import pytest
 
 import qszego
 from qszego import hypercomplex, suites, verify
+from qszego.geometry import (
+    GroupElement,
+    SiegelPoint,
+    group_inverse,
+    group_mul,
+    group_mul_with_convention,
+    identity_element,
+    translate,
+)
 from qszego.hypercomplex import Hypercomplex, associator
 from qszego.polyfrac import HyperFrac, RatPoly
 from qszego.verify import (
+    _rand_dilated,
     _rand_exact,
     _rand_fraction,
     _randint,
@@ -84,6 +94,12 @@ def test_seeded_draws_follow_the_randint_stream(seed, monkeypatch):
             [Fraction(reference.randint(-3, 3), reference.randint(1, 3)) for _ in range(dim)]
         )
         assert _random_rational_hypercomplex(fast, dim) == expected
+    # the dilated draws of the group checks: the same draws, times a scale
+    # that clears every denominator
+    for span, den, scale in ((3, 3, 6), (3, 2, 36), (3, 3, 36), (6, 3, 36)):
+        for _ in range(50):
+            expected = scale * _rand_fraction(reference, span, den)
+            assert _rand_dilated(fast, span, den, scale) == expected and expected.denominator == 1
     assert fast.getstate() == reference.getstate()
 
     # cr_corpus draws its random functions from its own generator
@@ -188,22 +204,112 @@ def _scalar_counterexamples(seed):
         if not associator(x, x, y).is_zero() or not associator(x.conj(), x, y).is_zero():
             bad.append((x.to_text(), y.to_text()))
     found["octonion-alternativity", None] = bad
+    bad = []
+    one4, one8 = Hypercomplex.from_real(4, 1), Hypercomplex.from_real(8, 1)
+    for _ in range(200):
+        for dim, one in ((4, one4), (8, one8)):
+            a = _rand_exact(rng, dim)
+            if a.is_zero():
+                continue
+            if a * a.inverse() != one or a.inverse() * a != one:
+                bad.append(a.to_text())
+    found["two-sided-inverse", None] = bad
     return {key: bad or "holds" for key, bad in found.items()}
+
+
+def _scalar_group_axioms(rng):
+    """The rhs of geometry_suite's group-axioms reports, from scalar loops over
+    GroupElement values on the suite's draws from ``rng``."""
+    found = []
+    for kind, dim, tn, n in (("quaternionic", 4, 3, 1), ("quaternionic", 4, 3, 2), ("octonionic", 8, 7, 1)):
+
+        def rand_el():
+            return GroupElement(
+                tuple(Hypercomplex([_randint(rng, -4, 4) for _ in range(dim)]) for _ in range(n)),
+                tuple(_rand_fraction(rng, 6, 3) for _ in range(tn)),
+            )
+
+        bad = []
+        for _ in range(1000):
+            a, b, c = rand_el(), rand_el(), rand_el()
+            if group_mul(group_mul(a, b), c) != group_mul(a, group_mul(b, c)) and not bad:
+                bad.append("associativity")
+        ident = identity_element(kind, n)
+        for _ in range(100):
+            a = rand_el()
+            if group_mul(a, ident) != a or group_mul(ident, a) != a:
+                bad.append("identity")
+                break
+            if group_mul(a, group_inverse(a)) != ident:
+                bad.append("inverse")
+                break
+        found.append(bad or "holds")
+    return found
+
+
+def _scalar_action_verdicts(rng):
+    """The verdicts of action_compatibility_check, from scalar loops over
+    GroupElement and SiegelPoint values on its draws from ``rng``."""
+    verdicts = {}
+    for dim, tn, kind in ((4, 3, "quaternionic"), (8, 7, "octonionic")):
+
+        def rand_el():
+            return GroupElement(
+                (_random_rational_hypercomplex(rng, dim),), tuple(_rand_fraction(rng, 3, 2) for _ in range(tn))
+            )
+
+        for convention in ("minus_conj_beta_alpha", "plus_conj_alpha_beta"):
+            ok = True
+            for _ in range(40):
+                a, b = rand_el(), rand_el()
+                p = SiegelPoint((_random_rational_hypercomplex(rng, dim),), _random_rational_hypercomplex(rng, dim))
+                if translate(a, translate(b, p)) != translate(group_mul_with_convention(a, b, convention), p):
+                    ok = False
+                    break
+            verdicts[f"{kind}:{convention}"] = ok
+    return verdicts
 
 
 @pytest.mark.parametrize("dim, check", [(8, "octonion-alternativity"), (4, "quaternion-associativity")])
 def test_column_checks_catch_a_wrong_product_and_report_it_as_the_scalar_loop(dim, check, monkeypatch):
     # e1 e2 = -e3 in place of e3: a product that is no longer alternative
-    # (dim 8) or associative (dim 4)
+    # (dim 8) or associative (dim 4), in which a conj(a) is no longer real,
+    # so inverses fail, in the algebra and in the group of that dimension,
+    # and -2 Im(conj(beta) alpha) is no longer 2 Im(conj(alpha) beta)
     table = [list(row) for row in hypercomplex._TABLES[dim]]
     k, sign = table[1][2]
     table[1][2] = (k, -sign)
     monkeypatch.setitem(hypercomplex._TABLES, dim, tuple(tuple(row) for row in table))
     monkeypatch.setitem(hypercomplex._PRODUCTS, dim, hypercomplex._make_product(dim))
-    reports = {(r.name, r.inputs.get("dim")): r for r in suites.algebra_suite(0)}
-    assert not reports[check, None].passed
-    expected = _scalar_counterexamples(0)
-    assert {key: reports[key].rhs for key in expected} == expected
+    kind = "quaternionic" if dim == 4 else "octonionic"
+    for seed in (0, 7):
+        reports = {(r.name, r.inputs.get("dim")): r for r in suites.algebra_suite(seed)}
+        assert not reports[check, None].passed and not reports["two-sided-inverse", None].passed
+        expected = _scalar_counterexamples(seed)
+        assert {key: reports[key].rhs for key in expected} == expected
+
+        # the stream of geometry_suite when it reaches the action check, and
+        # that of the action check after it
+        with pytest.MonkeyPatch.context() as patch:
+            made, action_made = _recording_random(patch, suites), _recording_random(patch, verify)
+            at_action, action_check = [], verify.action_compatibility_check
+
+            def recorded_action_check(seed):
+                at_action.append(made[0].getstate())
+                return action_check(seed)
+
+            patch.setattr(verify, "action_compatibility_check", recorded_action_check)
+            reports = suites.geometry_suite(seed)
+        groups = [r for r in reports if r.name == "group-axioms"]
+        assert [r.inputs["kind"] != kind for r in groups] == [r.passed for r in groups]
+        rng = random.Random(seed)
+        assert [r.rhs for r in groups] == _scalar_group_axioms(rng)
+        assert at_action == [rng.getstate()]
+        (action,) = [r for r in reports if r.name == "action-compatibility"]
+        rng = random.Random(seed)
+        assert action.lhs == _scalar_action_verdicts(rng)
+        assert action.lhs[f"{kind}:minus_conj_beta_alpha"] is False
+        assert action_made[0].getstate() == rng.getstate()
 
 
 class _BoundedBits:
