@@ -27,6 +27,7 @@ from .geometry import GroupElement, SiegelPoint, homogeneous_dim, rho_length
 from .hypercomplex import Hypercomplex
 from .kernel import (
     KernelOrder,
+    KernelValue,
     cauchy_kernel,
     group_kernel,
     szego_density,
@@ -209,7 +210,7 @@ def cmd_export(args):
         pts = np.zeros((args.points, 4))
         pts[:, 0] = [rho * rho for rho in rhos]
         vals = szego_density(KernelOrder(args.n)).eval_array(pts)
-        absk = np.sqrt(np.sum(vals * vals, axis=1)).tolist()
+        absk = [abs(KernelValue(tuple(row))) for row in vals.tolist()]
         rows = [("rho", "absK", "absK_times_rho_d")]
         rows += [(rho, a, a * rho**d) for rho, a in zip(rhos, absk)]
     else:  # "s-ray"

@@ -12,19 +12,17 @@ components; the left Dirac operator and linear variable substitutions act
 on it, and ``degree`` is the one home of its degree of homogeneity.
 
 ``eval`` is exact and rejects floats: it is the oracle that the one float
-evaluator, ``eval_fractions``, is checked against.  It takes one coordinate
-column per variable, and the columns broadcast to the shape of the point
-set: a tensor grid passes its axes, so each power x_i**e is taken once per
-axis value instead of once per point.  It evaluates any number of fractions
-in one pass that shares each power x_i**e, |x|^2 and |x|^(2k) across them,
-in blocks of at most ``_ROWS`` points, with the term-by-term loop's values
-bit for bit; a float fault raises ``FloatingPointError``, on a grid as at
-one point.  Every power is a chain of IEEE products, x^e = x^(e//2) *
-x^(e - e//2), so its bits depend on the value alone: an axis column, a
-one-element column and a scalar give the bits of the whole-grid power,
-and scaling a point by 2^j scales each power by 2^(je) exactly while
-nothing overflows or underflows.  ``eval_array`` of a fraction or a
-``HyperFrac`` passes its points array as columns.
+evaluator, ``eval_fractions``, is checked against.  It runs a plan that
+``float_plan`` builds from the fractions, which a caller that evaluates
+the same fractions many times builds once.  It takes one coordinate column
+per variable, and the columns broadcast to the shape of the point set: a
+tensor grid passes its axes, so each power x_i**e is taken once per axis
+value instead of once per point.  Every power is a chain of IEEE
+products, x^e = x^(e//2) * x^(e - e//2), so its bits depend on the value
+alone: an axis column, a one-element column and a scalar give the bits of
+the whole-grid power, and scaling a point by 2^j scales each power by
+2^(je) exactly while nothing overflows or underflows.  ``eval_array`` of
+a fraction or a ``HyperFrac`` passes its points array as columns.
 
 All values are immutable, all operations are pure.
 """
@@ -386,78 +384,107 @@ class RadialFraction:
 _ROWS = 4096
 
 
-def _power(table, e):
-    """x**e as x**(e // 2) * x**(e - e // 2), for a ``table`` that holds x
-    under the key 1; every power the rule forms is stored in ``table``."""
-    p = table.get(e)
-    if p is None:
-        p = table[e] = _power(table, e // 2) * _power(table, e - e // 2)
-    return p
+def float_plan(fracs):
+    """``evaluate(cols)``, the evaluator of ``fracs`` that :func:`eval_fractions` runs.
+
+    The plan holds each term's float coefficient and factor list and the
+    steps that form every power the terms and denominators use, each after
+    its operands; a block of points only runs the steps and the terms.
+    """
+    fracs = tuple(fracs)
+    dim = fracs[0].dim if fracs else 0
+    if any(f.dim != dim for f in fracs):
+        raise ValueError("the fractions of one plan must share their dimension")
+    # register j of a block: coordinate column j for j < dim, else steps[j - dim](registers)
+    steps = []
+
+    def power(chain, e):
+        """The register of x**e; ``chain`` maps each e' taken so far to the register of x**e'."""
+        if e not in chain:
+            a, b = power(chain, e // 2), power(chain, e - e // 2)
+            steps.append(lambda regs: regs[a] * regs[b])
+            chain[e] = dim + len(steps) - 1
+        return chain[e]
+
+    chains = [{1: i} for i in range(dim)]
+    terms = [
+        [
+            (float(c), [ch[e] if e in ch else power(ch, e) for ch, e in zip(chains, key) if e])
+            for key, c in f.num.terms.items()
+        ]
+        for f in fracs
+    ]
+    denominators = [None] * len(fracs)
+    if any(f.k for f in fracs):
+        # a square the terms do not share is a temporary, as are the partial sums
+        squares = [ch.get(2) for ch in chains]
+
+        def radius_sq(regs):
+            total = None
+            for i, sq in enumerate(squares):
+                term = regs[i] * regs[i] if sq is None else regs[sq]
+                total = term if total is None else total + term
+            return total
+
+        steps.append(radius_sq)
+        r2 = {1: dim + len(steps) - 1}
+        denominators = [power(r2, f.k) if f.k else None for f in fracs]
+    plan = list(zip(terms, denominators))
+
+    def evaluate(cols):
+        cols = [np.asarray(c, dtype=float) for c in cols]
+        if fracs and len(cols) != dim:
+            raise ValueError(f"need {dim} coordinate columns, got {len(cols)}")
+        true_shape = np.broadcast_shapes(*(c.shape for c in cols))
+        shape = true_shape or (1,)
+        cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
+        out = np.empty((len(plan),) + shape)
+        size = max(1, _ROWS // max(1, math.prod(shape[1:])))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for start in range(0, shape[0], size):
+                regs = [np.ascontiguousarray(c if len(c) == 1 else c[start : start + size]) for c in cols]
+                for fn in steps:
+                    regs.append(fn(regs))
+                for row, (row_terms, den) in zip(out[:, start : start + size], plan):
+                    row.fill(0.0)
+                    for c, factors in row_terms:
+                        term = c
+                        for j in factors:
+                            term = term * regs[j]
+                        row += term
+                    if den is not None:
+                        np.divide(row, regs[den], out=row)
+        # the S + (len(fracs),) view: np.moveaxis(out, 0, -1) without its per-call axis checks
+        return out.transpose((*range(1, out.ndim), 0)).reshape(true_shape + (len(plan),))
+
+    return evaluate
 
 
-@np.errstate(over="raise", divide="raise", invalid="raise")
 def eval_fractions(fracs, cols):
     """Float values of the fractions ``fracs`` at the points given by ``cols``.
 
     ``cols`` holds one coordinate column per variable; the columns broadcast
     to the shape S of the point set (a points array x of shape (..., dim)
-    passes ``np.moveaxis(x, -1, 0)``).  Returns shape S + (len(fracs),); a
-    value that overflows, divides by zero or is invalid raises
-    ``FloatingPointError``.  The points are taken in blocks of at most
-    ``_ROWS`` along S's leading axis.  In each block every power x_i**e
-    (e >= 2) is taken once, on the column's own contiguous slice, and
+    passes ``np.moveaxis(x, -1, 0)``).  Returns shape S + (len(fracs),), the
+    view of a (len(fracs),) + S buffer in which each fraction fills its own
+    contiguous row; a value that overflows, divides by zero or is invalid
+    raises ``FloatingPointError``.  The points are taken in blocks of at
+    most ``_ROWS`` along S's leading axis.  In each block every power
+    x_i**e (e >= 2) is taken once, on the column's own contiguous slice, and
     |x|^2 = ((x_0^2 + x_1^2) + x_2^2) + ... (the order of
     ``np.sum(x * x, axis=-1)`` for dim < 8, which holds every fraction with
-    k > 0 evaluated in floats here) and |x|^(2k) once; all are shared by all
-    terms of all fractions.  Both kinds of power follow one rule, x^e =
-    x^(e//2) * x^(e - e//2), with every intermediate power kept in the
-    block's table, so x^e is within (e - 1) * 2^-53 relative of the exact
-    power and does not depend on numpy's ``**``.  Each term is
-    c * x_i**e * ... in key order, each partial product on its own
-    broadcast shape, the terms are summed in order from +0.0 and the sum is
-    divided by |x|^(2k), so the values are those of evaluating every term
-    at every point, bit for bit.
+    k > 0 evaluated in floats here, on the squares the terms share) and
+    |x|^(2k) once; all are shared by all terms of all fractions.  Both kinds
+    of power follow one rule, x^e = x^(e//2) * x^(e - e//2), so x^e is
+    within (e - 1) * 2^-53 relative of the exact power and does not depend
+    on numpy's ``**``.  Each term is c * x_i**e * ... in key order, each
+    partial product on its own broadcast shape, the terms are summed in
+    order from +0.0 and the sum is divided by |x|^(2k), so the values are
+    those of evaluating every term at every point, bit for bit.  It is
+    ``float_plan(fracs)(cols)``: a caller that evaluates the same fractions
+    many times builds the plan once and applies it to each set of columns.
     """
-    cols = [np.asarray(c, dtype=float) for c in cols]
-    true_shape = np.broadcast_shapes(*(c.shape for c in cols))
-    shape = true_shape or (1,)
-    cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
-    plans, powers = [], set()
-    for f in fracs:
-        terms = []
-        for key, c in f.num.terms.items():
-            factors = [(i, e) for i, e in enumerate(key) if e]
-            powers.update(ie for ie in factors if ie[1] > 1)
-            terms.append((float(c), factors))
-        plans.append((f.k, terms))
-    radial = {f.k for f in fracs if f.k}
-    out = np.empty(shape + (len(fracs),))
-    step = max(1, _ROWS // max(1, math.prod(shape[1:])))
-    for start in range(0, shape[0], step):
-        block = [np.ascontiguousarray(c if len(c) == 1 else c[start : start + step]) for c in cols]
-        pw = [{1: c} for c in block]
-        for i, e in powers:
-            _power(pw[i], e)
-        if radial:
-            r2 = block[0] * block[0]
-            for c in block[1:]:
-                r2 = r2 + c * c
-            r2k = {1: r2}
-            for k in radial:
-                _power(r2k, k)
-        rows = out[start : start + step]
-        for j, (k, terms) in enumerate(plans):
-            acc = np.zeros(rows.shape[:-1])
-            for c, factors in terms:
-                term = c
-                for i, e in factors:
-                    term = term * pw[i][e]
-                acc += term
-            if k:
-                np.divide(acc, r2k[k], out=rows[..., j])
-            else:
-                rows[..., j] = acc
-    return out.reshape(true_shape + (len(fracs),))
+    return float_plan(fracs)(cols)
 
 
 class HyperFrac:

@@ -11,11 +11,11 @@ evaluated.  Both place their Gauss nodes through the same coordinate maps,
 loop, and pass their integrands coordinate columns that broadcast (the
 spherical rule x1, x2, x3 of a group of radial nodes, the boundary rule
 the t grid's three axes), so a power of a coordinate is taken once per axis
-value; an integrand returns one value or a trailing axis of values per
-point.  Both return a :class:`QuadratureResult` whether or not refinement
-converged, and every check that integrates puts its ``converged`` flag into
-its verdict.  A level whose value is not finite raises
-:class:`FloatingPointError`.
+value; an integrand returns one value or C values per point, leading for
+the spherical rule, trailing for the boundary rule.  Both return a
+:class:`QuadratureResult` whether or not refinement converged, and every
+check that integrates puts its ``converged`` flag into its verdict.  A
+level whose value is not finite raises :class:`FloatingPointError`.
 
 Gamma values at positive half integers are exact: they are rational
 multiples of sqrt(pi)^k, carried by :class:`SqrtPiRational` so that moment
@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .kernel import newton_derivative
-from .polyfrac import _ROWS, eval_fractions
+from .polyfrac import _ROWS, float_plan
 from .report import CheckReport, UsageError
 
 
@@ -229,14 +229,15 @@ def _sphere_level(f, decay, nr, nc, nphi):
     ``f(x1, x2, x3)`` receives the coordinate columns of a group of whole
     radial nodes, of shapes (g, nc, 1), (g, nc, nphi) and (g, nc, nphi), so
     a power of x1 is taken once per (r, cos theta) value; it returns shape
-    (g, nc, nphi), or (g, nc, nphi, C) for C values per point.  The value is
-    a float for one value per point and an array of C entries otherwise.
-    A group holds as many nodes as fit in one evaluator block of ``_ROWS``
-    points (at least one).  One sum over the last two axes of the group's
-    contiguous (C, g, nc, nphi) values takes every node's angular sum, each
-    on its own contiguous (nc, nphi) slice, and the nodes are added to the
-    total one by one in node order, so the value does not depend on the
-    grouping.
+    (g, nc, nphi), or (C, g, nc, nphi) for C values per point (the
+    component-leading rows of ``eval_fractions``), which is only reshaped.
+    The value is a float for one value per point and an array of C entries
+    otherwise.  A group holds as many nodes as fit in one evaluator block of
+    ``_ROWS`` points (at least one).  One sum over the last two axes of the
+    group's contiguous weighted (C, g, nc, nphi) values takes every node's
+    angular sum, each on its own contiguous (nc, nphi) slice, and the nodes
+    are added to the totals one by one in node order, as Python floats, so
+    the value does not depend on the grouping.
     """
     u, wu = _gauss01(nr)
     r, jac = decay.map(u)
@@ -249,16 +250,18 @@ def _sphere_level(f, decay, nr, nc, nphi):
     weight = wu * jac * r * r
 
     group = max(1, _ROWS // (nc * nphi))
-    total = 0.0
+    totals = None
     for start in range(0, nr, group):
         rg = r[start : start + group, None, None]
         rs = rg * s[:, None]
-        vals = f(rg * c[:, None], rs * cphi, rs * sphi)
-        vals = np.ascontiguousarray(np.moveaxis(np.reshape(vals, (len(rg), nc, nphi, -1)), -1, 0))
-        nodes = np.sum(vals * wc[:, None], axis=(-2, -1)) * wphi * weight[start : start + group]
-        for node in nodes.T:
-            total = total + node
-    return _finite(float(total[0]) if len(total) == 1 else total, nr * nc * nphi)
+        vals = np.reshape(f(rg * c[:, None], rs * cphi, rs * sphi), (-1, len(rg), nc, nphi))
+        weighted = np.multiply(vals, wc[:, None], order="C")
+        nodes = np.sum(weighted, axis=(-2, -1)) * wphi * weight[start : start + group]
+        totals = totals or [0.0] * len(nodes)
+        for i, row in enumerate(nodes.tolist()):
+            for node in row:
+                totals[i] += node
+    return _finite(totals[0] if len(totals) == 1 else np.array(totals), nr * nc * nphi)
 
 
 def _refine(level, sizes, tol, abs_tol):
@@ -285,9 +288,10 @@ def _refine(level, sizes, tol, abs_tol):
 def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0):
     """Adaptive spherical product rule over R^3.
 
-    ``f(x1, x2, x3)`` takes coordinate columns that broadcast, as
-    :func:`_sphere_level` passes them, and must be absolutely integrable
-    with the declared radial decay.  Starting from 16 x 12 x 12 nodes,
+    ``f(x1, x2, x3)`` takes coordinate columns that broadcast and returns
+    one value per point, or C values per point on a leading axis, as
+    :func:`_sphere_level` says; it must be absolutely integrable with the
+    declared radial decay.  Starting from 16 x 12 x 12 nodes,
     refinement doubles the radial rule and grows the angular rules, for at
     most five levels, until successive levels agree to the requested
     tolerance.  When the levels run out first, the result carries
@@ -331,16 +335,20 @@ def parseval_identity_check(p_orders, q_orders, x0):
     rhs_exact = ledger * exponential_moment_closed_form(4 * Fraction(x0), l[0] - 2, l[1], l[2], l[3])
     rhs = rhs_exact.to_float()
 
-    # one evaluation of both factors shares |x|^2 and the powers of x_i
-    factors = (newton_derivative(p_orders), newton_derivative(q_orders))
+    # one plan of both factors, built once for every group of every level,
+    # shares |x|^2 and the powers of x_i; each factor is a contiguous row
+    evaluate = float_plan((newton_derivative(p_orders), newton_derivative(q_orders)))
 
     def product(x1, x2, x3):
-        vals = eval_fractions(factors, (float(x0), x1, x2, x3))
+        vals = evaluate((float(x0), x1, x2, x3))
         return vals[..., 0] * vals[..., 1]
 
     def signed_and_absolute(x1, x2, x3):
-        vals = product(x1, x2, x3)
-        return np.stack([vals, np.abs(vals)], axis=-1)
+        vals = evaluate((float(x0), x1, x2, x3))
+        both = np.empty((2,) + vals.shape[:-1])
+        np.multiply(vals[..., 0], vals[..., 1], out=both[0])
+        np.abs(both[0], out=both[1])
+        return both
 
     decay = PowerDecay(scale=max(1.0, 2.0 * float(x0)))
     if rhs_exact.is_zero():

@@ -488,7 +488,8 @@ def subharmonicity_check(f, p, n_points=1000, seed=0):
     centers = rng.uniform(-box, box, size=(n_points, d))
 
     fracs = f.comps + tuple(c for g in partials for c in g.comps)
-    out = eval_fractions(fracs, centers.T).reshape(n_points, d + 1, f.alg_dim)
+    # point-major, as einsum and the sums of 8 or more entries below round by memory layout
+    out = np.ascontiguousarray(eval_fractions(fracs, centers.T)).reshape(n_points, d + 1, f.alg_dim)
     vals, grads = out[:, 0], out[:, 1:]  # (N, alg) and (N, d, alg)
     mod_sq = np.sum(vals * vals, axis=1)
     grad_sq = np.sum(grads * grads, axis=(1, 2))

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qszego
@@ -522,6 +523,25 @@ def test_export_decay_table(tmp_path, capsys):
     # scale invariance: the compensated column is constant along the ray
     last = lines[-1].split(",")
     assert abs(float(first[2]) - float(last[2])) < 1e-9 * abs(float(first[2]))
+
+
+def test_export_decay_table_modulus_outside_the_squares_range(tmp_path, monkeypatch, capsys):
+    # the absK column is the modulus of KernelValue: components whose squares
+    # overflow or underflow still give their finite, nonzero modulus
+    rows = [[3e200, -4e200, 0.0, 0.0], [-3e-200, 4e-200, 0.0, 0.0], [1e200, 1e-200, 0.0, 0.0]]
+
+    class Density:
+        def eval_array(self, pts):
+            return np.array(rows[: len(pts)])
+
+    monkeypatch.setattr(cli, "szego_density", lambda order: Density())
+    out_path = tmp_path / "decay.csv"
+    code, _, _ = run_cli(["export", "table", "--what", "K-decay", "--points", "3", "-o", str(out_path)], capsys)
+    assert code == 0
+    absk = [float(line.split(",")[1]) for line in out_path.read_text().splitlines()[1:]]
+    for got, row in zip(absk, rows, strict=True):
+        want = math.hypot(*row)
+        assert want > 0.0 and abs(got - want) <= 4e-16 * want
 
 
 def test_export_decay_table_needs_m_4(tmp_path, monkeypatch, capsys):

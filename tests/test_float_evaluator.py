@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qszego.kernel import KernelOrder, newton_derivative, szego_density
-from qszego.polyfrac import _ROWS, HyperFrac, RadialFraction, RatPoly, eval_fractions
+from qszego.polyfrac import _ROWS, HyperFrac, RadialFraction, RatPoly, eval_fractions, float_plan
 from qszego.verify import hardy_test_function_components
 
 
@@ -283,3 +283,35 @@ def test_radius_sum_order_is_np_sum_order(dim):
         mags = 10.0 ** rng.uniform(-8, 8, (rows, dim))
         x = np.where(rng.random((rows, dim)) < 0.5, -mags, mags)
         assert _same_bits(one_over_r2.eval_array(x), 1.0 / np.sum(x * x, axis=-1))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_one_plan_equals_a_plan_per_block(dim):
+    # one plan applied to every block of two calls, on a points array and on
+    # sphere-rule columns of groups of whole nodes, gives the values of a
+    # plan built afresh for each block, bit for bit; each fraction's values
+    # are one contiguous row of the component-leading buffer
+    fracs = _fractions(dim)
+    evaluate = float_plan(fracs)
+    pts = _points((2 * _ROWS + 7, dim), seed=dim)
+    rng = np.random.default_rng(dim)
+    nodes = [rng.uniform(0.5, 2.0, (40, 1, 1))] + [rng.uniform(-2, 2, (1, 24, 24)) for _ in range(dim - 1)]
+    for cols, size in ((list(pts.T), _ROWS), (nodes, _ROWS // (24 * 24))):
+        got = evaluate(cols)
+        per_block = [
+            eval_fractions(fracs, [c if len(c) == 1 else c[i : i + size] for c in cols])
+            for i in range(0, max(len(c) for c in cols), size)
+        ]
+        want = np.concatenate(per_block)
+        assert len(per_block) > 1 and _same_bits(got, want)
+        assert all(row.flags.c_contiguous for row in np.moveaxis(got, -1, 0))
+
+
+def test_plan_needs_one_column_per_variable_and_one_dimension():
+    # a column too few or too many would shift every power's register
+    fracs = _fractions(4)
+    for cols in (np.ones((3, 5)), np.ones((5, 5))):
+        with pytest.raises(ValueError, match="4 coordinate columns"):
+            eval_fractions(fracs, cols)
+    with pytest.raises(ValueError, match="share their dimension"):
+        float_plan(fracs + _fractions(2))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qszego import quadrature
+from qszego import polyfrac, quadrature
 from qszego.hypercomplex import mul_arrays
 from qszego.kernel import KernelOrder, newton_derivative, szego_density
 from qszego.polyfrac import _ROWS, eval_fractions
@@ -219,11 +219,11 @@ def test_integrate_r3_one_level_is_not_converged(monkeypatch):
 
 
 def test_sphere_level_columns_match_scalar_levels():
-    # a trailing axis of values per point is reduced value by value, bit for
-    # bit as a one-value integrand is
+    # a leading axis of values (component-leading) is reduced value by value,
+    # bit for bit as a one-value integrand is
     f = lambda x1, x2, x3: (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -2.0
     g = lambda x1, x2, x3: x1**2 * (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -3.0
-    both, used = _sphere_level(lambda *x: np.stack([f(*x), g(*x)], axis=-1), PowerDecay(2.0), 16, 12, 12)
+    both, used = _sphere_level(lambda *x: np.stack([f(*x), g(*x)]), PowerDecay(2.0), 16, 12, 12)
     one_f, _ = _sphere_level(f, PowerDecay(2.0), 16, 12, 12)
     one_g, _ = _sphere_level(g, PowerDecay(2.0), 16, 12, 12)
     assert isinstance(one_f, float) and used == 2304
@@ -232,8 +232,9 @@ def test_sphere_level_columns_match_scalar_levels():
 
 def _sphere_level_per_node(f, decay, nr, nc, nphi):
     """The spherical level with one integrand call per radial node on that
-    node's stacked (nc * nphi, 3) points, passed as ``f(*pts.T)``, and one
-    angular sum per node and value: the reference the grouped column calls of
+    node's stacked (nc * nphi, 3) points, passed as ``f(*pts.T)``, which
+    returns (nc * nphi,) or (C, nc * nphi) values, and one angular sum per
+    node and value: the reference the grouped column calls of
     ``_sphere_level`` must match bit for bit.  Returns (value, evals)."""
     u, wu = np.polynomial.legendre.leggauss(nr)
     r, jac = decay.map((u + 1.0) / 2.0)
@@ -248,8 +249,7 @@ def _sphere_level_per_node(f, decay, nr, nc, nphi):
         x2 = r[i] * s[:, None] * np.cos(phi)[None, :]
         x3 = r[i] * s[:, None] * np.sin(phi)[None, :]
         pts = np.stack([x1, x2, x3], axis=-1).reshape(-1, 3)
-        vals = np.reshape(f(*pts.T), (len(pts), -1))
-        vals = np.ascontiguousarray(vals.T).reshape(-1, nc, nphi)
+        vals = np.reshape(f(*pts.T), (-1, nc, nphi))
         angular = np.array([np.sum(v * wc[:, None]) * wphi for v in vals])
         total = total + wu[i] * jac[i] * r[i] * r[i] * angular
     return (float(total[0]) if len(total) == 1 else total), nr * nc * nphi
@@ -266,7 +266,7 @@ def test_sphere_level_groups_whole_radial_nodes(size):
     def f(x1, x2, x3):
         calls.append((x1.shape, x2.shape, x3.shape))
         r2 = x1 * x1 + x2 * x2 + x3 * x3
-        return np.stack([x2**3 * (1.0 + r2) ** -4.0, np.exp(-r2)], axis=-1)
+        return np.stack([x2**3 * (1.0 + r2) ** -4.0, np.exp(-r2)])
 
     got, used = _sphere_level(f, PowerDecay(2.0), nr, nc, nphi)
     group = max(1, _ROWS // (nc * nphi))
@@ -306,7 +306,7 @@ def _parseval_lhs_by_points(p, q, x0, rhs):
 
     def signed_and_absolute(*cols):
         vals = product(*cols)
-        return np.stack([vals, np.abs(vals)], axis=1)
+        return np.stack([vals, np.abs(vals)])
 
     decay = PowerDecay(max(1.0, 2.0 * x0))
     if rhs == 0.0:
@@ -318,7 +318,7 @@ def _parseval_lhs_by_points(p, q, x0, rhs):
     return res.value, res.n_evals
 
 
-@pytest.mark.parametrize("x0", [0.5, 1.5])
+@pytest.mark.parametrize("x0", [0.5, 0.75, 1.5])
 def test_parseval_columns_equal_point_path(x0):
     # 20 seeded pairs of order <= 3, half with a vanishing right side: the
     # column contract gives the left side and n_evals of the point path
@@ -336,6 +336,32 @@ def test_parseval_columns_equal_point_path(x0):
             assert (rep.rhs == 0.0) == zero
             lhs, used = _parseval_lhs_by_points(p, q, x0, rep.rhs)
             assert (rep.lhs.hex(), rep.n_evals) == (lhs.hex(), used)
+
+
+@pytest.mark.parametrize(
+    "p, q, vanishes", [((0, 1, 0, 0), (1, 0, 1, 0), True), ((0, 1, 0, 0), (2, 1, 0, 0), False)], ids=["odd", "even"]
+)
+def test_parseval_builds_one_float_plan(monkeypatch, p, q, vanishes):
+    # one plan of both factors serves every group of every level, on the
+    # single level of a vanishing right side and on the refined levels
+    build = polyfrac.float_plan
+    applied = []
+
+    def counted(fracs):
+        evaluate = build(fracs)
+        applied.append(0)
+
+        def apply(cols):
+            applied[-1] += 1
+            return evaluate(cols)
+
+        return apply
+
+    monkeypatch.setattr(polyfrac, "float_plan", counted)
+    monkeypatch.setattr(quadrature, "float_plan", counted)
+    rep = parseval_identity_check(p, q, 0.75)
+    assert rep.passed and (rep.rhs == 0.0) == vanishes
+    assert len(applied) == 1 and applied[0] > 1
 
 
 def _nan_at_first_point(fn):
