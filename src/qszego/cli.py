@@ -114,8 +114,8 @@ def _config_defaults(path, sub):
 
 
 def _emit(path, text):
-    """Write ``text`` to ``path``, or to stdout when no path is given."""
-    if not path:
+    """Write ``text`` to ``path``, or to stdout when the path is empty or ``-``."""
+    if path in ("", "-"):
         sys.stdout.write(text)
         return
     try:
@@ -199,7 +199,7 @@ def cmd_export(args):
         kernel = szego_density(KernelOrder(args.n, m=args.m))
         out = args.output or f"szego-density-n{args.n}-m{args.m}.json"
         _emit(out, json.dumps(kernel.to_json(), sort_keys=True, indent=1) + "\n")
-        print(f"wrote {out}", file=sys.stderr)
+        print(f"wrote {'stdout' if out == '-' else out}", file=sys.stderr)
         return 0
     # "table", the last of the parser's choices
     if args.table == "K-decay":
@@ -224,7 +224,7 @@ def cmd_export(args):
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     _emit(out, buf.getvalue())
-    print(f"wrote {out}", file=sys.stderr)
+    print(f"wrote {'stdout' if out == '-' else out}", file=sys.stderr)
     return 0
 
 

@@ -5,13 +5,15 @@ Cauchy kernel is a constant times its conjugate Dirac derivative, and the
 Szego density for n horizontal variables is a power of ``-2/pi`` times the
 (mn/2)-th vertical derivative of the Cauchy kernel.  All symbolic content is
 exact; powers of pi are kept as a separate integer exponent so that identity
-tests never touch floating point.  Every float value comes from
-``polyfrac.eval_fractions``, which raises ``FloatingPointError`` on a float
-fault: here through ``eval_array``, of which a one-point evaluation is a
-one-row call returned as a :class:`KernelValue` (many points, such as a
-table of the group kernel, are one ``szego_density(order).eval_array``
-call), while ``verify.reproducing_check`` and ``verify._kernel_abs`` call
-``eval_fractions`` on the density's components directly.
+tests never touch floating point.  Every float value comes from the one
+float evaluator, ``polyfrac.float_plan`` (which ``eval_fractions`` runs), and
+a float fault raises ``FloatingPointError``: here through ``eval_array``,
+which applies one plan per kernel object, built on first use, and of which a
+one-point evaluation is a one-row call returned as a :class:`KernelValue`
+(many points, such as a table of the group kernel, are one
+``szego_density(order).eval_array`` call), while ``verify.reproducing_check``
+(one plan per fraction set) and ``verify._kernel_abs`` evaluate the
+density's components directly.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .geometry import nu_columns
 from .hypercomplex import Hypercomplex, conj, sum_squares
-from .polyfrac import HyperFrac, RadialFraction, RatPoly
+from .polyfrac import HyperFrac, RadialFraction, RatPoly, float_plan
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,15 @@ class PiScaledKernel:
             raise ValueError("point dimension mismatch")
         return KernelValue(tuple(self.eval_array([point])[0].tolist()))
 
+    @cached_property
+    def _plan(self):
+        """The float plan of the body's components, built on first use."""
+        return float_plan(self.body.comps)
+
     def eval_array(self, x):
-        """Float values at points x of shape (..., dim); float faults raise."""
-        return self.body.eval_array(x) * self.prefactor()
+        """Float values at points x of shape (..., dim), by the kernel's one
+        float plan (``HyperFrac.eval_array`` bit for bit); float faults raise."""
+        return self._plan(np.moveaxis(x, -1, 0)) * self.prefactor()
 
     def scaled_equal(self, other):
         """True when both describe the same function (coeff folded into body)."""

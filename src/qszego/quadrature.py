@@ -12,7 +12,11 @@ loop, and pass their integrands coordinate columns that broadcast (the
 spherical rule x1, x2, x3 of a group of radial nodes, the boundary rule
 the t grid's three axes), so a power of a coordinate is taken once per axis
 value; an integrand returns one value or C values per point, leading for
-the spherical rule, trailing for the boundary rule.  Both return a
+the spherical rule, trailing for the boundary rule.  The spherical rule is
+folded on its polar axis: it evaluates its integrand at the nodes with
+cos theta >= 0 only and takes each mirrored value as +-1 times its mirror's,
+by the parity in x1 the caller declares, exactly (:func:`_sphere_level`).
+Both return a
 :class:`QuadratureResult` whether or not refinement converged, and every
 check that integrates puts its ``converged`` flag into its verdict.  A
 level whose value is not finite raises :class:`FloatingPointError`.
@@ -223,21 +227,37 @@ def _finite(value, evals):
     return value, evals
 
 
-def _sphere_level(f, decay, nr, nc, nphi):
+def _sphere_level(f, decay, nr, nc, nphi, parity):
     """One tensor level of the spherical product rule; returns (value, evals).
 
-    ``f(x1, x2, x3)`` receives the coordinate columns of a group of whole
-    radial nodes, of shapes (g, nc, 1), (g, nc, nphi) and (g, nc, nphi), so
-    a power of x1 is taken once per (r, cos theta) value; it returns shape
-    (g, nc, nphi), or (C, g, nc, nphi) for C values per point (the
+    The level is folded on its polar axis: ``f(x1, x2, x3)`` is called only
+    at the nc - nc // 2 polar nodes with cos theta >= 0, on the coordinate
+    columns of a group of whole radial nodes, of shapes (g, nc', 1),
+    (g, nc', nphi) and (g, nc', nphi) with nc' = nc - nc // 2, so a power of
+    x1 is taken once per (r, cos theta) value; it returns shape
+    (g, nc', nphi), or (C, g, nc', nphi) for C values per point (the
     component-leading rows of ``eval_fractions``), which is only reshaped.
+
+    ``parity`` is +1 or -1, or one of them per value, and the integrand
+    must satisfy f(-x1, x2, x3) = parity * f(x1, x2, x3) bit for bit (an
+    IEEE product chain of the coordinates does; numpy's ``**`` of an odd or
+    of a fourth or higher power need not).  The fold is then exact: the
+    ``leggauss`` nodes are antisymmetric and its weights symmetric bit for
+    bit, the mirrored node's x1 is -(r cos theta) while x2 and x3 are equal
+    (sin theta depends on cos^2 theta only), and negation commutes with
+    rounding.  So the weighted values of the nc // 2 nodes with
+    cos theta < 0 are those of the mirrored nodes, reversed and times the
+    parity, written into their half of the group's contiguous weighted
+    (C, g, nc, nphi) block, and each node total is that of evaluating all
+    nc * nphi points, which ``evals`` counts.
+
     The value is a float for one value per point and an array of C entries
     otherwise.  A group holds as many nodes as fit in one evaluator block of
-    ``_ROWS`` points (at least one).  One sum over the last two axes of the
-    group's contiguous weighted (C, g, nc, nphi) values takes every node's
-    angular sum, each on its own contiguous (nc, nphi) slice, and the nodes
-    are added to the totals one by one in node order, as Python floats, so
-    the value does not depend on the grouping.
+    ``_ROWS`` evaluated points (at least one).  One sum over the last two
+    axes of the block takes every node's angular sum, each on its own
+    contiguous (nc, nphi) slice, and the nodes are added to the totals one
+    by one in node order, as Python floats, so the value does not depend on
+    the grouping.
     """
     u, wu = _gauss01(nr)
     r, jac = decay.map(u)
@@ -245,17 +265,23 @@ def _sphere_level(f, decay, nr, nc, nphi):
     phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
     wphi = 2.0 * math.pi / nphi
 
+    h = nc // 2
+    c, wc = c[h:, None], wc[h:, None]
     s = np.sqrt(1.0 - c**2)
     cphi, sphi = np.cos(phi), np.sin(phi)
     weight = wu * jac * r * r
+    sign = np.reshape(np.asarray(parity, dtype=float), (-1, 1, 1, 1))
 
-    group = max(1, _ROWS // (nc * nphi))
+    group = max(1, _ROWS // (len(c) * nphi))
     totals = None
     for start in range(0, nr, group):
         rg = r[start : start + group, None, None]
-        rs = rg * s[:, None]
-        vals = np.reshape(f(rg * c[:, None], rs * cphi, rs * sphi), (-1, len(rg), nc, nphi))
-        weighted = np.multiply(vals, wc[:, None], order="C")
+        rs = rg * s
+        vals = np.reshape(f(rg * c, rs * cphi, rs * sphi), (-1, len(rg), len(c), nphi))
+        weighted = np.empty((len(vals), len(rg), nc, nphi))
+        np.multiply(vals, wc, out=weighted[:, :, h:])
+        # the nodes with cos theta < 0: their mirrors' weighted values times the parity
+        np.multiply(weighted[:, :, nc - h :][:, :, ::-1], sign, out=weighted[:, :, :h])
         nodes = np.sum(weighted, axis=(-2, -1)) * wphi * weight[start : start + group]
         totals = totals or [0.0] * len(nodes)
         for i, row in enumerate(nodes.tolist()):
@@ -285,20 +311,23 @@ def _refine(level, sizes, tol, abs_tol):
     return QuadratureResult(value, err, n_evals, converged=False), levels
 
 
-def integrate_r3(f, decay_hint, tol=1e-8, abs_tol=0.0):
+def integrate_r3(f, decay_hint, parity, tol=1e-8, abs_tol=0.0):
     """Adaptive spherical product rule over R^3.
 
-    ``f(x1, x2, x3)`` takes coordinate columns that broadcast and returns
-    one value per point, or C values per point on a leading axis, as
-    :func:`_sphere_level` says; it must be absolutely integrable with the
-    declared radial decay.  Starting from 16 x 12 x 12 nodes,
+    ``f(x1, x2, x3)`` takes coordinate columns that broadcast, at the polar
+    nodes with cos theta >= 0 only, and returns one value per point, or C
+    values per point on a leading axis; ``parity`` declares, per value, the
+    sign +-1 with which f(-x1, x2, x3) = parity * f(x1, x2, x3) holds bit
+    for bit, as :func:`_sphere_level` says; f must be absolutely integrable
+    with the declared radial decay.  Starting from 16 x 12 x 12 nodes,
     refinement doubles the radial rule and grows the angular rules, for at
     most five levels, until successive levels agree to the requested
     tolerance.  When the levels run out first, the result carries
     ``converged=False`` and the last level's value.
     """
     sizes = [(16 * 2**k, min(12 * 2**k, 48), min(12 * 2**k, 48)) for k in range(5)]
-    return _refine(lambda *size: _sphere_level(f, decay_hint, *size), sizes, tol, abs_tol)[0]
+    level = lambda *size: _sphere_level(f, decay_hint, *size, parity)
+    return _refine(level, sizes, tol, abs_tol)[0]
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +344,10 @@ def parseval_identity_check(p_orders, q_orders, x0):
     is odd) the left side is tested against 1e-10 times the integral of the
     absolute product, both taken from one evaluation of the product.  An
     adaptive rule that does not converge fails the check with its best value.
+    Both integrals run on the folded rule, which evaluates the product at the
+    nodes with x1 >= 0 only: every term of the float plan of d^p N is an IEEE
+    product chain whose x1 exponent has the parity of p1, so the product has
+    parity (-1)^(p1 + q1) in x1 bit for bit, and its modulus parity +1.
     """
     tol, zero_tol = 1e-6, 1e-10
     p_orders = tuple(int(v) for v in p_orders)
@@ -350,12 +383,13 @@ def parseval_identity_check(p_orders, q_orders, x0):
         np.abs(both[0], out=both[1])
         return both
 
+    parity = (-1) ** l[1]
     decay = PowerDecay(scale=max(1.0, 2.0 * float(x0)))
     if rhs_exact.is_zero():
-        (lhs, scale), n_evals = _sphere_level(signed_and_absolute, decay, 64, 24, 24)
+        (lhs, scale), n_evals = _sphere_level(signed_and_absolute, decay, 64, 24, 24, (parity, 1))
         ref, tolerance, converged = max(scale, 1e-300), zero_tol, True
     else:
-        res = integrate_r3(product, decay, tol=tol * 0.2, abs_tol=abs(rhs) * tol * 0.2)
+        res = integrate_r3(product, decay, parity, tol=tol * 0.2, abs_tol=abs(rhs) * tol * 0.2)
         lhs, n_evals, ref, tolerance, converged = res.value, res.n_evals, abs(rhs), tol, res.converged
     inputs = {"p": list(p_orders), "q": list(q_orders), "x0": float(x0)}
     return CheckReport.within(

@@ -467,7 +467,7 @@ def props_suite(seed=0):
                 r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
                 return r**l0 * x1**l1 * x2**l2 * x3**l3 * np.exp(-a * r)
 
-            res = integrate_r3(f, ExpDecay(a), tol=1e-8, abs_tol=1e-12 * abs(exact))
+            res = integrate_r3(f, ExpDecay(a), (-1) ** l1, tol=1e-8, abs_tol=1e-12 * abs(exact))
             worst = max(worst, abs(res.value - exact) / abs(exact))
             converged = converged and res.converged
             count += 1

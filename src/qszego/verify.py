@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import group_mul_columns, homogeneous_dim, translate_columns
 from .hypercomplex import _PRODUCTS, Hypercomplex, conj, left_mult_matrix, mul_arrays
 from .kernel import KernelOrder, newton_derivative, szego_density
-from .polyfrac import HyperFrac, RadialFraction, RatPoly, dirac_from_partials, eval_fractions
+from .polyfrac import HyperFrac, RadialFraction, RatPoly, dirac_from_partials, eval_fractions, float_plan
 from .quadrature import (
     BoundaryIntegrand,
     SqrtPiRational,
@@ -268,12 +268,14 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
         raise ValueError("test function vanishes at (0,1): no relative deviation to test")
     direct_f = np.array([float(c) for c in direct.comps])
     density = szego_density(KernelOrder(n))
+    # one float plan per fraction set, applied at every boundary level
+    density_plan, test_plan = float_plan(density.body.comps), float_plan(test_function.comps)
 
     def fn(t1, t2, t3):
         # the t axes broadcast to the grid, so each power is taken once per
         # axis value; 1.0 is 1 + |w'|^2 at w' = 0 (see BoundaryIntegrand)
-        s_vals = eval_fractions(density.body.comps, (1.0, -t1, -t2, -t3)) * density.prefactor()
-        f_vals = eval_fractions(test_function.comps, (1.0, t1, t2, t3))
+        s_vals = density_plan((1.0, -t1, -t2, -t3)) * density.prefactor()
+        f_vals = test_plan((1.0, t1, t2, t3))
         return mul_arrays(s_vals, f_vals, 4)
 
     degrees = (density.body.degree(), test_function.degree())

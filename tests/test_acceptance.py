@@ -135,13 +135,13 @@ def test_criterion_03_exponential_moments():
                             return np.abs(v) if sign < 0 else v
 
                         if exact.is_zero():
-                            val, _ = _sphere_level(f, ExpDecay(a), 48, 16, 16)
-                            scale, _ = _sphere_level(lambda *x: f(*x, -1.0), ExpDecay(a), 48, 16, 16)
+                            val, _ = _sphere_level(f, ExpDecay(a), 48, 16, 16, (-1) ** l1)
+                            scale, _ = _sphere_level(lambda *x: f(*x, -1.0), ExpDecay(a), 48, 16, 16, 1)
                             worst_odd = max(worst_odd, abs(val) / max(scale, 1e-300))
                         else:
                             want = exact.to_float()
                             res = integrate_r3(
-                                f, ExpDecay(a), tol=1e-8, abs_tol=abs(want) * 1e-10
+                                f, ExpDecay(a), (-1) ** l1, tol=1e-8, abs_tol=abs(want) * 1e-10
                             )
                             worst_even = max(worst_even, abs(res.value - want) / abs(want))
     ok = ok and worst_even <= 1e-6 and worst_odd <= 1e-10

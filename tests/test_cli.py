@@ -499,6 +499,17 @@ def test_export_nonpositive_points_is_usage_error(points, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_export_dash_writes_stdout(tmp_path, monkeypatch, capsys):
+    # "-o -" is standard output, as an empty path is: the CSV is printed,
+    # the note says stdout, and no file named "-" is left behind
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["export", "table", "--what", "s-ray", "--points", "3", "-o", "-"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "x0,s0,s1,s2,s3" and len(out.splitlines()) == 4
+    assert err.strip() == "wrote stdout"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_kernel_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "s2.json"
     code, out, err = run_cli(["export", "kernel", "--n", "2", "-o", str(out_path)], capsys)

@@ -19,6 +19,7 @@ from qszego.geometry import (
     translate_columns,
 )
 from qszego.hypercomplex import Hypercomplex, conj, sum_squares
+from qszego import kernel as kernel_module
 from qszego.kernel import (
     KernelOrder,
     KernelValue,
@@ -108,6 +109,23 @@ def test_density_matches_componentwise_derivatives(m):
         assert szego_density(order) == PiScaledKernel(
             e.coeff * (-2) ** d, e.pi_pow - d, HyperFrac(comps)
         )
+
+
+@pytest.mark.parametrize("m", (2, 4))
+def test_kernel_builds_one_float_plan(monkeypatch, m):
+    # one plan per kernel object serves every one-point and many-point call,
+    # with the values of the body's own evaluator
+    build = kernel_module.float_plan
+    builds = []
+    monkeypatch.setattr(kernel_module, "float_plan", lambda fracs: builds.append(fracs) or build(fracs))
+    pts = np.random.default_rng(m).uniform(-3, 3, (20, m))
+    kernel = cauchy_kernel(m)
+    values = [kernel.eval(tuple(p)) for p in pts] + [kernel.eval(tuple(pts[0]))]
+    rows = kernel.eval_array(pts)
+    assert builds == [kernel.body.comps]
+    want = kernel.body.eval_array(pts) * kernel.prefactor()
+    assert rows.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert [list(v.comps) for v in values[:-1]] == rows.tolist()
 
 
 @pytest.mark.parametrize("m", (2, 4))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qszego import polyfrac, quadrature
+from qszego import polyfrac, quadrature, suites
 from qszego.hypercomplex import mul_arrays
 from qszego.kernel import KernelOrder, newton_derivative, szego_density
 from qszego.polyfrac import _ROWS, eval_fractions
@@ -189,7 +189,7 @@ def _radius(x1, x2, x3):
 
 def test_integrate_r3_exponential():
     f = lambda *x: np.exp(-_radius(*x))
-    res = integrate_r3(f, ExpDecay(1.0), tol=1e-9)
+    res = integrate_r3(f, ExpDecay(1.0), 1, tol=1e-9)
     assert abs(res.value - 8 * PI) <= 1e-8 * 8 * PI
     assert res.n_evals > 0
     assert res.error_estimate >= 0
@@ -197,7 +197,7 @@ def test_integrate_r3_exponential():
 
 def test_integrate_r3_odd_vanishes():
     f = lambda x1, x2, x3: x1 * np.exp(-_radius(x1, x2, x3))
-    res = integrate_r3(f, ExpDecay(1.0), tol=1e-9, abs_tol=1e-12)
+    res = integrate_r3(f, ExpDecay(1.0), -1, tol=1e-9, abs_tol=1e-12)
     assert abs(res.value) < 1e-10
 
 
@@ -205,7 +205,7 @@ def test_integrate_r3_nonconvergence_reports_best(monkeypatch):
     # tolerance far below reachable: the result must carry the best value
     _cut_levels(monkeypatch, 2)
     f = lambda *x: np.exp(-_radius(*x))
-    res = integrate_r3(f, ExpDecay(1.0), tol=0.0)
+    res = integrate_r3(f, ExpDecay(1.0), 1, tol=0.0)
     assert not res.converged
     assert abs(res.value - 8 * PI) < 1e-3
 
@@ -214,7 +214,7 @@ def test_integrate_r3_one_level_is_not_converged(monkeypatch):
     # one level gives no error estimate: not converged, not a budget error
     _cut_levels(monkeypatch, 1)
     f = lambda *x: np.exp(-_radius(*x))
-    res = integrate_r3(f, ExpDecay(1.0))
+    res = integrate_r3(f, ExpDecay(1.0), 1)
     assert not res.converged and res.error_estimate == math.inf and res.n_evals == 16 * 12 * 12
 
 
@@ -223,9 +223,9 @@ def test_sphere_level_columns_match_scalar_levels():
     # bit for bit as a one-value integrand is
     f = lambda x1, x2, x3: (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -2.0
     g = lambda x1, x2, x3: x1**2 * (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -3.0
-    both, used = _sphere_level(lambda *x: np.stack([f(*x), g(*x)]), PowerDecay(2.0), 16, 12, 12)
-    one_f, _ = _sphere_level(f, PowerDecay(2.0), 16, 12, 12)
-    one_g, _ = _sphere_level(g, PowerDecay(2.0), 16, 12, 12)
+    both, used = _sphere_level(lambda *x: np.stack([f(*x), g(*x)]), PowerDecay(2.0), 16, 12, 12, (1, 1))
+    one_f, _ = _sphere_level(f, PowerDecay(2.0), 16, 12, 12, 1)
+    one_g, _ = _sphere_level(g, PowerDecay(2.0), 16, 12, 12, 1)
     assert isinstance(one_f, float) and used == 2304
     assert [v.hex() for v in both] == [one_f.hex(), one_g.hex()]
 
@@ -258,23 +258,92 @@ def _sphere_level_per_node(f, decay, nr, nc, nphi):
 @pytest.mark.parametrize("size", [(64, 24, 24), (16, 48, 48), (16, 12, 12)])
 def test_sphere_level_groups_whole_radial_nodes(size):
     # one integrand call per group of whole radial nodes, at most _ROWS
-    # points (one node when a node alone has more), on the group's coordinate
-    # columns, with the values of the per-node reference on stacked points
+    # evaluated points (one node when a node alone has more), on the group's
+    # coordinate columns at the nc - nc // 2 polar nodes with cos theta >= 0;
+    # an odd and an even value, folded by their parities, give the values of
+    # the per-node reference on every stacked point
     nr, nc, nphi = size
+    half = nc - nc // 2
     calls = []
 
     def f(x1, x2, x3):
         calls.append((x1.shape, x2.shape, x3.shape))
         r2 = x1 * x1 + x2 * x2 + x3 * x3
-        return np.stack([x2**3 * (1.0 + r2) ** -4.0, np.exp(-r2)])
+        return np.stack([x1 * x2**3 * (1.0 + r2) ** -4.0, np.exp(-r2)])
 
-    got, used = _sphere_level(f, PowerDecay(2.0), nr, nc, nphi)
-    group = max(1, _ROWS // (nc * nphi))
+    got, used = _sphere_level(f, PowerDecay(2.0), nr, nc, nphi, (-1, 1))
+    group = max(1, _ROWS // (half * nphi))
     sizes = [min(group, nr - i) for i in range(0, nr, group)]
     assert used == nr * nc * nphi
-    assert calls == [((g, nc, 1), (g, nc, nphi), (g, nc, nphi)) for g in sizes]
+    assert calls == [((g, half, 1), (g, half, nphi), (g, half, nphi)) for g in sizes]
     want, _ = _sphere_level_per_node(f, PowerDecay(2.0), nr, nc, nphi)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("n", [12, 16, 24, 48])
+def test_leggauss_nodes_antisymmetric_weights_symmetric(n):
+    # the premise of the fold of _sphere_level: c[n-1-j] = -c[j] and
+    # w[n-1-j] = w[j], bit for bit
+    c, w = quadrature._leggauss(n)
+    assert (-c[::-1]).view(np.uint64).tolist() == c.view(np.uint64).tolist()
+    assert w[::-1].view(np.uint64).tolist() == w.view(np.uint64).tolist()
+
+
+class _Captured(Exception):
+    pass
+
+
+def _assert_parity(f, parity, rng):
+    """f(-x1, x2, x3) = parity * f(x1, x2, x3) bit for bit on seeded columns
+    of the shapes the spherical rule passes."""
+    g, half, nphi = 3, 6, 8
+    x1 = rng.standard_normal((g, half, 1)) * 10.0 ** rng.uniform(-1, 1, (g, half, 1))
+    x2, x3 = (rng.standard_normal((g, half, nphi)) * 10.0 ** rng.uniform(-1, 1, (g, half, nphi)) for _ in "23")
+    sign = np.reshape(np.asarray(parity, dtype=float), (-1, 1, 1, 1))
+    here = np.reshape(f(x1, x2, x3), (-1, g, half, nphi))
+    there = np.reshape(f(-x1, x2, x3), (-1, g, half, nphi))
+    assert len(here) == sign.size or sign.size == 1
+    assert there.view(np.uint64).tolist() == (here * sign).view(np.uint64).tolist()
+
+
+def test_declared_parities_hold_bit_for_bit(monkeypatch):
+    # every parity the package passes to the spherical rule: the Newton
+    # products of order <= 3 (signed, and signed with their modulus on the
+    # zero path) and the props suite's moment integrands
+    seen = []
+
+    def record(f, decay, nr, nc, nphi, parity):
+        seen.append((f, parity))
+        raise _Captured
+
+    monkeypatch.setattr(quadrature, "_sphere_level", record)
+    multi = [m for m in np.ndindex(4, 4, 4, 4) if sum(m) <= 3]
+    rng = random.Random(32)
+    pairs = [(rng.choice(multi), rng.choice(multi)) for _ in range(60)]
+    for p, q in pairs:
+        with pytest.raises(_Captured):
+            parseval_identity_check(p, q, rng.choice([0.5, 0.75, 1.0, 1.5]))
+    # an odd x1 order leaves the right side 0: parity -1 is on the zero path only
+    assert {parity for _, parity in seen} == {(-1, 1), (1, 1), 1}
+
+    moments = []
+
+    def integrate(f, decay, parity, **tol):
+        moments.append((f, parity))
+        return quadrature.QuadratureResult(1.0, 0.0, 0)
+
+    def stop(*args):
+        raise _Captured
+
+    monkeypatch.setattr(suites, "integrate_r3", integrate)
+    monkeypatch.setattr(suites, "parseval_identity_check", stop)
+    with pytest.raises(_Captured):
+        suites.props_suite(0)
+    assert moments
+
+    cols = np.random.default_rng(32)
+    for f, parity in seen + moments:
+        _assert_parity(f, parity, cols)
 
 
 @pytest.mark.parametrize("nc, nphi", [(12, 12), (24, 24), (48, 48), (16, 16)])
@@ -383,7 +452,7 @@ def test_nonfinite_integrand_value_raises():
     # or a convergence failure
     f = _nan_at_first_point(lambda *x: np.exp(-_radius(*x)))
     with pytest.raises(FloatingPointError):
-        integrate_r3(f, ExpDecay(1.0), tol=1e-9)
+        integrate_r3(f, ExpDecay(1.0), 1, tol=1e-9)
 
     fn = _nan_at_first_point(_g(4))
     with pytest.raises(FloatingPointError):
@@ -402,7 +471,7 @@ def test_moment_quadrature_consistency_random(seed):
         r = _radius(x1, x2, x3)
         return r**l0 * x1**l1 * x2**l2 * x3**l3 * np.exp(-a * r)
 
-    res = integrate_r3(f, ExpDecay(a), tol=1e-8, abs_tol=abs(exact) * 1e-10)
+    res = integrate_r3(f, ExpDecay(a), (-1) ** l1, tol=1e-8, abs_tol=abs(exact) * 1e-10)
     assert abs(res.value - exact) <= 1e-6 * abs(exact)
 
 
@@ -502,11 +571,11 @@ def test_coordinate_maps_pinned_bit_for_bit():
     # ExpDecay, "power" through PowerDecay and the boundary level, on g and
     # on the reproducing integrand); a change to node placement, weights or
     # summation order shows here before it shows in a tolerance
-    res = integrate_r3(lambda *x: np.exp(-_radius(*x)), ExpDecay(1.0), tol=1e-9)
+    res = integrate_r3(lambda *x: np.exp(-_radius(*x)), ExpDecay(1.0), 1, tol=1e-9)
     assert (res.value.hex(), res.n_evals) == ("0x1.921fb54442cd7p+4", 168192)
 
     value, used = _sphere_level(
-        lambda x1, x2, x3: (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -2.0, PowerDecay(2.0), 16, 12, 12
+        lambda x1, x2, x3: (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -2.0, PowerDecay(2.0), 16, 12, 12, 1
     )
     assert (value.hex(), used) == ("0x1.3bd3cc9be4e6fp+3", 2304)
 

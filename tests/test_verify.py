@@ -12,7 +12,7 @@ from qszego.geometry import SiegelPoint
 from qszego.hypercomplex import Hypercomplex
 from qszego.kernel import KernelOrder, cauchy_kernel, newton_derivative, szego_density
 from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
-from qszego import verify
+from qszego import polyfrac, verify
 from qszego.quadrature import QuadratureResult, SqrtPiRational, gamma_half, sphere_moment
 from qszego.report import UsageError
 from qszego.verify import (
@@ -135,6 +135,28 @@ def test_reproducing_property_quick():
     assert rep.rel_deviation <= 1e-2
 
 
+def test_reproducing_builds_one_float_plan_per_fraction_set(monkeypatch):
+    # the density's plan and the test function's plan serve every boundary level
+    build = polyfrac.float_plan
+    applied = []
+
+    def counted(fracs):
+        evaluate, i = build(fracs), len(applied)
+        applied.append(0)
+
+        def apply(cols):
+            applied[i] += 1
+            return evaluate(cols)
+
+        return apply
+
+    monkeypatch.setattr(polyfrac, "float_plan", counted)
+    monkeypatch.setattr(verify, "float_plan", counted)
+    rep = reproducing_check(TestFunctionSpec(1, (2, 0, 0, 1)), tol=1e-2, budget=3e6)
+    assert rep.passed and rep.n_evals > 8**3
+    assert len(applied) == 2 and min(applied) > 1
+
+
 def test_reproducing_rejects_out_of_range():
     with pytest.raises(UsageError, match="Hardy"):
         reproducing_check(TestFunctionSpec(4, (0, 0, 0, 1)), tol=1e-2)
@@ -144,7 +166,7 @@ def test_reproducing_rejects_out_of_range():
 def test_reproducing_rejects_zero_direct_value_before_integrating(t, monkeypatch):
     # both specs are in the Hardy range, but the test function vanishes at
     # (0, 1), so no relative deviation exists; the integral is never taken
-    from qszego import verify
+    from qszego import polyfrac, verify
 
     calls = []
     monkeypatch.setattr(verify, "integrate_boundary", lambda *a, **k: calls.append(a))
@@ -158,7 +180,7 @@ def test_reproducing_degree_read_off_the_fractions(n, monkeypatch):
     # the boundary integrand S((0,1), w) F(w) is homogeneous of degree
     # deg S + deg F = -(2n + 3) - (order + 3), derived from the exact
     # fractions, and declared to the boundary rule
-    from qszego import verify
+    from qszego import polyfrac, verify
 
     seen = []
 
