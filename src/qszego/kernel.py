@@ -3,17 +3,19 @@
 The Newton potential ``1/|x|^2`` in four variables generates everything: the
 Cauchy kernel is a constant times its conjugate Dirac derivative, and the
 Szego density for n horizontal variables is a power of ``-2/pi`` times the
-(mn/2)-th vertical derivative of the Cauchy kernel.  All symbolic content is
-exact; powers of pi are kept as a separate integer exponent so that identity
-tests never touch floating point.  Every float value comes from the one
-float evaluator, ``polyfrac.float_plan`` (which ``eval_fractions`` runs), and
-a float fault raises ``FloatingPointError``: here through ``eval_array``,
-which applies one plan per kernel object, built on first use, and of which a
-one-point evaluation is a one-row call returned as a :class:`KernelValue`
-(many points, such as a table of the group kernel, are one
-``szego_density(order).eval_array`` call), while ``verify.reproducing_check``
-(one plan per fraction set) and ``verify._kernel_abs`` evaluate the
-density's components directly.
+(mn/2)-th vertical derivative of the Cauchy kernel; the x0-derivatives of
+every order of one algebra dimension come from one shared chain, so a higher
+order costs only the steps it adds to the furthest one taken.  All symbolic
+content is exact; powers of pi are kept as a separate integer exponent so
+that identity tests never touch floating point.  Every float value comes
+from the one float evaluator, ``polyfrac.float_plan`` (which
+``eval_fractions`` runs), and a float fault raises ``FloatingPointError``:
+here through ``eval_array``, which applies one plan per kernel object, built
+on first use, and of which a one-point evaluation is a one-row call returned
+as a :class:`KernelValue` (many points, such as a table of the group kernel,
+are one ``szego_density(order).eval_array`` call), while
+``verify.reproducing_check`` (one plan per fraction set) and
+``verify._kernel_abs`` evaluate the density's components directly.
 """
 
 from __future__ import annotations
@@ -153,6 +155,8 @@ def cauchy_kernel(m=4):
 
 
 _DENSITY_CACHE: dict[tuple[int, int], PiScaledKernel] = {}
+# m -> (d, d0^d (x0/|x|^m), d0^d (1/|x|^m)) for the largest d taken so far
+_DENSITY_CHAIN_ENDS: dict[int, tuple[int, RadialFraction, RadialFraction]] = {}
 _DENSITY_LOCK = threading.Lock()
 
 
@@ -162,7 +166,14 @@ def szego_density(order):
     s = (-2/pi)^(mn/2) * d^(mn/2)/dx0^(mn/2) of the Cauchy kernel; for m=4
     the exponent is even so the sign is (2/pi)^(2n).  Only x0/|x|^m and
     1/|x|^m are differentiated: x_i (i >= 1) does not depend on x0, so
-    component i is -x_i times the derivative of 1/|x|^m.
+    component i is -x_i times the derivative of 1/|x|^m.  Both derivative
+    chains are shared by every order of one algebra dimension m: the end of
+    each, its furthest step, is kept per m under the lock, and a higher
+    order continues from it one step at a time, so orders built upwards
+    take every step once (a loop, where a recursive cache would reach the
+    recursion limit).  A lower order not yet cached starts again from the
+    Cauchy kernel.  Only the end is kept: every step would retain as much
+    exact data again as the cached densities themselves.
     """
     if isinstance(order, int):
         order = KernelOrder(order)
@@ -173,9 +184,13 @@ def szego_density(order):
             return cached
         e = cauchy_kernel(order.m)
         d = order.deriv_order
-        head, radial = e.body.comps[0], RadialFraction(RatPoly.const(order.m, 1), order.m // 2)
-        for _ in range(d):
+        start = (0, e.body.comps[0], RadialFraction(RatPoly.const(order.m, 1), order.m // 2))
+        end = _DENSITY_CHAIN_ENDS.get(order.m, start)
+        step, head, radial = end if end[0] <= d else start
+        for _ in range(d - step):
             head, radial = head.deriv(0), radial.deriv(0)
+        if d > end[0]:
+            _DENSITY_CHAIN_ENDS[order.m] = (d, head, radial)
         comps = (head,) + tuple(RadialFraction(c.num * radial.num, radial.k) for c in e.body.comps[1:])
         density = PiScaledKernel(
             e.coeff * Fraction(-2) ** d, e.pi_pow - d, HyperFrac(comps)

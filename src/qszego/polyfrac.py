@@ -571,8 +571,9 @@ class HyperFrac:
         Every partial of P_j/|x|^(2k) is (|x|^2 dP_j/dx_v - 2k x_v P_j) /
         |x|^(2k+2), so on the components' common k the quotient rule is
         applied once per output component, to A = D(P) and B = the same sum
-        of the x_v P_j, instead of once per partial.  The result equals the
-        Dirac operator of the partials by value.
+        of the x_v P_j, instead of once per partial.  A and B are summed in
+        place by :func:`_dirac_sum`, as :func:`dirac_from_partials` is.  The
+        result equals the Dirac operator of the partials by value.
         """
         if side != "left":
             raise ValueError(f"only the left Dirac operator is implemented, not {side!r}")
@@ -586,19 +587,13 @@ class HyperFrac:
         var_indices = tuple(var_indices)
         k = max(c.k for c in self.comps)
         nums = [c._over(k) for c in self.comps]
-
-        def dirac_of(partial):
-            partials = [HyperFrac.from_polys(partial(v, p) for p in nums) for v in var_indices]
-            return dirac_from_partials(partials)
-
-        a = dirac_of(lambda v, p: p.deriv(v))
+        a = _dirac_sum(self.dim, self.alg_dim, [[(p.deriv(v), 0) for p in nums] for v in var_indices])
         if not k:
-            return a
-        b = dirac_of(lambda v, p: RatPoly.variable(self.dim, v) * p)
+            return HyperFrac(a)
+        xs = [RatPoly.variable(self.dim, v) for v in var_indices]
+        b = _dirac_sum(self.dim, self.alg_dim, [[(x * p, 0) for p in nums] for x in xs])
         rsq = radius_sq(self.dim)
-        return HyperFrac(
-            RadialFraction(ca.num * rsq + cb.num.scale(-2 * k), k + 1) for ca, cb in zip(a.comps, b.comps)
-        )
+        return HyperFrac(RadialFraction(ca.num * rsq + cb.num.scale(-2 * k), k + 1) for ca, cb in zip(a, b))
 
     def substitute_linear(self, rows):
         """Component-wise x -> Ax substitution; polynomial inputs only.  The
@@ -617,16 +612,39 @@ class HyperFrac:
 
 
 def dirac_from_partials(partials):
-    """The left Dirac operator of :meth:`HyperFrac.dirac` from the partials it pairs with e_0, e_1, ..."""
-    alg = partials[0].alg_dim
+    """The left Dirac operator of :meth:`HyperFrac.dirac` from the partials it
+    pairs with e_0, e_1, ..., summed in place by :func:`_dirac_sum`."""
+    rows = [[(c.num, c.k) for c in partial.comps] for partial in partials]
+    return HyperFrac(_dirac_sum(partials[0].dim, partials[0].alg_dim, rows))
+
+
+def _dirac_sum(dim, alg, partials):
+    """The components of sum_i e_i * partial_i, each accumulated in one dict.
+
+    ``partials[i]`` lists the components of the partial paired with e_i as
+    (numerator, k) pairs, for numerator / |x|^(2k).  Every nonzero one adds
+    its terms, with its table sign, into its output component's (terms, k)
+    in (variable, component) order; the side with the smaller k is first
+    written over the larger, and a sum that cancels has k = 0.  So the keys,
+    their order and the cancellations are those of adding the signed
+    fractions one by one, without a fraction or a dict copy per addition.
+    """
     if len(partials) != alg:
         raise ValueError("need one variable per basis element")
-    table = mult_table(alg)
-    out = [RadialFraction.zero(partials[0].dim) for _ in range(alg)]
-    for i, partial in enumerate(partials):
-        for j, df in enumerate(partial.comps):
-            if df.is_zero():
+    rsq = radius_sq(dim)
+    out = [({}, 0) for _ in range(alg)]
+    for row, partial in zip(mult_table(alg), partials):
+        for (slot, s), (num, k) in zip(row, partial):
+            if num.is_zero():
                 continue
-            k, s = table[i][j]
-            out[k] = out[k] + df.scale(s)
-    return HyperFrac(tuple(out))
+            if num.dim != dim:
+                raise ValueError("dimension mismatch")
+            terms, acc_k = out[slot]
+            for _ in range(k - acc_k):
+                terms = (RatPoly._make(dim, terms) * rsq).terms
+            for _ in range(acc_k - k):
+                num = num * rsq
+            items = num.terms.items()
+            _accumulate(terms, items if s > 0 else ((key, -c) for key, c in items))
+            out[slot] = terms, max(k, acc_k) if terms else 0
+    return [RadialFraction(RatPoly._make(dim, terms), k) for terms, k in out]

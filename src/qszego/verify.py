@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import group_mul_columns, homogeneous_dim, translate_columns
 from .hypercomplex import _PRODUCTS, Hypercomplex, conj, left_mult_matrix, mul_arrays
 from .kernel import KernelOrder, newton_derivative, szego_density
-from .polyfrac import HyperFrac, RadialFraction, RatPoly, dirac_from_partials, eval_fractions, float_plan
+from .polyfrac import HyperFrac, RatPoly, _accumulate, dirac_from_partials, eval_fractions, float_plan
 from .quadrature import (
     BoundaryIntegrand,
     SqrtPiRational,
@@ -376,10 +376,10 @@ def stein_weiss_check(f):
         raise ValueError("component count must match variable count")
     mu = conj(f.comps)
     violations = []
-    div = RadialFraction.zero(d)
+    div = {}  # the terms of sum_i d(mu_i)/dx_i, summed in place
     for i in range(d):
-        div = div + mu[i].deriv(i)
-    if not div.is_zero():
+        _accumulate(div, mu[i].deriv(i).num.terms.items())
+    if div:
         violations.append("divergence")
     for j in range(d):
         for k in range(j + 1, d):
@@ -400,6 +400,14 @@ def composed_analyticity_check(f, n_random=20, seed=0):
     the second verdict checks the generalized Cauchy-Riemann system, which
     is the Stein-Weiss system of conj(f) (:func:`stein_weiss_check`).  The
     two must agree.
+
+    Each a is substituted as the integer matrix L_(delta a) = delta L_a,
+    delta the lcm of the denominators of a's components, so the products
+    run on integers.  With g(x) = f(ax), f(delta a x) = g(delta x) has the
+    Dirac derivative delta (Dg)(delta x), the zero polynomial exactly when
+    Dg is, so the verdict and the witness (a itself) are those of a.
+    ``slice_regularity_check`` cannot scale its alpha so: F(q, alpha q)
+    keeps its first argument unscaled, and a scaled alpha is not a dilation.
     """
     if not f.is_polynomial():
         raise ValueError("check needs polynomial components")
@@ -413,7 +421,8 @@ def composed_analyticity_check(f, n_random=20, seed=0):
     for a in alphas:
         if a.is_zero():
             continue
-        g = f.substitute_linear(left_mult_matrix(a))
+        delta = math.lcm(*(Fraction(c).denominator for c in a.comps))
+        g = f.substitute_linear(left_mult_matrix(a * delta))
         if not g.dirac("left").is_zero():
             universal = False
             witness = a.to_text()

@@ -96,6 +96,53 @@ def test_density_construction_thread_safe():
     assert all(r is results[0] for r in results)
 
 
+def _density_per_order(order):
+    """The density by the per-order loop: d steps from the Cauchy kernel itself."""
+    e = cauchy_kernel(order.m)
+    d = order.deriv_order
+    head, radial = e.body.comps[0], RadialFraction(RatPoly.const(order.m, 1), order.m // 2)
+    for _ in range(d):
+        head, radial = head.deriv(0), radial.deriv(0)
+    comps = (head,) + tuple(RadialFraction(c.num * radial.num, radial.k) for c in e.body.comps[1:])
+    return PiScaledKernel(e.coeff * Fraction(-2) ** d, e.pi_pow - d, HyperFrac(comps))
+
+
+def _clear_densities():
+    with kernel_module._DENSITY_LOCK:
+        kernel_module._DENSITY_CACHE.clear()
+        kernel_module._DENSITY_CHAIN_ENDS.clear()
+
+
+@pytest.mark.parametrize("build_order", ["ascending", "5-2-8"])
+def test_density_chain_equals_the_per_order_loop(build_order):
+    # the shared chain takes the per-order loop's steps, so every numerator
+    # has its keys in the same order with the same coefficients; built out
+    # of order, a lower order starts again and a higher one continues
+    _clear_densities()
+    orders = [KernelOrder(n, 4) for n in range(1, 9)] + [KernelOrder(n, 2) for n in range(1, 6)]
+    if build_order == "5-2-8":
+        first = [KernelOrder(5), KernelOrder(2), KernelOrder(8), KernelOrder(5, 2), KernelOrder(2, 2)]
+        orders = first + [o for o in orders if o not in first]
+    for order in orders:
+        got, want = szego_density(order), _density_per_order(order)
+        assert (got.coeff, got.pi_pow) == (want.coeff, want.pi_pow)
+        assert [(c.k, list(c.num.terms.items())) for c in got.body.comps] == [
+            (c.k, list(c.num.terms.items())) for c in want.body.comps
+        ]
+
+
+def test_density_orders_share_one_derivative_chain(monkeypatch):
+    # orders 1..6 of m = 4 take 2 * 6 steps of two derivatives each, where
+    # building each order from the Cauchy kernel takes 4 * (1 + ... + 6) = 84
+    _clear_densities()
+    deriv = RadialFraction.deriv
+    calls = []
+    monkeypatch.setattr(RadialFraction, "deriv", lambda f, i: calls.append(i) or deriv(f, i))
+    for n in range(1, 7):
+        szego_density(KernelOrder(n))
+    assert len(calls) == 24
+
+
 @pytest.mark.parametrize("m", (2, 4))
 def test_density_matches_componentwise_derivatives(m):
     # the density taken the long way: d x0-derivatives of every Cauchy component

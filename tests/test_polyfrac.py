@@ -250,24 +250,77 @@ def _random_mixed_hyperfrac(rng, dim, alg_dim):
     return HyperFrac(tuple(comps))
 
 
+def _dirac_per_partial(partials):
+    """The Dirac sum as one ``RadialFraction`` addition per signed partial component."""
+    table = mult_table(partials[0].alg_dim)
+    out = [RadialFraction.zero(partials[0].dim) for _ in range(partials[0].alg_dim)]
+    for i, partial in enumerate(partials):
+        for j, df in enumerate(partial.comps):
+            if not df.is_zero():
+                k, s = table[i][j]
+                out[k] = out[k] + df.scale(s)
+    return HyperFrac(tuple(out))
+
+
+def _dirac_by_partial_hyperfracs(f, var_indices):
+    """``HyperFrac.dirac`` with a ``HyperFrac`` of polynomials per partial, summed per partial."""
+    k = max(c.k for c in f.comps)
+    nums = [c._over(k) for c in f.comps]
+    a = _dirac_per_partial([HyperFrac.from_polys(p.deriv(v) for p in nums) for v in var_indices])
+    if not k:
+        return a
+    b = _dirac_per_partial([HyperFrac.from_polys(x(v, f.dim) * p for p in nums) for v in var_indices])
+    rsq = radius_sq(f.dim)
+    return HyperFrac(
+        RadialFraction(ca.num * rsq + cb.num.scale(-2 * k), k + 1) for ca, cb in zip(a.comps, b.comps)
+    )
+
+
+def _terms(f):
+    return [(c.k, list(c.num.terms.items())) for c in f.comps]
+
+
 @pytest.mark.parametrize(
     "dim, alg_dim, var_indices",
     [(4, 4, None), (8, 8, None), (8, 4, (0, 1, 2, 3)), (8, 4, (4, 5, 6, 7)), (8, 4, "generator")],
 )
 def test_dirac_equals_dirac_of_the_partials(dim, alg_dim, var_indices):
     # the quotient rule once per output component, on the common k, against
-    # the Dirac sum of the partials, each with its own quotient rule
+    # the Dirac sum of the partials, each with its own quotient rule; both
+    # sums in place against one fraction addition per partial, term for term
     rng = random.Random(dim * 10 + alg_dim)
     for _ in range(15):
         f = _random_mixed_hyperfrac(rng, dim, alg_dim)
         wanted = range(alg_dim) if var_indices in (None, "generator") else var_indices
-        want = dirac_from_partials([f.deriv(v) for v in wanted])
+        partials = [f.deriv(v) for v in wanted]
+        want = dirac_from_partials(partials)
         if var_indices == "generator":
             got = f.dirac("left", (v for v in range(alg_dim)))
         else:
             got = f.dirac("left", var_indices)
         assert got == want
         assert got.is_zero() == want.is_zero()
+        assert _terms(got) == _terms(_dirac_by_partial_hyperfracs(f, tuple(wanted)))
+        assert _terms(want) == _terms(_dirac_per_partial(partials))
+
+
+def test_dirac_sum_lifts_and_cancels_as_fraction_additions():
+    # e0 * F + e1 * F cancels in component 0 (e1 e1 = -1), which puts its k
+    # back to 0, so a later G / |x|^2 enters unlifted; an operand with the
+    # smaller k is written over the larger, on either side
+    f = RadialFraction(x(0) * x(1) + x(2), 2)
+    g = RadialFraction(x(3) - x(1) * x(1), 1)
+    h = RadialFraction(x(2).scale(Fraction(1, 3)), 3)
+    zero = RadialFraction.zero(4)
+    partials = [
+        HyperFrac((f, g, zero, zero)),
+        HyperFrac((zero, f, h, zero)),
+        HyperFrac((g, zero, g, f)),
+        HyperFrac((g, f, zero, zero)),
+    ]
+    got = dirac_from_partials(partials)
+    assert _terms(got) == _terms(_dirac_per_partial(partials))
+    assert got.comps[0].k == 1 and got.comps[0].num == -g.num
 
 
 def test_dirac_multiplies_by_radius_sq_once_per_component(monkeypatch):

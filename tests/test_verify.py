@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from qszego.geometry import SiegelPoint
-from qszego.hypercomplex import Hypercomplex
+from qszego.hypercomplex import Hypercomplex, left_mult_matrix
 from qszego.kernel import KernelOrder, cauchy_kernel, newton_derivative, szego_density
 from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
 from qszego import polyfrac, verify
 from qszego.quadrature import QuadratureResult, SqrtPiRational, gamma_half, sphere_moment
-from qszego.report import UsageError
+from qszego.report import CheckReport, UsageError
 from qszego.verify import (
     TestFunctionSpec,
     _multi_indices,
@@ -397,6 +397,82 @@ def test_composed_analyticity_constant():
     f = HyperFrac.from_polys((RatPoly.const(8, 1),) + (z,) * 7)
     rep = composed_analyticity_check(f)
     assert rep.passed and rep.inputs["universal_alpha"] and rep.inputs["cr_system"]
+
+
+def _composed_analyticity_on_rational_matrices(f, n_random, seed):
+    """The composed-analyticity report with every a substituted as its rational matrix L_a."""
+    rng = random.Random(seed)
+    alphas = [Hypercomplex.basis(8, i) for i in range(8)]
+    alphas += [verify._random_rational_hypercomplex(rng, 8) for _ in range(n_random)]
+    universal, witness = True, None
+    for a in alphas:
+        if not a.is_zero() and not f.substitute_linear(left_mult_matrix(a)).dirac("left").is_zero():
+            universal, witness = False, a.to_text()
+            break
+    cr, violations = stein_weiss_check(f)
+    return CheckReport.from_flag(
+        name="composed-analyticity",
+        inputs={
+            "n_alphas": len(alphas),
+            "universal_alpha": universal,
+            "cr_system": cr,
+            "alpha_witness": witness,
+            "cr_witness": violations,
+        },
+        passed=universal == cr,
+        lhs=universal,
+        rhs=cr,
+        n_evals=len(alphas),
+    )
+
+
+@pytest.mark.parametrize("seed", (11, 12, 13))
+def test_composed_analyticity_on_integer_matrices_keeps_every_report(seed):
+    # L_(delta a) has integer entries; every report, witness included, is
+    # the one of the rational matrices
+    verdicts = set()
+    for name, f in cr_corpus(seed):
+        got = composed_analyticity_check(f, n_random=8, seed=seed).to_json()
+        assert got == _composed_analyticity_on_rational_matrices(f, 8, seed).to_json(), name
+        verdicts.add(got["inputs"]["universal_alpha"])
+    assert verdicts == {True, False}
+
+
+# the lcm of its denominators is 12
+RATIONAL_ALPHA = Hypercomplex(
+    [Fraction(1, 2), Fraction(-2, 3), 1, Fraction(3, 4), 0, Fraction(-1, 6), 2, Fraction(5, 4)]
+)
+
+
+@pytest.mark.parametrize("analytic", (True, False))
+def test_dilated_substitution_has_the_dilated_dirac_derivative(analytic):
+    # g(x) = f(ax): D[f(delta a x)] = delta (Dg)(delta x), so it is zero exactly when Dg is
+    names = dict(cr_corpus())
+    f = names["conj-gradient-5" if analytic else "dirac-null-asymmetric"]
+    a, delta = RATIONAL_ALPHA, 12
+    dg = f.substitute_linear(left_mult_matrix(a)).dirac("left")
+    scaled = f.substitute_linear(left_mult_matrix(a * delta))
+    assert all(Fraction(c).denominator == 1 for row in left_mult_matrix(a * delta) for c in row)
+    got = scaled.dirac("left")
+    assert got == dg.substitute_linear([[delta * (i == j) for j in range(8)] for i in range(8)]).scale(delta)
+    assert got.is_zero() == dg.is_zero() == analytic
+
+
+def test_composed_analyticity_witness_is_the_unscaled_alpha(monkeypatch):
+    # no corpus function fails first at a rational alpha, so every alpha
+    # checked here is the rational one; it is substituted as 12 L_a
+    f = dict(cr_corpus())["dirac-null-asymmetric"]
+    monkeypatch.setattr(Hypercomplex, "basis", classmethod(lambda cls, dim, i: RATIONAL_ALPHA))
+    substitute, rows_seen = HyperFrac.substitute_linear, []
+    monkeypatch.setattr(
+        HyperFrac, "substitute_linear", lambda g, rows: rows_seen.append(rows) or substitute(g, rows)
+    )
+    got = composed_analyticity_check(f, n_random=0).to_json()
+    assert rows_seen == [left_mult_matrix(RATIONAL_ALPHA * 12)]
+    assert all(Fraction(c).denominator == 1 for row in rows_seen[0] for c in row)
+    monkeypatch.setattr(HyperFrac, "substitute_linear", substitute)
+    assert got["inputs"]["alpha_witness"] == RATIONAL_ALPHA.to_text()
+    assert got == _composed_analyticity_on_rational_matrices(f, 0, 0).to_json()
 
 
 def test_corpus_agreement_and_classes():
