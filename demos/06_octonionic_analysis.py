@@ -40,7 +40,7 @@ print("verdict agreement over the full corpus:")
 agree = 0
 corpus = cr_corpus()
 for name, f in corpus:
-    if composed_analyticity_check(f, n_random=8).passed:
+    if composed_analyticity_check(f).passed:
         agree += 1
 print(f"  {agree}/{len(corpus)} functions: universal-alpha test matches the CR system\n")
 

@@ -64,7 +64,6 @@ from .verify import (
     _element_columns,
     _elements_differ,
     _multi_indices,
-    _rand_dilated,
     _rand_exact,
     _rand_fraction,
     _randint,
@@ -106,7 +105,7 @@ def _exact_columns(rng, size, factors, dim, span=9):
     """The int64 component columns of ``size`` samples of ``factors``
     elements each, one tuple of ``dim`` columns per factor, drawn as
     ``_rand_exact(rng, dim, span)`` draws them sample by sample."""
-    draws = _randints(rng, -span, span, size * factors * dim).reshape(size, factors, dim)
+    draws = _randints(rng, [(-span, span)], size * factors * dim).reshape(size, factors, dim)
     return [tuple(draws[:, f, i] for i in range(dim)) for f in range(factors)]
 
 
@@ -192,7 +191,7 @@ def algebra_suite(seed=0):
     # a a^-1 = a^-1 a = 1 with a^-1 = conj(a) / |a|^2, multiplied through by
     # |a|^2: a conj(a) = conj(a) a = |a|^2, on a quaternion then an octonion
     # per sample (a zero sample, which has no inverse, passes)
-    draws = _randints(rng, -9, 9, 200 * 12).reshape(200, 12)
+    draws = _randints(rng, [(-9, 9)], 200 * 12).reshape(200, 12)
     samples, failing = (draws[:, :4], draws[:, 4:]), []
     for sample in samples:
         a, mul = tuple(sample.T), _PRODUCTS[sample.shape[1]]
@@ -334,22 +333,38 @@ def geometry_suite(seed=0):
         # (every t term has degree 2), so an axiom holds on a sample exactly
         # when it holds on its image, whose t denominators (at most 3) clear.
         # With |omega| <= 24 and |t| <= 216 no intermediate exceeds about 3e4.
-        def rand_draws():
-            """One element dilated by 6: 6 times its n * dim components, then 36 times its t components."""
-            return [6 * _randint(rng, -4, 4) for _ in range(n * dim)] + [
-                _rand_dilated(rng, 6, 3, 36) for _ in range(tn)
-            ]
+        # one element draws its nd = n * dim components in [-4, 4], then per
+        # t component a numerator in [-6, 6] and a denominator in [1, 3]
+        nd = n * dim
+        ranges = [(-4, 4)] * nd + [(-6, 6), (1, 3)] * tn
+
+        def rand_draws(rows, elements=1):
+            """``rows`` samples of ``elements`` elements dilated by 6, shape
+            (rows, elements, nd + tn): 6 times their nd components, then 36
+            times their t components."""
+            draws = _randints(rng, ranges * elements, rows).reshape(rows, elements, -1)
+            draws[..., :nd] *= 6
+            # in place: each t component over the first of its two draws' columns
+            draws[..., nd : nd + tn] = draws[..., nd::2] * (36 // draws[..., nd + 1 :: 2])
+            return draws[..., : nd + tn]
 
         def mul(x, y, conv=_PRINTED_CONVENTION[kind]):
             return group_mul_columns(*x, *y, conv)
 
-        draws = np.array([[rand_draws() for _ in range(3)] for _ in range(1000)], dtype=np.int64)
-        a, b, c = (_element_columns(draws[:, f], n, dim) for f in range(3))
-        bad = ["associativity"] if np.any(_elements_differ(mul(mul(a, b), c), mul(a, mul(b, c)))) else []
+        # 1000 triples in two blocks: the octonionic draws of a block (66
+        # int64 columns) take 264 kB, and a larger freed array would raise
+        # glibc's dynamic mmap threshold, so that the density builds after
+        # the suite keep more memory resident
+        bad = []
+        for _ in range(2):
+            draws = rand_draws(500, 3)
+            a, b, c = (_element_columns(draws[:, f], n, dim) for f in range(3))
+            if np.any(_elements_differ(mul(mul(a, b), c), mul(a, mul(b, c)))):
+                bad = ["associativity"]
 
         # [a][0] = [0][a] = a, then [a][a^-1] = 0, with a^-1 = [-omega, -t]
         state = rng.getstate()
-        draws = np.array([rand_draws() for _ in range(100)], dtype=np.int64)
+        draws = rand_draws(100)[:, 0]
         a, inverse = _element_columns(draws, n, dim), _element_columns(-draws, n, dim)
         zero = (((0,) * dim,) * n, (0,) * tn)
         identity = _elements_differ(mul(a, zero), a) | _elements_differ(mul(zero, a), a)
@@ -359,7 +374,7 @@ def geometry_suite(seed=0):
             bad.append("identity" if identity[first] else "inverse")
             # the draws stop at the first failing sample
             rng.setstate(state)
-            [rand_draws() for _ in range(first + 1)]
+            rand_draws(first + 1)
         reports.append(_report_counterexamples("group-axioms", {"kind": kind, "n": n}, bad, 1100))
 
     reports.append(verify.action_compatibility_check(seed=seed))
@@ -512,7 +527,7 @@ def octonion_suite(seed=0):
     implication = []
     true_class = false_class = 0
     for name, f in corpus:
-        rep = verify.composed_analyticity_check(f, n_random=8, seed=seed)
+        rep = verify.composed_analyticity_check(f)
         if not rep.passed:
             agreement.append(name)
         if rep.inputs["cr_system"]:

@@ -54,33 +54,64 @@ def _randint(rng, low, high):
     return low + r
 
 
-def _randints(rng, low, high, count):
-    """``count`` integers as an int64 array, drawn as ``count`` calls of
-    :func:`_randint` draw them, and leaving ``rng`` in the same state.
+# the most words one round of _randints draws, which bounds its transient arrays
+_DRAW_ROUND = 1 << 14
+
+
+def _randints(rng, ranges, rows):
+    """A (rows, len(ranges)) int64 array: row by row, one draw per (low, high)
+    of ``ranges``, as that row-major loop of :func:`_randint` calls draws
+    them, leaving ``rng`` in the same state.
 
     For k <= 32, ``getrandbits(k)`` is one 32-bit Mersenne word shifted right
     by 32 - k, and ``getrandbits(32 * m)`` is m such words, the first the
-    least significant.  So m words, shifted, give the candidates of the
-    scalar loop in order; the ones below the range size are its draws.  Each
-    draw takes at least one word, so taking one word per missing draw never
-    takes a word past the last draw.  An empty range raises ``ValueError``
-    before any draw."""
-    n = high - low + 1
-    if n < 1:
-        raise ValueError(f"empty range for _randints({low}, {high})")
-    k = n.bit_length()
-    if k > 32:
-        raise ValueError(f"range of _randints({low}, {high}) wider than 2**32 values")
-    out = np.empty(count, dtype=np.int64)
+    least significant.  Each word is a candidate of the slot whose draw is
+    due, and moves on to the next slot when accepted.  With K (``width``) the
+    widest bit length and v a word's top K bits, slot s of size n_s and bit length
+    k_s accepts exactly when v < n_s << (K - k_s), with the value
+    v >> (K - k_s).  A word below every slot's threshold is accepted and one
+    at or above every threshold rejected whatever its slot; only the words
+    between take a Python pass, which counts the accepted words before each
+    to find its slot.  Each draw takes at least one word, so taking one word
+    per missing draw never takes a word past the last draw.  An empty range
+    raises ``ValueError`` before any draw."""
+    sizes = [high - low + 1 for low, high in ranges]
+    for (low, high), n in zip(ranges, sizes):
+        if n < 1:
+            raise ValueError(f"empty range for _randints({low}, {high})")
+    bits = [n.bit_length() for n in sizes]
+    width = max(bits, default=1)
+    if width > 32:
+        raise ValueError(f"a range of _randints({ranges}) is wider than 2**32 values")
+    slots, total = len(ranges), rows * len(ranges)
+    shifts = np.array([width - k for k in bits], dtype=np.int64)
+    limits = [n << (width - k) for n, k in zip(sizes, bits)]
+    lows = np.array([low for low, _ in ranges], dtype=np.int64)
+    lowest, highest = min(limits, default=0), max(limits, default=0)
+    out = np.empty(total, dtype=np.int64)
     done = 0
-    while done < count:
-        need = count - done
-        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
-        kept = words >> (32 - k)
-        kept = kept[kept < n]
+    while done < total:
+        m = min(total - done, _DRAW_ROUND)
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        v = words >> (32 - width)
+        accepted = v < lowest
+        if lowest < highest:
+            # each word between the thresholds is a candidate of the slot after
+            # the always-accepted words before it and the ones of these accepted
+            between = np.flatnonzero(~accepted & (v < highest))
+            before = (done + np.cumsum(accepted)[between]).tolist()
+            extra = 0
+            for i, b, value in zip(between.tolist(), before, v[between].tolist()):
+                if value < limits[(b + extra) % slots]:
+                    accepted[i] = True
+                    extra += 1
+        kept = v[accepted]
         out[done : done + len(kept)] = kept
         done += len(kept)
-    return out + low
+    out = out.reshape(rows, slots)
+    out >>= shifts
+    out += lows
+    return out
 
 
 def _rand_exact(rng, dim, span=9):
@@ -92,12 +123,6 @@ def _rand_fraction(rng, span, den):
     """A rational with numerator in [-span, span] and denominator in [1, den],
     the numerator drawn first."""
     return Fraction(_randint(rng, -span, span), _randint(rng, 1, den))
-
-
-def _rand_dilated(rng, span, den, scale):
-    """``scale`` times the rational that ``_rand_fraction(rng, span, den)``
-    draws, as an int: ``scale`` is a multiple of every denominator up to ``den``."""
-    return _randint(rng, -span, span) * (scale // _randint(rng, 1, den))
 
 
 # ----------------------------------------------------------------------
@@ -388,42 +413,32 @@ def stein_weiss_check(f):
     return (not violations, violations)
 
 
-def _random_rational_hypercomplex(rng, dim):
-    return Hypercomplex([_rand_fraction(rng, 3, 3) for _ in range(dim)])
+def composed_analyticity_check(f):
+    """Left analyticity of x -> f(a x) for every octonion a, versus the CR system.
 
+    The first verdict substitutes the eight basis elements for a and tests
+    Dirac annihilation exactly; the second checks the generalized
+    Cauchy-Riemann system, which is the Stein-Weiss system of conj(f)
+    (:func:`stein_weiss_check`).  The two must agree.
 
-def composed_analyticity_check(f, n_random=20, seed=0):
-    """Universal left analyticity of x -> f(a x) versus the CR system.
-
-    The first verdict substitutes every basis element and ``n_random``
-    random rational octonions for a and tests Dirac annihilation exactly;
-    the second verdict checks the generalized Cauchy-Riemann system, which
-    is the Stein-Weiss system of conj(f) (:func:`stein_weiss_check`).  The
-    two must agree.
-
-    Each a is substituted as the integer matrix L_(delta a) = delta L_a,
-    delta the lcm of the denominators of a's components, so the products
-    run on integers.  With g(x) = f(ax), f(delta a x) = g(delta x) has the
-    Dirac derivative delta (Dg)(delta x), the zero polynomial exactly when
-    Dg is, so the verdict and the witness (a itself) are those of a.
-    ``slice_regularity_check`` cannot scale its alpha so: F(q, alpha q)
-    keeps its first argument unscaled, and a scaled alpha is not a dilation.
+    The basis proves the first verdict for every a.  By the chain rule,
+    D_x[f(a x)] = sum_k a_k G_k(a x), with
+    G_k(y) = sum_(i,j) (L_(e_k))_ij e_j (d_i f)(y), since L_a = sum_k a_k L_(e_k)
+    is linear in a.  At a = e_k the Dirac derivative is G_k(e_k x), and
+    L_(e_k) is a signed permutation, so the basis check of e_k passes
+    exactly when G_k is the zero polynomial; when all eight pass, every
+    G_k vanishes and so does D_x[f(a x)] for every a.  A failing basis
+    element is itself an a where analyticity fails, and it is the witness.
     """
     if not f.is_polynomial():
         raise ValueError("check needs polynomial components")
     if f.alg_dim != 8 or f.dim != 8:
         raise ValueError("octonionic functions of eight variables expected")
-    rng = random.Random(seed)
     alphas = [Hypercomplex.basis(8, i) for i in range(8)]
-    alphas += [_random_rational_hypercomplex(rng, 8) for _ in range(n_random)]
     witness = None
     universal = True
     for a in alphas:
-        if a.is_zero():
-            continue
-        delta = math.lcm(*(Fraction(c).denominator for c in a.comps))
-        g = f.substitute_linear(left_mult_matrix(a * delta))
-        if not g.dirac("left").is_zero():
+        if not f.substitute_linear(left_mult_matrix(a)).dirac("left").is_zero():
             universal = False
             witness = a.to_text()
             break
@@ -631,13 +646,17 @@ def action_compatibility_check(seed=0):
         # dilated by 6: a and b as (6 omega, 36 t), then the point as (6 q', 36 v)
         slots = ([(3, 6)] * dim + [(2, 36)] * tn) * 2 + [(3, 6)] * dim + [(3, 36)] * dim
         ends = (0, dim + tn, 2 * (dim + tn), len(slots))
+        # each slot draws its numerator in [-3, 3], then its denominator
+        ranges = [r for den, _ in slots for r in ((-3, 3), (1, den))]
+        scales = np.array([scale for _, scale in slots], dtype=np.int64)
 
-        def rand_draws():
-            return [_rand_dilated(rng, 3, den, scale) for den, scale in slots]
+        def rand_draws(rows):
+            draws = _randints(rng, ranges, rows)
+            return draws[:, 0::2] * (scales // draws[:, 1::2])
 
         for convention in ("minus_conj_beta_alpha", "plus_conj_alpha_beta"):
             state = rng.getstate()
-            draws = np.array([rand_draws() for _ in range(trials)], dtype=np.int64)
+            draws = rand_draws(trials)
             a, b, point = (_element_columns(draws[:, i:j], 1, dim) for i, j in zip(ends, ends[1:]))
             composed = translate_columns(*a, *translate_columns(*b, *point))
             direct = translate_columns(*group_mul_columns(*a, *b, convention), *point)
@@ -645,7 +664,7 @@ def action_compatibility_check(seed=0):
             if np.any(failing):
                 # the draws stop at the first failing triple
                 rng.setstate(state)
-                [rand_draws() for _ in range(int(np.argmax(failing)) + 1)]
+                rand_draws(int(np.argmax(failing)) + 1)
             verdicts[f"{kind}:{convention}"] = not np.any(failing)
     printed = (
         verdicts["quaternionic:minus_conj_beta_alpha"]

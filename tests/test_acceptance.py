@@ -312,7 +312,7 @@ def test_criterion_09_octonionic_propositions():
         notes.append("corpus too small")
     true_class = false_class = 0
     for name, f in corpus:
-        rep = composed_analyticity_check(f, n_random=20)
+        rep = composed_analyticity_check(f)
         if not rep.passed:
             ok = False
             notes.append(f"disagreement {name}")

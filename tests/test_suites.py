@@ -25,15 +25,18 @@ from qszego.geometry import (
 from qszego.hypercomplex import Hypercomplex, associator
 from qszego.polyfrac import HyperFrac, RatPoly
 from qszego.verify import (
-    _rand_dilated,
     _rand_exact,
     _rand_fraction,
     _randint,
     _randints,
-    _random_rational_hypercomplex,
 )
 
 SOURCES = sorted(Path(qszego.__file__).parent.glob("*.py"))
+
+
+def _random_rational_hypercomplex(rng, dim):
+    """An element with components drawn as ``_rand_fraction(rng, 3, 3)``."""
+    return Hypercomplex([_rand_fraction(rng, 3, 3) for _ in range(dim)])
 
 
 @pytest.mark.parametrize("span", [4, 5, 9])
@@ -94,12 +97,13 @@ def test_seeded_draws_follow_the_randint_stream(seed, monkeypatch):
             [Fraction(reference.randint(-3, 3), reference.randint(1, 3)) for _ in range(dim)]
         )
         assert _random_rational_hypercomplex(fast, dim) == expected
-    # the dilated draws of the group checks: the same draws, times a scale
-    # that clears every denominator
+    # the dilated draws of the group checks: numerator and denominator
+    # drawn in bulk, times a scale that clears every denominator
     for span, den, scale in ((3, 3, 6), (3, 2, 36), (3, 3, 36), (6, 3, 36)):
-        for _ in range(50):
-            expected = scale * _rand_fraction(reference, span, den)
-            assert _rand_dilated(fast, span, den, scale) == expected and expected.denominator == 1
+        expected = [scale * _rand_fraction(reference, span, den) for _ in range(50)]
+        draws = _randints(fast, [(-span, span), (1, den)], 50)
+        assert (draws[:, 0] * (scale // draws[:, 1])).tolist() == expected
+        assert all(e.denominator == 1 for e in expected)
     assert fast.getstate() == reference.getstate()
 
     # cr_corpus draws its random functions from its own generator
@@ -145,13 +149,27 @@ def test_bulk_draws_are_the_scalar_draws(seed):
     for low, high in ((-9, 9), (-5, 5), (-4, 4), (1, 3), (0, 0)):
         for count in (0, 1, 160_000):
             bulk, scalar = random.Random(seed), random.Random(seed)
-            got = _randints(bulk, low, high, count)
-            assert got.dtype == np.int64
-            assert got.tolist() == [_randint(scalar, low, high) for _ in range(count)]
+            got = _randints(bulk, [(low, high)], count)
+            assert got.dtype == np.int64 and got.shape == (count, 1)
+            assert got[:, 0].tolist() == [_randint(scalar, low, high) for _ in range(count)]
+            assert bulk.getstate() == scalar.getstate()
+    # mixed ranges, drawn row by row: the group-law rows, ranges of other bit
+    # lengths, and ranges of 32 bits, each over several rounds of words
+    for ranges in (
+        [(-4, 4)] * 8 + [(-6, 6), (1, 3)] * 7,
+        [(-3, 3), (1, 2), (-3, 3), (1, 3)],
+        [(0, 0), (-9, 9), (1, 1000), (5, 6)],
+        [(0, 2**31 - 1), (1, 3), (-2**30, 2**30), (0, 0)],
+    ):
+        for rows in (0, 1, 7, 5_000):
+            bulk, scalar = random.Random(seed), random.Random(seed)
+            got = _randints(bulk, ranges, rows)
+            assert got.dtype == np.int64 and got.shape == (rows, len(ranges))
+            assert got.tolist() == [[_randint(scalar, low, high) for low, high in ranges] for _ in range(rows)]
             assert bulk.getstate() == scalar.getstate()
     # a wider range is not one shifted word per candidate
     with pytest.raises(ValueError, match=r"wider than 2\*\*32"):
-        _randints(random.Random(seed), 0, 2**32, 1)
+        _randints(random.Random(seed), [(1, 3), (0, 2**32)], 1)
 
 
 # sha256 of repr(getstate()) of the suite's generator after a passing run
@@ -333,7 +351,7 @@ def test_randint_rejects_an_empty_range_before_drawing(low, high):
     with pytest.raises(ValueError, match="empty range"):
         _randint(rng, low, high)
     with pytest.raises(ValueError, match="empty range"):
-        _randints(rng, low, high, 5)
+        _randints(rng, [(0, 9), (low, high)], 5)
     assert rng.calls == 0
     with pytest.raises(ValueError, match="empty range"):
         random.Random(0).randint(low, high)

@@ -400,10 +400,11 @@ def test_composed_analyticity_constant():
 
 
 def _composed_analyticity_on_rational_matrices(f, n_random, seed):
-    """The composed-analyticity report with every a substituted as its rational matrix L_a."""
+    """The composed-analyticity report sampled at the basis elements and
+    ``n_random`` random rational a, each substituted as its rational matrix L_a."""
     rng = random.Random(seed)
     alphas = [Hypercomplex.basis(8, i) for i in range(8)]
-    alphas += [verify._random_rational_hypercomplex(rng, 8) for _ in range(n_random)]
+    alphas += [Hypercomplex([verify._rand_fraction(rng, 3, 3) for _ in range(8)]) for _ in range(n_random)]
     universal, witness = True, None
     for a in alphas:
         if not a.is_zero() and not f.substitute_linear(left_mult_matrix(a)).dirac("left").is_zero():
@@ -427,14 +428,17 @@ def _composed_analyticity_on_rational_matrices(f, n_random, seed):
 
 
 @pytest.mark.parametrize("seed", (11, 12, 13))
-def test_composed_analyticity_on_integer_matrices_keeps_every_report(seed):
-    # L_(delta a) has integer entries; every report, witness included, is
-    # the one of the rational matrices
+def test_composed_analyticity_from_the_basis_is_the_sampled_verdict(seed):
+    # the eight basis elements give the verdicts, the witness and the CR half
+    # of the check sampled at eight more random rational a
+    keys = ("universal_alpha", "alpha_witness", "cr_system", "cr_witness")
     verdicts = set()
     for name, f in cr_corpus(seed):
-        got = composed_analyticity_check(f, n_random=8, seed=seed).to_json()
-        assert got == _composed_analyticity_on_rational_matrices(f, 8, seed).to_json(), name
-        verdicts.add(got["inputs"]["universal_alpha"])
+        got = composed_analyticity_check(f)
+        want = _composed_analyticity_on_rational_matrices(f, 8, seed)
+        assert [got.inputs[k] for k in keys] == [want.inputs[k] for k in keys], name
+        assert got.passed == want.passed, name
+        verdicts.add(got.inputs["universal_alpha"])
     assert verdicts == {True, False}
 
 
@@ -458,21 +462,22 @@ def test_dilated_substitution_has_the_dilated_dirac_derivative(analytic):
     assert got.is_zero() == dg.is_zero() == analytic
 
 
-def test_composed_analyticity_witness_is_the_unscaled_alpha(monkeypatch):
-    # no corpus function fails first at a rational alpha, so every alpha
-    # checked here is the rational one; it is substituted as 12 L_a
-    f = dict(cr_corpus())["dirac-null-asymmetric"]
-    monkeypatch.setattr(Hypercomplex, "basis", classmethod(lambda cls, dim, i: RATIONAL_ALPHA))
-    substitute, rows_seen = HyperFrac.substitute_linear, []
-    monkeypatch.setattr(
-        HyperFrac, "substitute_linear", lambda g, rows: rows_seen.append(rows) or substitute(g, rows)
-    )
-    got = composed_analyticity_check(f, n_random=0).to_json()
-    assert rows_seen == [left_mult_matrix(RATIONAL_ALPHA * 12)]
-    assert all(Fraction(c).denominator == 1 for row in rows_seen[0] for c in row)
-    monkeypatch.setattr(HyperFrac, "substitute_linear", substitute)
-    assert got["inputs"]["alpha_witness"] == RATIONAL_ALPHA.to_text()
-    assert got == _composed_analyticity_on_rational_matrices(f, 0, 0).to_json()
+@pytest.mark.parametrize("name", ("conj-gradient-5", "dirac-null-asymmetric", "random-0"))
+def test_composed_dirac_derivative_is_linear_in_alpha(name):
+    # D[f(a x)] = sum_k a_k G_k(a x), where G_k(e_k x) = D[f(e_k x)] and
+    # L_(e_k) is orthogonal, so G_k = D[f o L_(e_k)] o L_(e_k)^T: the basis
+    # elements decide every a
+    f = dict(cr_corpus())[name]
+    a = RATIONAL_ALPHA
+    want = f.substitute_linear(left_mult_matrix(a)).dirac("left")
+    got = None
+    for k, a_k in enumerate(a.comps):
+        basis = left_mult_matrix(Hypercomplex.basis(8, k))
+        g_k = f.substitute_linear(basis).dirac("left").substitute_linear(tuple(zip(*basis)))
+        term = g_k.substitute_linear(left_mult_matrix(a)).scale(a_k)
+        got = term if got is None else got + term
+    assert got == want
+    assert want.is_zero() == stein_weiss_check(f)[0]
 
 
 def test_corpus_agreement_and_classes():
@@ -480,7 +485,7 @@ def test_corpus_agreement_and_classes():
     assert len(corpus) >= 20
     true_class = false_class = 0
     for name, f in corpus:
-        rep = composed_analyticity_check(f, n_random=8)
+        rep = composed_analyticity_check(f)
         assert rep.passed, name
         if rep.inputs["cr_system"]:
             true_class += 1
@@ -493,7 +498,7 @@ def test_stein_weiss_implies_analyticity():
     for name, f in cr_corpus():
         sw_ok, _ = stein_weiss_check(f)
         if sw_ok:
-            rep = composed_analyticity_check(f, n_random=5)
+            rep = composed_analyticity_check(f)
             assert rep.inputs["universal_alpha"], name
             assert rep.inputs["cr_system"], name
 
