@@ -32,6 +32,7 @@ from .kernel import (
     PiScaledKernel,
     cauchy_kernel,
     complex_szego_closed_form,
+    density_closed_form,
     group_kernel,
     newton_derivative,
     newton_potential,
@@ -71,6 +72,7 @@ __all__ = [
     "PiScaledKernel",
     "cauchy_kernel",
     "complex_szego_closed_form",
+    "density_closed_form",
     "group_kernel",
     "newton_derivative",
     "newton_potential",

@@ -3,7 +3,8 @@
 Output is machine-first: values and check reports go to stdout as JSON (one
 line per check for suites), human summaries go to stderr.  Exit codes:
 0 success, 1 check or evaluation failure (a singular point, or a float
-evaluation that overflows or divides by zero), 2 usage or I/O error, a
+evaluation that overflows, divides by zero or, for the density, rounds
+every component of a value to 0), 2 usage or I/O error, a
 ``report.UsageError`` or an argparse error (including a ``--budget`` too
 small for two boundary refinement levels, an ``--n`` for which the
 reproducing test function is outside the Hardy membership range, an

@@ -7,15 +7,22 @@ Szego density for n horizontal variables is a power of ``-2/pi`` times the
 every order of one algebra dimension come from one shared chain, so a higher
 order costs only the steps it adds to the furthest one taken.  All symbolic
 content is exact; powers of pi are kept as a separate integer exponent so
-that identity tests never touch floating point.  Every float value comes
-from the one float evaluator, ``polyfrac.float_plan`` (which
-``eval_fractions`` runs), and a float fault raises ``FloatingPointError``:
-here through ``eval_array``, which applies one plan per kernel object, built
-on first use, and of which a one-point evaluation is a one-row call returned
-as a :class:`KernelValue` (many points, such as a table of the group kernel,
-are one ``szego_density(order).eval_array`` call), while
-``verify.reproducing_check`` (one plan per fraction set) and
-``verify._kernel_abs`` evaluate the density's components directly.
+that identity tests never touch floating point.  The m = 4 density's float
+values come from its Gegenbauer closed form, ``density_values``: O(n)
+operations per point where its expanded body has O(n^3) terms whose sum
+cancels more as n grows, and every value the floats can hold, through an
+exact power-of-two scaling; ``density_closed_form`` is that closed form as
+exact fractions, equal to the derivative.  Every other float value comes
+from the one plan evaluator, ``polyfrac.float_plan`` (which
+``eval_fractions`` runs).  A float fault raises ``FloatingPointError`` in
+either: here through ``eval_array``, which runs ``eval_columns`` on the
+points' columns, by the closed form for a :class:`QuaternionicDensity` and
+otherwise by one plan per kernel object, built on first use; a one-point
+evaluation is a one-row call returned as a :class:`KernelValue` (many
+points, such as a table of the group kernel, are one
+``szego_density(order).eval_array`` call), while
+``verify.reproducing_check`` and ``verify._kernel_abs`` call the density's
+``eval_columns`` on their own columns.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 
 from .geometry import nu_columns
 from .hypercomplex import Hypercomplex, conj, sum_squares
-from .polyfrac import HyperFrac, RadialFraction, RatPoly, float_plan
+from .polyfrac import _ROWS, HyperFrac, RadialFraction, RatPoly, float_plan, radius_sq
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,7 @@ class KernelValue:
         return math.ldexp(math.sqrt(sum_squares([math.ldexp(c, -e) for c in self.comps])), e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiScaledKernel:
     """Value = coeff * pi**pi_pow * body(x), with exact coeff and body."""
 
@@ -83,6 +90,12 @@ class PiScaledKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", Fraction(self.coeff))
+
+    def __eq__(self, other):
+        """Equal coefficient, power of pi and body, whichever float evaluator each uses."""
+        if not isinstance(other, PiScaledKernel):
+            return NotImplemented
+        return (self.coeff, self.pi_pow, self.body) == (other.coeff, other.pi_pow, other.body)
 
     @property
     def alg_dim(self):
@@ -103,9 +116,14 @@ class PiScaledKernel:
         return float_plan(self.body.comps)
 
     def eval_array(self, x):
-        """Float values at points x of shape (..., dim), by the kernel's one
-        float plan (``HyperFrac.eval_array`` bit for bit); float faults raise."""
-        return self._plan(np.moveaxis(x, -1, 0)) * self.prefactor()
+        """Float values at points x of shape (..., dim): :meth:`eval_columns` of x's columns."""
+        return self.eval_columns(np.moveaxis(x, -1, 0))
+
+    def eval_columns(self, cols):
+        """Float values at the points of coordinate columns that broadcast, shape
+        S + (alg_dim,), by the kernel's one float plan (``HyperFrac.eval_array``
+        bit for bit, times the prefactor); float faults raise."""
+        return self._plan(cols) * self.prefactor()
 
     def scaled_equal(self, other):
         """True when both describe the same function (coeff folded into body)."""
@@ -125,6 +143,142 @@ class PiScaledKernel:
     @classmethod
     def from_json(cls, data):
         return cls(Fraction(data["coeff"]), int(data["pi_pow"]), HyperFrac.from_json(data["body"]))
+
+
+def gegenbauer_coefficients(lam, k):
+    """The a_j of |x|^k C_k^(lam)(x0/|x|) = sum_j a_j x0^(k-2j) |x|^(2j), j = 0..k//2,
+    as exact Fractions: a_j = (-1)^j (lam)_(k-j) 2^(k-2j) / (j! (k-2j)!)."""
+    return [
+        Fraction((-1) ** j * math.prod(range(lam, lam + k - j)) * 2 ** (k - 2 * j), math.factorial(j) * math.factorial(k - 2 * j))
+        for j in range(k // 2 + 1)
+    ]
+
+
+def _homogeneous_gegenbauer(lam, k):
+    """|x|^k C_k^(lam)(x0/|x|) as a polynomial in four variables."""
+    x0, r2 = RatPoly.variable(4, 0), radius_sq(4)
+    x0_pows, r2_pows = [RatPoly.const(4, 1)], [RatPoly.const(4, 1)]
+    while len(x0_pows) <= k:
+        x0_pows.append(x0_pows[-1] * x0)
+    while len(r2_pows) <= k // 2:
+        r2_pows.append(r2_pows[-1] * r2)
+    total = RatPoly.zero(4)
+    for j, a in enumerate(gegenbauer_coefficients(lam, k)):
+        total = total + (x0_pows[k - 2 * j] * r2_pows[j]).scale(a)
+    return total
+
+
+def density_closed_form(n):
+    """The body of the m = 4 Szego density of order n from its closed form, exact.
+
+    ((2n+1)!/2) U_{2n+1}(c) / |x|^(2n+3) and -(2n)! C^(2)_{2n}(c) x_i /
+    |x|^(2n+4) (``density_values``), each numerator written as a polynomial
+    through |x|^k C_k^(lam)(x0/|x|), over |x|^(4n+4).  It equals
+    ``szego_density(n).body``, the derivative the paper defines.
+    """
+    head = _homogeneous_gegenbauer(1, 2 * n + 1).scale(Fraction(math.factorial(2 * n + 1), 2))
+    radial = _homogeneous_gegenbauer(2, 2 * n).scale(-math.factorial(2 * n))
+    return HyperFrac(
+        (RadialFraction(head, 2 * n + 2),)
+        + tuple(RadialFraction(RatPoly.variable(4, i) * radial, 2 * n + 2) for i in (1, 2, 3))
+    )
+
+
+def _power(x, e):
+    """x**e as x**(e // 2) * x**(e - e // 2): products only, so scaling x by
+    2^j scales the power by 2^(je) exactly while nothing over- or underflows."""
+    return x if e == 1 else _power(x, e // 2) * _power(x, e - e // 2)
+
+
+def density_values(n, cols, scale=1.0):
+    """``scale`` times the body of the m = 4 Szego density of order n, in floats.
+
+    In R^4, d0^k |x|^-2 = (-1)^k k! U_k(c) / |x|^(k+2) and d0^k |x|^-4 =
+    k! C^(2)_k(c) / |x|^(k+4), with c = x0/|x| (Gegenbauer, lambda = 1 and
+    2), so the body is ((2n+1)!/2) U_{2n+1}(c) / |x|^(2n+3) and, for i = 1,
+    2, 3, -(2n)! C^(2)_{2n}(c) x_i / |x|^(2n+4): two polynomials in the one
+    variable c, run by their three-term recurrences (C^(2)_{k-1} = U_k'/2),
+    in O(n) operations per point where the expanded body has O(n^3) terms
+    that cancel more as n grows (``density_closed_form`` is the exact form).
+    ``cols`` are four coordinate columns that broadcast to the shape S of the
+    point set, as ``polyfrac.float_plan`` takes them; the result has shape
+    S + (4,), taken in blocks of at most ``_ROWS`` points along S's leading
+    axis.  In a block with a point outside 2^-L <= |x| <= 2^L, L = 512 //
+    (2n+4), where powers of |x| could leave the float range, each point is
+    divided by the power of two 2^e of its largest coordinate, exactly, and
+    its value multiplied back by 2^(-(2n+3)e), so every value the floats can
+    hold is reached.  Within that range the scaling would change no bit
+    (power-of-two factors commute with rounding in the normal range), so
+    the value of a point does not depend on its block.  A value that overflows raises
+    ``FloatingPointError``, as does the singular point 0 and a point whose
+    every component rounds to 0 (the density vanishes nowhere else); a zero
+    component is +0.0, and one that falls below the normal floats beside a
+    larger one is rounded, as any float result is.
+    """
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    if len(cols) != 4:
+        raise ValueError(f"need 4 coordinate columns, got {len(cols)}")
+    true_shape = np.broadcast_shapes(*(c.shape for c in cols))
+    shape = true_shape or (1,)
+    cols = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in cols]
+    out = np.empty((4,) + shape)
+    size = max(1, _ROWS // max(1, math.prod(shape[1:])))
+    p = 2 * n + 3
+    head = scale * (math.factorial(2 * n + 1) / 2)
+    radial = -scale * math.factorial(2 * n)
+    # |x|^(p+1) within 2^+-512: no value of such a block leaves the float range
+    lo, hi = 2.0 ** (-2 * (512 // (p + 1))), 2.0 ** (2 * (512 // (p + 1)))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for start in range(0, shape[0], size):
+            x = [c if len(c) == 1 else c[start : start + size] for c in cols]
+            block = out[:, start : start + size]
+            with np.errstate(all="ignore"):
+                s = (x[1] * x[1] + x[2] * x[2]) + x[3] * x[3]
+                r2 = x[0] * x[0] + s
+            e = None
+            if r2.size and not (lo <= r2.min() and r2.max() <= hi):
+                x = np.stack(np.broadcast_arrays(*x))
+                e = np.frexp(np.max(np.abs(x), axis=0))[1]
+                x = np.ldexp(x, -e)
+                s = (x[1] * x[1] + x[2] * x[2]) + x[3] * x[3]
+                r2 = x[0] * x[0] + s
+            r = np.sqrt(r2)
+            # Reinsch's form of the recurrences at a = |x0|/|x| (U_k(-a) =
+            # (-1)^k U_k(a)), on g = 2 - 2a, which has no cancellation, so a
+            # point near the x0 axis loses no bits to 1 - a; from k = 1,
+            # u, du = U_k(a), U_k(a) - U_(k-1)(a) and w, dw the same of U_k'/2
+            g = (s + s) / (r * (np.abs(x[0]) + r))
+            u, du, w, dw = 2.0 - g, 1.0 - g, 1.0, 1.0
+            for _ in range(2 * n):
+                dw = (u - g * w) + dw
+                du = du - g * u
+                u = u + du
+                w = w + dw
+            d = _power(r2, n + 1)  # |x|^(2n+2), from |x|^2 with fewer roundings than powers of |x|
+            np.divide((head * np.sign(x[0])) * u, d * r, out=block[0])
+            q = radial * w / (d * r2)
+            for i in (1, 2, 3):
+                np.multiply(q, x[i], out=block[i])
+            if e is not None:
+                np.ldexp(block, -p * e, out=block)
+                if not np.all(np.any(block, axis=0)):
+                    raise FloatingPointError("underflow: every component of a value rounds to 0")
+            block += 0.0  # -0.0 to +0.0
+    # the S + (4,) view of the component-leading buffer, as float_plan returns it
+    return out.transpose((*range(1, out.ndim), 0)).reshape(true_shape + (4,))
+
+
+@dataclass(frozen=True, eq=False)
+class QuaternionicDensity(PiScaledKernel):
+    """The m = 4 Szego density of order n: the exact body is the derivative
+    the paper defines, and its floats come from the closed form."""
+
+    n: int
+
+    def eval_columns(self, cols):
+        """:func:`density_values` times the prefactor, folded in before the
+        power of two that restores the range; float faults raise."""
+        return density_values(self.n, cols, self.prefactor())
 
 
 def newton_potential():
@@ -192,9 +346,11 @@ def szego_density(order):
         if d > end[0]:
             _DENSITY_CHAIN_ENDS[order.m] = (d, head, radial)
         comps = (head,) + tuple(RadialFraction(c.num * radial.num, radial.k) for c in e.body.comps[1:])
-        density = PiScaledKernel(
-            e.coeff * Fraction(-2) ** d, e.pi_pow - d, HyperFrac(comps)
-        )
+        coeff, pi_pow, body = e.coeff * Fraction(-2) ** d, e.pi_pow - d, HyperFrac(comps)
+        if order.m == 4:
+            density = QuaternionicDensity(coeff, pi_pow, body, order.n)
+        else:
+            density = PiScaledKernel(coeff, pi_pow, body)
         _DENSITY_CACHE[key] = density
         return density
 

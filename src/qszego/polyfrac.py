@@ -11,8 +11,10 @@ homogeneity) do not depend on it.
 components; the left Dirac operator and linear variable substitutions act
 on it, and ``degree`` is the one home of its degree of homogeneity.
 
-``eval`` is exact and rejects floats: it is the oracle that the one float
-evaluator, ``eval_fractions``, is checked against.  It runs a plan that
+``eval`` is exact and rejects floats: it is the oracle that the float
+evaluator of fractions, ``eval_fractions``, is checked against (the m = 4
+Szego density alone has a float evaluator of its own, its closed form in
+``kernel``).  It runs a plan that
 ``float_plan`` builds from the fractions, which a caller that evaluates
 the same fractions many times builds once.  It takes one coordinate column
 per variable, and the columns broadcast to the shape of the point set: a

@@ -47,6 +47,7 @@ from .kernel import (
     PiScaledKernel,
     cauchy_kernel,
     complex_szego_closed_form,
+    density_closed_form,
     szego_density,
 )
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
@@ -70,7 +71,7 @@ from .verify import (
     _randints,
 )
 
-SUITE_NAMES = ("all", "algebra", "kernel", "geometry", "props", "reproducing", "octonion")
+SUITE_NAMES = ("all", "algebra", "kernel", "geometry", "props", "reproducing", "octonion", "exact")
 
 
 # The sampled checks run on blocks of at most this many samples, which
@@ -585,11 +586,29 @@ def reproducing_suite(n, tol, budget):
 # ----------------------------------------------------------------------
 
 
+def exact_suite():
+    """Exact identities with no float step: the density's Gegenbauer closed
+    form, from which its floats are taken, equals the derivative the paper
+    defines, at n = 1..8."""
+    return [
+        CheckReport.from_flag(
+            "density-closed-form", {"n": n}, density_closed_form(n) == szego_density(KernelOrder(n)).body,
+            lhs="Gegenbauer closed form", rhs="d0^(2n) of the Cauchy kernel",
+        )
+        for n in range(1, 9)
+    ]
+
+
+# ----------------------------------------------------------------------
+
+
 def run_suite(name, n, tol, budget, seed):
     """Run one named suite (or all of them); returns ``(reports, elapsed)``.
 
-    The reports are sorted by check name; ``elapsed`` maps each suite that
-    ran to its wall time in seconds, in the order the suites ran.  A suite
+    The reports are sorted by check name, and those of the exact suite,
+    which runs last, follow the others in order, so a new exact report adds
+    lines at the end; ``elapsed`` maps each suite that ran to its wall time
+    in seconds, in the order the suites ran.  A suite
     that raises adds one failing ``suite-error`` report, whose ``error``
     field holds the exception's type and message, and the other suites
     still run.  A ``UsageError`` still raises: a budget too small for two
@@ -606,19 +625,21 @@ def run_suite(name, n, tol, budget, seed):
         "geometry": lambda: geometry_suite(seed=seed),
         "props": lambda: props_suite(seed=seed),
         "octonion": lambda: octonion_suite(seed=seed),
+        "exact": exact_suite,
     }
-    reports, elapsed = [], {}
+    reports, appended, elapsed = [], [], {}
     for suite, run in suites.items():
         if name not in ("all", suite):
             continue
         start = time.perf_counter()
+        out = appended if suite == "exact" else reports
         try:
-            reports += run()
+            out += run()
         except UsageError:
             raise
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-            reports.append(CheckReport.from_flag("suite-error", {"suite": suite}, False, error=error))
+            out.append(CheckReport.from_flag("suite-error", {"suite": suite}, False, error=error))
         elapsed[suite] = time.perf_counter() - start
     reports.sort(key=lambda r: (r.name, str(r.inputs)))
-    return reports, elapsed
+    return reports + appended, elapsed

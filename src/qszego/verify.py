@@ -293,13 +293,14 @@ def reproducing_check(spec, tol=1e-3, budget=2.0e7):
         raise ValueError("test function vanishes at (0,1): no relative deviation to test")
     direct_f = np.array([float(c) for c in direct.comps])
     density = szego_density(KernelOrder(n))
-    # one float plan per fraction set, applied at every boundary level
-    density_plan, test_plan = float_plan(density.body.comps), float_plan(test_function.comps)
+    # one float plan for the test function, applied at every boundary level;
+    # the density's floats come from its closed form
+    test_plan = float_plan(test_function.comps)
 
     def fn(t1, t2, t3):
         # the t axes broadcast to the grid, so each power is taken once per
         # axis value; 1.0 is 1 + |w'|^2 at w' = 0 (see BoundaryIntegrand)
-        s_vals = density_plan((1.0, -t1, -t2, -t3)) * density.prefactor()
+        s_vals = density.eval_columns((1.0, -t1, -t2, -t3))
         f_vals = test_plan((1.0, t1, t2, t3))
         return mul_arrays(s_vals, f_vals, 4)
 
@@ -554,10 +555,14 @@ def _sample_shell(rng, n, rho_lo, rho_hi, samples):
     return y * scale[:, None], tau * scale[:, None] ** 2, target
 
 
-def _kernel_abs(fracs, scale, y, tau):
-    """|scale * f(|y|^2, tau)| for each f; f = the density body gives |K(y, tau)|."""
-    vals = eval_fractions([c for f in fracs for c in f.comps], (np.sum(y * y, axis=1), *tau.T))
-    vals = vals.reshape(len(y), len(fracs), -1) * scale
+def _kernel_abs(density, y, tau, partials=()):
+    """|K(y, tau)| = |s(|y|^2, tau)|, then the modulus of each partial f of
+    the density body at (|y|^2, tau) times the prefactor, one row each."""
+    cols = (np.sum(y * y, axis=1), *tau.T)
+    vals = density.eval_columns(cols)[:, None]
+    if partials:
+        parts = eval_fractions([c for f in partials for c in f.comps], cols)
+        vals = np.concatenate([vals, parts.reshape(len(y), len(partials), -1) * density.prefactor()], axis=1)
     return np.sqrt(np.sum(vals * vals, axis=-1)).T
 
 
@@ -578,16 +583,15 @@ def kernel_decay_check(n=1, samples=100_000, seed=0):
     d = homogeneous_dim(n)
     rng = np.random.default_rng(seed)
     density = szego_density(order)
-    body, scale = density.body, density.prefactor()
-    fracs = [body] + [body.deriv(i) for i in range(4)]
+    partials = [density.body.deriv(i) for i in range(4)]
 
     # exact dilation invariance on a modest sample
     y, tau, rho = _sample_shell(rng, n, 0.5, 5.0, 200)
     inv_ok = True
     worst_inv = 0.0
     for delta in (2.0, 3.0):
-        lhs = _kernel_abs([body], scale, y * delta, tau * delta**2)[0]
-        rhs = _kernel_abs([body], scale, y, tau)[0] * delta ** (-d)
+        lhs = _kernel_abs(density, y * delta, tau * delta**2)[0]
+        rhs = _kernel_abs(density, y, tau)[0] * delta ** (-d)
         dev = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
         worst_inv = max(worst_inv, dev)
         inv_ok = inv_ok and dev <= 1e-12
@@ -596,7 +600,7 @@ def kernel_decay_check(n=1, samples=100_000, seed=0):
     sups = []
     for rho_lo, rho_hi in shells:
         y, tau, rho = _sample_shell(rng, n, rho_lo, rho_hi, samples)
-        k, ds0, *ds_t = _kernel_abs(fracs, scale, y, tau)
+        k, ds0, *ds_t = _kernel_abs(density, y, tau, partials)
         k_sup = float(np.max(k * rho**d))
         dy_sup = float(np.max(2 * np.max(np.abs(y), axis=1) * ds0 * rho ** (d + 1)))
         dt_sup = float(np.max(np.max(ds_t, axis=0) * rho ** (d + 2)))
@@ -617,7 +621,7 @@ def kernel_decay_check(n=1, samples=100_000, seed=0):
         rel_deviation=max(ratios.values()) - 1.0,
         tolerance=1.0,
         passed=bool(stable and inv_ok),
-        n_evals=2 * samples * len(fracs),
+        n_evals=2 * samples * (1 + len(partials)),
     )
 
 

@@ -76,12 +76,37 @@ def test_eval_nonzero_point_that_rounds_to_zero_is_not_singular(args, capsys):
     assert err.startswith("error: ") and "singular" not in err and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("nu", ["1e-60,0,0,0", "1e60,0,0,0"])
+@pytest.mark.parametrize("nu", ["1e-200,0,0,0", "1e200,0,0,0"])
 def test_eval_float_fault_is_one_error_line(nu, capsys):
-    # the float evaluation over- or underflows: exit 1 and one error line
+    # |s| is about 1e995 and 1e-1005 at n = 1, beyond the floats either way:
+    # the overflow and the value whose every component rounds to 0 both
+    # raise, exit 1 and one error line
     code, out, err = run_cli(["eval", "s", "--nu", nu], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("nu", ["1e-60,0,0,0", "1e60,0,0,0", "3e-50,-1e-50,2e-50,0", "1e55,0,-5e54,1e54"])
+def test_eval_density_across_the_float_range(nu, capsys):
+    # the density scales each point by a power of two, so a value the floats
+    # hold is printed, as close to the exact oracle as one near |nu| = 1
+    code, out, err = run_cli(["eval", "s", "--nu", nu], capsys)
+    assert code == 0, err
+    got = json.loads(out)["value"]
+    density = qszego.szego_density(1)
+    exact = density.body.eval([Fraction(c) for c in nu.split(",")]).comps
+    want = [float(Fraction(density.prefactor()) * c) for c in exact]
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-14 * max(abs(w) for w in want)
+
+
+@pytest.mark.parametrize("n", range(19, 25))
+def test_k_decay_table_at_every_n_up_to_the_cap(n, tmp_path, capsys):
+    # |K| runs from about 1e102 down to 1e-242 over the table at n = 24
+    path = tmp_path / "t.csv"
+    code, _, err = run_cli(["export", "table", "--what", "K-decay", "--n", str(n), "-o", str(path)], capsys)
+    assert code == 0, err
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == 50 and all(math.isfinite(float(v)) and float(v) > 0 for r in rows for v in r.split(","))
 
 
 @pytest.mark.parametrize("command", [["eval", "s", "--nu", "1,0,0"], ["export", "kernel"]])
@@ -224,7 +249,7 @@ def test_verify_all_seed_0_is_pinned(capsys):
     code, out, _ = run_cli(["verify", "all", "--seed", "0"], capsys)
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "eba540c8d99cd246a0c02da05380c289520a1c3e5f5735250fbd0c6098828573"
+    assert digest == "25bf8f4512dde80a632f4d54148dc6d6cea686b8322d1442862b62a94ac5473d"
 
 
 def test_verify_octonion_seed_3_is_pinned(capsys):
@@ -238,8 +263,8 @@ def test_verify_octonion_seed_3_is_pinned(capsys):
 @pytest.mark.parametrize(
     "n, want",
     [
-        ("2", "03464afe8ddaf7e85c7424cec1f3256236d8d741c2ad3d3f04e5754a00d4aa14"),
-        ("3", "f58f1a5cc41cfa1b8a4bfd32ba3ff15d4b2e8fbcad93d430ef5869dff958d8ae"),
+        ("2", "f0deed4c1961bac3c1af3c42b311f1b74bf82dea869446bc04f6da3e48ad8888"),
+        ("3", "5d67133a20652b900c814035ef0508a52129140a3450907f322d5307c47f2fbc"),
     ],
 )
 def test_verify_reproducing_is_pinned_above_n_1(n, want, capsys):
@@ -265,11 +290,11 @@ def test_verify_reproducing_is_pinned_above_n_1(n, want, capsys):
         (["export", "kernel", "--n", "2"], "20e56e70f33097a56ff8266cebb9b1d474f08ffdadc6a9180af20a7056ef0e38"),
         (
             ["export", "table", "--what", "K-decay", "--n", "1"],
-            "2bc6e47c03715f65c436485385ce1fff8828e2a8c5567d2b48137f0fb0ec1c5a",
+            "0816862d7b56463b715768d3c58ee03cf6ec96c1067ba92475736371b386773a",
         ),
         (
             ["export", "table", "--what", "s-ray", "--n", "1"],
-            "0d7bce711f94d4febb01ded9ad7bd796714e6078de75933476c18cce5d9bb95d",
+            "bbdb04b24cac6e604c764d88fe7978bc8594d5d4449a82fce0a293f6dad51903",
         ),
     ],
     ids=["eval-s", "eval-E", "eval-S", "eval-K", "export-kernel", "export-K-decay", "export-s-ray"],
@@ -378,21 +403,22 @@ def test_raising_suite_is_a_failing_report(monkeypatch, capsys):
     def raising(seed=0):
         raise RuntimeError("boom")
 
-    for name in ("algebra", "kernel", "geometry", "props", "octonion", "reproducing"):
+    for name in ("algebra", "kernel", "geometry", "props", "octonion", "reproducing", "exact"):
         stub = lambda name=name, **k: [CheckReport.from_flag(f"{name}-stub", {}, True)]
         monkeypatch.setattr(suites, f"{name}_suite", stub)
     monkeypatch.setattr(suites, "props_suite", raising)
     code, out, err = run_cli(["verify", "all"], capsys)
     assert code == 1
     lines = [json.loads(l) for l in out.strip().splitlines()]
+    # sorted by name, and the exact suite's reports after all the others
     assert [l["name"] for l in lines] == [
-        "algebra-stub", "geometry-stub", "kernel-stub", "octonion-stub", "reproducing-stub", "suite-error"
+        "algebra-stub", "geometry-stub", "kernel-stub", "octonion-stub", "reproducing-stub", "suite-error", "exact-stub"
     ]
-    error = lines[-1]
+    error = lines[-2]
     assert error["inputs"] == {"suite": "props"} and error["error"] == "RuntimeError: boom"
     assert error["passed"] is False
-    assert all("error" not in l for l in lines[:-1])
-    assert "5/6 checks passed" in err
+    assert all("error" not in l for l in lines if l is not error)
+    assert "6/7 checks passed" in err
 
 
 @pytest.mark.parametrize("flag", [["--n", "6"], ["--budget", "1e4"]], ids=["n-outside-hardy-range", "budget"])
@@ -435,15 +461,15 @@ def test_verify_prints_each_suite_time_on_stderr(monkeypatch, capsys):
     from qszego import suites
     from qszego.report import CheckReport
 
-    names = ("algebra", "kernel", "geometry", "props", "octonion", "reproducing")
+    names = ("algebra", "kernel", "geometry", "props", "octonion", "reproducing", "exact")
     for name in names:
         stub = lambda name=name, **k: [CheckReport.from_flag(f"{name}-stub", {}, True)]
         monkeypatch.setattr(suites, f"{name}_suite", stub)
     code, out, err = run_cli(["verify", "all"], capsys)
-    assert code == 0 and len(out.strip().splitlines()) == 6
+    assert code == 0 and len(out.strip().splitlines()) == 7
     times = [line for line in err.splitlines() if re.fullmatch(r"\w+: \d+\.\d+ s", line)]
     assert sorted(line.split(":")[0] for line in times) == sorted(names)
-    assert "all: 6/6 checks passed" in err
+    assert "all: 7/7 checks passed" in err
 
 
 def test_config_bad_value_is_usage_error(tmp_path, capsys):

@@ -117,9 +117,9 @@ def test_bare_polynomial_bit_identical():
 
 
 def test_one_point_fault_still_raises():
-    # |x|^(2k) underflows to 0 at |nu| = 1e-60; the one-point path raises
+    # |s| is about 1e995 at |nu| = 1e-200, beyond the floats; the one-point path raises
     with pytest.raises(FloatingPointError):
-        szego_density(KernelOrder(1)).eval([1e-60, 0, 0, 0])
+        szego_density(KernelOrder(1)).eval([1e-200, 0, 0, 0])
 
 
 def test_one_call_equals_one_call_per_fraction():
@@ -132,11 +132,12 @@ def test_one_call_equals_one_call_per_fraction():
 
 
 def test_grid_fault_raises():
-    # |x|^(2k) overflows at |nu| = 1e60 and underflows to 0 at 1e-60 and 1e-130
+    # |s| overflows at |nu| = 1e-200 and every component rounds to 0 at 1e200
+    # (about 1e-1005), next to points whose values the floats hold
     with pytest.raises(FloatingPointError):
-        szego_density(KernelOrder(1)).eval_array([[1e60, 0, 0, 0], [1e-60, 0, 0, 0]])
+        szego_density(KernelOrder(1)).eval_array([[1e60, 0, 0, 0], [1e-200, 0, 0, 0]])
     with pytest.raises(FloatingPointError):
-        szego_density(KernelOrder(1)).eval_array([[1e-130, 0, 0, 0]])
+        szego_density(KernelOrder(1)).eval_array([[1e-60, 0, 0, 0], [1e200, 0, 0, 0]])
 
 
 def test_grid_zeros_of_both_signs_sum_to_positive_zero():

@@ -24,8 +24,12 @@ from qszego.kernel import (
     KernelOrder,
     KernelValue,
     PiScaledKernel,
+    QuaternionicDensity,
     cauchy_kernel,
     complex_szego_closed_form,
+    density_closed_form,
+    density_values,
+    gegenbauer_coefficients,
     group_kernel,
     newton_derivative,
     newton_potential,
@@ -450,3 +454,106 @@ DENSITY_JSON_SHA256 = {
 def test_density_json_pinned(m, n):
     text = json.dumps(szego_density(KernelOrder(n, m)).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == DENSITY_JSON_SHA256[(m, n)]
+
+
+# ----------------------------------------------------------------------
+# the Gegenbauer closed form: exact identity and float range
+
+
+def test_gegenbauer_coefficients():
+    # U_3 = 8c^3 - 4c, C^(2)_2 = 12c^2 - 2, C^(2)_4 = 80c^4 - 48c^2 + 3
+    assert gegenbauer_coefficients(1, 3) == [8, -4]
+    assert gegenbauer_coefficients(2, 2) == [12, -2]
+    assert gegenbauer_coefficients(2, 4) == [80, -48, 3]
+    assert all(type(a) is Fraction for a in gegenbauer_coefficients(2, 7))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_density_closed_form_equals_the_derivative(n):
+    assert density_closed_form(n) == szego_density(KernelOrder(n)).body
+
+
+def test_quaternionic_density_type_and_equality():
+    # the m = 4 density evaluates by the closed form; the m = 2 one by its
+    # plan; equality reads coefficient, power of pi and body alone
+    s4, s2 = szego_density(KernelOrder(2)), szego_density(KernelOrder(2, m=2))
+    assert type(s4) is QuaternionicDensity and s4.n == 2
+    assert type(s2) is PiScaledKernel
+    plain = PiScaledKernel(s4.coeff, s4.pi_pow, s4.body)
+    assert s4 == plain and plain == s4 and s4 != s2
+
+
+def _exact_floats(density, point):
+    """The density's exact value at an integer point, each component rounded once."""
+    pre = Fraction(density.prefactor())
+    return np.array([float(pre * c) for c in density.body.eval([int(v) for v in point]).comps])
+
+
+def test_density_floats_match_the_exact_oracle_across_the_float_range():
+    # random integer directions d, scaled by 2^m to |x| near every decade
+    # from 1e-300 to 1e300; the body is homogeneous of degree -(2n+3), so
+    # the exact value at d 2^m is the exact value at d times 2^(-(2n+3)m).
+    # Points whose exact largest component is not a normal float are left
+    # out; the rest must agree to 1e-12 of that component
+    rng = np.random.default_rng(35)
+    decades = 10.0 ** np.arange(-300, 301)
+    for n in (1, 2, 3, 4, 5, 6, 10, 16, 24):
+        density = szego_density(KernelOrder(n))
+        degree = density.body.degree()
+        assert degree == -(2 * n + 3)
+        for d in rng.integers(-9, 10, (3, 4)):
+            d[0] = d[0] or 1
+            m = np.round(np.log2(decades / np.linalg.norm(d))).astype(int)
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.ldexp(_exact_floats(density, d), (degree * m)[:, None])
+            big = np.max(np.abs(want), axis=1)
+            keep = (big >= np.finfo(float).tiny) & (big < np.inf)
+            assert np.count_nonzero(keep) >= 10
+            got = density.eval_array(np.ldexp(d.astype(float), m[keep][:, None]))
+            err = np.max(np.abs(got - want[keep]), axis=1) / big[keep]
+            assert np.max(err) <= 1e-12, (n, d.tolist())
+    # the point whose per-term value was 3.1e-11 off; a float point is an
+    # integer point over 2^E, so its exact value is 2^(E(2n+3)) times that
+    density = szego_density(KernelOrder(24))
+    nu = [Fraction(v) for v in (0.3, 0.5, 0.2, 0.7)]
+    den = max(v.denominator for v in nu)
+    pre = Fraction(density.prefactor())
+    want = np.array([float(pre * c * den**51) for c in density.body.eval([v * den for v in nu]).comps])
+    got = np.array(density.eval([float(v) for v in nu]).comps)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_density_value_that_rounds_to_zero_raises():
+    # the rule for a nonzero value below the floats: a point whose every
+    # component rounds to 0 raises (|s| is about 1e-1005 at |nu| = 1e200);
+    # a component below the floats beside a representable one is rounded
+    with pytest.raises(FloatingPointError, match="underflow"):
+        density_values(1, (1e200, 0.0, 0.0, 0.0))
+    value = density_values(1, (1e50, 1e-250, 0.0, 0.0))
+    assert value[0] > 0 and value[1:].tolist() == [0.0, 0.0, 0.0]
+    assert not np.signbit(value).any()
+
+
+def test_density_point_bits_do_not_depend_on_the_block():
+    # one point far outside the unit range sends its block through the
+    # power-of-two scaling; the other points keep the bits they have alone
+    pts = np.random.default_rng(4).uniform(-3, 3, (40, 4))
+    alone = density_values(3, pts.T)
+    mixed = density_values(3, np.concatenate([pts, [[1e-20, 2e-20, 0.0, 0.0]]]).T)
+    assert np.array_equal(mixed[:-1].view(np.uint64), alone.view(np.uint64))
+    scaled = density_values(3, (pts * 2.0**-60).T)
+    assert np.array_equal(scaled.view(np.uint64), np.ldexp(alone, 9 * 60).view(np.uint64))
+
+
+def test_density_columns_broadcast_like_the_plan():
+    # axis columns give the bits of the points they span, and empty point
+    # sets give empty values of the broadcast shape
+    density = szego_density(KernelOrder(2))
+    t = np.linspace(-2.0, 3.0, 7)
+    axes = (1.5, t[:, None, None], -t[None, :, None], t[None, None, :])
+    grid = np.stack(np.broadcast_arrays(*axes), axis=-1)
+    got = density.eval_columns(axes)
+    assert got.shape == (7, 7, 7, 4)
+    assert np.array_equal(got.view(np.uint64), density.eval_array(grid).view(np.uint64))
+    assert density.eval_array(np.zeros((0, 4))).shape == (0, 4)
+    assert density.eval_array(np.ones((3, 0, 4))).shape == (3, 0, 4)

@@ -1,7 +1,11 @@
-"""The package's public names, and the names perfbench traces."""
+"""The package's public names, its runtime dependencies, and the names perfbench traces."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qszego
@@ -38,3 +42,30 @@ def test_perfbench_traced_names_resolve():
         if obj is None:
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+# installed next to numpy here, but not dependencies of the package
+_UNDECLARED = ("scipy", "sympy", "mpmath")
+
+_GUARD = """
+import json, sys
+from qszego.cli import main
+codes = [
+    main(["verify", "all", "--seed", "0", "-o", sys.argv[1]]),
+    main(["eval", "s", "--n", "24", "--nu", "0.3,0.5,0.2,0.7", "-o", sys.argv[1]]),
+]
+print(json.dumps({"codes": codes, "modules": sorted(m for m in sys.modules if m.split(".")[0] in %r)}))
+""" % (_UNDECLARED,)
+
+
+def test_runtime_imports_only_numpy(tmp_path):
+    # every suite and the largest evaluation run in a fresh interpreter,
+    # which must import none of the undeclared packages
+    src = str(Path(qszego.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD, str(tmp_path / "out")], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "modules": []}

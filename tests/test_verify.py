@@ -12,7 +12,7 @@ from qszego.geometry import SiegelPoint
 from qszego.hypercomplex import Hypercomplex, left_mult_matrix
 from qszego.kernel import KernelOrder, cauchy_kernel, newton_derivative, szego_density
 from qszego.polyfrac import HyperFrac, RadialFraction, RatPoly
-from qszego import polyfrac, verify
+from qszego import kernel as kernel_module, polyfrac, verify
 from qszego.quadrature import QuadratureResult, SqrtPiRational, gamma_half, sphere_moment
 from qszego.report import CheckReport, UsageError
 from qszego.verify import (
@@ -136,7 +136,8 @@ def test_reproducing_property_quick():
 
 
 def test_reproducing_builds_one_float_plan_per_fraction_set(monkeypatch):
-    # the density's plan and the test function's plan serve every boundary level
+    # the test function's one plan serves every boundary level; the density
+    # builds none, its floats come from the closed form at every level
     build = polyfrac.float_plan
     applied = []
 
@@ -150,11 +151,14 @@ def test_reproducing_builds_one_float_plan_per_fraction_set(monkeypatch):
 
         return apply
 
+    closed_form = kernel_module.density_values
+    densities = []
     monkeypatch.setattr(polyfrac, "float_plan", counted)
     monkeypatch.setattr(verify, "float_plan", counted)
+    monkeypatch.setattr(kernel_module, "density_values", lambda *a: densities.append(1) or closed_form(*a))
     rep = reproducing_check(TestFunctionSpec(1, (2, 0, 0, 1)), tol=1e-2, budget=3e6)
     assert rep.passed and rep.n_evals > 8**3
-    assert len(applied) == 2 and min(applied) > 1
+    assert len(applied) == 1 and applied[0] > 1 and len(densities) == applied[0]
 
 
 def test_reproducing_rejects_out_of_range():
