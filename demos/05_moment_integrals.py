@@ -34,12 +34,19 @@ for a, powers in ((1.0, (0, 0, 0, 0)), (2.0, (0, 0, 0, 0)), (1.0, (1, 2, 0, 2)))
     exact = exponential_moment_closed_form(a, *powers)
 
     def f(x1, x2, x3):
-        # coordinate columns that broadcast: x1**k is taken once per axis value;
-        # the rule evaluates f at x1 >= 0 only and mirrors it with parity (-1)^k
+        # coordinate columns that broadcast: a power of x1 is taken once per
+        # axis value; the rule evaluates f in the octant x1, x2, x3 >= 0 only
+        # and mirrors it with the signs (-1)^k of the axis powers, so the
+        # powers are product chains, whose sign flips exactly with x_i's
         r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-        return r ** powers[0] * x1 ** powers[1] * x2 ** powers[2] * x3 ** powers[3] * np.exp(-a * r)
+        value = np.exp(-a * r)
+        for x, k in zip((r, x1, x2, x3), powers):
+            for _ in range(k):
+                value = value * x
+        return value
 
-    res = integrate_r3(f, ExpDecay(a), (-1) ** powers[1], tol=1e-9, abs_tol=1e-12)
+    parity = tuple((-1) ** k for k in powers[1:])
+    res = integrate_r3(f, ExpDecay(a), parity, tol=1e-9, abs_tol=1e-12)
     print(f"  a={a}, powers={powers}: closed {exact.to_float():.10f}"
           f"  numeric {res.value:.10f}  ({res.n_evals} evaluations, converged {res.converged})")
 

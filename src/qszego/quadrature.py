@@ -13,10 +13,11 @@ spherical rule x1, x2, x3 of a group of radial nodes, the boundary rule
 the t grid's three axes), so a power of a coordinate is taken once per axis
 value; an integrand returns one value or C values per point, leading for
 the spherical rule, trailing for the boundary rule.  The spherical rule is
-folded on its polar axis: it evaluates its integrand at the nodes with
-cos theta >= 0 only and takes each mirrored value as +-1 times its mirror's,
-by the parity in x1 the caller declares, exactly (:func:`_sphere_level`).
-Both return a
+folded on the three coordinate planes: its azimuthal nodes are symmetric
+by construction, it evaluates its integrand in the octant x1, x2, x3 >= 0
+only, one eighth of its points, and takes every mirrored value as +-1
+times its mirror's, by the parities in x1, x2 and x3 the caller declares,
+exactly (:func:`_sphere_level`).  Both return a
 :class:`QuadratureResult` whether or not refinement converged, and every
 check that integrates puts its ``converged`` flag into its verdict.  A
 level whose value is not finite raises :class:`FloatingPointError`.
@@ -227,29 +228,60 @@ def _finite(value, evals):
     return value, evals
 
 
+def _signs(parity):
+    """The declared parities as a (C, 3) array of +-1, one row per value."""
+    try:
+        sign = np.asarray(parity, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"parity must be one triple of signs per value, got {parity!r}") from None
+    if sign.ndim not in (1, 2) or sign.shape[-1] != 3:
+        raise ValueError(f"parity must be one triple of signs (x1, x2, x3) per value, got {parity!r}")
+    if not np.all(np.abs(sign) == 1.0):
+        raise ValueError(f"parity signs must be +1 or -1, got {parity!r}")
+    return sign.reshape(-1, 3)
+
+
+def _azimuth(nphi):
+    """cos and sin of the nphi midpoints (k + 1/2) 2 pi / nphi, symmetric by construction.
+
+    Only the first quadrant's are computed; the others are its exact sign
+    flips and reversals, (-c, s), (-c, -s) and (c, -s) of the mirrored node,
+    so the nodes are bit-symmetric across the planes x2 = 0 and x3 = 0.
+    """
+    if nphi % 4:
+        raise ValueError(f"the azimuthal rule needs a multiple of 4 nodes, got {nphi}")
+    phi = (np.arange(nphi // 4) + 0.5) * (2.0 * math.pi / nphi)
+    c, s = np.cos(phi), np.sin(phi)
+    return np.concatenate([c, -c[::-1], -c, c[::-1]]), np.concatenate([s, s[::-1], -s, -s[::-1]])
+
+
 def _sphere_level(f, decay, nr, nc, nphi, parity):
     """One tensor level of the spherical product rule; returns (value, evals).
 
-    The level is folded on its polar axis: ``f(x1, x2, x3)`` is called only
-    at the nc - nc // 2 polar nodes with cos theta >= 0, on the coordinate
-    columns of a group of whole radial nodes, of shapes (g, nc', 1),
-    (g, nc', nphi) and (g, nc', nphi) with nc' = nc - nc // 2, so a power of
-    x1 is taken once per (r, cos theta) value; it returns shape
-    (g, nc', nphi), or (C, g, nc', nphi) for C values per point (the
-    component-leading rows of ``eval_fractions``), which is only reshaped.
+    The level is folded on the three coordinate planes: ``f(x1, x2, x3)`` is
+    called only at the nc' = nc - nc // 2 polar nodes with cos theta >= 0
+    and the q = nphi / 4 azimuthal nodes with 0 < phi < pi / 2, on the
+    coordinate columns of a group of whole radial nodes, of shapes
+    (g, nc', 1), (g, nc', q) and (g, nc', q), so a power of x1 is taken once
+    per (r, cos theta) value; it returns shape (g, nc', q), or
+    (C, g, nc', q) for C values per point (the component-leading rows of
+    ``eval_fractions``), which is only reshaped.
 
-    ``parity`` is +1 or -1, or one of them per value, and the integrand
-    must satisfy f(-x1, x2, x3) = parity * f(x1, x2, x3) bit for bit (an
-    IEEE product chain of the coordinates does; numpy's ``**`` of an odd or
-    of a fourth or higher power need not).  The fold is then exact: the
-    ``leggauss`` nodes are antisymmetric and its weights symmetric bit for
-    bit, the mirrored node's x1 is -(r cos theta) while x2 and x3 are equal
-    (sin theta depends on cos^2 theta only), and negation commutes with
-    rounding.  So the weighted values of the nc // 2 nodes with
-    cos theta < 0 are those of the mirrored nodes, reversed and times the
-    parity, written into their half of the group's contiguous weighted
-    (C, g, nc, nphi) block, and each node total is that of evaluating all
-    nc * nphi points, which ``evals`` counts.
+    ``parity`` is one triple of signs (s1, s2, s3), each +1 or -1, per
+    value, and the integrand must satisfy f(..., -x_i, ...) = s_i * f bit
+    for bit for i = 1, 2, 3 (an IEEE product chain of the coordinates does;
+    numpy's ``**`` of an odd or of a fourth or higher power need not).  The
+    fold is then exact.  The ``leggauss`` nodes are antisymmetric and its
+    weights symmetric bit for bit, and the mirrored polar node's x1 is
+    -(r cos theta) while x2 and x3 are equal (sin theta depends on
+    cos^2 theta only); the azimuthal nodes of :func:`_azimuth` are
+    bit-symmetric across x2 = 0 and x3 = 0 by construction; and negation
+    commutes with rounding.  So the group's contiguous weighted
+    (C, g, nc, nphi) block is written from its evaluated octant by the
+    mirrors, times the declared signs, and each node total is that of
+    evaluating all nc * nphi points, which ``evals`` counts.  A parity that
+    is not one triple of +-1 per value, or an ``nphi`` that is not a
+    multiple of 4, raises ``ValueError``.
 
     The value is a float for one value per point and an array of C entries
     otherwise.  A group holds as many nodes as fit in one evaluator block of
@@ -259,29 +291,38 @@ def _sphere_level(f, decay, nr, nc, nphi, parity):
     by one in node order, as Python floats, so the value does not depend on
     the grouping.
     """
+    q = nphi // 4
+    cphi, sphi = (a[:q] for a in _azimuth(nphi))
+    sign = _signs(parity)
     u, wu = _gauss01(nr)
     r, jac = decay.map(u)
     c, wc = _leggauss(nc)
-    phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
     wphi = 2.0 * math.pi / nphi
 
     h = nc // 2
     c, wc = c[h:, None], wc[h:, None]
     s = np.sqrt(1.0 - c**2)
-    cphi, sphi = np.cos(phi), np.sin(phi)
     weight = wu * jac * r * r
-    sign = np.reshape(np.asarray(parity, dtype=float), (-1, 1, 1, 1))
+    s1, s2, s3 = (np.reshape(sign[:, i], (-1, 1, 1, 1)) for i in range(3))
 
-    group = max(1, _ROWS // (len(c) * nphi))
+    group = max(1, _ROWS // (len(c) * q))
     totals = None
     for start in range(0, nr, group):
         rg = r[start : start + group, None, None]
         rs = rg * s
-        vals = np.reshape(f(rg * c, rs * cphi, rs * sphi), (-1, len(rg), len(c), nphi))
+        vals = np.reshape(f(rg * c, rs * cphi, rs * sphi), (-1, len(rg), len(c), q))
+        if len(vals) != len(sign):
+            raise ValueError(f"parity declares {len(sign)} values, the integrand returns {len(vals)}")
         weighted = np.empty((len(vals), len(rg), nc, nphi))
-        np.multiply(vals, wc, out=weighted[:, :, h:])
-        # the nodes with cos theta < 0: their mirrors' weighted values times the parity
-        np.multiply(weighted[:, :, nc - h :][:, :, ::-1], sign, out=weighted[:, :, :h])
+        upper = weighted[:, :, h:]
+        first = upper[..., :q]
+        np.multiply(vals, wc, out=first)
+        # the other quadrants of phi: (-c, s), (-c, -s), (c, -s) of the mirrored node
+        np.multiply(first[..., ::-1], s2, out=upper[..., q : 2 * q])
+        np.multiply(first, s2 * s3, out=upper[..., 2 * q : 3 * q])
+        np.multiply(first[..., ::-1], s3, out=upper[..., 3 * q :])
+        # the nodes with cos theta < 0: their mirrors' weighted values times s1
+        np.multiply(weighted[:, :, nc - h :][:, :, ::-1], s1, out=weighted[:, :, :h])
         nodes = np.sum(weighted, axis=(-2, -1)) * wphi * weight[start : start + group]
         totals = totals or [0.0] * len(nodes)
         for i, row in enumerate(nodes.tolist()):
@@ -314,16 +355,17 @@ def _refine(level, sizes, tol, abs_tol):
 def integrate_r3(f, decay_hint, parity, tol=1e-8, abs_tol=0.0):
     """Adaptive spherical product rule over R^3.
 
-    ``f(x1, x2, x3)`` takes coordinate columns that broadcast, at the polar
-    nodes with cos theta >= 0 only, and returns one value per point, or C
-    values per point on a leading axis; ``parity`` declares, per value, the
-    sign +-1 with which f(-x1, x2, x3) = parity * f(x1, x2, x3) holds bit
-    for bit, as :func:`_sphere_level` says; f must be absolutely integrable
-    with the declared radial decay.  Starting from 16 x 12 x 12 nodes,
-    refinement doubles the radial rule and grows the angular rules, for at
-    most five levels, until successive levels agree to the requested
+    ``f(x1, x2, x3)`` takes coordinate columns that broadcast, in the octant
+    x1, x2, x3 >= 0 of the rule's nodes only, and returns one value per
+    point, or C values per point on a leading axis; ``parity`` declares one
+    triple of signs (s1, s2, s3) per value, with f(..., -x_i, ...) = s_i * f
+    bit for bit, as :func:`_sphere_level` says; f must be absolutely
+    integrable with the declared radial decay.  Starting from 16 x 12 x 12
+    nodes, refinement doubles the radial rule and grows the angular rules,
+    for at most five levels, until successive levels agree to the requested
     tolerance.  When the levels run out first, the result carries
-    ``converged=False`` and the last level's value.
+    ``converged=False`` and the last level's value.  A parity that is not
+    one triple of +-1 per value raises ``ValueError``.
     """
     sizes = [(16 * 2**k, min(12 * 2**k, 48), min(12 * 2**k, 48)) for k in range(5)]
     level = lambda *size: _sphere_level(f, decay_hint, *size, parity)
@@ -344,10 +386,11 @@ def parseval_identity_check(p_orders, q_orders, x0):
     is odd) the left side is tested against 1e-10 times the integral of the
     absolute product, both taken from one evaluation of the product.  An
     adaptive rule that does not converge fails the check with its best value.
-    Both integrals run on the folded rule, which evaluates the product at the
-    nodes with x1 >= 0 only: every term of the float plan of d^p N is an IEEE
-    product chain whose x1 exponent has the parity of p1, so the product has
-    parity (-1)^(p1 + q1) in x1 bit for bit, and its modulus parity +1.
+    Both integrals run on the folded rule, which evaluates the product in
+    the octant x1, x2, x3 > 0 only: every term of the float plan of d^p N is
+    an IEEE product chain whose x_i exponent has the parity of p_i, so the
+    product has parity (-1)^(p_i + q_i) in x_i bit for bit, for i = 1, 2, 3,
+    and its modulus parity +1 in each.
     """
     tol, zero_tol = 1e-6, 1e-10
     p_orders = tuple(int(v) for v in p_orders)
@@ -383,10 +426,10 @@ def parseval_identity_check(p_orders, q_orders, x0):
         np.abs(both[0], out=both[1])
         return both
 
-    parity = (-1) ** l[1]
+    parity = tuple((-1) ** l[i] for i in (1, 2, 3))
     decay = PowerDecay(scale=max(1.0, 2.0 * float(x0)))
     if rhs_exact.is_zero():
-        (lhs, scale), n_evals = _sphere_level(signed_and_absolute, decay, 64, 24, 24, (parity, 1))
+        (lhs, scale), n_evals = _sphere_level(signed_and_absolute, decay, 64, 24, 24, (parity, (1, 1, 1)))
         ref, tolerance, converged = max(scale, 1e-300), zero_tol, True
     else:
         res = integrate_r3(product, decay, parity, tol=tol * 0.2, abs_tol=abs(rhs) * tol * 0.2)

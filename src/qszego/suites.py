@@ -227,6 +227,8 @@ def kernel_suite(seed=0):
         nus = np.array([rng.uniform(-2, 2) for _ in range(4 * 25)]).reshape(25, 4)
         nus = nus[np.sum(nus * nus, axis=1) >= 0.1]
         base = density.eval_array(nus)
+        # only t = 5 tests anything: scaling by 0.5 or 2.0 is exact in the
+        # closed-form evaluator, so those dilations compare identical bits
         worst = max(
             _row_deviation(density.eval_array(t * nus) * t ** (2 * n + 3), base) for t in (0.5, 2.0, 5.0)
         )
@@ -483,7 +485,8 @@ def props_suite(seed=0):
                 r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
                 return r**l0 * x1**l1 * x2**l2 * x3**l3 * np.exp(-a * r)
 
-            res = integrate_r3(f, ExpDecay(a), (-1) ** l1, tol=1e-8, abs_tol=1e-12 * abs(exact))
+            # l1, l2, l3 are even: f is even in x1, x2 and x3, bit for bit
+            res = integrate_r3(f, ExpDecay(a), (1, 1, 1), tol=1e-8, abs_tol=1e-12 * abs(exact))
             worst = max(worst, abs(res.value - exact) / abs(exact))
             converged = converged and res.converged
             count += 1
@@ -586,17 +589,47 @@ def reproducing_suite(n, tol, budget):
 # ----------------------------------------------------------------------
 
 
+# the density-float-oracle points: integer directions with 8 <= |d| < 16,
+# scaled by 2^(e - 3), so |x| runs from 2^-40 to 2^40 in dyadic floats
+_ORACLE_DIRECTIONS = (
+    (5, -3, 7, 1), (-9, 2, 4, -6), (1, 8, -5, 3), (6, 6, -6, 6),
+    (-2, -7, 3, 9), (11, 0, 0, 2), (0, 4, -10, 5), (-13, 1, -1, 2),
+)
+_ORACLE_EXPONENTS = (-40, -29, -17, -6, 5, 16, 28, 39)
+
+
+def _density_float_oracle(n, closed):
+    """The m = 4 density's floats against ``closed``, its exact closed form,
+    at the 8 oracle points: the worst max|float - exact| over the largest
+    exact component, taken exactly."""
+    density = szego_density(KernelOrder(n))
+    pts = np.ldexp(np.array(_ORACLE_DIRECTIONS, dtype=float), np.array(_ORACLE_EXPONENTS)[:, None] - 3)
+    pre = Fraction(density.prefactor())
+    worst = 0.0
+    for got, point in zip(density.eval_array(pts).tolist(), pts.tolist()):
+        want = [pre * c for c in closed.eval([Fraction(v) for v in point]).comps]
+        err = max(abs(Fraction(g) - w) for g, w in zip(got, want)) / max(abs(w) for w in want)
+        worst = max(worst, float(err))
+    return CheckReport.within(
+        "density-float-oracle", {"n": n, "points": len(pts)}, worst, 1e-12,
+        lhs="closed-form floats", rhs="exact closed form", n_evals=len(pts),
+    )
+
+
 def exact_suite():
-    """Exact identities with no float step: the density's Gegenbauer closed
-    form, from which its floats are taken, equals the derivative the paper
-    defines, at n = 1..8."""
+    """Exact identities, and the floats that rest on them: the density's
+    Gegenbauer closed form, from which its floats are taken, equals the
+    derivative the paper defines, at n = 1..8; and those floats match the
+    closed form, evaluated exactly, to 1e-12 of the largest component at
+    8 dyadic points per n with |x| from 2^-40 to 2^40."""
+    closed = {n: density_closed_form(n) for n in range(1, 9)}
     return [
         CheckReport.from_flag(
-            "density-closed-form", {"n": n}, density_closed_form(n) == szego_density(KernelOrder(n)).body,
+            "density-closed-form", {"n": n}, closed[n] == szego_density(KernelOrder(n)).body,
             lhs="Gegenbauer closed form", rhs="d0^(2n) of the Cauchy kernel",
         )
-        for n in range(1, 9)
-    ]
+        for n in closed
+    ] + [_density_float_oracle(n, closed[n]) for n in closed]
 
 
 # ----------------------------------------------------------------------

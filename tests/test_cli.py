@@ -249,7 +249,7 @@ def test_verify_all_seed_0_is_pinned(capsys):
     code, out, _ = run_cli(["verify", "all", "--seed", "0"], capsys)
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "25bf8f4512dde80a632f4d54148dc6d6cea686b8322d1442862b62a94ac5473d"
+    assert digest == "a99cf85133fe98fc86aba338cc1e2a3553e26daaa6478858754751b392e3f64e"
 
 
 def test_verify_octonion_seed_3_is_pinned(capsys):

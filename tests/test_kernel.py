@@ -20,6 +20,7 @@ from qszego.geometry import (
 )
 from qszego.hypercomplex import Hypercomplex, conj, sum_squares
 from qszego import kernel as kernel_module
+from qszego import suites
 from qszego.kernel import (
     KernelOrder,
     KernelValue,
@@ -521,6 +522,20 @@ def test_density_floats_match_the_exact_oracle_across_the_float_range():
     want = np.array([float(pre * c * den**51) for c in density.body.eval([v * den for v in nu]).comps])
     got = np.array(density.eval([float(v) for v in nu]).comps)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("scale", [(1.0, 1.01, 1.0, 1.0), (1.0 + 1e-6,) * 4], ids=["component", "overall"])
+def test_exact_suite_oracle_sees_a_wrong_density_float(monkeypatch, scale):
+    # verify exact's density-float-oracle reports pass on the closed form
+    # and fail, each, on a density one component of which is 1 % off, or
+    # which is 1e-6 off overall; the density-closed-form reports read no float
+    reports = suites.exact_suite()
+    assert [r.name for r in reports] == ["density-closed-form"] * 8 + ["density-float-oracle"] * 8
+    assert all(r.passed for r in reports)
+    assert [r.inputs for r in reports[8:]] == [{"n": n, "points": 8} for n in range(1, 9)]
+    closed_form = kernel_module.density_values
+    monkeypatch.setattr(kernel_module, "density_values", lambda *a: closed_form(*a) * np.array(scale))
+    assert [r.passed for r in suites.exact_suite()] == [True] * 8 + [False] * 8
 
 
 def test_density_value_that_rounds_to_zero_raises():

@@ -189,7 +189,7 @@ def _radius(x1, x2, x3):
 
 def test_integrate_r3_exponential():
     f = lambda *x: np.exp(-_radius(*x))
-    res = integrate_r3(f, ExpDecay(1.0), 1, tol=1e-9)
+    res = integrate_r3(f, ExpDecay(1.0), (1, 1, 1), tol=1e-9)
     assert abs(res.value - 8 * PI) <= 1e-8 * 8 * PI
     assert res.n_evals > 0
     assert res.error_estimate >= 0
@@ -197,7 +197,7 @@ def test_integrate_r3_exponential():
 
 def test_integrate_r3_odd_vanishes():
     f = lambda x1, x2, x3: x1 * np.exp(-_radius(x1, x2, x3))
-    res = integrate_r3(f, ExpDecay(1.0), -1, tol=1e-9, abs_tol=1e-12)
+    res = integrate_r3(f, ExpDecay(1.0), (-1, 1, 1), tol=1e-9, abs_tol=1e-12)
     assert abs(res.value) < 1e-10
 
 
@@ -205,7 +205,7 @@ def test_integrate_r3_nonconvergence_reports_best(monkeypatch):
     # tolerance far below reachable: the result must carry the best value
     _cut_levels(monkeypatch, 2)
     f = lambda *x: np.exp(-_radius(*x))
-    res = integrate_r3(f, ExpDecay(1.0), 1, tol=0.0)
+    res = integrate_r3(f, ExpDecay(1.0), (1, 1, 1), tol=0.0)
     assert not res.converged
     assert abs(res.value - 8 * PI) < 1e-3
 
@@ -214,7 +214,7 @@ def test_integrate_r3_one_level_is_not_converged(monkeypatch):
     # one level gives no error estimate: not converged, not a budget error
     _cut_levels(monkeypatch, 1)
     f = lambda *x: np.exp(-_radius(*x))
-    res = integrate_r3(f, ExpDecay(1.0), 1)
+    res = integrate_r3(f, ExpDecay(1.0), (1, 1, 1))
     assert not res.converged and res.error_estimate == math.inf and res.n_evals == 16 * 12 * 12
 
 
@@ -223,9 +223,10 @@ def test_sphere_level_columns_match_scalar_levels():
     # bit for bit as a one-value integrand is
     f = lambda x1, x2, x3: (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -2.0
     g = lambda x1, x2, x3: x1**2 * (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -3.0
-    both, used = _sphere_level(lambda *x: np.stack([f(*x), g(*x)]), PowerDecay(2.0), 16, 12, 12, (1, 1))
-    one_f, _ = _sphere_level(f, PowerDecay(2.0), 16, 12, 12, 1)
-    one_g, _ = _sphere_level(g, PowerDecay(2.0), 16, 12, 12, 1)
+    even = (1, 1, 1)
+    both, used = _sphere_level(lambda *x: np.stack([f(*x), g(*x)]), PowerDecay(2.0), 16, 12, 12, (even, even))
+    one_f, _ = _sphere_level(f, PowerDecay(2.0), 16, 12, 12, even)
+    one_g, _ = _sphere_level(g, PowerDecay(2.0), 16, 12, 12, even)
     assert isinstance(one_f, float) and used == 2304
     assert [v.hex() for v in both] == [one_f.hex(), one_g.hex()]
 
@@ -234,20 +235,22 @@ def _sphere_level_per_node(f, decay, nr, nc, nphi):
     """The spherical level with one integrand call per radial node on that
     node's stacked (nc * nphi, 3) points, passed as ``f(*pts.T)``, which
     returns (nc * nphi,) or (C, nc * nphi) values, and one angular sum per
-    node and value: the reference the grouped column calls of
-    ``_sphere_level`` must match bit for bit.  Returns (value, evals)."""
+    node and value, at every point of the rule, on the symmetric azimuthal
+    nodes of ``_azimuth``: the unfolded reference the folded, grouped column
+    calls of ``_sphere_level`` must match bit for bit.  Returns (value,
+    evals)."""
     u, wu = np.polynomial.legendre.leggauss(nr)
     r, jac = decay.map((u + 1.0) / 2.0)
     wu = wu / 2.0
     c, wc = np.polynomial.legendre.leggauss(nc)
-    phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
+    cphi, sphi = quadrature._azimuth(nphi)
     wphi = 2.0 * math.pi / nphi
     s = np.sqrt(1.0 - c**2)
     total = 0.0
     for i in range(nr):
         x1 = np.broadcast_to((r[i] * c)[:, None], (nc, nphi))
-        x2 = r[i] * s[:, None] * np.cos(phi)[None, :]
-        x3 = r[i] * s[:, None] * np.sin(phi)[None, :]
+        x2 = r[i] * s[:, None] * cphi[None, :]
+        x3 = r[i] * s[:, None] * sphi[None, :]
         pts = np.stack([x1, x2, x3], axis=-1).reshape(-1, 3)
         vals = np.reshape(f(*pts.T), (-1, nc, nphi))
         angular = np.array([np.sum(v * wc[:, None]) * wphi for v in vals])
@@ -259,25 +262,92 @@ def _sphere_level_per_node(f, decay, nr, nc, nphi):
 def test_sphere_level_groups_whole_radial_nodes(size):
     # one integrand call per group of whole radial nodes, at most _ROWS
     # evaluated points (one node when a node alone has more), on the group's
-    # coordinate columns at the nc - nc // 2 polar nodes with cos theta >= 0;
-    # an odd and an even value, folded by their parities, give the values of
-    # the per-node reference on every stacked point
+    # coordinate columns at the nc - nc // 2 polar nodes with cos theta >= 0
+    # and the nphi / 4 azimuthal nodes of the first quadrant; an odd and an
+    # even value, folded by their parities, give the values of the per-node
+    # reference on every stacked point
     nr, nc, nphi = size
-    half = nc - nc // 2
+    half, quarter = nc - nc // 2, nphi // 4
     calls = []
 
     def f(x1, x2, x3):
         calls.append((x1.shape, x2.shape, x3.shape))
         r2 = x1 * x1 + x2 * x2 + x3 * x3
-        return np.stack([x1 * x2**3 * (1.0 + r2) ** -4.0, np.exp(-r2)])
+        return np.stack([x1 * (x2 * x2 * x2) * (1.0 + r2) ** -4.0, np.exp(-r2)])
 
-    got, used = _sphere_level(f, PowerDecay(2.0), nr, nc, nphi, (-1, 1))
-    group = max(1, _ROWS // (half * nphi))
+    got, used = _sphere_level(f, PowerDecay(2.0), nr, nc, nphi, ((-1, -1, 1), (1, 1, 1)))
+    group = max(1, _ROWS // (half * quarter))
     sizes = [min(group, nr - i) for i in range(0, nr, group)]
     assert used == nr * nc * nphi
-    assert calls == [((g, half, 1), (g, half, nphi), (g, half, nphi)) for g in sizes]
+    assert calls == [((g, half, 1), (g, half, quarter), (g, half, quarter)) for g in sizes]
     want, _ = _sphere_level_per_node(f, PowerDecay(2.0), nr, nc, nphi)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_folded_level_equals_unfolded_for_every_parity():
+    # x1^a x2^b x3^c times a radial factor, for every a, b, c in {1, 2}, as
+    # product chains: the folded level equals, bit for bit, the level that
+    # evaluates every point of the symmetric rule
+    powers = list(itertools.product((1, 2), repeat=3))
+
+    def f(x1, x2, x3):
+        radial = np.exp(-(x1 * x1 + x2 * x2 + x3 * x3))
+        power = lambda x, k: x if k == 1 else x * x
+        return np.stack([power(x1, a) * power(x2, b) * power(x3, c) * radial for a, b, c in powers])
+
+    parity = [tuple((-1) ** k for k in p) for p in powers]
+    for size in [(16, 12, 12), (8, 13, 16)]:
+        folded, used = _sphere_level(f, ExpDecay(1.0), *size, parity)
+        unfolded, want_used = _sphere_level_per_node(f, ExpDecay(1.0), *size)
+        assert used == want_used == math.prod(size)
+        assert folded.view(np.uint64).tolist() == unfolded.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize(
+    "nphi, parity, match",
+    [
+        (14, (1, 1, 1), "multiple of 4"),
+        (12, (1, 0, 1), "must be \\+1 or -1"),
+        (12, (1, 1, 2.0), "must be \\+1 or -1"),
+        (12, 1, "one triple"),
+        (12, (1, -1), "one triple"),
+        (12, ((1, 1, 1), (1, 1)), "one triple"),
+        (12, ((1, 1, 1), (1, 1, 1)), "declares 2 values, the integrand returns 1"),
+    ],
+)
+def test_sphere_level_rejects_bad_rule_or_parity(nphi, parity, match):
+    # a parity is one triple of +-1 per value, and the azimuthal rule has
+    # four quadrants; both the level and the adaptive rule refuse the rest
+    # before the integrand sees a point, but for a count of values, which
+    # only its first call shows
+    f = lambda *x: np.exp(-_radius(*x))
+    with pytest.raises(ValueError, match=match):
+        _sphere_level(f, ExpDecay(1.0), 16, 12, nphi, parity)
+    if nphi == 12:
+        with pytest.raises(ValueError, match=match):
+            integrate_r3(f, ExpDecay(1.0), parity)
+
+
+def test_parseval_zero_path_evaluates_one_eighth_of_the_rule(monkeypatch):
+    # the zero path's one 64 x 24 x 24 level evaluates its product at
+    # 64 x 12 x 6 points, one octant: a fall back to a less folded rule
+    # fails here, not only in the benchmark
+    build = polyfrac.float_plan
+    points = []
+
+    def counted(fracs):
+        evaluate = build(fracs)
+
+        def apply(cols):
+            points.append(math.prod(np.broadcast_shapes(*(np.shape(c) for c in cols))))
+            return evaluate(cols)
+
+        return apply
+
+    monkeypatch.setattr(quadrature, "float_plan", counted)
+    rep = parseval_identity_check((0, 1, 0, 0), (0, 0, 1, 0), 1.0)
+    assert rep.passed and rep.rhs == 0.0 and rep.n_evals == 64 * 24 * 24
+    assert sum(points) == 64 * 12 * 6 == 4608
 
 
 @pytest.mark.parametrize("n", [12, 16, 24, 48])
@@ -289,27 +359,46 @@ def test_leggauss_nodes_antisymmetric_weights_symmetric(n):
     assert w[::-1].view(np.uint64).tolist() == w.view(np.uint64).tolist()
 
 
+@pytest.mark.parametrize("n", [12, 16, 24, 48])
+def test_azimuthal_nodes_symmetric_across_both_planes(n):
+    # the premise of the azimuthal fold of _sphere_level: node k mirrored
+    # across x2 = 0 is node n/2 - 1 - k, (cos, sin) -> (-cos, sin), and
+    # across x3 = 0 it is node n - 1 - k, (cos, sin) -> (cos, -sin), bit for
+    # bit; and the nodes are the midpoints (k + 1/2) 2 pi / n, within the
+    # 1e-15 to which cos and sin of the rounded angles themselves miss them
+    cphi, sphi = quadrature._azimuth(n)
+    bits = lambda a: a.view(np.uint64).tolist()
+    across_x2 = np.r_[n // 2 - 1 : -1 : -1, n - 1 : n // 2 - 1 : -1]
+    assert bits(-cphi[across_x2]) == bits(cphi) and bits(sphi[across_x2]) == bits(sphi)
+    assert bits(cphi[::-1]) == bits(cphi) and bits(-sphi[::-1]) == bits(sphi)
+    phi = (np.arange(n) + 0.5) * (2.0 * PI / n)
+    assert np.max(np.abs(cphi - np.cos(phi))) <= 2e-15 and np.max(np.abs(sphi - np.sin(phi))) <= 2e-15
+
+
 class _Captured(Exception):
     pass
 
 
 def _assert_parity(f, parity, rng):
-    """f(-x1, x2, x3) = parity * f(x1, x2, x3) bit for bit on seeded columns
-    of the shapes the spherical rule passes."""
-    g, half, nphi = 3, 6, 8
+    """f(..., -x_i, ...) = s_i * f(x1, x2, x3) bit for bit, for i = 1, 2, 3
+    and the declared triple (s1, s2, s3) of each value, on seeded columns of
+    the shapes the spherical rule passes."""
+    g, half, quarter = 3, 6, 4
     x1 = rng.standard_normal((g, half, 1)) * 10.0 ** rng.uniform(-1, 1, (g, half, 1))
-    x2, x3 = (rng.standard_normal((g, half, nphi)) * 10.0 ** rng.uniform(-1, 1, (g, half, nphi)) for _ in "23")
-    sign = np.reshape(np.asarray(parity, dtype=float), (-1, 1, 1, 1))
-    here = np.reshape(f(x1, x2, x3), (-1, g, half, nphi))
-    there = np.reshape(f(-x1, x2, x3), (-1, g, half, nphi))
-    assert len(here) == sign.size or sign.size == 1
-    assert there.view(np.uint64).tolist() == (here * sign).view(np.uint64).tolist()
+    x2, x3 = (rng.standard_normal((g, half, quarter)) * 10.0 ** rng.uniform(-1, 1, (g, half, quarter)) for _ in "23")
+    sign = np.reshape(np.asarray(parity, dtype=float), (-1, 3))
+    here = np.reshape(f(x1, x2, x3), (-1, g, half, quarter))
+    assert len(here) == len(sign)
+    for i, flipped in enumerate([(-x1, x2, x3), (x1, -x2, x3), (x1, x2, -x3)]):
+        there = np.reshape(f(*flipped), (-1, g, half, quarter))
+        want = here * np.reshape(sign[:, i], (-1, 1, 1, 1))
+        assert there.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (i, parity)
 
 
 def test_declared_parities_hold_bit_for_bit(monkeypatch):
-    # every parity the package passes to the spherical rule: the Newton
-    # products of order <= 3 (signed, and signed with their modulus on the
-    # zero path) and the props suite's moment integrands
+    # every parity the package passes to the spherical rule, in x1, x2 and
+    # x3: the Newton products of order <= 3 (signed, and signed with their
+    # modulus on the zero path) and the props suite's moment integrands
     seen = []
 
     def record(f, decay, nr, nc, nphi, parity):
@@ -323,8 +412,12 @@ def test_declared_parities_hold_bit_for_bit(monkeypatch):
     for p, q in pairs:
         with pytest.raises(_Captured):
             parseval_identity_check(p, q, rng.choice([0.5, 0.75, 1.0, 1.5]))
-    # an odd x1 order leaves the right side 0: parity -1 is on the zero path only
-    assert {parity for _, parity in seen} == {(-1, 1), (1, 1), 1}
+    # an odd axis order leaves the right side 0: a sign -1 is on the zero
+    # path only, next to the modulus's (1, 1, 1); the pairs flip every axis
+    even = (1, 1, 1)
+    signed = [parity[0] for _, parity in seen if parity != even]
+    assert all(parity in (even, (parity[0], even)) for _, parity in seen)
+    assert all(-1 in {t[i] for t in signed} for i in range(3)) and even not in signed
 
     moments = []
 
@@ -352,7 +445,7 @@ def test_numpy_sum_over_trailing_axes_equals_per_slice_sums(nc, nphi):
     # contiguous (C, g, nc, nphi) block over its last two axes gives, bit for
     # bit, np.sum of each contiguous (nc, nphi) slice on its own
     rng = np.random.default_rng(nc * 100 + nphi)
-    for count, g in ((1, 1), (2, max(1, _ROWS // (nc * nphi))), (3, 5)):
+    for count, g in ((1, 1), (2, max(1, _ROWS // ((nc - nc // 2) * (nphi // 4)))), (3, 5)):
         mags = 10.0 ** rng.uniform(-8, 8, (count, g, nc, nphi))
         block = np.where(rng.random(mags.shape) < 0.5, -mags, mags)
         block[..., ::2] += -np.roll(block, 1, axis=-1)[..., ::2]  # heavy cancellation
@@ -452,7 +545,7 @@ def test_nonfinite_integrand_value_raises():
     # or a convergence failure
     f = _nan_at_first_point(lambda *x: np.exp(-_radius(*x)))
     with pytest.raises(FloatingPointError):
-        integrate_r3(f, ExpDecay(1.0), 1, tol=1e-9)
+        integrate_r3(f, ExpDecay(1.0), (1, 1, 1), tol=1e-9)
 
     fn = _nan_at_first_point(_g(4))
     with pytest.raises(FloatingPointError):
@@ -471,7 +564,7 @@ def test_moment_quadrature_consistency_random(seed):
         r = _radius(x1, x2, x3)
         return r**l0 * x1**l1 * x2**l2 * x3**l3 * np.exp(-a * r)
 
-    res = integrate_r3(f, ExpDecay(a), (-1) ** l1, tol=1e-8, abs_tol=abs(exact) * 1e-10)
+    res = integrate_r3(f, ExpDecay(a), (1, 1, 1), tol=1e-8, abs_tol=abs(exact) * 1e-10)
     assert abs(res.value - exact) <= 1e-6 * abs(exact)
 
 
@@ -488,11 +581,11 @@ def test_parseval_identity_examples():
     # pinned float.hex of one odd and one even pair; an odd pair takes its
     # signed and absolute integrals from one 64 x 24 x 24 level
     rep = parseval_identity_check((0, 1, 0, 0), (0, 0, 1, 0), 1.0)
-    assert (rep.lhs.hex(), rep.rel_deviation.hex()) == ("-0x1.358951a4f44c0p-61", "0x1.261c6a47811aap-61")
+    assert (rep.lhs.hex(), rep.rel_deviation.hex()) == ("-0x1.4202107d52746p-64", "0x1.31f60dbeb0a05p-64")
     assert rep.n_evals == 64 * 24 * 24 == 36864
 
     rep = parseval_identity_check((1, 0, 0, 0), (1, 0, 0, 0), 1.0)
-    assert (rep.lhs.hex(), rep.rhs.hex()) == ("0x1.3bd3cc9be45d8p+2", "0x1.3bd3cc9be45dep+2")
+    assert (rep.lhs.hex(), rep.rhs.hex()) == ("0x1.3bd3cc9be45d7p+2", "0x1.3bd3cc9be45dep+2")
     assert rep.n_evals == 20736
 
 
@@ -571,11 +664,11 @@ def test_coordinate_maps_pinned_bit_for_bit():
     # ExpDecay, "power" through PowerDecay and the boundary level, on g and
     # on the reproducing integrand); a change to node placement, weights or
     # summation order shows here before it shows in a tolerance
-    res = integrate_r3(lambda *x: np.exp(-_radius(*x)), ExpDecay(1.0), 1, tol=1e-9)
+    res = integrate_r3(lambda *x: np.exp(-_radius(*x)), ExpDecay(1.0), (1, 1, 1), tol=1e-9)
     assert (res.value.hex(), res.n_evals) == ("0x1.921fb54442cd7p+4", 168192)
 
     value, used = _sphere_level(
-        lambda x1, x2, x3: (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -2.0, PowerDecay(2.0), 16, 12, 12, 1
+        lambda x1, x2, x3: (1.0 + (x1 * x1 + x2 * x2 + x3 * x3)) ** -2.0, PowerDecay(2.0), 16, 12, 12, (1, 1, 1)
     )
     assert (value.hex(), used) == ("0x1.3bd3cc9be4e6fp+3", 2304)
 
