@@ -35,9 +35,10 @@ for a, powers in ((1.0, (0, 0, 0, 0)), (2.0, (0, 0, 0, 0)), (1.0, (1, 2, 0, 2)))
 
     def f(x1, x2, x3):
         # coordinate columns that broadcast: a power of x1 is taken once per
-        # axis value; the rule evaluates f in the octant x1, x2, x3 >= 0 only
-        # and mirrors it with the signs (-1)^k of the axis powers, so the
-        # powers are product chains, whose sign flips exactly with x_i's
+        # axis value; the rule evaluates f in the octant x1, x2, x3 > 0 only
+        # and multiplies the octant's sum by (1 + s1)(1 + s2)(1 + s3), with
+        # s_i = (-1)^k the parity of the axis power: 8 when all are even, 0
+        # (the exact value) when one is odd
         r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
         value = np.exp(-a * r)
         for x, k in zip((r, x1, x2, x3), powers):

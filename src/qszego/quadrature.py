@@ -13,11 +13,10 @@ spherical rule x1, x2, x3 of a group of radial nodes, the boundary rule
 the t grid's three axes), so a power of a coordinate is taken once per axis
 value; an integrand returns one value or C values per point, leading for
 the spherical rule, trailing for the boundary rule.  The spherical rule is
-folded on the three coordinate planes: its azimuthal nodes are symmetric
-by construction, it evaluates its integrand in the octant x1, x2, x3 >= 0
-only, one eighth of its points, and takes every mirrored value as +-1
-times its mirror's, by the parities in x1, x2 and x3 the caller declares,
-exactly (:func:`_sphere_level`).  Both return a
+folded on the three coordinate planes: it evaluates its integrand in the
+octant x1, x2, x3 > 0 only, one eighth of its points, and multiplies the
+octant's sum by (1 + s1)(1 + s2)(1 + s3), 8 or 0, from the parities in x1,
+x2 and x3 the caller declares (:func:`_sphere_level`).  Both return a
 :class:`QuadratureResult` whether or not refinement converged, and every
 check that integrates puts its ``converged`` flag into its verdict.  A
 level whose value is not finite raises :class:`FloatingPointError`.
@@ -242,58 +241,50 @@ def _signs(parity):
 
 
 def _azimuth(nphi):
-    """cos and sin of the nphi midpoints (k + 1/2) 2 pi / nphi, symmetric by construction.
-
-    Only the first quadrant's are computed; the others are its exact sign
-    flips and reversals, (-c, s), (-c, -s) and (c, -s) of the mirrored node,
-    so the nodes are bit-symmetric across the planes x2 = 0 and x3 = 0.
-    """
-    if nphi % 4:
-        raise ValueError(f"the azimuthal rule needs a multiple of 4 nodes, got {nphi}")
+    """cos and sin of the nphi / 4 first-quadrant midpoints (k + 1/2) 2 pi / nphi."""
     phi = (np.arange(nphi // 4) + 0.5) * (2.0 * math.pi / nphi)
-    c, s = np.cos(phi), np.sin(phi)
-    return np.concatenate([c, -c[::-1], -c, c[::-1]]), np.concatenate([s, s[::-1], -s, -s[::-1]])
+    return np.cos(phi), np.sin(phi)
 
 
 def _sphere_level(f, decay, nr, nc, nphi, parity):
     """One tensor level of the spherical product rule; returns (value, evals).
 
     The level is folded on the three coordinate planes: ``f(x1, x2, x3)`` is
-    called only at the nc' = nc - nc // 2 polar nodes with cos theta >= 0
-    and the q = nphi / 4 azimuthal nodes with 0 < phi < pi / 2, on the
-    coordinate columns of a group of whole radial nodes, of shapes
-    (g, nc', 1), (g, nc', q) and (g, nc', q), so a power of x1 is taken once
-    per (r, cos theta) value; it returns shape (g, nc', q), or
-    (C, g, nc', q) for C values per point (the component-leading rows of
+    called only at the nc / 2 polar nodes with cos theta > 0 and the
+    q = nphi / 4 azimuthal nodes with 0 < phi < pi / 2, on the coordinate
+    columns of a group of whole radial nodes, of shapes (g, nc / 2, 1),
+    (g, nc / 2, q) and (g, nc / 2, q), so a power of x1 is taken once per
+    (r, cos theta) value; it returns shape (g, nc / 2, q), or
+    (C, g, nc / 2, q) for C values per point (the component-leading rows of
     ``eval_fractions``), which is only reshaped.
 
     ``parity`` is one triple of signs (s1, s2, s3), each +1 or -1, per
-    value, and the integrand must satisfy f(..., -x_i, ...) = s_i * f bit
-    for bit for i = 1, 2, 3 (an IEEE product chain of the coordinates does;
-    numpy's ``**`` of an odd or of a fourth or higher power need not).  The
-    fold is then exact.  The ``leggauss`` nodes are antisymmetric and its
-    weights symmetric bit for bit, and the mirrored polar node's x1 is
-    -(r cos theta) while x2 and x3 are equal (sin theta depends on
-    cos^2 theta only); the azimuthal nodes of :func:`_azimuth` are
-    bit-symmetric across x2 = 0 and x3 = 0 by construction; and negation
-    commutes with rounding.  So the group's contiguous weighted
-    (C, g, nc, nphi) block is written from its evaluated octant by the
-    mirrors, times the declared signs, and each node total is that of
-    evaluating all nc * nphi points, which ``evals`` counts.  A parity that
-    is not one triple of +-1 per value, or an ``nphi`` that is not a
-    multiple of 4, raises ``ValueError``.
+    value, with f(..., -x_i, ...) = s_i * f for i = 1, 2, 3.  The polar
+    nodes and weights are symmetric about cos theta = 0 and the azimuthal
+    midpoints about both phi = pi / 2 and phi = pi, so the rule's points
+    are the octant's and their mirrors across x1 = 0, x2 = 0 and x3 = 0,
+    with equal weights; each node total of all nc * nphi points, which
+    ``evals`` counts, is then (1 + s1)(1 + s2)(1 + s3) times the octant's,
+    in exact arithmetic: 8 times it for (1, 1, 1) and exactly 0.0 for any
+    triple with a -1, where a nan or inf still makes the level raise.  A
+    parity that is not one triple of +-1 per value, an odd ``nc`` (the
+    octant needs no node on x1 = 0) or an ``nphi`` that is not a multiple
+    of 4 raises ``ValueError``.
 
     The value is a float for one value per point and an array of C entries
     otherwise.  A group holds as many nodes as fit in one evaluator block of
     ``_ROWS`` evaluated points (at least one).  One sum over the last two
-    axes of the block takes every node's angular sum, each on its own
-    contiguous (nc, nphi) slice, and the nodes are added to the totals one
-    by one in node order, as Python floats, so the value does not depend on
-    the grouping.
+    axes of the weighted octant takes every node's angular sum, each on its
+    own contiguous (nc / 2, q) slice, and the nodes are added to the totals
+    one by one in node order, as Python floats, so the value does not depend
+    on the grouping.
     """
+    if nc % 2 or nphi % 4:
+        raise ValueError(f"the spherical rule needs an even nc and nphi a multiple of 4, got {nc} and {nphi}")
     q = nphi // 4
-    cphi, sphi = (a[:q] for a in _azimuth(nphi))
+    cphi, sphi = _azimuth(nphi)
     sign = _signs(parity)
+    fold = np.prod(1.0 + sign, axis=1)[:, None]
     u, wu = _gauss01(nr)
     r, jac = decay.map(u)
     c, wc = _leggauss(nc)
@@ -303,27 +294,18 @@ def _sphere_level(f, decay, nr, nc, nphi, parity):
     c, wc = c[h:, None], wc[h:, None]
     s = np.sqrt(1.0 - c**2)
     weight = wu * jac * r * r
-    s1, s2, s3 = (np.reshape(sign[:, i], (-1, 1, 1, 1)) for i in range(3))
 
-    group = max(1, _ROWS // (len(c) * q))
+    group = max(1, _ROWS // (h * q))
     totals = None
     for start in range(0, nr, group):
         rg = r[start : start + group, None, None]
         rs = rg * s
-        vals = np.reshape(f(rg * c, rs * cphi, rs * sphi), (-1, len(rg), len(c), q))
+        vals = np.reshape(f(rg * c, rs * cphi, rs * sphi), (-1, len(rg), h, q))
         if len(vals) != len(sign):
             raise ValueError(f"parity declares {len(sign)} values, the integrand returns {len(vals)}")
-        weighted = np.empty((len(vals), len(rg), nc, nphi))
-        upper = weighted[:, :, h:]
-        first = upper[..., :q]
-        np.multiply(vals, wc, out=first)
-        # the other quadrants of phi: (-c, s), (-c, -s), (c, -s) of the mirrored node
-        np.multiply(first[..., ::-1], s2, out=upper[..., q : 2 * q])
-        np.multiply(first, s2 * s3, out=upper[..., 2 * q : 3 * q])
-        np.multiply(first[..., ::-1], s3, out=upper[..., 3 * q :])
-        # the nodes with cos theta < 0: their mirrors' weighted values times s1
-        np.multiply(weighted[:, :, nc - h :][:, :, ::-1], s1, out=weighted[:, :, :h])
-        nodes = np.sum(weighted, axis=(-2, -1)) * wphi * weight[start : start + group]
+        # a nan or inf times a fold of 0 is nan, which _finite refuses
+        with np.errstate(invalid="ignore"):
+            nodes = np.sum(vals * wc, axis=(-2, -1)) * fold * wphi * weight[start : start + group]
         totals = totals or [0.0] * len(nodes)
         for i, row in enumerate(nodes.tolist()):
             for node in row:
@@ -356,16 +338,17 @@ def integrate_r3(f, decay_hint, parity, tol=1e-8, abs_tol=0.0):
     """Adaptive spherical product rule over R^3.
 
     ``f(x1, x2, x3)`` takes coordinate columns that broadcast, in the octant
-    x1, x2, x3 >= 0 of the rule's nodes only, and returns one value per
+    x1, x2, x3 > 0 of the rule's nodes only, and returns one value per
     point, or C values per point on a leading axis; ``parity`` declares one
-    triple of signs (s1, s2, s3) per value, with f(..., -x_i, ...) = s_i * f
-    bit for bit, as :func:`_sphere_level` says; f must be absolutely
-    integrable with the declared radial decay.  Starting from 16 x 12 x 12
-    nodes, refinement doubles the radial rule and grows the angular rules,
-    for at most five levels, until successive levels agree to the requested
-    tolerance.  When the levels run out first, the result carries
-    ``converged=False`` and the last level's value.  A parity that is not
-    one triple of +-1 per value raises ``ValueError``.
+    triple of signs (s1, s2, s3) per value, with f(..., -x_i, ...) = s_i * f,
+    and each level is the octant's sum times (1 + s1)(1 + s2)(1 + s3), as
+    :func:`_sphere_level` says; f must be absolutely integrable with the
+    declared radial decay.  Starting from 16 x 12 x 12 nodes, refinement
+    doubles the radial rule and grows the angular rules (nc even, nphi a
+    multiple of 4), for at most five levels, until successive levels agree
+    to the requested tolerance.  When the levels run out first, the result
+    carries ``converged=False`` and the last level's value.  A parity that
+    is not one triple of +-1 per value raises ``ValueError``.
     """
     sizes = [(16 * 2**k, min(12 * 2**k, 48), min(12 * 2**k, 48)) for k in range(5)]
     level = lambda *size: _sphere_level(f, decay_hint, *size, parity)
@@ -387,10 +370,11 @@ def parseval_identity_check(p_orders, q_orders, x0):
     absolute product, both taken from one evaluation of the product.  An
     adaptive rule that does not converge fails the check with its best value.
     Both integrals run on the folded rule, which evaluates the product in
-    the octant x1, x2, x3 > 0 only: every term of the float plan of d^p N is
-    an IEEE product chain whose x_i exponent has the parity of p_i, so the
-    product has parity (-1)^(p_i + q_i) in x_i bit for bit, for i = 1, 2, 3,
-    and its modulus parity +1 in each.
+    the octant x1, x2, x3 > 0 only and multiplies the octant's sum by
+    (1 + s1)(1 + s2)(1 + s3): d^p N has parity (-1)^(p_i) in x_i, so the
+    product has s_i = (-1)^(p_i + q_i), for i = 1, 2, 3, and its modulus
+    s_i = +1.  An odd pair's signed integral, on the zero path, is then
+    exactly 0.0, the rule's exact value.
     """
     tol, zero_tol = 1e-6, 1e-10
     p_orders = tuple(int(v) for v in p_orders)

@@ -48,6 +48,7 @@ from .kernel import (
     cauchy_kernel,
     complex_szego_closed_form,
     density_closed_form,
+    gegenbauer_coefficients,
     szego_density,
 )
 from .polyfrac import HyperFrac, RadialFraction, RatPoly
@@ -227,10 +228,8 @@ def kernel_suite(seed=0):
         nus = np.array([rng.uniform(-2, 2) for _ in range(4 * 25)]).reshape(25, 4)
         nus = nus[np.sum(nus * nus, axis=1) >= 0.1]
         base = density.eval_array(nus)
-        # only t = 5 tests anything: scaling by 0.5 or 2.0 is exact in the
-        # closed-form evaluator, so those dilations compare identical bits
         worst = max(
-            _row_deviation(density.eval_array(t * nus) * t ** (2 * n + 3), base) for t in (0.5, 2.0, 5.0)
+            _row_deviation(density.eval_array(t * nus) * t ** (2 * n + 3), base) for t in (0.3, 3.0, 5.0)
         )
         reports.append(
             CheckReport.within(
@@ -598,16 +597,38 @@ _ORACLE_DIRECTIONS = (
 _ORACLE_EXPONENTS = (-40, -29, -17, -6, 5, 16, 28, 39)
 
 
-def _density_float_oracle(n, closed):
-    """The m = 4 density's floats against ``closed``, its exact closed form,
-    at the 8 oracle points: the worst max|float - exact| over the largest
-    exact component, taken exactly."""
+def _closed_form_at(n, point):
+    """The body of ``density_closed_form(n)`` at a point of Fractions, in its
+    one variable: each numerator is sum_j a_j x0^(k-2j) |x|^(2j), with the
+    ``gegenbauer_coefficients`` a_j, over |x|^(4n+4); O(n) exact products."""
+    x0, r2 = point[0], sum(v * v for v in point)
+
+    def numerator(lam, k):
+        x0_pows = [Fraction(1)]
+        while len(x0_pows) <= k:
+            x0_pows.append(x0_pows[-1] * x0)
+        total, r2_pow = Fraction(0), Fraction(1)
+        for j, a in enumerate(gegenbauer_coefficients(lam, k)):
+            total += a * x0_pows[k - 2 * j] * r2_pow
+            r2_pow *= r2
+        return total
+
+    den = r2 ** (2 * n + 2)
+    head = numerator(1, 2 * n + 1) * Fraction(math.factorial(2 * n + 1), 2) / den
+    radial = -math.factorial(2 * n) * numerator(2, 2 * n) / den
+    return [head] + [x * radial for x in point[1:]]
+
+
+def _density_float_oracle(n):
+    """The m = 4 density's floats against its exact closed form at the 8
+    oracle points: the worst max|float - exact| over the largest exact
+    component, taken exactly."""
     density = szego_density(KernelOrder(n))
     pts = np.ldexp(np.array(_ORACLE_DIRECTIONS, dtype=float), np.array(_ORACLE_EXPONENTS)[:, None] - 3)
     pre = Fraction(density.prefactor())
     worst = 0.0
     for got, point in zip(density.eval_array(pts).tolist(), pts.tolist()):
-        want = [pre * c for c in closed.eval([Fraction(v) for v in point]).comps]
+        want = [pre * c for c in _closed_form_at(n, [Fraction(v) for v in point])]
         err = max(abs(Fraction(g) - w) for g, w in zip(got, want)) / max(abs(w) for w in want)
         worst = max(worst, float(err))
     return CheckReport.within(
@@ -629,7 +650,7 @@ def exact_suite():
             lhs="Gegenbauer closed form", rhs="d0^(2n) of the Cauchy kernel",
         )
         for n in closed
-    ] + [_density_float_oracle(n, closed[n]) for n in closed]
+    ] + [_density_float_oracle(n) for n in closed]
 
 
 # ----------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_verify_all_seed_0_is_pinned(capsys):
     code, out, _ = run_cli(["verify", "all", "--seed", "0"], capsys)
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "a99cf85133fe98fc86aba338cc1e2a3553e26daaa6478858754751b392e3f64e"
+    assert digest == "70d796eb17a4396d6448c391e343e0ea518b5d31a1e27b5c0fff4239e4bd8824"
 
 
 def test_verify_octonion_seed_3_is_pinned(capsys):

@@ -524,6 +524,17 @@ def test_density_floats_match_the_exact_oracle_across_the_float_range():
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oracle_closed_form_in_one_variable_equals_the_expanded_form(n):
+    # the density-float-oracle's exact values, from the Gegenbauer sums in
+    # x0 and |x|^2, are the expanded closed form's, Fraction for Fraction
+    pts = np.ldexp(np.array(suites._ORACLE_DIRECTIONS, dtype=float), np.array(suites._ORACLE_EXPONENTS)[:, None] - 3)
+    closed = density_closed_form(n)
+    for point in pts.tolist():
+        exact = [Fraction(v) for v in point]
+        assert suites._closed_form_at(n, exact) == list(closed.eval(exact).comps)
+
+
 @pytest.mark.parametrize("scale", [(1.0, 1.01, 1.0, 1.0), (1.0 + 1e-6,) * 4], ids=["component", "overall"])
 def test_exact_suite_oracle_sees_a_wrong_density_float(monkeypatch, scale):
     # verify exact's density-float-oracle reports pass on the closed form

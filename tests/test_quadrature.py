@@ -231,43 +231,74 @@ def test_sphere_level_columns_match_scalar_levels():
     assert [v.hex() for v in both] == [one_f.hex(), one_g.hex()]
 
 
-def _sphere_level_per_node(f, decay, nr, nc, nphi):
-    """The spherical level with one integrand call per radial node on that
-    node's stacked (nc * nphi, 3) points, passed as ``f(*pts.T)``, which
-    returns (nc * nphi,) or (C, nc * nphi) values, and one angular sum per
-    node and value, at every point of the rule, on the symmetric azimuthal
-    nodes of ``_azimuth``: the unfolded reference the folded, grouped column
-    calls of ``_sphere_level`` must match bit for bit.  Returns (value,
-    evals)."""
+def _full_azimuth(nphi):
+    """cos and sin of all nphi azimuthal midpoints of the rule, symmetric by
+    construction: the first quadrant's, from ``_azimuth``, and their exact
+    sign flips and reversals (-c, s), (-c, -s) and (c, -s) of the mirrored
+    node, so the nodes are bit-symmetric across the planes x2 = 0 and x3 = 0."""
+    c, s = quadrature._azimuth(nphi)
+    return np.concatenate([c, -c[::-1], -c, c[::-1]]), np.concatenate([s, s[::-1], -s, -s[::-1]])
+
+
+def _radial_rule(decay, nr):
     u, wu = np.polynomial.legendre.leggauss(nr)
     r, jac = decay.map((u + 1.0) / 2.0)
-    wu = wu / 2.0
+    return r, wu / 2.0 * jac * r * r
+
+
+def _sphere_level_per_node(f, decay, nr, nc, nphi, parity):
+    """The spherical level with one integrand call per radial node on that
+    node's stacked (nc / 2 * nphi / 4, 3) octant points (cos theta > 0 and
+    the first-quadrant phi), passed as ``f(*pts.T)``, which returns the
+    values or (C, ...) of them, and one ``np.sum`` per node and value, times
+    its parity factor (1 + s1)(1 + s2)(1 + s3): the per-node reference the
+    grouped column calls of ``_sphere_level`` must match bit for bit.
+    Returns (value, evals)."""
+    r, weight = _radial_rule(decay, nr)
     c, wc = np.polynomial.legendre.leggauss(nc)
+    c, wc = c[nc // 2 :], wc[nc // 2 :]
     cphi, sphi = quadrature._azimuth(nphi)
+    fold = np.prod(1.0 + np.reshape(np.asarray(parity, dtype=float), (-1, 3)), axis=1)
     wphi = 2.0 * math.pi / nphi
     s = np.sqrt(1.0 - c**2)
     total = 0.0
     for i in range(nr):
-        x1 = np.broadcast_to((r[i] * c)[:, None], (nc, nphi))
+        x1 = np.broadcast_to((r[i] * c)[:, None], (len(c), len(cphi)))
         x2 = r[i] * s[:, None] * cphi[None, :]
         x3 = r[i] * s[:, None] * sphi[None, :]
         pts = np.stack([x1, x2, x3], axis=-1).reshape(-1, 3)
-        vals = np.reshape(f(*pts.T), (-1, nc, nphi))
-        angular = np.array([np.sum(v * wc[:, None]) * wphi for v in vals])
-        total = total + wu[i] * jac[i] * r[i] * r[i] * angular
+        vals = np.reshape(f(*pts.T), (-1, len(c), len(cphi)))
+        angular = np.array([np.sum(v * wc[:, None]) * k * wphi for v, k in zip(vals, fold)])
+        total = total + weight[i] * angular
     return (float(total[0]) if len(total) == 1 else total), nr * nc * nphi
+
+
+def _sphere_level_unfolded(f, decay, nr, nc, nphi):
+    """The spherical level at every one of its nr * nc * nphi points, on the
+    symmetric azimuthal nodes of ``_full_azimuth``, one integrand call per
+    radial node: the rule the folded level stands for.  Returns the values."""
+    r, weight = _radial_rule(decay, nr)
+    c, wc = np.polynomial.legendre.leggauss(nc)
+    cphi, sphi = _full_azimuth(nphi)
+    s = np.sqrt(1.0 - c**2)
+    total = 0.0
+    for i in range(nr):
+        x1 = np.broadcast_to((r[i] * c)[:, None], (nc, nphi))
+        vals = np.reshape(f(x1, r[i] * s[:, None] * cphi, r[i] * s[:, None] * sphi), (-1, nc, nphi))
+        total = total + weight[i] * np.sum(vals * wc[:, None], axis=(-2, -1)) * (2.0 * math.pi / nphi)
+    return total
 
 
 @pytest.mark.parametrize("size", [(64, 24, 24), (16, 48, 48), (16, 12, 12)])
 def test_sphere_level_groups_whole_radial_nodes(size):
     # one integrand call per group of whole radial nodes, at most _ROWS
     # evaluated points (one node when a node alone has more), on the group's
-    # coordinate columns at the nc - nc // 2 polar nodes with cos theta >= 0
-    # and the nphi / 4 azimuthal nodes of the first quadrant; an odd and an
-    # even value, folded by their parities, give the values of the per-node
-    # reference on every stacked point
+    # coordinate columns at the nc / 2 polar nodes with cos theta > 0 and
+    # the nphi / 4 azimuthal nodes of the first quadrant; an odd and an even
+    # value, folded by their parities, give the values of the per-node
+    # octant reference on its stacked points
     nr, nc, nphi = size
-    half, quarter = nc - nc // 2, nphi // 4
+    half, quarter = nc // 2, nphi // 4
     calls = []
 
     def f(x1, x2, x3):
@@ -275,32 +306,76 @@ def test_sphere_level_groups_whole_radial_nodes(size):
         r2 = x1 * x1 + x2 * x2 + x3 * x3
         return np.stack([x1 * (x2 * x2 * x2) * (1.0 + r2) ** -4.0, np.exp(-r2)])
 
-    got, used = _sphere_level(f, PowerDecay(2.0), nr, nc, nphi, ((-1, -1, 1), (1, 1, 1)))
+    parity = ((-1, -1, 1), (1, 1, 1))
+    got, used = _sphere_level(f, PowerDecay(2.0), nr, nc, nphi, parity)
     group = max(1, _ROWS // (half * quarter))
     sizes = [min(group, nr - i) for i in range(0, nr, group)]
     assert used == nr * nc * nphi
     assert calls == [((g, half, 1), (g, half, quarter), (g, half, quarter)) for g in sizes]
-    want, _ = _sphere_level_per_node(f, PowerDecay(2.0), nr, nc, nphi)
-    assert [v.hex() for v in got] == [v.hex() for v in want]
+    want, _ = _sphere_level_per_node(f, PowerDecay(2.0), nr, nc, nphi, parity)
+    assert [v.hex() for v in got] == [v.hex() for v in want] and got[0] == 0.0
+
+
+_POWERS = list(itertools.product((1, 2), repeat=3))
+_POWER_PARITIES = [tuple((-1) ** k for k in p) for p in _POWERS]
+
+
+def _powers(x1, x2, x3):
+    """x1^a x2^b x3^c exp(-|x|^2) for every a, b, c in {1, 2}, one value per
+    triple, of parity ((-1)^a, (-1)^b, (-1)^c): every sign triple once."""
+    radial = np.exp(-(x1 * x1 + x2 * x2 + x3 * x3))
+    power = lambda x, k: x if k == 1 else x * x
+    return np.stack([power(x1, a) * power(x2, b) * power(x3, c) * radial for a, b, c in _POWERS])
 
 
 def test_folded_level_equals_unfolded_for_every_parity():
-    # x1^a x2^b x3^c times a radial factor, for every a, b, c in {1, 2}, as
-    # product chains: the folded level equals, bit for bit, the level that
-    # evaluates every point of the symmetric rule
-    powers = list(itertools.product((1, 2), repeat=3))
-
-    def f(x1, x2, x3):
-        radial = np.exp(-(x1 * x1 + x2 * x2 + x3 * x3))
-        power = lambda x, k: x if k == 1 else x * x
-        return np.stack([power(x1, a) * power(x2, b) * power(x3, c) * radial for a, b, c in powers])
-
-    parity = [tuple((-1) ** k for k in p) for p in powers]
-    for size in [(16, 12, 12), (8, 13, 16)]:
-        folded, used = _sphere_level(f, ExpDecay(1.0), *size, parity)
-        unfolded, want_used = _sphere_level_per_node(f, ExpDecay(1.0), *size)
+    # for every sign triple, the grouped level equals the per-node octant
+    # reference bit for bit
+    for size in [(16, 12, 12), (8, 14, 16)]:
+        folded, used = _sphere_level(_powers, ExpDecay(1.0), *size, _POWER_PARITIES)
+        octant, want_used = _sphere_level_per_node(_powers, ExpDecay(1.0), *size, _POWER_PARITIES)
         assert used == want_used == math.prod(size)
-        assert folded.view(np.uint64).tolist() == unfolded.view(np.uint64).tolist()
+        assert folded.view(np.uint64).tolist() == octant.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("size", [(16, 12, 12), (8, 14, 16), (64, 24, 24)])
+def test_folded_level_is_the_unfolded_rule_to_rounding(size):
+    # summing the octant times (1 + s1)(1 + s2)(1 + s3) is the rule on all
+    # of its points in exact arithmetic, so the two differ by rounding only:
+    # at most 64 eps times the rule applied to |f|, for every sign triple
+    folded, _ = _sphere_level(_powers, ExpDecay(1.0), *size, _POWER_PARITIES)
+    unfolded = _sphere_level_unfolded(_powers, ExpDecay(1.0), *size)
+    modulus = _sphere_level_unfolded(lambda *x: np.abs(_powers(*x)), ExpDecay(1.0), *size)
+    assert np.all(np.abs(folded - unfolded) <= 64 * np.finfo(float).eps * modulus)
+    assert np.all(modulus > 0) and folded[_POWER_PARITIES.index((1, 1, 1))] > 0
+
+
+def test_odd_parity_level_is_exactly_zero():
+    # a triple with a -1 has a fold of exactly 0: the level is 0.0, the
+    # rule's exact value, not a rounding residue
+    folded, _ = _sphere_level(_powers, PowerDecay(2.0), 16, 12, 12, _POWER_PARITIES)
+    for value, parity in zip(folded.tolist(), _POWER_PARITIES):
+        assert (value.hex() == "0x0.0p+0") == (-1 in parity), (value, parity)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nonfinite_odd_parity_value_raises(bad):
+    # a fold of 0 does not hide a fault: inf * 0 and nan * 0 are nan
+    def f(x1, x2, x3):
+        vals = x1 * np.exp(-(x1 * x1 + x2 * x2 + x3 * x3))
+        vals.flat[0] = bad
+        return vals
+
+    with pytest.raises(FloatingPointError):
+        _sphere_level(f, ExpDecay(1.0), 16, 12, 12, (-1, 1, 1))
+
+
+def test_sphere_level_rejects_odd_nc():
+    # the octant holds the nodes with cos theta > 0: a node on x1 = 0 has no place
+    calls = []
+    with pytest.raises(ValueError, match="even nc"):
+        _sphere_level(lambda *x: calls.append(x), ExpDecay(1.0), 16, 13, 12, (1, 1, 1))
+    assert not calls
 
 
 @pytest.mark.parametrize(
@@ -361,13 +436,15 @@ def test_leggauss_nodes_antisymmetric_weights_symmetric(n):
 
 @pytest.mark.parametrize("n", [12, 16, 24, 48])
 def test_azimuthal_nodes_symmetric_across_both_planes(n):
-    # the premise of the azimuthal fold of _sphere_level: node k mirrored
+    # the rule the octant of _sphere_level stands for: node k mirrored
     # across x2 = 0 is node n/2 - 1 - k, (cos, sin) -> (-cos, sin), and
     # across x3 = 0 it is node n - 1 - k, (cos, sin) -> (cos, -sin), bit for
-    # bit; and the nodes are the midpoints (k + 1/2) 2 pi / n, within the
-    # 1e-15 to which cos and sin of the rounded angles themselves miss them
-    cphi, sphi = quadrature._azimuth(n)
+    # bit; its first quadrant is the octant's; and the nodes are the
+    # midpoints (k + 1/2) 2 pi / n, within the 1e-15 to which cos and sin of
+    # the rounded angles themselves miss them
+    cphi, sphi = _full_azimuth(n)
     bits = lambda a: a.view(np.uint64).tolist()
+    assert [bits(a[: n // 4]) for a in (cphi, sphi)] == [bits(a) for a in quadrature._azimuth(n)]
     across_x2 = np.r_[n // 2 - 1 : -1 : -1, n - 1 : n // 2 - 1 : -1]
     assert bits(-cphi[across_x2]) == bits(cphi) and bits(sphi[across_x2]) == bits(sphi)
     assert bits(cphi[::-1]) == bits(cphi) and bits(-sphi[::-1]) == bits(sphi)
@@ -398,7 +475,8 @@ def _assert_parity(f, parity, rng):
 def test_declared_parities_hold_bit_for_bit(monkeypatch):
     # every parity the package passes to the spherical rule, in x1, x2 and
     # x3: the Newton products of order <= 3 (signed, and signed with their
-    # modulus on the zero path) and the props suite's moment integrands
+    # modulus on the zero path) and the props suite's moment integrands; the
+    # fold needs them to hold in exact arithmetic, and they hold bit for bit
     seen = []
 
     def record(f, decay, nr, nc, nphi, parity):
@@ -442,11 +520,12 @@ def test_declared_parities_hold_bit_for_bit(monkeypatch):
 @pytest.mark.parametrize("nc, nphi", [(12, 12), (24, 24), (48, 48), (16, 16)])
 def test_numpy_sum_over_trailing_axes_equals_per_slice_sums(nc, nphi):
     # the premise of the grouped angular sum of _sphere_level: summing a
-    # contiguous (C, g, nc, nphi) block over its last two axes gives, bit for
-    # bit, np.sum of each contiguous (nc, nphi) slice on its own
+    # contiguous (C, g, nc / 2, nphi / 4) octant block over its last two axes
+    # gives, bit for bit, np.sum of each contiguous slice on its own
     rng = np.random.default_rng(nc * 100 + nphi)
-    for count, g in ((1, 1), (2, max(1, _ROWS // ((nc - nc // 2) * (nphi // 4)))), (3, 5)):
-        mags = 10.0 ** rng.uniform(-8, 8, (count, g, nc, nphi))
+    h, q = nc // 2, nphi // 4
+    for count, g in ((1, 1), (2, max(1, _ROWS // (h * q))), (3, 5)):
+        mags = 10.0 ** rng.uniform(-8, 8, (count, g, h, q))
         block = np.where(rng.random(mags.shape) < 0.5, -mags, mags)
         block[..., ::2] += -np.roll(block, 1, axis=-1)[..., ::2]  # heavy cancellation
         got = np.sum(block, axis=(-2, -1))
@@ -471,11 +550,12 @@ def _parseval_lhs_by_points(p, q, x0, rhs):
         return np.stack([vals, np.abs(vals)])
 
     decay = PowerDecay(max(1.0, 2.0 * x0))
+    parity = tuple((-1) ** (p[i] + q[i]) for i in (1, 2, 3))
     if rhs == 0.0:
-        (lhs, _), used = _sphere_level_per_node(signed_and_absolute, decay, 64, 24, 24)
+        (lhs, _), used = _sphere_level_per_node(signed_and_absolute, decay, 64, 24, 24, (parity, (1, 1, 1)))
         return lhs, used
     sizes = [(16 * 2**k, min(12 * 2**k, 48), min(12 * 2**k, 48)) for k in range(5)]
-    level = lambda *size: _sphere_level_per_node(product, decay, *size)
+    level = lambda *size: _sphere_level_per_node(product, decay, *size, parity)
     res, _ = quadrature._refine(level, sizes, 1e-6 * 0.2, abs(rhs) * 1e-6 * 0.2)
     return res.value, res.n_evals
 
@@ -581,7 +661,7 @@ def test_parseval_identity_examples():
     # pinned float.hex of one odd and one even pair; an odd pair takes its
     # signed and absolute integrals from one 64 x 24 x 24 level
     rep = parseval_identity_check((0, 1, 0, 0), (0, 0, 1, 0), 1.0)
-    assert (rep.lhs.hex(), rep.rel_deviation.hex()) == ("-0x1.4202107d52746p-64", "0x1.31f60dbeb0a05p-64")
+    assert (rep.lhs.hex(), rep.rel_deviation.hex()) == ("0x0.0p+0", "0x0.0p+0")
     assert rep.n_evals == 64 * 24 * 24 == 36864
 
     rep = parseval_identity_check((1, 0, 0, 0), (1, 0, 0, 0), 1.0)
